@@ -7,8 +7,9 @@ the verb: ``--config PATH`` (INI scenario, defaults used when omitted),
 ``pulse.seed``), ``--dry-run`` (validate, print the plan, write nothing).
 
 Exit codes: 0 success; 2 config, schema or usage errors; 3 runs that cannot
-proceed (unbracketed threshold search, infeasible pulse target, unusable
-output directory).
+proceed (unbracketed threshold search, infeasible pulse target, a library
+``ValueError`` such as a too-short Poisson truncation, unusable output
+directory).
 
 Every run writes its CSV outputs plus one ``manifest.json`` recording the
 config hash, so identical scenarios are verifiably byte-identical.
@@ -48,7 +49,7 @@ from .config import (
 )
 from .device import curve_rms_db
 from .runio import MANIFEST_NAME, RunDirError, RunWriter, line_plot_svg, utc_now
-from .security import BracketError, sweep_key_rates, zero_key_threshold
+from .security import sweep_key_rates, zero_key_threshold
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,12 +322,9 @@ def run_security_threshold(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
     high = cfg.get("qkd", "m_search_high_db")
     tol = cfg.get("qkd", "threshold_tol_db")
     estimator = cfg.get("qkd", "estimator")
-    try:
-        threshold = zero_key_threshold(
-            scenario, (low, high), build_distances_km(cfg), estimator, tol
-        )
-    except (BracketError, ValueError) as exc:
-        raise RunFailure(str(exc)) from exc
+    threshold = zero_key_threshold(
+        scenario, (low, high), build_distances_km(cfg), estimator, tol
+    )
     writer.write_csv(
         "threshold.csv",
         ("m_threshold_db", "m_search_low_db", "m_search_high_db", "tol_db", "estimator"),
@@ -515,7 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_RUNTIME
     try:
         lines = COMMANDS[command](cfg, writer)
-    except RunFailure as exc:
+    except (RunFailure, ValueError) as exc:
         writer.abort()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .photorefractive import (
     ArmState,
@@ -109,15 +108,16 @@ class MziDevice:
             self.arm2.index_response(self.material),
         )
 
-    def total_phase(self, v_app_v: float) -> float:
+    def _phase_terms(self) -> tuple[float, float]:
+        """Voltage slope and differential offset of the affine phase."""
         f1, f2 = self.index_responses()
         c_over_d = field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
         slope = 2.0 * math.pi / self.v_pi_v - c_over_d * (f1 + f2)
-        return (
-            self.bias_phase_rad
-            + v_app_v * slope
-            + self.geometry.phase_scale_rad * (f1 - f2)
-        )
+        return slope, self.geometry.phase_scale_rad * (f1 - f2)
+
+    def total_phase(self, v_app_v: float) -> float:
+        slope, offset = self._phase_terms()
+        return self.bias_phase_rad + v_app_v * slope + offset
 
     def transmittance(self, v_app_v: float) -> float:
         r = self.signal_split
@@ -161,49 +161,29 @@ class MziDevice:
             atten = -10.0 * np.log10(trans)
         return VoltageCurve(volts, trans, atten, theta)
 
-    def find_extinction_voltage(
-        self, v_min_v: float, v_max_v: float, points: int = 201
-    ) -> float:
-        """Drive voltage of deepest extinction within the range.
+    def find_extinction_voltage(self, v_min_v: float, v_max_v: float) -> float:
+        """Drive voltage of the extinction null nearest the range center.
 
-        The range must span at least two fringe periods so a true null is
-        guaranteed inside it.  The transmission is periodic, so several nulls
-        can fall inside a wide range; each grid-local minimum is refined by
-        bounded scalar minimization and ties are broken toward the range
-        center.  The result is stable against the grid density as long as the
-        grid resolves the fringe period.
+        The phase is affine in the drive voltage, theta(v) = theta(0) +
+        slope * v, so the nulls sit exactly at
+        v_k = ((2k+1)*pi - theta(0)) / slope.  The range must span at least
+        two half-wave voltages; a ValueError is raised when the nearest null
+        still falls outside it, which happens once exposure has flattened the
+        slope enough to stretch the fringe period past the range.
         """
         if v_max_v - v_min_v < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
-        curve = self.voltage_curve(v_min_v, v_max_v, points)
-        t = curve.transmittance
-        v = curve.v_app_v
-        candidates = [
-            i
-            for i in range(len(t))
-            if (i == 0 or t[i] <= t[i - 1]) and (i == len(t) - 1 or t[i] <= t[i + 1])
-        ]
+        slope, offset = self._phase_terms()
+        theta0 = self.bias_phase_rad + offset
         center = 0.5 * (v_min_v + v_max_v)
-        best_v, best_t = None, math.inf
-        for i in candidates:
-            lo = v[max(i - 1, 0)]
-            hi = v[min(i + 1, len(v) - 1)]
-            if hi > lo:
-                res = minimize_scalar(
-                    self.transmittance,
-                    bounds=(lo, hi),
-                    method="bounded",
-                    options={"xatol": 1e-10},
-                )
-                cand_v, cand_t = float(res.x), float(res.fun)
-            else:
-                cand_v, cand_t = float(v[i]), float(t[i])
-            better = cand_t < best_t - 1e-15
-            tie = abs(cand_t - best_t) <= 1e-15
-            if better or (tie and abs(cand_v - center) < abs(best_v - center)):
-                best_v, best_t = cand_v, cand_t
-        assert best_v is not None
-        return best_v
+        k = round((theta0 + slope * center - math.pi) / (2.0 * math.pi))
+        v_null = ((2 * k + 1) * math.pi - theta0) / slope
+        if not v_min_v <= v_null <= v_max_v:
+            raise ValueError(
+                f"nearest extinction null {v_null:.4g} V lies outside "
+                f"[{v_min_v:g}, {v_max_v:g}] V"
+            )
+        return v_null
 
     # -- state transitions ---------------------------------------------------
 

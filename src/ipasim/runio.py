@@ -9,8 +9,9 @@ lives only in the manifest, which is metadata, not data.
 Every run directory ends up with exactly one ``manifest.json`` listing the
 content hash of the config that produced it and the name and sha256 of every
 emitted file.  Rerunning into a directory that holds a manifest first removes
-exactly the files that manifest lists; a non-empty directory without a
-manifest is refused rather than mixed into.
+exactly the files that manifest lists, provided every listed name is a plain
+file name; a manifest naming anything else, or a non-empty directory without
+a manifest, is refused rather than mixed into.
 """
 
 from __future__ import annotations
@@ -184,6 +185,21 @@ def line_plot_svg(
 # -- run directory and manifest -------------------------------------------------
 
 
+def _is_plain_name(name: object) -> bool:
+    """A bare file name inside the run directory, as the writer emits them.
+
+    Without a separator a name can be neither absolute nor reach outside;
+    a NUL byte would make the unlink itself raise midway through the rerun.
+    """
+    return (
+        isinstance(name, str)
+        and name not in ("", ".", "..")
+        and "/" not in name
+        and "\\" not in name
+        and "\x00" not in name
+    )
+
+
 @dataclass
 class RunWriter:
     """Collects a run's output files and seals them with a manifest."""
@@ -213,10 +229,14 @@ class RunWriter:
             listed = [entry["name"] for entry in json.loads(manifest.read_text())["outputs"]]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise RunDirError(f"cannot parse {manifest}: {exc}") from None
+        unsafe = [name for name in listed if not _is_plain_name(name)]
+        if unsafe:
+            raise RunDirError(
+                f"{manifest} lists {unsafe[0]!r}, which is not a plain file name; "
+                "refusing to delete it"
+            )
         for name in listed:
-            target = path / name
-            if target.exists():
-                target.unlink()
+            (path / name).unlink(missing_ok=True)
         manifest.unlink()
         return cls(path)
 

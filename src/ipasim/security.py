@@ -10,9 +10,10 @@ fraction from decoy statistics that no longer describe reality; this module
 computes both views and the resulting estimated vs actual key rates.
 
 Conventions: gains and yields are probabilities per pulse; magnification is
-linear here (callers convert from dB); all truncated photon-number sums
-report a tail bound and refuse to run when the truncation is too short for
-the requested mean.
+linear here (callers convert from dB).  Photon-number statistics use closed
+forms and nothing is truncated.  ``n_trunc`` remains a validity guard: the
+Poisson mass above it is reported as ``tail_bound``, and a magnified mean
+whose tail reaches ``TAIL_LIMIT`` is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import poisson
 
 # dark-count clicks carry no bit information, so they are wrong half the time
 DARK_COUNT_ERROR = 0.5
@@ -197,6 +197,12 @@ def attacked_gain(
     return gain(mpn, m_linear * p * eta_bob, y0)
 
 
+def _poisson_pmf(n: int, mean: float) -> float:
+    if mean == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+
+
 def pns_photon_distribution(n: int, m_linear: float, p: float, mu: float) -> float:
     """Photon-number law of resent pulses.
 
@@ -205,7 +211,7 @@ def pns_photon_distribution(n: int, m_linear: float, p: float, mu: float) -> flo
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return float(poisson.pmf(n, m_linear * p * mu))
+    return _poisson_pmf(n, m_linear * p * mu)
 
 
 @dataclass(frozen=True)
@@ -214,14 +220,23 @@ class TailBounded:
     tail_bound: float
 
 
-def _checked_tail(mean: float, n_trunc: int) -> float:
-    tail = float(poisson.sf(n_trunc, mean))
-    if tail >= TAIL_LIMIT:
-        raise ValueError(
-            f"n_trunc={n_trunc} leaves Poisson tail {tail:.3e} at mean {mean:.3f}; "
-            "increase n_trunc"
-        )
-    return tail
+def poisson_tail(mean: float, n_trunc: int) -> float:
+    """P(N > n_trunc) for N ~ Poisson(mean).
+
+    Below the cut the tail is summed upward until a term no longer moves it;
+    each term shrinks by mean/n, so the remainder is far below rounding.  A
+    mean above the cut puts most of the mass in the tail, which is then one
+    minus the short sum of the first ``n_trunc + 1`` terms.
+    """
+    if mean > n_trunc:
+        return 1.0 - math.fsum(_poisson_pmf(n, mean) for n in range(n_trunc + 1))
+    tail, n = 0.0, n_trunc + 1
+    while True:
+        term = _poisson_pmf(n, mean)
+        tail += term
+        if term <= 1e-17 * tail:
+            return tail
+        n += 1
 
 
 def attack_success_probability(
@@ -235,18 +250,27 @@ def attack_success_probability(
 
         sum_n P(n) sum_{m=1}^{n-1} C(n,m) p^m (1-p)^(n-m) (1 - (1-eta_B)^m)
 
-    The inner binomial sum collapses exactly to
-    1 - (1 - p*eta_B)^n - p^n (1 - (1-eta_B)^n), which is what is evaluated
-    here; the literal double sum is kept in the test suite as the oracle.
+    Thinning a Poisson(mu_E) pulse splits it into independent Poisson streams
+    of kept photons (mean mu_E*(1-p)) and forwarded-and-detected photons
+    (mean mu_E*p*eta_B), so the sum is exactly the chance both are nonzero:
+
+        (1 - exp(-mu_E*p*eta_B)) * (1 - exp(-mu_E*(1-p)))
+
+    The literal double sum is kept in the test suite as the oracle.  The
+    returned tail bound is the Poisson mass above ``n_trunc``; a scenario
+    whose tail reaches ``TAIL_LIMIT`` is refused with a ValueError.
     """
     mu_e = attack.m_linear * scenario.mu
     p = attack.resolved_p(scenario.eta_ab)
-    tail = _checked_tail(mu_e, scenario.n_trunc)
-    eta_b = scenario.eta_bob
-    n = np.arange(2, scenario.n_trunc + 1)
-    pmf = poisson.pmf(n, mu_e)
-    inner = 1.0 - (1.0 - p * eta_b) ** n - p**n * (1.0 - (1.0 - eta_b) ** n)
-    return TailBounded(float(np.dot(pmf, inner)), tail)
+    tail = poisson_tail(mu_e, scenario.n_trunc)
+    if tail >= TAIL_LIMIT:
+        raise ValueError(
+            f"n_trunc={scenario.n_trunc} leaves Poisson tail {tail:.3e} at mean "
+            f"{mu_e:.3f}; increase n_trunc"
+        )
+    detected = -math.expm1(-mu_e * p * scenario.eta_bob)
+    kept = -math.expm1(-mu_e * (1.0 - p))
+    return TailBounded(detected * kept, tail)
 
 
 def tagged_fraction_estimated(
@@ -257,18 +281,6 @@ def tagged_fraction_estimated(
         raise ValueError("q_mu must be positive")
     p1 = scenario.mu * math.exp(-scenario.mu)
     return min(max(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
-
-
-def tagged_fraction_actual(
-    scenario: QkdScenario, attack: AttackParams, q_mu: float
-) -> TailBounded:
-    """Fraction of detected bits on which Eve actually holds a stored photon."""
-    if q_mu <= 0.0:
-        raise ValueError("q_mu must be positive")
-    p_s = attack_success_probability(scenario, attack)
-    return TailBounded(
-        min(max(p_s.value / q_mu, 0.0), 1.0), p_s.tail_bound / q_mu
-    )
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def test_effective_length_consistent_with_transport_split():
 def test_fitted_products_recoverable_from_material():
     mat = cal.default_material()
     assert mat.response_amplitude == pytest.approx(cal.fit_response_amplitude(), rel=1e-9)
-    assert mat.response_saturation == pytest.approx(cal.fit_response_saturation(), rel=1e-9)
+    assert mat.response_saturation == pytest.approx(cal.RESPONSE_SATURATION_PER_W, rel=1e-9)
     # drift/photovoltaic asymmetry chi(V)/V = a / (kappa * gap)
     chi_per_v = mat.photocond_per_w / (mat.photovoltaic_const * cal.ELECTRODE_GAP_M)
     assert chi_per_v == pytest.approx(cal.BIAS_ASYMMETRY_PER_V, rel=1e-9)
@@ -73,3 +73,20 @@ def test_default_device_construction():
     assert dev.irradiation_split == cal.IRRADIATION_SPLIT
     assert dev.polarization_loss_db == 0.0
     assert dev.arm1.field_v_per_m == 0.0 and dev.arm2.field_v_per_m == 0.0
+
+
+def test_peak_stationarity_closed_form_reproduces_the_stored_saturation():
+    # Linear-regime arm response f_i = a_i I / (1 + B a_i I) with a_i the arm's
+    # share of the injected power I.  The deviation
+    # (1 + chi^2)(f1 - f2) - 2 chi (f1 + f2) is stationary where
+    # sqrt(a1)(1 - chi)(1 + B a2 I) = sqrt(a2)(1 + chi)(1 + B a1 I), linear in B.
+    coupling = 10.0 ** (-cal.IRRADIATION_COUPLING_DB / 10.0)
+    a1 = coupling * cal.IRRADIATION_SPLIT
+    a2 = coupling * (1.0 - cal.IRRADIATION_SPLIT)
+    chi = cal.BIAS_ASYMMETRY_PER_V * cal.WORKING_POINT_V
+    r1 = math.sqrt(a1) * (1.0 - chi)
+    r2 = math.sqrt(a2) * (1.0 + chi)
+    b = (r2 - r1) / (cal.PEAK_POWER_W * (r1 * a2 - r2 * a1))
+    assert b == pytest.approx(cal.RESPONSE_SATURATION_PER_W, rel=1e-7)
+    # the peak lies inside the photoconductively linear window
+    assert cal.PEAK_POWER_W * a1 < cal.CROSSOVER_POWER_W

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ipasim
 from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from ipasim.runio import MANIFEST_NAME
 
@@ -278,6 +283,36 @@ def test_infeasible_pulse_target_exits_3(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert "exceeds the saturated" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_library_value_error_exits_3_without_traceback(tmp_path):
+    # a 20 dB magnification outgrows the shortest allowed Poisson truncation
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[qkd]\nm_db_grid = 0, 20\nn_trunc = 20\n")
+    out = tmp_path / "short-out"
+    env = dict(os.environ, PYTHONPATH=str(Path(ipasim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipasim.cli", "security", "sweep",
+         "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_RUNTIME
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr and "increase n_trunc" in proc.stderr
+    assert not out.exists()
+
+
+def test_rerun_never_deletes_outside_the_output_directory(tmp_path, capsys):
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / MANIFEST_NAME).write_text(
+        json.dumps({"outputs": [{"name": "../victim.txt", "sha256": "0" * 64}]})
+    )
+    assert main(["budget", "--out", str(out)]) == EXIT_RUNTIME
+    assert "not a plain file name" in capsys.readouterr().err
+    assert victim.read_text() == "keep"
 
 
 def test_foreign_directory_refused(tmp_path, capsys):

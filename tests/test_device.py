@@ -109,10 +109,26 @@ def test_find_extinction_value_and_grid_stability():
     assert DEV.find_extinction_voltage(-12.0, 12.0) == pytest.approx(
         PRISTINE_EXTINCTION_V, abs=1e-6
     )
-    # denser grids must not move the answer
-    for points in (201, 601, 1201):
-        v = DEV.find_extinction_voltage(-12.0, 12.0, points=points)
-        assert v == pytest.approx(PRISTINE_EXTINCTION_V, abs=1e-6)
+
+
+def test_find_extinction_raises_when_the_nearest_null_is_out_of_range():
+    # exposure flattens the phase slope until the fringe period (~14.6 V)
+    # outgrows this 10 V range; its edges are bright, not null
+    exposed = DEV.equilibrated(1e-4, -20.0)
+    assert exposed.transmittance(8.0) > 0.1
+    with pytest.raises(ValueError, match="outside"):
+        exposed.find_extinction_voltage(-2.0, 8.0)
+
+
+@pytest.mark.parametrize("power", [0.0, 3e-9, 6.26e-6, 1e-4])
+def test_find_extinction_lands_on_a_true_null(power):
+    exposed = DEV.equilibrated(power, WORKING_POINT_V)
+    v = exposed.find_extinction_voltage(-12.0, 12.0)
+    assert exposed.transmittance(v) < 1e-20
+    # no deeper point on a dense grid sits closer to the range center
+    curve = exposed.voltage_curve(-12.0, 12.0, 4801)
+    nearer = np.abs(curve.v_app_v) < abs(v) - 1e-2
+    assert np.all(curve.transmittance[nearer] > 1e-6)
 
 
 @given(shift=st.floats(min_value=-math.pi, max_value=math.pi))

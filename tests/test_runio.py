@@ -92,6 +92,22 @@ def test_prepare_refuses_unmanifested_content(tmp_path):
         RunWriter.prepare(out)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["../victim.txt", "sub/file.csv", "..\\victim.txt", "/abs.csv", "..", ".", "", "a\x00b", 7],
+)
+def test_prepare_refuses_manifest_names_that_are_not_plain(tmp_path, bad):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "ours.csv").write_text("x\n")
+    outputs = [{"name": "ours.csv", "sha256": "0" * 64}, {"name": bad, "sha256": "0" * 64}]
+    (out / MANIFEST_NAME).write_text(json.dumps({"outputs": outputs}))
+    with pytest.raises(RunDirError, match="not a plain file name"):
+        RunWriter.prepare(out)
+    # nothing is deleted when any listed name is refused
+    assert {p.name for p in out.iterdir()} == {"ours.csv", MANIFEST_NAME}
+
+
 def test_prepare_rejects_non_directories(tmp_path):
     target = tmp_path / "file"
     target.write_text("x")

@@ -28,6 +28,7 @@ from ipasim.security import (
     gain,
     key_rate,
     pns_photon_distribution,
+    poisson_tail,
     qber,
     resend_probability,
     single_photon_truth,
@@ -134,6 +135,15 @@ def test_success_probability_within_monte_carlo_error(seed, m_db, distance_km):
         rng=np.random.default_rng(seed),
     )
     assert abs(exact - est) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize(
+    "mean,n_trunc",
+    [(0.3, 20), (0.8 * 10.0 ** 0.65, 80), (5.0, 20), (19.5, 20), (30.0, 20)],
+)
+def test_poisson_tail_matches_bruteforce_sum(mean, n_trunc):
+    want = math.fsum(poisson_pmf(n, mean) for n in range(n_trunc + 1, 400))
+    assert poisson_tail(mean, n_trunc) == pytest.approx(want, rel=1e-12)
 
 
 def test_truncation_tail_guard():
