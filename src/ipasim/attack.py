@@ -14,8 +14,10 @@ Three attack styles are modeled:
 * **Initialization**: long moderate exposure at zero volts that drives both
   arms to a reproducible saturated state, erasing the attenuation history.
 
-All exposure stepping uses the exact exponential integrator from
-``ipasim.photorefractive``; ``dt_s`` only sets trace resolution.
+Exposure programs and saturation runs evaluate each constant-power segment at
+all its sample times with one call of the exact exponential integrator from
+``ipasim.photorefractive``, so ``dt_s`` only sets trace resolution.  The pulse
+controller steps period by period: each duty depends on the last reading.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .device import MziDevice
-from .photorefractive import DecayMode, steady_state_field
+from .photorefractive import ArmState, DecayMode, buildup_time_constant, steady_state_field
 
 
 @dataclass(frozen=True)
@@ -108,25 +110,24 @@ class ExposureResult:
     trace: ExposureTrace
 
 
-class _TraceBuilder:
-    def __init__(self, baseline_mu: float) -> None:
-        if baseline_mu <= 0.0:
-            raise ValueError("baseline output must be positive")
-        self.base = baseline_mu
-        self.mu_in = 1.0
-        self.rows: list[tuple[float, float, float, float, float, float]] = []
-
-    def add(self, t: float, power: float, dev: MziDevice, v_app: float) -> None:
-        theta = dev.total_phase(v_app)
-        out = dev.output_mpn(self.mu_in, v_app)
-        trans = dev.transmittance(v_app)
-        atten = -10.0 * math.log10(trans) if trans > 0.0 else math.inf
-        m = 10.0 * math.log10(out / self.base) if out > 0.0 else -math.inf
-        self.rows.append((t, power, theta, trans, atten, m))
-
-    def build(self) -> ExposureTrace:
-        cols = list(zip(*self.rows))
-        return ExposureTrace(*(np.array(c, dtype=float) for c in cols))
+def _trace(
+    sampled: MziDevice,
+    t_s: list[float] | np.ndarray,
+    power_w: list[float] | np.ndarray,
+    v_app_v: float,
+    mu_in: float = 1.0,
+) -> ExposureTrace:
+    """Read out a device whose arm fields are sampled arrays, one row each;
+    magnification is relative to the first row's output."""
+    baseline = float(sampled.output_mpn(mu_in, v_app_v)[0])
+    return ExposureTrace(
+        np.asarray(t_s, dtype=float),
+        np.asarray(power_w, dtype=float),
+        sampled.total_phase(v_app_v),
+        sampled.transmittance(v_app_v),
+        sampled.attenuation_db(v_app_v),
+        sampled.magnification_db(v_app_v, baseline, mu_in),
+    )
 
 
 def run_program(
@@ -141,26 +142,35 @@ def run_program(
     Magnification is measured against the device's own output at t = 0, so a
     zero-power program on a frozen device gives a flat 0 dB series.  For
     pulse-train programs ``dt_s`` must resolve the pulse (at most a quarter
-    width), otherwise the trace would alias the duty structure.
+    width), otherwise the trace would alias the duty structure.  Each segment
+    is evaluated at all its sample times in one exact-exponential call.
     """
     if dt_s <= 0.0:
         raise ValueError("dt_s must be positive")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
-    tb = _TraceBuilder(device.output_mpn(mu_in, v_app_v))
-    tb.mu_in = mu_in
-    tb.add(0.0, program.segments[0].power_w, device, v_app_v)
+    times, powers = [0.0], [program.segments[0].power_w]
+    fields = [[[device.arm1.field_v_per_m], [device.arm2.field_v_per_m]]]
     t = 0.0
     dev = device
     for seg in program.segments:
-        left = seg.duration_s
+        # the stepped clock sets the sample times, float residue rows included
+        elapsed: list[float] = []
+        left, e = seg.duration_s, 0.0
         while left > 0.0:
             step = min(dt_s, left)
-            dev = dev.exposed(seg.power_w, v_app_v, step)
             left -= step
+            e += step
             t += step
-            tb.add(t, seg.power_w, dev, v_app_v)
-    return ExposureResult(dev, tb.build())
+            elapsed.append(e)
+            times.append(t)
+        sampled = dev.exposed(seg.power_w, v_app_v, np.array(elapsed))
+        fields.append([sampled.arm1.field_v_per_m, sampled.arm2.field_v_per_m])
+        powers += [seg.power_w] * len(elapsed)
+        dev = dev.exposed(seg.power_w, v_app_v, e)
+    f1, f2 = np.concatenate(fields, axis=1)
+    sampled = replace(device, arm1=ArmState(f1), arm2=ArmState(f2))
+    return ExposureResult(dev, _trace(sampled, times, powers, v_app_v, mu_in))
 
 
 # -- pre-treatment and initialization ----------------------------------------
@@ -198,40 +208,41 @@ def _saturate(
     saturation_epsilon: float,
     max_steps: int,
 ) -> SaturationRun:
-    """Step until both arms are within ``saturation_epsilon`` of steady state.
+    """Expose for as many ``dt_s`` steps as bring both arms within
+    ``saturation_epsilon`` of steady state.
 
     The criterion is the projected relative field move over one relaxation
-    time, so it is insensitive to ``dt_s``.  Running out of the step budget
-    reports converged = False with the partial state, it does not raise.
+    time, so it is insensitive to ``dt_s``.  Each step shrinks an arm's move
+    by exp(-dt/tau), which fixes the step count in closed form.  Running out
+    of the step budget reports converged = False with the partial state, it
+    does not raise.
     """
     if power_w <= 0.0:
         raise ValueError("saturation runs need positive power")
     if dt_s <= 0.0:
         raise ValueError("dt_s must be positive")
-    p1, p2 = device.split_irradiation(power_w)
-    e1, e2 = device.arm_fields(v_app_v)
-    targets = (
-        steady_state_field(device.material, p1, e1),
-        steady_state_field(device.material, p2, e2),
-    )
+    arms = tuple(zip(device.split_irradiation(power_w), device.arm_fields(v_app_v)))
+    targets = [steady_state_field(device.material, p, e) for p, e in arms]
+    taus = [buildup_time_constant(device.material, p) for p, _ in arms]
 
-    def settled(dev: MziDevice) -> bool:
+    def moves(dev: MziDevice) -> list[float]:
         k = 1.0 - math.exp(-1.0)
-        for target, arm in zip(targets, (dev.arm1, dev.arm2)):
-            scale = max(abs(target), 1e-30)
-            if abs(target - arm.field_v_per_m) * k / scale > saturation_epsilon:
-                return False
-        return True
+        return [
+            abs(target - arm.field_v_per_m) * k / max(abs(target), 1e-30)
+            for target, arm in zip(targets, (dev.arm1, dev.arm2))
+        ]
 
-    tb = _TraceBuilder(device.transmittance(v_app_v))
-    tb.add(0.0, power_w, device, v_app_v)
-    dev = device
     steps = 0
-    while steps < max_steps and not settled(dev):
-        dev = dev.exposed(power_w, v_app_v, dt_s)
-        steps += 1
-        tb.add(steps * dt_s, power_w, dev, v_app_v)
-    return SaturationRun(dev, settled(dev), steps, steps * dt_s, tb.build())
+    for move, tau in zip(moves(device), taus):
+        if move > saturation_epsilon:
+            steps = max(steps, math.ceil(tau / dt_s * math.log(move / saturation_epsilon)))
+    steps = min(steps, max_steps)
+    elapsed = np.arange(steps + 1) * dt_s
+    sampled = device.exposed(power_w, v_app_v, elapsed)
+    trace = _trace(sampled, elapsed, np.full(steps + 1, power_w), v_app_v)
+    final = device.exposed(power_w, v_app_v, steps * dt_s)
+    converged = max(moves(final)) <= saturation_epsilon
+    return SaturationRun(final, converged, steps, steps * dt_s, trace)
 
 
 @dataclass(frozen=True)
@@ -258,18 +269,13 @@ def pre_treat(
     phase relative to the starting state.
     """
     if plan.i_ir_w == 0.0:
-        trace = _single_row_trace(device, plan.v_app_v)
+        as_row = device.exposed(0.0, plan.v_app_v, np.zeros(1))  # fields as 1-element arrays
+        trace = _trace(as_row, [0.0], [0.0], plan.v_app_v)
         return PreTreatResult(device, True, 0, 0.0, 0.0, trace)
     run = _saturate(device, plan.i_ir_w, plan.v_app_v, dt_s, plan.saturation_epsilon, max_steps)
     treated = replace(run.device, decay_mode=DecayMode.FROZEN)
     shift = treated.total_phase(0.0) - device.total_phase(0.0)
     return PreTreatResult(treated, run.converged, run.steps, run.elapsed_s, shift, run.trace)
-
-
-def _single_row_trace(device: MziDevice, v_app_v: float) -> ExposureTrace:
-    tb = _TraceBuilder(device.transmittance(v_app_v))
-    tb.add(0.0, 0.0, device, v_app_v)
-    return tb.build()
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ usual two-beam interference law with the signal split ratio setting the
 extinction contrast.
 
 Devices are immutable; exposure helpers return a new device with updated arm
-states.  ``attenuation_db`` is insertion loss relative to unit input (positive
-numbers, bigger means darker); ``magnification_db`` compares transmittance
-against a stored baseline, the figure of merit for attacks on a VOA parked at
-deep attenuation.
+states.  The readouts are numpy expressions, so a voltage grid, or arm fields
+sampled along an exposure, read out in one call.  ``attenuation_db`` is
+insertion loss relative to unit input (positive numbers, bigger means darker);
+``magnification_db`` compares transmittance against a stored baseline, the
+figure of merit for attacks on a VOA parked at deep attenuation.
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ from .photorefractive import (
 
 
 @dataclass(frozen=True)
-class AttenuationSample:
-    """One point of a transmission curve."""
-
-    v_app_v: float
-    transmittance: float
-    attenuation_db: float
-
-
-@dataclass(frozen=True)
 class VoltageCurve:
     """Transmission vs drive voltage at fixed photorefractive state."""
 
@@ -56,12 +48,6 @@ class VoltageCurve:
     transmittance: np.ndarray
     attenuation_db: np.ndarray
     delta_theta_rad: np.ndarray
-
-    def samples(self) -> list[AttenuationSample]:
-        return [
-            AttenuationSample(float(v), float(t), float(a))
-            for v, t, a in zip(self.v_app_v, self.transmittance, self.attenuation_db)
-        ]
 
 
 @dataclass(frozen=True)
@@ -121,13 +107,12 @@ class MziDevice:
 
     def transmittance(self, v_app_v: float) -> float:
         r = self.signal_split
-        return 4.0 * r * (1.0 - r) * math.cos(0.5 * self.total_phase(v_app_v)) ** 2
+        return 4.0 * r * (1.0 - r) * np.cos(0.5 * self.total_phase(v_app_v)) ** 2
 
     def attenuation_db(self, v_app_v: float) -> float:
-        t = self.transmittance(v_app_v)
-        if t <= 0.0:
-            return math.inf
-        return -10.0 * math.log10(t)
+        """Insertion loss in dB; inf at an exact null."""
+        with np.errstate(divide="ignore"):
+            return -10.0 * np.log10(self.transmittance(v_app_v))
 
     def output_mpn(self, mu_in: float, v_app_v: float) -> float:
         """Mean photon number leaving the device for a coherent input."""
@@ -140,11 +125,13 @@ class MziDevice:
     ) -> float:
         """Output change in dB relative to a baseline mean photon number.
 
-        Zero for a device measured against its own unattacked output.
+        Zero for a device measured against its own unattacked output, -inf
+        for a dark output.
         """
         if baseline_mu <= 0.0:
             raise ValueError("baseline_mu must be positive")
-        return 10.0 * math.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)
 
     # -- curves and search ----------------------------------------------------
 
@@ -154,12 +141,12 @@ class MziDevice:
         if not v_max_v > v_min_v:
             raise ValueError("v_max_v must exceed v_min_v")
         volts = np.linspace(v_min_v, v_max_v, points)
-        theta = np.array([self.total_phase(v) for v in volts])
-        r = self.signal_split
-        trans = 4.0 * r * (1.0 - r) * np.cos(0.5 * theta) ** 2
-        with np.errstate(divide="ignore"):
-            atten = -10.0 * np.log10(trans)
-        return VoltageCurve(volts, trans, atten, theta)
+        return VoltageCurve(
+            volts,
+            self.transmittance(volts),
+            self.attenuation_db(volts),
+            self.total_phase(volts),
+        )
 
     def find_extinction_voltage(self, v_min_v: float, v_max_v: float) -> float:
         """Drive voltage of the extinction null nearest the range center.

@@ -32,10 +32,13 @@ Fields are V/m, conductivities S/m, times seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 VACUUM_PERMITTIVITY_F_PER_M = 8.8541878128e-12
+_LN2 = math.log(2.0)
 
 
 class DecayMode(str, Enum):
@@ -241,10 +244,9 @@ def saturated_phase_shift(
 
 @dataclass(frozen=True)
 class ArmState:
-    """Dynamic state of one arm: space-charge field and accumulated exposure."""
+    """Dynamic state of one arm: its space-charge field."""
 
     field_v_per_m: float = 0.0
-    exposure_s: float = 0.0
 
     def index_response(self, mat: MaterialParams) -> float:
         return mat.field_response * self.field_v_per_m
@@ -255,29 +257,34 @@ def evolve_field(
     field_v_per_m: float,
     power_w: float,
     e_app_v_per_m: float,
-    dt_s: float,
+    dt_s: float | np.ndarray,
     decay_mode: DecayMode = DecayMode.FROZEN,
-) -> float:
+) -> float | np.ndarray:
     """Advance the space-charge field by ``dt_s`` under constant conditions.
 
     Exact exponential step, so composing two steps of dt/2 matches one step of
     dt to machine precision and dt may be chosen for trace resolution only.
-    With the irradiation off the field either holds (``FROZEN``) or relaxes to
+    ``dt_s`` may also be an array of elapsed times, which gives the field at
+    each of them from the same start (a float for a scalar ``dt_s``).  With
+    the irradiation off the field either holds (``FROZEN``) or relaxes to
     zero with the dark time constant (``DARK_DECAY``).
     """
-    if dt_s < 0.0:
+    if np.asarray(dt_s).min(initial=0.0) < 0.0:
         raise ValueError("dt_s must be >= 0")
     if power_w < 0.0:
         raise ValueError("power_w must be >= 0")
-    if power_w == 0.0:
-        if decay_mode is DecayMode.FROZEN:
-            return field_v_per_m
-        return field_v_per_m * math.exp(-dt_s / mat.tau_dark_s)
-    target = steady_state_field(mat, power_w, e_app_v_per_m)
-    tau = buildup_time_constant(mat, power_w)
-    # expm1 keeps full relative precision when dt << tau, where the
-    # equivalent target + (f0-target)*exp(-dt/tau) cancels catastrophically
-    return field_v_per_m + (field_v_per_m - target) * math.expm1(-dt_s / tau)
+    if power_w == 0.0 and decay_mode is DecayMode.FROZEN:
+        field = np.full(np.shape(dt_s), field_v_per_m)
+    else:
+        # in the dark the target is zero and tau the dark time constant
+        target = steady_state_field(mat, power_w, e_app_v_per_m)
+        x = dt_s / buildup_time_constant(mat, power_w)
+        gap = field_v_per_m - target
+        # expm1 keeps full relative precision of the move when dt << tau,
+        # where target + gap*exp(-x) cancels; past x = ln 2 the move exceeds
+        # half the gap and the exp form keeps the small remainder exact
+        field = np.where(x > _LN2, target + gap * np.exp(-x), field_v_per_m + gap * np.expm1(-x))
+    return field if field.ndim else float(field)
 
 
 def evolve_arm(
@@ -285,11 +292,9 @@ def evolve_arm(
     state: ArmState,
     power_w: float,
     e_app_v_per_m: float,
-    dt_s: float,
+    dt_s: float | np.ndarray,
     decay_mode: DecayMode = DecayMode.FROZEN,
 ) -> ArmState:
-    """ArmState counterpart of :func:`evolve_field`; exposure clock only ticks
-    while power is applied."""
+    """ArmState counterpart of :func:`evolve_field`."""
     field = evolve_field(mat, state.field_v_per_m, power_w, e_app_v_per_m, dt_s, decay_mode)
-    exposure = state.exposure_s + (dt_s if power_w > 0.0 else 0.0)
-    return replace(state, field_v_per_m=field, exposure_s=exposure)
+    return ArmState(field)

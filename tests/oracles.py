@@ -94,6 +94,124 @@ def relaxation_closed_form(
     return float(target_l + (start_l - target_l) * decay)
 
 
+# -- exposure of the two-arm device, one literal step at a time ------------------
+
+
+def _arm_relaxation(mat, power_w: float, e_app: float) -> tuple[float, float]:
+    """Steady-state field and relaxation time of one arm at constant light.
+
+    Straight from the transport constants: photoconductivity linear up to
+    the crossover and continuous ~P**(1/m) above it, field driven by the
+    photovoltaic current and screened by drift.
+    """
+    sigma_lin = mat.photocond_per_w * mat.absorption_per_m
+    if power_w <= mat.crossover_power_w:
+        sigma_ph = sigma_lin * power_w
+    else:
+        ratio = power_w / mat.crossover_power_w
+        sigma_ph = sigma_lin * mat.crossover_power_w * ratio ** (1.0 / mat.sublinear_exponent)
+    sigma = mat.dark_conductivity_s_per_m + sigma_ph
+    target = (mat.photovoltaic_const * mat.absorption_per_m * power_w - sigma_ph * e_app) / sigma
+    return target, mat.rel_permittivity * 8.8541878128e-12 / sigma
+
+
+def _arm_conditions(device, power_w: float, v_app_v: float) -> list[tuple[float, float]]:
+    """(power, applied field) of each arm: lossy injection split, push-pull bias."""
+    loss_db = device.irradiation_coupling_db + device.polarization_loss_db
+    delivered = power_w * 10.0 ** (-loss_db / 10.0)
+    e = v_app_v / device.geometry.electrode_gap_m
+    split = device.irradiation_split
+    return [(delivered * split, e), (delivered * (1.0 - split), -e)]
+
+
+def _ode_step(device, field: float, power_w: float, e_app: float, dt: float) -> float:
+    """Exact solution of d(field)/dt = (target - field) / tau over one step."""
+    if power_w == 0.0 and device.decay_mode.value == "frozen":
+        return field
+    target, tau = _arm_relaxation(device.material, power_w, e_app)
+    return target + (field - target) * math.exp(-dt / tau)
+
+
+def _readout(device, f1: float, f2: float, v: float) -> tuple[float, float]:
+    """Interferometer phase and two-beam transmittance for given arm fields.
+
+    theta = theta0 + v*(2 pi / v_pi - (C/d)(g1 + g2)) + D (g1 - g2) with the
+    index responses g = G * field.
+    """
+    mat, geo = device.material, device.geometry
+    n3r = mat.refractive_index**3 * mat.r33_m_per_v * mat.mode_overlap
+    g1, g2 = (n3r * mat.photocond_per_w / (2.0 * mat.absorption_per_m) * f for f in (f1, f2))
+    c = 2.0 * mat.photocond_per_w * math.pi * geo.electrode_length_m / (
+        mat.photovoltaic_const * geo.signal_wavelength_m
+    )
+    d = 2.0 * math.pi * geo.arm_length_m / geo.signal_wavelength_m
+    theta = (
+        device.bias_phase_rad
+        + v * (2.0 * math.pi / device.v_pi_v - c / geo.electrode_gap_m * (g1 + g2))
+        + d * (g1 - g2)
+    )
+    r = device.signal_split
+    return theta, 4.0 * r * (1.0 - r) * math.cos(theta / 2.0) ** 2
+
+
+def exposure_loop(device, segments, mu_in: float, v_app_v: float, dt_s: float) -> list[tuple]:
+    """Literal per-step exposure of a piecewise-constant power program.
+
+    ``segments`` lists (power_w, duration_s).  Each segment advances in steps
+    of ``dt_s`` with a shorter last step, the clock summed step by step, and
+    one row (t, power, theta, transmittance, attenuation dB, magnification dB)
+    is recorded at t = 0 and after every step.
+    """
+    f1, f2 = device.arm1.field_v_per_m, device.arm2.field_v_per_m
+    baseline = mu_in * _readout(device, f1, f2, v_app_v)[1]
+
+    def row(t: float, power: float) -> tuple:
+        theta, trans = _readout(device, f1, f2, v_app_v)
+        atten = -10.0 * math.log10(trans) if trans > 0.0 else math.inf
+        m = 10.0 * math.log10(mu_in * trans / baseline) if trans > 0.0 else -math.inf
+        return (t, power, theta, trans, atten, m)
+
+    rows = [row(0.0, segments[0][0])]
+    t = 0.0
+    for power, duration in segments:
+        (p1, e1), (p2, e2) = _arm_conditions(device, power, v_app_v)
+        left = duration
+        while left > 0.0:
+            step = min(dt_s, left)
+            f1 = _ode_step(device, f1, p1, e1, step)
+            f2 = _ode_step(device, f2, p2, e2, step)
+            left -= step
+            t += step
+            rows.append(row(t, power))
+    return rows
+
+
+def saturation_loop(
+    device, power_w: float, v_app_v: float, dt_s: float, epsilon: float, max_steps: int
+) -> tuple[int, bool]:
+    """Literal saturation run: (steps, converged).
+
+    Steps of ``dt_s`` until, for both arms, the projected relative field move
+    over one relaxation time, |target - field| * (1 - 1/e) / |target|, is at
+    most ``epsilon``, or until ``max_steps``.
+    """
+    conditions = _arm_conditions(device, power_w, v_app_v)
+    fields = [device.arm1.field_v_per_m, device.arm2.field_v_per_m]
+
+    def settled() -> bool:
+        for (p, e), f in zip(conditions, fields):
+            target = _arm_relaxation(device.material, p, e)[0]
+            if abs(target - f) * (1.0 - math.exp(-1.0)) / max(abs(target), 1e-30) > epsilon:
+                return False
+        return True
+
+    steps = 0
+    while steps < max_steps and not settled():
+        fields = [_ode_step(device, f, p, e, dt_s) for f, (p, e) in zip(fields, conditions)]
+        steps += 1
+    return steps, settled()
+
+
 def binary_entropy_reference(x: float) -> float:
     if x in (0.0, 1.0):
         return 0.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ipasim.attack import (
+    INIT_POWER_W,
     SETTLE_PERIODS,
     IrradiationProgram,
     PreTreatmentPlan,
@@ -21,6 +22,7 @@ from ipasim.attack import (
 from ipasim.calibration import WORKING_POINT_V, default_device
 from ipasim.device import curve_rms_db
 from ipasim.photorefractive import DecayMode
+from oracles import exposure_loop, saturation_loop
 
 DEV = default_device()
 WP = WORKING_POINT_V
@@ -247,3 +249,76 @@ def test_max_periods_reports_unsettled():
     assert res.feasible and not res.settled
     assert res.periods == 10
     assert math.isnan(res.held_max_abs_error_db)
+
+
+# -- segment evaluation against literal step loops ----------------------------------
+
+FROZEN_DEV = replace(DEV, decay_mode=DecayMode.FROZEN)
+PRE_EXPOSED = DEV.exposed(12e-6, 20.0, 3e4)
+
+
+@pytest.mark.parametrize(
+    "device, segments, mu_in, v_app, dt",
+    [
+        (DEV, [(3e-6, 2000.0)], 1.0, WP, 100.0),
+        (DEV, [(6e-6, 700.0), (0.0, 900.0), (2e-6, 450.0)], 1.0, WP, 60.0),
+        (FROZEN_DEV, [(6e-6, 700.0), (0.0, 900.0), (2e-6, 450.0)], 0.5, WP, 60.0),
+        (PRE_EXPOSED, [(12e-6, 10.0), (0.0, 10.0)] * 4, 1.0, WP, 0.25),
+        (DEV, [(12e-6, 0.7)], 1.0, WP, 0.1),  # float residue: two rows at t = 0.7
+        (PRE_EXPOSED, [(1e-7, 5e4)], 2.0, -3.0, 1234.5),
+    ],
+    ids=["cw", "dark-segment", "dark-segment-frozen", "pulse-train", "float-residue", "slow"],
+)
+def test_run_program_matches_the_literal_step_loop(device, segments, mu_in, v_app, dt):
+    res = run_program(device, IrradiationProgram.steps(segments), mu_in, v_app, dt)
+    want = np.array(exposure_loop(device, segments, mu_in, v_app, dt))
+    tr = res.trace
+    assert np.array_equal(tr.t_s, want[:, 0])
+    assert np.array_equal(tr.power_w, want[:, 1])
+    got = np.column_stack([tr.delta_theta_rad, tr.transmittance, tr.attenuation_db, tr.m_db])
+    np.testing.assert_allclose(got, want[:, 2:], rtol=1e-9, atol=1e-12)
+    assert isinstance(res.device.arm1.field_v_per_m, float)
+
+
+def _oracle_pretreat_cases():
+    cases = []
+    for device in (DEV, FROZEN_DEV, PRE_EXPOSED):
+        for v_app, power, eps in ((-20.0, 12e-6, 1e-4), (0.0, 12e-6, 1e-6), (15.0, 3e-6, 1e-5)):
+            cases.append((device, PreTreatmentPlan(v_app, power, eps), 60.0, 100_000))
+    treated = pre_treat(DEV, PreTreatmentPlan(v_app_v=20.0, i_ir_w=12e-6)).device
+    cases += [
+        (treated, PreTreatmentPlan(-15.0, 12e-6, 1e-4), 60.0, 100_000),
+        (DEV, PreTreatmentPlan(0.0, 12e-6, 1e-6), 60.0, 3),  # step budget runs out
+        (FROZEN_DEV, PreTreatmentPlan(20.0, 12e-6, 1e-5), 60.0, 50),  # step budget runs out
+        (DEV, PreTreatmentPlan(5.0, 1e-9, 1e-3), 7.5, 100_000),
+        (PRE_EXPOSED, PreTreatmentPlan(-8.0, 1e-4, 1e-2), 1.0, 100_000),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("device, plan, dt, max_steps", _oracle_pretreat_cases())
+def test_pretreat_steps_match_the_literal_saturation_loop(device, plan, dt, max_steps):
+    res = pre_treat(device, plan, dt_s=dt, max_steps=max_steps)
+    eps = plan.saturation_epsilon
+    want = saturation_loop(device, plan.i_ir_w, plan.v_app_v, dt, eps, max_steps)
+    assert (res.steps, res.converged) == want
+    assert len(res.trace.t_s) == res.steps + 1
+    assert res.elapsed_s == res.steps * dt
+
+
+@pytest.mark.parametrize(
+    "device, dt, max_steps",
+    [
+        (DEV, 60.0, 200_000),
+        (FROZEN_DEV, 60.0, 200_000),
+        (PRE_EXPOSED, 60.0, 200_000),
+        (replace(PRE_EXPOSED, decay_mode=DecayMode.FROZEN), 17.5, 200_000),
+        (PRE_EXPOSED, 60.0, 40),  # step budget runs out
+        (pre_treat(DEV, PreTreatmentPlan(v_app_v=-20.0, i_ir_w=12e-6)).device, 7.5, 200_000),
+    ],
+)
+def test_initialization_steps_match_the_literal_saturation_loop(device, dt, max_steps):
+    res = initialize_device(device, dt_s=dt, max_steps=max_steps)
+    assert (res.steps, res.converged) == saturation_loop(
+        device, INIT_POWER_W, 0.0, dt, 1e-6, max_steps
+    )

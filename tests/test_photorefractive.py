@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipasim.calibration import default_material
@@ -45,6 +45,7 @@ def test_evolve_matches_closed_form_relaxation():
 
 
 @given(f0=fields, p=powers, dt=durations, split=st.floats(min_value=0.05, max_value=0.95))
+@example(f0=-6369530.0, p=1e-12, dt=26198.0, split=0.5)  # large field, tiny target
 @settings(max_examples=200)
 def test_semigroup_composition(f0, p, dt, split):
     # one step of dt equals any two-way split of dt, to integrator precision
@@ -120,12 +121,10 @@ def test_dark_behavior_frozen_vs_decay():
     assert decayed == pytest.approx(f0 * math.exp(-1.0), rel=1e-12)
 
 
-def test_exposure_clock_only_ticks_under_light():
+def test_arm_index_response_follows_its_field():
     s = ArmState()
     s = evolve_arm(MAT, s, 2e-6, 0.0, 100.0)
-    assert s.exposure_s == 100.0
     s = evolve_arm(MAT, s, 0.0, 0.0, 50.0, DecayMode.DARK_DECAY)
-    assert s.exposure_s == 100.0
     assert s.index_response(MAT) == pytest.approx(MAT.field_response * s.field_v_per_m)
 
 
