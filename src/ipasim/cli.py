@@ -1,26 +1,32 @@
 """Command-line surface.
 
 Verbs: ``pe-curve``, ``voltage-curve``, ``attack pre-treat|pulse|init``,
-``security sweep|threshold``, ``budget``.  Global flags work before or after
-the verb: ``--config PATH`` (INI scenario, defaults used when omitted),
-``--out DIR`` (overrides ``output.directory``), ``--seed U64`` (overrides
-``pulse.seed``), ``--dry-run`` (validate, print the plan, write nothing).
+``security sweep|threshold``, ``budget``.  Each verb is one entry of
+``VERBS``, holding its help text, the names of the files it writes and its
+runner; the parser, the dry-run plan and the written files all come from
+that table.  Global flags work before or after the verb: ``--config PATH``
+(INI scenario, defaults used when omitted), ``--out DIR`` (overrides
+``output.directory``), ``--seed U64`` (overrides ``pulse.seed``),
+``--dry-run`` (validate, print the plan, write nothing).
 
 Exit codes: 0 success; 2 config, schema or usage errors; 3 runs that cannot
 proceed (unbracketed threshold search, infeasible pulse target, a library
-``ValueError`` such as a too-short Poisson truncation, unusable output
-directory).
+``ValueError`` such as a too-short Poisson truncation, arithmetic overflow,
+unusable output path).
 
-Every run writes its CSV outputs plus one ``manifest.json`` recording the
-config hash, so identical scenarios are verifiably byte-identical.
+A run computes all its outputs before it touches the output directory, so a
+run that fails while computing leaves the directory as it was.  It then
+writes its CSV outputs plus one ``manifest.json`` recording the config hash,
+so identical scenarios are verifiably byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,84 +61,64 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# A text file's contents, or a CSV file's header and rows.
+Table = Union[str, tuple[Sequence[str], object]]
+# A runner's tables, in the order its verb names them, and its summary lines.
+RunResult = tuple[list[Table], list[str]]
+
 
 class RunFailure(RuntimeError):
     """A validated scenario that cannot produce its outputs."""
 
 
 # -- command implementations ----------------------------------------------------
+#
+# Each runner is a pure function of the config; ``main`` does all the writing.
 
 _TRACE_HEADER = ("t_s", "transmittance", "attenuation_db", "m_db", "delta_theta_rad")
 _CURVE_HEADER = ("v_volts", "transmittance", "attenuation_db", "m_db", "delta_theta_rad")
-_SWEEP_HEADER = (
-    "m_db",
-    "distance_km",
-    "q_mu",
-    "e_mu",
-    "y1_lower",
-    "e1_upper",
-    "delta_est",
-    "delta_pns",
-    "r_est",
-    "r_actual",
-    "tail_bound",
-)
 
 
-def _trace_rows(trace) -> list[tuple[float, ...]]:
-    return list(
-        zip(
-            trace.t_s,
-            trace.transmittance,
-            trace.attenuation_db,
-            trace.m_db,
-            trace.delta_theta_rad,
-        )
-    )
+def _columns(obj, header: Sequence[str]) -> Table:
+    """CSV table whose columns are the same-named array fields of ``obj``."""
+    return header, zip(*(getattr(obj, name) for name in header))
 
 
-def _curve_rows(curve, baseline) -> list[tuple[float, ...]]:
+def _curve_table(curve, baseline) -> Table:
     """Curve rows with magnification measured against a baseline curve."""
     m_db = baseline.attenuation_db - curve.attenuation_db
-    return list(
-        zip(
-            curve.v_app_v,
-            curve.transmittance,
-            curve.attenuation_db,
-            m_db,
-            curve.delta_theta_rad,
-        )
+    return _CURVE_HEADER, zip(
+        curve.v_app_v, curve.transmittance, curve.attenuation_db, m_db, curve.delta_theta_rad
     )
 
 
-def run_pe_curve(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_pe_curve(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
     v0 = working_point_v(cfg)
     powers = cfg.get("pe_curve", "powers_w")
     points = cfg.get("pe_curve", "trace_points")
     tau_span = cfg.get("pe_curve", "trace_duration_tau")
     baseline = device.output_mpn(1.0, v0)
+    tables = []
     summary = [(0.0, 0.0, device.material.tau_dark_s)]
-    for index, power in enumerate(powers):
+    for power in powers:
         tau = device.slowest_time_constant(power)
         saturated = device.equilibrated(power, v0).magnification_db(v0, baseline)
         duration = tau_span * tau
         result = run_program(
             device, IrradiationProgram.cw(power, duration), 1.0, v0, duration / points
         )
-        writer.write_csv(
-            f"pe_trace_{index:02d}.csv", _TRACE_HEADER, _trace_rows(result.trace)
-        )
+        tables.append(_columns(result.trace, _TRACE_HEADER))
         summary.append((power, saturated, tau))
-    writer.write_csv("pe_summary.csv", ("power_w", "saturated_m_db", "tau_s"), summary)
+    tables.append((("power_w", "saturated_m_db", "tau_s"), summary))
     peak = max(summary[1:], key=lambda row: row[1])
-    return [
+    return tables, [
         f"pe-curve: {len(powers)} powers, traces over {tau_span:g} build-up times each",
         f"largest saturated magnification: {peak[1]:.3f} dB at {peak[0]:.3g} W injected",
     ]
 
 
-def run_voltage_curve(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
     v_min = cfg.get("voltage_curve", "v_min_v")
     v_max = cfg.get("voltage_curve", "v_max_v")
@@ -142,12 +128,10 @@ def run_voltage_curve(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
     plan_keys = cfg.values["pre_treat"]
 
     pristine = device.voltage_curve(v_min, v_max, points)
-    writer.write_csv(
-        "voltage_curve_pristine.csv", _CURVE_HEADER, _curve_rows(pristine, pristine)
-    )
+    tables = [_curve_table(pristine, pristine)]
     series = [("pristine", pristine.v_app_v, pristine.transmittance)]
     shift_rows = []
-    for index, v_treat in enumerate(voltages):
+    for v_treat in voltages:
         plan = PreTreatmentPlan(
             v_app_v=v_treat,
             i_ir_w=power,
@@ -155,25 +139,15 @@ def run_voltage_curve(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
         )
         result = pre_treat(device, plan, plan_keys["dt_s"], plan_keys["max_steps"])
         curve = result.device.voltage_curve(v_min, v_max, points)
-        writer.write_csv(
-            f"voltage_curve_pretreat_{index:02d}.csv",
-            _CURVE_HEADER,
-            _curve_rows(curve, pristine),
-        )
+        tables.append(_curve_table(curve, pristine))
         series.append((f"pre-treated {v_treat:+g} V", curve.v_app_v, curve.transmittance))
         shift_rows.append((v_treat, result.bias_shift_rad, result.converged))
-    writer.write_csv(
-        "bias_shifts.csv", ("v_app_v", "bias_shift_rad", "converged"), shift_rows
-    )
+    tables.append((("v_app_v", "bias_shift_rad", "converged"), shift_rows))
     if cfg.get("output", "svg"):
-        writer.write_text(
-            "voltage_curves.svg",
+        tables.append(
             line_plot_svg(
-                "transmission vs drive voltage",
-                "drive voltage (V)",
-                "transmittance",
-                series,
-            ),
+                "transmission vs drive voltage", "drive voltage (V)", "transmittance", series
+            )
         )
     lines = [f"voltage-curve: pristine plus {len(voltages)} pre-treated curves"]
     if shift_rows:
@@ -182,15 +156,14 @@ def run_voltage_curve(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
             f"bias shifts from {min(shifts):+.4f} to {max(shifts):+.4f} rad "
             f"(span {max(shifts) - min(shifts):.4f} rad)"
         )
-    return lines
+    return tables, lines
 
 
-def run_attack_pre_treat(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_attack_pre_treat(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
     keys = cfg.values["pre_treat"]
     result = pre_treat(device, build_pretreat_plan(cfg), keys["dt_s"], keys["max_steps"])
-    writer.write_csv("pretreat_trace.csv", _TRACE_HEADER, _trace_rows(result.trace))
-    return [
+    return [_columns(result.trace, _TRACE_HEADER)], [
         f"pre-treat: {keys['i_ir_w']:.3g} W at {keys['v_app_v']:+g} V, "
         f"converged={str(result.converged).lower()} after {result.steps} steps "
         f"({result.elapsed_s:.0f} s)",
@@ -198,7 +171,7 @@ def run_attack_pre_treat(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
     ]
 
 
-def run_attack_pulse(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_attack_pulse(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
     ctrl = build_controller(cfg)
     rng = None
@@ -218,19 +191,6 @@ def run_attack_pulse(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
             f"pulse target {ctrl.target_m_db:g} dB exceeds the saturated "
             f"magnification {result.saturated_m_db:.3f} dB at {ctrl.peak_power_w:.3g} W"
         )
-    writer.write_csv(
-        "pulse_trace.csv",
-        ("t_s", "duty", "power_w", "m_db", "error_db"),
-        list(
-            zip(
-                result.trace.t_s,
-                result.trace.duty,
-                result.trace.power_w,
-                result.trace.m_db,
-                result.trace.error_db,
-            )
-        ),
-    )
     lines = [
         f"pulse: target {ctrl.target_m_db:g} dB of {result.saturated_m_db:.3f} dB "
         f"reachable, settled={str(result.settled).lower()} after {result.periods} periods",
@@ -240,10 +200,10 @@ def run_attack_pulse(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
         lines.append(f"holding duty mean {result.holding_duty_mean:.6f}")
     if not np.isnan(result.held_max_abs_error_db):
         lines.append(f"worst held error {result.held_max_abs_error_db:.4f} dB")
-    return lines
+    return [_columns(result.trace, ("t_s", "duty", "power_w", "m_db", "error_db"))], lines
 
 
-def run_attack_init(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_attack_init(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
     init_keys = cfg.values["init"]
     pre_keys = cfg.values["pre_treat"]
@@ -268,14 +228,12 @@ def run_attack_init(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
     new_curve = restored.device.voltage_curve(v_min, v_max, points)
     rms = curve_rms_db(ref_curve, new_curve)
 
-    writer.write_csv("init_trace.csv", _TRACE_HEADER, _trace_rows(restored.trace))
-    writer.write_csv(
-        "voltage_curve_reference.csv", _CURVE_HEADER, _curve_rows(ref_curve, ref_curve)
-    )
-    writer.write_csv(
-        "voltage_curve_restored.csv", _CURVE_HEADER, _curve_rows(new_curve, ref_curve)
-    )
-    return [
+    tables = [
+        _columns(restored.trace, _TRACE_HEADER),
+        _curve_table(ref_curve, ref_curve),
+        _curve_table(new_curve, ref_curve),
+    ]
+    return tables, [
         f"init: pre-treatment shifted the bias by {treated.bias_shift_rad:+.4f} rad",
         f"re-initialization converged={str(restored.converged).lower()} "
         f"after {restored.steps} steps ({restored.elapsed_s:.0f} s)",
@@ -284,39 +242,24 @@ def run_attack_init(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
     ]
 
 
-def run_security_sweep(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_security_sweep(cfg: ScenarioConfig) -> RunResult:
     scenario = build_scenario(cfg)
     m_grid = cfg.get("qkd", "m_db_grid")
     distances = build_distances_km(cfg)
     estimator = cfg.get("qkd", "estimator")
     rows = sweep_key_rates(scenario, m_grid, distances, estimator)
-    writer.write_csv(
-        "security_sweep.csv",
-        _SWEEP_HEADER,
-        [
-            (
-                row.m_db,
-                row.distance_km,
-                row.q_mu,
-                row.e_mu,
-                row.y1_lower,
-                row.e1_upper,
-                row.delta_est,
-                row.delta_pns,
-                row.r_est,
-                row.r_actual,
-                row.tail_bound,
-            )
-            for row in rows
-        ],
+    header = (
+        "m_db", "distance_km", "q_mu", "e_mu", "y1_lower", "e1_upper",
+        "delta_est", "delta_pns", "r_est", "r_actual", "tail_bound",
     )
-    return [
+    table = header, [[getattr(row, name) for name in header] for row in rows]
+    return [table], [
         f"security sweep: {len(m_grid)} magnifications x {len(distances)} distances "
         f"({estimator} estimator)",
     ]
 
 
-def run_security_threshold(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_security_threshold(cfg: ScenarioConfig) -> RunResult:
     scenario = build_scenario(cfg)
     low = cfg.get("qkd", "m_search_low_db")
     high = cfg.get("qkd", "m_search_high_db")
@@ -325,15 +268,14 @@ def run_security_threshold(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
     threshold = zero_key_threshold(
         scenario, (low, high), build_distances_km(cfg), estimator, tol
     )
-    writer.write_csv(
-        "threshold.csv",
+    table = (
         ("m_threshold_db", "m_search_low_db", "m_search_high_db", "tol_db", "estimator"),
         [(threshold, low, high, tol, estimator)],
     )
-    return [f"zero-key magnification threshold: {threshold:.3f} dB"]
+    return [table], [f"zero-key magnification threshold: {threshold:.3f} dB"]
 
 
-def run_budget(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
+def run_budget(cfg: ScenarioConfig) -> RunResult:
     path = build_path(cfg)
     wavelength = int(cfg.get("budget", "wavelength_nm"))
     target = cfg.get("budget", "target_power_w")
@@ -348,7 +290,6 @@ def run_budget(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
         rows.append((component.name, loss.db, loss.lower_bound))
     total = budget_mod.path_loss(path, wavelength)
     rows.append(("total", total.db, total.lower_bound))
-    writer.write_csv("budget.csv", ("item", "loss_db", "lower_bound"), rows)
 
     required = budget_mod.required_eve_power(path, wavelength, target)
     margin = budget_mod.countermeasure_margin(path, wavelength, eve_max, target)
@@ -371,52 +312,76 @@ def run_budget(cfg: ScenarioConfig, writer: RunWriter) -> list[str]:
             f"coupling scheme '{scheme}' also inserts "
             f"{plan.signal_loss_1550_db:g} dB in the 1550 nm signal path"
         )
-    writer.write_text("budget.txt", "\n".join(report) + "\n")
-    return [
+    tables = [(("item", "loss_db", "lower_bound"), rows), "\n".join(report) + "\n"]
+    return tables, [
         f"budget: total loss {bound}{total.db:.2f} dB, "
         f"required launch {bound}{required.watts:.6g} W, {margin.verdict}",
     ]
 
 
-COMMANDS: dict[str, Callable[[ScenarioConfig, RunWriter], list[str]]] = {
-    "pe-curve": run_pe_curve,
-    "voltage-curve": run_voltage_curve,
-    "attack pre-treat": run_attack_pre_treat,
-    "attack pulse": run_attack_pulse,
-    "attack init": run_attack_init,
-    "security sweep": run_security_sweep,
-    "security threshold": run_security_threshold,
-    "budget": run_budget,
+# -- the verb table ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One CLI verb: its help text, the files it writes and its runner."""
+
+    help: str
+    outputs: Callable[[ScenarioConfig], list[str]]  # file names, in runner order
+    run: Callable[[ScenarioConfig], RunResult]
+
+
+def _numbered(stem: str, items: Sequence[object]) -> list[str]:
+    return [f"{stem}_{index:02d}.csv" for index in range(len(items))]
+
+
+VERBS: dict[str, Verb] = {
+    "pe-curve": Verb(
+        "saturated magnification vs irradiation power, with time traces",
+        lambda cfg: [*_numbered("pe_trace", cfg.get("pe_curve", "powers_w")), "pe_summary.csv"],
+        run_pe_curve,
+    ),
+    "voltage-curve": Verb(
+        "transmission vs drive voltage, pristine and after pre-treatments",
+        lambda cfg: [
+            "voltage_curve_pristine.csv",
+            *_numbered("voltage_curve_pretreat", cfg.get("voltage_curve", "pretreat_voltages_v")),
+            "bias_shifts.csv",
+            *(["voltage_curves.svg"] if cfg.get("output", "svg") else []),
+        ],
+        run_voltage_curve,
+    ),
+    "attack pre-treat": Verb(
+        "irradiate under a held voltage until the field saturates",
+        lambda cfg: ["pretreat_trace.csv"],
+        run_attack_pre_treat,
+    ),
+    "attack pulse": Verb(
+        "duty-cycle control of pulsed injection to a target magnification",
+        lambda cfg: ["pulse_trace.csv"],
+        run_attack_pulse,
+    ),
+    "attack init": Verb(
+        "erase a pre-treatment by re-initialization",
+        lambda cfg: ["init_trace.csv", "voltage_curve_reference.csv", "voltage_curve_restored.csv"],
+        run_attack_init,
+    ),
+    "security sweep": Verb(
+        "decoy-state BB84 estimated vs actual key rate over magnification and distance",
+        lambda cfg: ["security_sweep.csv"],
+        run_security_sweep,
+    ),
+    "security threshold": Verb(
+        "zero-key magnification threshold",
+        lambda cfg: ["threshold.csv"],
+        run_security_threshold,
+    ),
+    "budget": Verb(
+        "injection path loss budget",
+        lambda cfg: ["budget.csv", "budget.txt"],
+        run_budget,
+    ),
 }
-
-
-def planned_outputs(command: str, cfg: ScenarioConfig) -> list[str]:
-    """File names a command will emit, for dry runs."""
-    svg = bool(cfg.get("output", "svg"))
-    if command == "pe-curve":
-        n = len(cfg.get("pe_curve", "powers_w"))
-        names = [f"pe_trace_{i:02d}.csv" for i in range(n)] + ["pe_summary.csv"]
-    elif command == "voltage-curve":
-        n = len(cfg.get("voltage_curve", "pretreat_voltages_v"))
-        names = (
-            ["voltage_curve_pristine.csv"]
-            + [f"voltage_curve_pretreat_{i:02d}.csv" for i in range(n)]
-            + ["bias_shifts.csv"]
-            + (["voltage_curves.svg"] if svg else [])
-        )
-    elif command == "attack pre-treat":
-        names = ["pretreat_trace.csv"]
-    elif command == "attack pulse":
-        names = ["pulse_trace.csv"]
-    elif command == "attack init":
-        names = ["init_trace.csv", "voltage_curve_reference.csv", "voltage_curve_restored.csv"]
-    elif command == "security sweep":
-        names = ["security_sweep.csv"]
-    elif command == "security threshold":
-        names = ["threshold.csv"]
-    else:
-        names = ["budget.csv", "budget.txt"]
-    return names + [MANIFEST_NAME]
 
 
 # -- argument parsing and entry point ---------------------------------------------
@@ -441,38 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    sub.add_parser(
-        "pe-curve", parents=[shared],
-        help="saturated magnification vs irradiation power, with time traces",
-    )
-    sub.add_parser(
-        "voltage-curve", parents=[shared],
-        help="transmission vs drive voltage, pristine and after pre-treatments",
-    )
-    attack = sub.add_parser("attack", parents=[shared], help="run one attack stage")
-    attack.add_argument(
-        "subcommand", choices=("pre-treat", "pulse", "init"), metavar="STAGE",
-        help="pre-treat | pulse | init",
-    )
-    security = sub.add_parser(
-        "security", parents=[shared], help="decoy-state BB84 consequences"
-    )
-    security.add_argument(
-        "subcommand", choices=("sweep", "threshold"), metavar="MODE",
-        help="sweep | threshold",
-    )
-    sub.add_parser("budget", parents=[shared], help="injection path loss budget")
+    groups: dict[str, dict[str, str]] = {}
+    for name, verb in VERBS.items():
+        head, _, stage = name.partition(" ")
+        groups.setdefault(head, {})[stage] = verb.help
+    for head, stages in groups.items():
+        if "" in stages:
+            sub.add_parser(head, parents=[shared], help=stages[""])
+            continue
+        group = sub.add_parser(head, parents=[shared], help="stages: " + " | ".join(stages))
+        group.add_argument(
+            "stage", choices=tuple(stages), metavar="STAGE",
+            help="; ".join(f"{stage}: {text}" for stage, text in stages.items()),
+        )
     return parser
-
-
-def _command_name(args: argparse.Namespace) -> str:
-    sub = getattr(args, "subcommand", None)
-    return f"{args.command} {sub}" if sub else args.command
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    command = _command_name(args)
+    command = " ".join(filter(None, (args.command, getattr(args, "stage", None))))
+    verb = VERBS[command]
     config_path = getattr(args, "config", None)
     out_flag = getattr(args, "out", None)
     seed = getattr(args, "seed", None)
@@ -495,29 +448,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     out_dir = Path(out_flag) if out_flag else Path(str(cfg.get("output", "directory")))
     digest = config_sha256(cfg)
+    names = verb.outputs(cfg)
     if dry_run:
         print(f"command: {command}")
         print(f"config: {config_path or '(built-in defaults)'}")
         print(f"config sha256: {digest}")
         print(f"output directory: {out_dir}")
-        for name in planned_outputs(command, cfg):
+        for name in [*names, MANIFEST_NAME]:
             print(f"would write: {name}")
         print("dry run: nothing written")
         return EXIT_OK
 
     started = utc_now()
     try:
+        tables, lines = verb.run(cfg)
+    except (RunFailure, ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    outputs = list(zip(names, tables, strict=True))
+    try:
         writer = RunWriter.prepare(out_dir)
     except RunDirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:
-        lines = COMMANDS[command](cfg, writer)
-    except (RunFailure, ValueError) as exc:
+        for name, table in outputs:
+            if isinstance(table, str):
+                writer.write_text(name, table)
+            else:
+                writer.write_csv(name, *table)
+        writer.finish(command, digest, started)
+    except OSError as exc:
         writer.abort()
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    writer.finish(command, digest, started)
     for line in lines:
         print(line)
     print(f"wrote {len(writer.files) + 1} files to {out_dir}")

@@ -25,7 +25,7 @@ import math
 import re
 from configparser import ConfigParser
 from configparser import Error as IniError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
@@ -470,40 +470,34 @@ def to_ini_text(cfg: ScenarioConfig) -> str:
 # -- domain object builders --------------------------------------------------------
 
 
-def build_material(cfg: ScenarioConfig) -> MaterialParams:
-    m = cfg.values["material"]
+def _build(cls, section: str, cfg: ScenarioConfig, **explicit: object):
+    """``cls`` from the ``section`` values whose keys name its fields.
+
+    ``explicit`` supplies fields the section spells differently or not at all.
+    """
+    names = {f.name for f in fields(cls)}
+    matched = {k: v for k, v in cfg.values[section].items() if k in names}
     try:
-        return MaterialParams(
-            refractive_index=m["refractive_index"],
-            r33_m_per_v=m["r33_m_per_v"],
-            mode_overlap=m["mode_overlap"],
-            photovoltaic_const=m["photovoltaic_const"],
-            absorption_per_m=m["absorption_per_m"],
-            photocond_per_w=m["photocond_per_w"],
-            dark_conductivity_s_per_m=m["dark_conductivity_s_per_m"],
-            rel_permittivity=m["rel_permittivity"],
-            sublinear_exponent=m["sublinear_exponent"],
-            crossover_power_w=m["crossover_power_w"],
-        )
+        return cls(**{**matched, **explicit})
     except ValueError as exc:
-        raise ConfigError(f"material: {exc}") from None
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def build_material(cfg: ScenarioConfig) -> MaterialParams:
+    return _build(MaterialParams, "material", cfg)
 
 
 def build_geometry(cfg: ScenarioConfig) -> GeometryParams:
     g = cfg.values["geometry"]
-    try:
-        return GeometryParams(
-            arm_length_m=g["arm_length_m"],
-            electrode_length_m=g["electrode_length_m"],
-            electrode_gap_m=g["electrode_gap_m"],
-            # divide instead of multiplying by 1e-9 so defaults land on the
-            # same float as literals like 1550e-9
-            signal_wavelength_m=g["signal_wavelength_nm"] / 1e9,
-            irradiation_wavelength_m=g["irradiation_wavelength_nm"] / 1e9,
-            effective_length_m=g["effective_length_m"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+    # divide instead of multiplying by 1e-9 so defaults land on the same
+    # float as literals like 1550e-9
+    return _build(
+        GeometryParams,
+        "geometry",
+        cfg,
+        signal_wavelength_m=g["signal_wavelength_nm"] / 1e9,
+        irradiation_wavelength_m=g["irradiation_wavelength_nm"] / 1e9,
+    )
 
 
 def build_device(cfg: ScenarioConfig) -> MziDevice:
@@ -513,20 +507,15 @@ def build_device(cfg: ScenarioConfig) -> MziDevice:
         + d["residual_bias_rad"]
         - 2.0 * math.pi * d["working_point_v"] / d["v_pi_v"]
     )
-    try:
-        return MziDevice(
-            material=build_material(cfg),
-            geometry=build_geometry(cfg),
-            bias_phase_rad=bias,
-            v_pi_v=d["v_pi_v"],
-            signal_split=d["signal_split"],
-            irradiation_split=d["irradiation_split"],
-            irradiation_coupling_db=d["irradiation_coupling_db"],
-            polarization_loss_db=d["polarization_loss_db"],
-            decay_mode=DecayMode(d["decay_mode"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"device: {exc}") from None
+    return _build(
+        MziDevice,
+        "device",
+        cfg,
+        material=build_material(cfg),
+        geometry=build_geometry(cfg),
+        bias_phase_rad=bias,
+        decay_mode=DecayMode(d["decay_mode"]),
+    )
 
 
 def working_point_v(cfg: ScenarioConfig) -> float:
@@ -534,47 +523,15 @@ def working_point_v(cfg: ScenarioConfig) -> float:
 
 
 def build_pretreat_plan(cfg: ScenarioConfig) -> PreTreatmentPlan:
-    p = cfg.values["pre_treat"]
-    return PreTreatmentPlan(
-        v_app_v=p["v_app_v"],
-        i_ir_w=p["i_ir_w"],
-        saturation_epsilon=p["saturation_epsilon"],
-    )
+    return _build(PreTreatmentPlan, "pre_treat", cfg)
 
 
 def build_controller(cfg: ScenarioConfig) -> PulseController:
-    p = cfg.values["pulse"]
-    try:
-        return PulseController(
-            target_m_db=p["target_m_db"],
-            duty_min=p["duty_min"],
-            duty_max=p["duty_max"],
-            gain_duty_per_db=p["gain_duty_per_db"],
-            settle_tol_db=p["settle_tol_db"],
-            period_s=p["period_s"],
-            peak_power_w=p["peak_power_w"],
-            noise_db=p["noise_db"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"pulse: {exc}") from None
+    return _build(PulseController, "pulse", cfg)
 
 
 def build_scenario(cfg: ScenarioConfig) -> QkdScenario:
-    q = cfg.values["qkd"]
-    try:
-        return QkdScenario(
-            mu=q["mu"],
-            nu=q["nu"],
-            alpha_db_per_km=q["alpha_db_per_km"],
-            eta_bob=q["eta_bob"],
-            y0=q["y0"],
-            e_det=q["e_det"],
-            e0=q["e0"],
-            f_ec=q["f_ec"],
-            n_trunc=q["n_trunc"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"qkd: {exc}") from None
+    return _build(QkdScenario, "qkd", cfg)
 
 
 def build_distances_km(cfg: ScenarioConfig) -> tuple[float, ...]:

@@ -11,7 +11,8 @@ content hash of the config that produced it and the name and sha256 of every
 emitted file.  Rerunning into a directory that holds a manifest first removes
 exactly the files that manifest lists, provided every listed name is a plain
 file name; a manifest naming anything else, or a non-empty directory without
-a manifest, is refused rather than mixed into.
+a manifest, is refused rather than mixed into, as is an output path that
+cannot be created, listed or cleared.
 """
 
 from __future__ import annotations
@@ -211,34 +212,36 @@ class RunWriter:
     @classmethod
     def prepare(cls, out_dir: Union[str, Path]) -> "RunWriter":
         path = Path(out_dir)
-        if path.exists() and not path.is_dir():
-            raise RunDirError(f"output path {path} exists and is not a directory")
-        if not path.exists():
-            path.mkdir(parents=True)
-            return cls(path, created=True)
-        entries = sorted(p.name for p in path.iterdir())
-        if not entries:
-            return cls(path)
-        manifest = path / MANIFEST_NAME
-        if not manifest.exists():
-            raise RunDirError(
-                f"output directory {path} is not empty and has no {MANIFEST_NAME}; "
-                "refusing to mix into it"
-            )
         try:
-            listed = [entry["name"] for entry in json.loads(manifest.read_text())["outputs"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise RunDirError(f"cannot parse {manifest}: {exc}") from None
-        unsafe = [name for name in listed if not _is_plain_name(name)]
-        if unsafe:
-            raise RunDirError(
-                f"{manifest} lists {unsafe[0]!r}, which is not a plain file name; "
-                "refusing to delete it"
-            )
-        for name in listed:
-            (path / name).unlink(missing_ok=True)
-        manifest.unlink()
-        return cls(path)
+            if path.exists() and not path.is_dir():
+                raise RunDirError(f"output path {path} exists and is not a directory")
+            if not path.exists():
+                path.mkdir(parents=True)
+                return cls(path, created=True)
+            if not any(path.iterdir()):
+                return cls(path)
+            manifest = path / MANIFEST_NAME
+            if not manifest.exists():
+                raise RunDirError(
+                    f"output directory {path} is not empty and has no {MANIFEST_NAME}; "
+                    "refusing to mix into it"
+                )
+            try:
+                listed = [entry["name"] for entry in json.loads(manifest.read_text())["outputs"]]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise RunDirError(f"cannot parse {manifest}: {exc}") from None
+            unsafe = [name for name in listed if not _is_plain_name(name)]
+            if unsafe:
+                raise RunDirError(
+                    f"{manifest} lists {unsafe[0]!r}, which is not a plain file name; "
+                    "refusing to delete it"
+                )
+            for name in listed:
+                (path / name).unlink(missing_ok=True)
+            manifest.unlink()
+            return cls(path)
+        except OSError as exc:
+            raise RunDirError(f"cannot use output path {path}: {exc}") from None
 
     def _record(self, name: str, data: bytes) -> None:
         (self.out_dir / name).write_bytes(data)
@@ -269,7 +272,7 @@ class RunWriter:
         return path
 
     def abort(self) -> None:
-        """Best-effort cleanup when a run fails before producing anything."""
+        """Best-effort cleanup when writing a run's files fails."""
         for name, _ in self.files:
             target = self.out_dir / name
             if target.exists():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ipasim
-from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, VERBS, main
 from ipasim.runio import MANIFEST_NAME
 
 TRACE_COLS = ["t_s", "transmittance", "attenuation_db", "m_db", "delta_theta_rad"]
@@ -300,6 +300,74 @@ def test_library_value_error_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr and "increase n_trunc" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["security", "sweep"], "[qkd]\nm_db_grid = 0, 4000\n"),
+        (["attack", "pre-treat"], "[pre_treat]\ndt_s = 1e-320\n"),
+    ],
+    ids=["m_db_grid", "dt_s"],
+)
+def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys, argv, ini):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "overflow-out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_output_path_under_a_regular_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("keep")
+    assert main(["budget", "--out", str(blocker / "sub")]) == EXIT_RUNTIME
+    assert "cannot use output path" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+
+
+def test_write_failure_aborts_and_exits_3(tmp_path, capsys):
+    out = tmp_path / "blocked"
+    out.mkdir()
+    (out / MANIFEST_NAME).write_text(json.dumps({"outputs": []}))
+    (out / "budget.txt").mkdir()  # budget.csv is written, then budget.txt fails
+    assert main(["budget", "--out", str(out)]) == EXIT_RUNTIME
+    assert "cannot write" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["budget.txt"]
+
+
+def test_failed_rerun_keeps_the_previous_run(tmp_path, capsys):
+    out = tmp_path / "kept"
+    assert main(["security", "threshold", "--out", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = tmp_path / "narrow.ini"
+    cfg.write_text("[qkd]\nm_search_low_db = 8\nm_search_high_db = 8.5\n")
+    code = main(["security", "threshold", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "does not bracket" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "command, svg", [(command, False) for command in VERBS] + [("voltage-curve", True)]
+)
+def test_dry_run_plan_is_what_a_run_writes(tmp_path, capsys, command, svg):
+    cfg = tmp_path / "plan.ini"
+    cfg.write_text(FAST_INI + f"\n[output]\nsvg = {str(svg).lower()}\n")
+    out = tmp_path / "planned"
+    argv = [*command.split(), "--config", str(cfg), "--out", str(out)]
+    assert main([*argv, "--dry-run"]) == EXIT_OK
+    prefix = "would write: "
+    planned = {
+        line[len(prefix):]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith(prefix)
+    }
+    assert main(argv) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == planned
+    assert {e["name"] for e in read_manifest(out)["outputs"]} | {MANIFEST_NAME} == planned
+    assert ("voltage_curves.svg" in planned) == svg
 
 
 def test_rerun_never_deletes_outside_the_output_directory(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config parsing: total schema, canonical hashing, object builders."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,8 @@ from ipasim.config import (
     build_controller,
     build_device,
     build_distances_km,
+    build_geometry,
+    build_material,
     build_path,
     build_pretreat_plan,
     build_scenario,
@@ -183,6 +186,43 @@ def test_builders_translate_failures_to_config_errors():
     cfg = default_config().with_value("geometry", "electrode_length_m", 1.0)
     with pytest.raises(ConfigError, match="geometry"):
         build_device(cfg)
+
+
+@pytest.mark.parametrize(
+    "build, section, elsewhere",
+    [
+        (build_material, "material", ()),
+        (build_geometry, "geometry", ("signal_wavelength_m", "irradiation_wavelength_m")),
+        (build_controller, "pulse", ()),
+        (build_scenario, "qkd", ("distance_km",)),
+        (build_pretreat_plan, "pre_treat", ()),
+    ],
+    ids=["material", "geometry", "pulse", "qkd", "pre_treat"],
+)
+def test_builders_feed_every_field_from_its_section(build, section, elsewhere):
+    """A renamed key must fail here, not fall back to the dataclass default."""
+    base = default_config()
+    for field in dataclasses.fields(build(base)):
+        if field.name in elsewhere:
+            continue
+        assert field.name in base.values[section], f"no {section}.{field.name} key"
+        value = base.get(section, field.name)
+        if isinstance(value, int):
+            nudges = (value + 1,)
+        else:
+            nudges = (math.nextafter(value, -math.inf), math.nextafter(value, math.inf))
+        for nudged in nudges:  # the first one that stays in range
+            try:
+                built = build(base.with_value(section, field.name, nudged))
+            except ConfigError:
+                continue
+            assert getattr(built, field.name) == nudged, f"{section}.{field.name}"
+            break
+        else:
+            pytest.fail(f"{section}.{field.name}: no nudged value is valid")
+    geo = build_geometry(base)
+    assert geo.signal_wavelength_m == base.get("geometry", "signal_wavelength_nm") / 1e9
+    assert geo.irradiation_wavelength_m == 405e-9
 
 
 def test_pretreat_plan_builder():
