@@ -462,8 +462,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = utc_now()
     try:
         tables, lines = verb.run(cfg)
-    except (RunFailure, ValueError, ArithmeticError) as exc:
+    except (RunFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ArithmeticError as exc:
+        # the bare text of an overflow ("(34, 'Numerical result out of range')")
+        # names neither the verb nor what went wrong
+        print(f"error: {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     outputs = list(zip(names, tables, strict=True))
     try:

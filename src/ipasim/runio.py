@@ -13,6 +13,10 @@ exactly the files that manifest lists, provided every listed name is a plain
 file name; a manifest naming anything else, or a non-empty directory without
 a manifest, is refused rather than mixed into, as is an output path that
 cannot be created, listed or cleared.
+
+Each file, the manifest last, is written to a temporary sibling and renamed
+into place, so a run that dies midway leaves whole files or none, and never
+a truncated manifest.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -208,6 +213,8 @@ class RunWriter:
     out_dir: Path
     created: bool = False
     files: list[tuple[str, str]] = field(default_factory=list)
+    # the temporary sibling of a write in progress, for ``abort`` to remove
+    pending: Optional[Path] = None
 
     @classmethod
     def prepare(cls, out_dir: Union[str, Path]) -> "RunWriter":
@@ -243,8 +250,17 @@ class RunWriter:
         except OSError as exc:
             raise RunDirError(f"cannot use output path {path}: {exc}") from None
 
+    def _replace(self, name: str, data: bytes) -> Path:
+        """Write ``data`` to a temporary sibling, then rename it to ``name``."""
+        self.pending = self.out_dir / f".{name}.tmp"
+        self.pending.write_bytes(data)
+        target = self.out_dir / name
+        os.replace(self.pending, target)
+        self.pending = None
+        return target
+
     def _record(self, name: str, data: bytes) -> None:
-        (self.out_dir / name).write_bytes(data)
+        self._replace(name, data)
         self.files.append((name, sha256(data).hexdigest()))
 
     def write_csv(
@@ -267,12 +283,14 @@ class RunWriter:
                 for name, digest in sorted(self.files)
             ],
         }
-        path = self.out_dir / MANIFEST_NAME
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return path
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        return self._replace(MANIFEST_NAME, text.encode("utf-8"))
 
     def abort(self) -> None:
         """Best-effort cleanup when writing a run's files fails."""
+        if self.pending is not None:
+            self.pending.unlink(missing_ok=True)
+            self.pending = None
         for name, _ in self.files:
             target = self.out_dir / name
             if target.exists():

@@ -14,15 +14,24 @@ linear here (callers convert from dB).  Photon-number statistics use closed
 forms and nothing is truncated.  ``n_trunc`` remains a validity guard: the
 Poisson mass above it is reported as ``tail_bound``, and a magnified mean
 whose tail reaches ``TAIL_LIMIT`` is refused.
+
+Every per-link formula is a numpy expression, so ``evaluate_scenario`` takes
+a whole distance grid in one call: a sweep or a threshold search costs one
+evaluation per magnification, and the Poisson tail, which does not depend on
+distance, is computed once for each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, Union
 
 import numpy as np
+
+# A float, or an array with one entry per distance of a grid.  The per-link
+# functions take and return either; each range check covers every entry.
+Floats = Union[float, np.ndarray]
 
 # dark-count clicks carry no bit information, so they are wrong half the time
 DARK_COUNT_ERROR = 0.5
@@ -107,50 +116,64 @@ class AttackParams:
     def m_db(self) -> float:
         return 10.0 * math.log10(self.m_linear)
 
-    def resolved_p(self, eta_ab: float) -> float:
+    def resolved_p(self, eta_ab: Floats) -> Floats:
         if self.p_resend is not None:
             return self.p_resend
         return resend_probability(eta_ab, self.m_linear)
 
 
-def channel_transmittance(alpha_db_per_km: float, distance_km: float) -> float:
-    if distance_km < 0.0:
+def _within(x: Floats, low: float, high: float) -> bool:
+    """Every entry in [low, high]; NaN is outside."""
+    x = np.asarray(x)
+    return bool(((low <= x) & (x <= high)).all())
+
+
+def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats:
+    if (np.asarray(distance_km) < 0.0).any():
         raise ValueError("distance_km must be >= 0")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
-def gain(mpn: float, eta: float, y0: float) -> float:
-    """Detection probability per pulse; clamped at 1 for pathological inputs."""
+def gain(mpn: float, eta: Floats, y0: float) -> Floats:
+    """Detection probability per pulse; clamped at 1 for pathological inputs.
+
+    1 - exp(-eta*mpn) is formed with expm1: next to 1 it keeps only ~1e-16
+    absolute accuracy, which on a long link is a ~1e-10 relative error in
+    the gain that the decoy bounds amplify further.
+    """
     if mpn < 0.0:
         raise ValueError("mpn must be >= 0")
-    return min(y0 + 1.0 - math.exp(-eta * mpn), 1.0)
+    return np.minimum(y0 - np.expm1(-eta * mpn), 1.0)
 
 
-def qber(mpn: float, eta: float, y0: float, e0: float, e_det: float) -> float:
+def qber(mpn: float, eta: Floats, y0: float, e0: float, e_det: float) -> Floats:
     """Error rate per detected pulse: dark-count noise diluted by real signal."""
     q = gain(mpn, eta, y0)
-    if q <= 0.0:
-        return e0
-    return (e0 * y0 + e_det * (1.0 - math.exp(-eta * mpn))) / q
+    detected = q > 0.0
+    # a link that never clicks has only the dark-count error
+    errors = e0 * y0 - e_det * np.expm1(-eta * mpn)
+    return np.where(detected, errors / np.where(detected, q, 1.0), e0)[()]
 
 
-def binary_entropy(x: float) -> float:
-    if not 0.0 <= x <= 1.0:
+def binary_entropy(x: Floats) -> Floats:
+    x = np.asarray(x, dtype=float)
+    if not _within(x, 0.0, 1.0):
         raise ValueError("binary entropy needs x in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    inside = (x > 0.0) & (x < 1.0)
+    # the end points carry no entropy; 1/2 stands in there so no log sees 0
+    y = np.where(inside, x, 0.5)
+    return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)[()]
 
 
 @dataclass(frozen=True)
 class DecoyBounds:
-    y1_lower: float
-    e1_upper: float
-    clamped: bool
+    y1_lower: Floats
+    e1_upper: Floats
+    clamped: Union[bool, np.ndarray]
 
 
 def decoy_bounds(
-    scenario: QkdScenario, q_mu: float, e_mu: float, q_nu: float, e_nu: float
+    scenario: QkdScenario, q_mu: Floats, e_mu: Floats, q_nu: Floats, e_nu: Floats
 ) -> DecoyBounds:
     """Vacuum+weak analytic bounds on single-photon yield and error.
 
@@ -163,27 +186,28 @@ def decoy_bounds(
         - q_mu * math.exp(mu) * (nu**2 / mu**2)
         - ((mu**2 - nu**2) / mu**2) * y0
     )
-    clamped = False
-    if y1 <= 0.0:
-        return DecoyBounds(0.0, 1.0, True)
-    if y1 > 1.0:
-        y1, clamped = 1.0, True
-    e1 = (e_nu * q_nu * math.exp(nu) - e0 * y0) / (y1 * nu)
-    if e1 < 0.0:
-        e1, clamped = 0.0, True
-    if e1 > 1.0:
-        e1, clamped = 1.0, True
-    return DecoyBounds(y1, e1, clamped)
+    vacuous = y1 <= 0.0
+    clamped = vacuous | (y1 > 1.0)
+    y1 = np.where(vacuous, 0.0, np.minimum(y1, 1.0))
+    e1 = (e_nu * q_nu * math.exp(nu) - e0 * y0) / (np.where(vacuous, 1.0, y1) * nu)
+    clamped |= (e1 < 0.0) | (e1 > 1.0)
+    e1 = np.where(vacuous, 1.0, np.minimum(np.maximum(e1, 0.0), 1.0))
+    return DecoyBounds(y1[()], e1[()], clamped[()])
 
 
-def single_photon_truth(scenario: QkdScenario) -> DecoyBounds:
-    """True single-photon yield and error, for the oracle estimator mode."""
-    y1 = scenario.y0 + scenario.eta
-    e1 = (scenario.e0 * scenario.y0 + scenario.e_det * scenario.eta) / y1
-    return DecoyBounds(y1, e1, False)
+def single_photon_truth(scenario: QkdScenario, eta: Optional[Floats] = None) -> DecoyBounds:
+    """True single-photon yield and error, for the oracle estimator mode.
+
+    ``eta`` replaces the scenario's overall transmittance, e.g. with one
+    entry per distance of a grid.
+    """
+    eta = scenario.eta if eta is None else eta
+    y1 = scenario.y0 + eta
+    e1 = (scenario.e0 * scenario.y0 + scenario.e_det * eta) / y1
+    return DecoyBounds(y1, e1, np.zeros(np.shape(y1), dtype=bool)[()])
 
 
-def resend_probability(eta_ab: float, m_linear: float) -> float:
+def resend_probability(eta_ab: Floats, m_linear: float) -> Floats:
     """Per-photon forwarding probability that hides the attack in the rates."""
     if m_linear < 1.0:
         raise ValueError("m_linear must be >= 1")
@@ -191,8 +215,8 @@ def resend_probability(eta_ab: float, m_linear: float) -> float:
 
 
 def attacked_gain(
-    mpn: float, m_linear: float, p: float, eta_bob: float, y0: float
-) -> float:
+    mpn: float, m_linear: float, p: Floats, eta_bob: float, y0: float
+) -> Floats:
     """Receiver gain seen during the attack: magnified, thinned, detected."""
     return gain(mpn, m_linear * p * eta_bob, y0)
 
@@ -216,7 +240,7 @@ def pns_photon_distribution(n: int, m_linear: float, p: float, mu: float) -> flo
 
 @dataclass(frozen=True)
 class TailBounded:
-    value: float
+    value: Floats
     tail_bound: float
 
 
@@ -240,7 +264,7 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
 
 
 def attack_success_probability(
-    scenario: QkdScenario, attack: AttackParams
+    scenario: QkdScenario, attack: AttackParams, eta_ab: Optional[Floats] = None
 ) -> TailBounded:
     """Probability a pulse both leaves Eve a stored photon and clicks at Bob.
 
@@ -258,71 +282,76 @@ def attack_success_probability(
 
     The literal double sum is kept in the test suite as the oracle.  The
     returned tail bound is the Poisson mass above ``n_trunc``; a scenario
-    whose tail reaches ``TAIL_LIMIT`` is refused with a ValueError.
+    whose tail reaches ``TAIL_LIMIT`` is refused with a ValueError.  The tail
+    depends on the magnified mean only, so ``eta_ab``, which replaces the
+    scenario's channel transmittance (e.g. with one entry per distance of a
+    grid), leaves it a float.
     """
     mu_e = attack.m_linear * scenario.mu
-    p = attack.resolved_p(scenario.eta_ab)
+    p = attack.resolved_p(scenario.eta_ab if eta_ab is None else eta_ab)
     tail = poisson_tail(mu_e, scenario.n_trunc)
     if tail >= TAIL_LIMIT:
         raise ValueError(
             f"n_trunc={scenario.n_trunc} leaves Poisson tail {tail:.3e} at mean "
             f"{mu_e:.3f}; increase n_trunc"
         )
-    detected = -math.expm1(-mu_e * p * scenario.eta_bob)
-    kept = -math.expm1(-mu_e * (1.0 - p))
+    detected = -np.expm1(-mu_e * p * scenario.eta_bob)
+    kept = -np.expm1(-mu_e * (1.0 - p))
     return TailBounded(detected * kept, tail)
 
 
 def tagged_fraction_estimated(
-    scenario: QkdScenario, y1_lower: float, q_mu: float
-) -> float:
+    scenario: QkdScenario, y1_lower: Floats, q_mu: Floats
+) -> Floats:
     """Multiphoton fraction the users infer from their decoy bound."""
-    if q_mu <= 0.0:
+    if (np.asarray(q_mu) <= 0.0).any():
         raise ValueError("q_mu must be positive")
     p1 = scenario.mu * math.exp(-scenario.mu)
-    return min(max(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
+    return np.minimum(np.maximum(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
 class KeyRate:
-    bits_per_pulse: float
-    raw: float
+    bits_per_pulse: Floats
+    raw: Floats
 
 
 def key_rate(
-    scenario: QkdScenario, delta: float, e1: float, q_mu: float, e_mu: float
+    scenario: QkdScenario, delta: Floats, e1: Floats, q_mu: Floats, e_mu: Floats
 ) -> KeyRate:
     """Secret key per pulse; clamped at zero, raw value kept for searches."""
-    if not 0.0 <= delta <= 1.0:
+    if not _within(delta, 0.0, 1.0):
         raise ValueError("delta must be in [0, 1]")
-    if not 0.0 <= e1 <= 0.5 or not 0.0 <= e_mu <= 0.5:
+    if not _within(e1, 0.0, 0.5) or not _within(e_mu, 0.0, 0.5):
         raise ValueError("e1 and e_mu must be in [0, 0.5]")
     raw = q_mu * (
         (1.0 - delta) * (1.0 - binary_entropy(e1))
         - scenario.f_ec * binary_entropy(e_mu)
     )
-    return KeyRate(max(raw, 0.0), raw)
+    return KeyRate(np.maximum(raw, 0.0), raw)
 
 
 @dataclass(frozen=True)
 class SecurityResult:
-    m_db: float
-    distance_km: float
-    q_mu: float
-    e_mu: float
-    q_nu: float
-    e_nu: float
-    y1_lower: float
-    e1_upper: float
-    bounds_clamped: bool
-    delta_est: float
-    delta_pns: float
-    r_est: float
-    r_actual: float
-    r_est_raw: float
-    r_actual_raw: float
-    p_s: float
-    tail_bound: float
+    """One link's bookkeeping: floats at one distance, arrays over a grid."""
+
+    m_db: Floats
+    distance_km: Floats
+    q_mu: Floats
+    e_mu: Floats
+    q_nu: Floats
+    e_nu: Floats
+    y1_lower: Floats
+    e1_upper: Floats
+    bounds_clamped: Union[bool, np.ndarray]
+    delta_est: Floats
+    delta_pns: Floats
+    r_est: Floats
+    r_actual: Floats
+    r_est_raw: Floats
+    r_actual_raw: Floats
+    p_s: Floats
+    tail_bound: Floats
 
 
 ESTIMATORS = ("decoy", "single_photon_true")
@@ -332,6 +361,7 @@ def evaluate_scenario(
     scenario: QkdScenario,
     attack: Optional[AttackParams] = None,
     estimator: str = "decoy",
+    distances_km: Optional[Sequence[float]] = None,
 ) -> SecurityResult:
     """Full per-link security bookkeeping for one magnification setting.
 
@@ -339,10 +369,21 @@ def evaluate_scenario(
     are those of the unattacked channel: the resend probability is chosen so
     the attack leaves them identical.  ``attack=None`` means no attacker, and
     then the actual key equals the estimate by definition.
+
+    Without ``distances_km`` the link is evaluated at ``scenario.distance_km``
+    and every field is a float (or bool).  With a grid every field is an
+    array with one entry per distance, from one pass of the array formulas;
+    the attack's Poisson tail, which does not depend on distance, is
+    computed once.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
-    eta = scenario.eta
+    grid = [scenario.distance_km] if distances_km is None else distances_km
+    distance = np.asarray(grid, dtype=float)
+    if (distance < 0.0).any():
+        raise ValueError("fiber attenuation and distance must be >= 0")
+    eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
+    eta = eta_ab * scenario.eta_bob
     q_mu = gain(scenario.mu, eta, scenario.y0)
     e_mu = qber(scenario.mu, eta, scenario.y0, scenario.e0, scenario.e_det)
     q_nu = gain(scenario.nu, eta, scenario.y0)
@@ -350,23 +391,24 @@ def evaluate_scenario(
     if estimator == "decoy":
         bounds = decoy_bounds(scenario, q_mu, e_mu, q_nu, e_nu)
     else:
-        bounds = single_photon_truth(scenario)
+        bounds = single_photon_truth(scenario, eta)
     delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
-    e1 = min(bounds.e1_upper, 0.5)
+    e1 = np.minimum(bounds.e1_upper, 0.5)
     est = key_rate(scenario, delta_est, e1, q_mu, e_mu)
     if attack is None:
-        delta_pns, p_s, tail, act = delta_est, 0.0, 0.0, est
+        zero = np.zeros(distance.shape)
+        delta_pns, p_s, tail, act = delta_est, zero, zero, est
         m_db = 0.0
     else:
-        success = attack_success_probability(scenario, attack)
+        success = attack_success_probability(scenario, attack, eta_ab)
         p_s = success.value
-        delta_pns = min(max(p_s / q_mu, 0.0), 1.0)
+        delta_pns = np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0)
         tail = success.tail_bound / q_mu
         act = key_rate(scenario, delta_pns, e1, q_mu, e_mu)
         m_db = attack.m_db
-    return SecurityResult(
-        m_db=m_db,
-        distance_km=scenario.distance_km,
+    grid = SecurityResult(
+        m_db=np.full(distance.shape, m_db),
+        distance_km=distance,
         q_mu=q_mu,
         e_mu=e_mu,
         q_nu=q_nu,
@@ -383,6 +425,9 @@ def evaluate_scenario(
         p_s=p_s,
         tail_bound=tail,
     )
+    if distances_km is not None:
+        return grid
+    return SecurityResult(**{f.name: getattr(grid, f.name).item() for f in fields(SecurityResult)})
 
 
 DEFAULT_M_DB_GRID = (0.0, 4.0, 5.0, 6.0, 6.5)
@@ -398,16 +443,18 @@ def sweep_key_rates(
     """Estimated vs actual key rate over a magnification and distance grid.
 
     An entry of 0 dB means no attacker at all (not an M = 1 interceptor):
-    the actual columns repeat the estimated ones.
+    the actual columns repeat the estimated ones.  Each magnification is one
+    grid evaluation; the rows hold plain floats and bools.
     """
+    distances = np.asarray(distances_km, dtype=float)
     rows: list[SecurityResult] = []
     for m_db in m_db_list:
         if m_db < 0.0:
             raise ValueError("m_db must be >= 0")
         attack = None if m_db == 0.0 else AttackParams.from_db(m_db)
-        for dist in distances_km:
-            sc = replace(scenario, distance_km=float(dist))
-            rows.append(evaluate_scenario(sc, attack, estimator))
+        grid = evaluate_scenario(scenario, attack, estimator, distances)
+        columns = [getattr(grid, f.name).tolist() for f in fields(SecurityResult)]
+        rows.extend(SecurityResult(*row) for row in zip(*columns))
     return rows
 
 
@@ -421,17 +468,15 @@ def zero_key_threshold(
     """Smallest magnification at which no distance yields any actual key.
 
     Bisects on the raw (unclamped) actual key rate maximized over the
-    distance grid.  The assumed monotone decrease of that maximum in M is
-    checked on a presample of the range first.
+    distance grid, one grid evaluation per magnification.  The assumed
+    monotone decrease of that maximum in M is checked on a presample of the
+    range first.
     """
+    distances = np.asarray(distances_km, dtype=float)
 
     def best_raw(m_db: float) -> float:
-        attack = AttackParams.from_db(m_db)
-        best = -math.inf
-        for dist in distances_km:
-            sc = replace(scenario, distance_km=float(dist))
-            best = max(best, evaluate_scenario(sc, attack, estimator).r_actual_raw)
-        return best
+        grid = evaluate_scenario(scenario, AttackParams.from_db(m_db), estimator, distances)
+        return float(np.max(grid.r_actual_raw, initial=-math.inf))
 
     lo, hi = m_search_range_db
     if not 0.0 <= lo < hi:

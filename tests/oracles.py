@@ -216,3 +216,79 @@ def binary_entropy_reference(x: float) -> float:
     if x in (0.0, 1.0):
         return 0.0
     return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / math.log(2.0)
+
+
+# -- decoy-state bookkeeping of one link at one distance -------------------------
+
+
+def security_row(scenario, m_db: float, distance_km: float, estimator: str) -> dict:
+    """Every ``SecurityResult`` field of one link, literally, at one distance.
+
+    Gains and error rates of the signal and decoy intensities, the
+    vacuum+weak bounds of Ma, Qi, Zhao & Lo (PRA 72, 012326, 2005) with their
+    clamps (or the true single-photon yield and error), the GLLP key rate
+    from both tagged fractions, and the PNS success probability as the
+    literal double sum.  ``m_db = 0`` means no attacker.
+    """
+    sc = scenario
+    eta_ab = 10.0 ** (-sc.alpha_db_per_km * distance_km / 10.0)
+    eta = eta_ab * sc.eta_bob
+
+    def clicked(mpn):  # 1 - exp(-eta*mpn), at full precision on long links
+        return -math.expm1(-eta * mpn)
+
+    def q(mpn):
+        return min(sc.y0 + clicked(mpn), 1.0)
+
+    def e(mpn):
+        return (sc.e0 * sc.y0 + sc.e_det * clicked(mpn)) / q(mpn)
+
+    mu, nu = sc.mu, sc.nu
+    q_mu, e_mu, q_nu, e_nu = q(mu), e(mu), q(nu), e(nu)
+    if estimator == "single_photon_true":
+        y1 = sc.y0 + eta
+        e1 = (sc.e0 * sc.y0 + sc.e_det * eta) / y1
+        clamped = False
+    else:
+        y1 = mu / (mu * nu - nu * nu) * (
+            q_nu * math.exp(nu)
+            - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+            - (mu * mu - nu * nu) / (mu * mu) * sc.y0
+        )
+        if y1 <= 0.0:
+            y1, e1, clamped = 0.0, 1.0, True
+        else:
+            clamped = y1 > 1.0
+            y1 = min(y1, 1.0)
+            e1 = (e_nu * q_nu * math.exp(nu) - sc.e0 * sc.y0) / (y1 * nu)
+            clamped = clamped or not 0.0 <= e1 <= 1.0
+            e1 = min(max(e1, 0.0), 1.0)
+
+    def unit(x):
+        return min(max(x, 0.0), 1.0)
+
+    def raw_key(delta):
+        h = binary_entropy_reference
+        return q_mu * ((1.0 - delta) * (1.0 - h(min(e1, 0.5))) - sc.f_ec * h(e_mu))
+
+    delta_est = unit(1.0 - mu * math.exp(-mu) * y1 / q_mu)
+    if m_db == 0.0:
+        m_out, p_s, tail, delta_pns = 0.0, 0.0, 0.0, delta_est
+    else:
+        m_linear = 10.0 ** (m_db / 10.0)
+        mu_e = m_linear * mu
+        m_out = 10.0 * math.log10(m_linear)
+        p_s = success_double_sum(mu_e, eta_ab / m_linear, sc.eta_bob, sc.n_trunc)
+        above = math.fsum(poisson_pmf(n, mu_e) for n in range(sc.n_trunc + 1, 400))
+        tail = above / q_mu
+        delta_pns = unit(p_s / q_mu)
+    r_est_raw, r_actual_raw = raw_key(delta_est), raw_key(delta_pns)
+    return {
+        "m_db": m_out, "distance_km": distance_km,
+        "q_mu": q_mu, "e_mu": e_mu, "q_nu": q_nu, "e_nu": e_nu,
+        "y1_lower": y1, "e1_upper": e1, "bounds_clamped": clamped,
+        "delta_est": delta_est, "delta_pns": delta_pns,
+        "r_est": max(r_est_raw, 0.0), "r_actual": max(r_actual_raw, 0.0),
+        "r_est_raw": r_est_raw, "r_actual_raw": r_actual_raw,
+        "p_s": p_s, "tail_bound": tail,
+    }

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: verbs, exit codes, manifests, determinism."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -315,7 +316,7 @@ def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys
     cfg.write_text(ini)
     out = tmp_path / "overflow-out"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {' '.join(argv)}: OverflowError: ")
     assert not out.exists()
 
 
@@ -335,6 +336,28 @@ def test_write_failure_aborts_and_exits_3(tmp_path, capsys):
     assert main(["budget", "--out", str(out)]) == EXIT_RUNTIME
     assert "cannot write" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["budget.txt"]
+
+
+@pytest.mark.parametrize("failing", ["budget.txt", MANIFEST_NAME])
+def test_write_failing_partway_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, failing):
+    out = tmp_path / "run"
+    assert main(["budget", "--out", str(out)]) == EXIT_OK
+    write_bytes = Path.write_bytes
+
+    def disk_full(path, data):
+        if path.name == f".{failing}.tmp":
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    assert main(["budget", "--out", str(out)]) == EXIT_RUNTIME
+    assert "cannot write" in capsys.readouterr().err
+    # no half-written file or manifest: the directory is empty, so reusable
+    assert list(out.iterdir()) == []
+    monkeypatch.undo()
+    assert main(["budget", "--out", str(out)]) == EXIT_OK
+    assert_complete_run(out, ["budget.csv", "budget.txt"])
 
 
 def test_failed_rerun_keeps_the_previous_run(tmp_path, capsys):

@@ -6,7 +6,9 @@ Monte-Carlo sampling; nothing here reuses the implementation's own algebra.
 """
 
 import math
+import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from ipasim.security import (
     DEFAULT_DISTANCES_KM,
     DEFAULT_M_DB_GRID,
+    ESTIMATORS,
     AttackParams,
     BracketError,
     QkdScenario,
@@ -39,6 +42,7 @@ from ipasim.security import (
 from oracles import (
     binary_entropy_reference,
     poisson_pmf,
+    security_row,
     success_double_sum,
     success_monte_carlo,
     thinned_pmf_bruteforce,
@@ -48,6 +52,13 @@ SCENARIO = QkdScenario()
 
 # frozen default-scenario zero-key point (bisection to 1e-3 dB)
 THRESHOLD_DB = 6.63946533203125
+
+LONG_DISTANCES_KM = tuple(float(d) for d in range(0, 321, 10))
+ORACLE_M_DB = (0.0, 4.0, 6.5)  # 0 dB: no attacker
+# On the default link the decoy bounds never clamp: in the dark-count limit the
+# error bound tends to ~0.53.  A decoy close to the signal pushes it past 1,
+# which clamps every row from 280 km on.
+NEAR_DECOY = QkdScenario(mu=1.0, nu=0.9)
 
 
 # -- rate identities -------------------------------------------------------------
@@ -150,6 +161,8 @@ def test_truncation_tail_guard():
     # mean 0.8 * 10^2 = 80 leaves a huge tail past n_trunc = 80
     with pytest.raises(ValueError, match="increase n_trunc"):
         attack_success_probability(SCENARIO, AttackParams.from_db(20.0))
+    with pytest.raises(ValueError, match="increase n_trunc"):
+        sweep_key_rates(SCENARIO, m_db_list=[0.0, 20.0])
 
 
 # -- decoy estimation ---------------------------------------------------------------
@@ -182,6 +195,8 @@ def test_tagged_fraction_estimated_clamps_to_unit_interval():
     assert tagged_fraction_estimated(SCENARIO, 1.0, 1e-12) == 0.0
     with pytest.raises(ValueError):
         tagged_fraction_estimated(SCENARIO, 0.5, 0.0)
+    with pytest.raises(ValueError):
+        tagged_fraction_estimated(SCENARIO, 0.5, np.array([0.1, 0.0]))
 
 
 # -- elementary pieces -------------------------------------------------------------
@@ -199,6 +214,9 @@ def test_binary_entropy_shape():
     assert binary_entropy(0.2) == binary_entropy(0.8)
     with pytest.raises(ValueError):
         binary_entropy(1.2)
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.5, math.nan]))
+    assert binary_entropy(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_gain_and_qber_limits():
@@ -225,6 +243,8 @@ def test_key_rate_clamps_at_zero_and_keeps_raw():
         key_rate(SCENARIO, 1.5, 0.1, 0.01, 0.01)
     with pytest.raises(ValueError):
         key_rate(SCENARIO, 0.5, 0.7, 0.01, 0.01)
+    with pytest.raises(ValueError):
+        key_rate(SCENARIO, np.array([0.5, 1.5]), 0.1, 0.01, 0.01)
 
 
 def test_scenario_and_attack_validation():
@@ -275,6 +295,59 @@ def test_estimated_key_survives_while_actual_key_dies():
     res = evaluate_scenario(sc, attack)
     assert res.r_est > 0.0
     assert res.r_actual == 0.0
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("scenario", [SCENARIO, NEAR_DECOY], ids=["default", "near_decoy"])
+def test_sweep_matches_the_literal_oracle_row_by_row(scenario, estimator):
+    rows = sweep_key_rates(scenario, ORACLE_M_DB, LONG_DISTANCES_KM, estimator)
+    grid = list(product(ORACLE_M_DB, LONG_DISTANCES_KM))
+    assert len(rows) == len(grid)
+    for row, (m_db, distance_km) in zip(rows, grid):
+        want = security_row(scenario, m_db, distance_km, estimator)
+        for name, value in want.items():
+            got = getattr(row, name)
+            assert type(got) is type(value), name
+            # key rates cross zero along the grid; the floor is far below any
+            # rate the sweep resolves (q_mu >= 6e-7 on this link)
+            floor = 1e-15 if name.startswith("r_") else 0.0
+            assert got == pytest.approx(value, rel=1e-9, abs=floor), (name, m_db, distance_km)
+    clamped = [row.bounds_clamped for row in rows]
+    assert any(clamped) == (scenario is NEAR_DECOY and estimator == "decoy")
+    assert not all(clamped)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("scenario", [SCENARIO, NEAR_DECOY], ids=["default", "near_decoy"])
+def test_single_distance_evaluation_equals_its_sweep_row(scenario, estimator):
+    rows = iter(sweep_key_rates(scenario, ORACLE_M_DB, LONG_DISTANCES_KM, estimator))
+    for m_db, distance_km in product(ORACLE_M_DB, LONG_DISTANCES_KM):
+        attack = None if m_db == 0.0 else AttackParams.from_db(m_db)
+        sc = replace(scenario, distance_km=distance_km)
+        assert evaluate_scenario(sc, attack, estimator) == next(rows)
+
+
+def test_grid_evaluation_returns_arrays_and_checks_every_distance():
+    grid = evaluate_scenario(NEAR_DECOY, AttackParams.from_db(5.0), distances_km=[0.0, 50.0, 300.0])
+    assert grid.r_actual.shape == grid.m_db.shape == (3,)
+    assert grid.bounds_clamped.tolist() == [False, False, True]
+    with pytest.raises(ValueError, match="distance must be >= 0"):
+        evaluate_scenario(SCENARIO, distances_km=[10.0, -1.0])
+    with pytest.raises(ValueError, match="distance must be >= 0"):
+        sweep_key_rates(SCENARIO, distances_km=[10.0, -1.0])
+
+
+def test_sweeps_and_threshold_raise_no_numpy_warnings():
+    # the vacuous-bound, no-click and entropy end-point branches are guarded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sweep_key_rates(SCENARIO)
+        for estimator in ESTIMATORS:
+            sweep_key_rates(NEAR_DECOY, ORACLE_M_DB, LONG_DISTANCES_KM, estimator)
+        zero_key_threshold(NEAR_DECOY, distances_km=LONG_DISTANCES_KM)
+        assert qber(0.0, np.array([0.0, 0.01]), 0.0, 0.5, 0.005).tolist() == [0.5, 0.5]
+        assert decoy_bounds(SCENARIO, 0.9, 0.01, 1e-9, 0.01).e1_upper == 1.0
+        assert binary_entropy(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
 
 def test_zero_key_threshold_default_scenario():
