@@ -436,12 +436,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if seed < 0:
                 raise ConfigError("--seed: must be >= 0")
             cfg = cfg.with_value("pulse", "seed", int(seed))
-        # Build everything the command needs up front so that dry runs and
-        # real runs reject bad configs identically.
-        build_device(cfg)
-        build_controller(cfg)
-        build_scenario(cfg)
-        build_path(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,15 @@
 """Scenario configuration: flat-sectioned INI with a total schema.
 
 Every tunable of the simulator lives under one typed, unit-suffixed key
-(``_w``, ``_db``, ``_s``, ``_nm``, ...).  A config is accepted only if every
-section and key is known and every value parses and passes its range check;
-nothing runs on a partially-understood file.  Defaults reproduce the
-calibrated bench device, so an empty file, or no file at all, is already a
-complete scenario.
+(``_w``, ``_db``, ``_s``, ``_nm``, ...).  A section backed by a domain
+dataclass takes its keys from the dataclass fields: a key's default is the
+field's value on the calibrated default instance, its parser follows the type
+of that value, and the dataclass's ``__post_init__`` is its only range check.
+Keys no dataclass owns are declared here with their defaults and checks.  A
+config is accepted only if every section and key is known, every value parses
+and passes its checks, and every domain object builds from it; each error
+names the section and the key.  Defaults reproduce the calibrated bench
+device, so an empty file, or no file at all, is already a complete scenario.
 
 The canonical serialization (sorted ``section.key = value`` lines with
 shortest round-trip float formatting) feeds the run hash.  The output
@@ -25,7 +29,8 @@ import math
 import re
 from configparser import ConfigParser
 from configparser import Error as IniError
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
@@ -95,7 +100,6 @@ def _require(pred: Callable[[object], bool], message: str) -> Check:
 
 _POSITIVE = _require(lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = _require(lambda v: v >= 0, "must be >= 0")
-_UNIT_OPEN = _require(lambda v: 0 < v < 1, "must be in (0, 1)")
 _EACH_POSITIVE = _require(lambda v: all(x > 0 for x in v), "every entry must be > 0")
 _EACH_NON_NEGATIVE = _require(lambda v: all(x >= 0 for x in v), "every entry must be >= 0")
 
@@ -111,12 +115,22 @@ class _Key:
     checks: tuple[Check, ...] = ()
 
 
-def _float_key(default: float, *checks: Check) -> _Key:
-    return _Key(default, _parse_float, checks)
+# keyed by exact type, so a bool default never parses as an int
+_PARSERS: dict[type, Callable[[str, str], object]] = {
+    bool: _parse_bool,
+    int: _parse_int,
+    float: _parse_float,
+    str: _parse_str,
+}
 
 
-def _int_key(default: int, *checks: Check) -> _Key:
-    return _Key(default, _parse_int, checks)
+def _key(default: object, *checks: Check) -> _Key:
+    """A key whose parser follows the type of its default."""
+    if isinstance(default, tuple):
+        parse = _parse_float_list if isinstance(default[0], float) else _parse_str_list
+    else:
+        parse = _PARSERS[type(default)]
+    return _Key(default, parse, checks)
 
 
 # -- schema ---------------------------------------------------------------------
@@ -125,142 +139,106 @@ _COMPONENT_SECTION = re.compile(r"component:([a-z][a-z0-9_]*)")
 _COMPONENT_KEY = re.compile(r"(\d+)_nm_db")
 
 
+def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
+    """One key per field of the dataclass ``instance``, in field order.
+
+    The default is the instance's value; an ``Enum`` becomes a choice of its
+    values and is stored as the value.  The range check is the dataclass's
+    own ``__post_init__``.  ``elsewhere`` names the fields the section spells
+    differently or not at all.
+    """
+    keys = {}
+    for f in fields(instance):
+        if f.name in elsewhere:
+            continue
+        value = getattr(instance, f.name)
+        if isinstance(value, Enum):
+            keys[f.name] = _key(value.value, _choice(*(m.value for m in type(value))))
+        else:
+            keys[f.name] = _key(value)
+    return keys
+
+
 @lru_cache(maxsize=None)
 def _schema() -> dict[str, dict[str, _Key]]:
     # Material and geometry defaults are the fitted bench calibration; any key
     # can be overridden individually without retriggering the fit.
-    mat = calibration.default_material()
     geo = calibration.default_geometry()
     return {
-        "material": {
-            "refractive_index": _float_key(mat.refractive_index, _POSITIVE),
-            "r33_m_per_v": _float_key(mat.r33_m_per_v, _POSITIVE),
-            "mode_overlap": _float_key(mat.mode_overlap, _POSITIVE),
-            "photovoltaic_const": _float_key(mat.photovoltaic_const, _POSITIVE),
-            "absorption_per_m": _float_key(mat.absorption_per_m, _POSITIVE),
-            "photocond_per_w": _float_key(mat.photocond_per_w, _POSITIVE),
-            "dark_conductivity_s_per_m": _float_key(
-                mat.dark_conductivity_s_per_m, _POSITIVE
-            ),
-            "rel_permittivity": _float_key(mat.rel_permittivity, _POSITIVE),
-            "sublinear_exponent": _int_key(
-                mat.sublinear_exponent, _require(lambda v: v >= 1, "must be >= 1")
-            ),
-            "crossover_power_w": _float_key(mat.crossover_power_w, _POSITIVE),
-        },
+        "material": _fields_of(calibration.default_material()),
         "geometry": {
-            "arm_length_m": _float_key(geo.arm_length_m, _POSITIVE),
-            "electrode_length_m": _float_key(geo.electrode_length_m, _POSITIVE),
-            "electrode_gap_m": _float_key(geo.electrode_gap_m, _POSITIVE),
-            "signal_wavelength_nm": _float_key(geo.signal_wavelength_m * 1e9, _POSITIVE),
-            "irradiation_wavelength_nm": _float_key(
-                geo.irradiation_wavelength_m * 1e9, _POSITIVE
-            ),
-            "effective_length_m": _float_key(geo.effective_length_m, _POSITIVE),
+            **_fields_of(geo, "signal_wavelength_m", "irradiation_wavelength_m"),
+            "signal_wavelength_nm": _key(geo.signal_wavelength_m * 1e9, _POSITIVE),
+            "irradiation_wavelength_nm": _key(geo.irradiation_wavelength_m * 1e9, _POSITIVE),
         },
         "device": {
-            "v_pi_v": _float_key(calibration.V_PI_V, _POSITIVE),
-            "working_point_v": _float_key(calibration.WORKING_POINT_V),
-            "residual_bias_rad": _float_key(
+            **_fields_of(
+                calibration.default_device(),
+                "material", "geometry", "bias_phase_rad", "arm1", "arm2",
+            ),
+            "working_point_v": _key(calibration.WORKING_POINT_V),
+            "residual_bias_rad": _key(
                 calibration.RESIDUAL_BIAS_RAD,
                 _require(lambda v: 0 < v < math.pi, "must be in (0, pi)"),
             ),
-            "signal_split": _float_key(calibration.SIGNAL_SPLIT, _UNIT_OPEN),
-            "irradiation_split": _float_key(calibration.IRRADIATION_SPLIT, _UNIT_OPEN),
-            "irradiation_coupling_db": _float_key(
-                calibration.IRRADIATION_COUPLING_DB, _NON_NEGATIVE
-            ),
-            "polarization_loss_db": _float_key(
-                0.0, _require(lambda v: 0 <= v <= 0.93, "must be in [0, 0.93]")
-            ),
-            "decay_mode": _Key(
-                DecayMode.DARK_DECAY.value, _parse_str, (_choice("frozen", "dark_decay"),)
-            ),
         },
         "pe_curve": {
-            "powers_w": _Key(
-                (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5),
-                _parse_float_list,
-                (_EACH_POSITIVE,),
+            "powers_w": _key(
+                (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5), _EACH_POSITIVE
             ),
-            "trace_points": _int_key(200, _require(lambda v: v >= 2, "must be >= 2")),
-            "trace_duration_tau": _float_key(5.0, _POSITIVE),
+            "trace_points": _key(200, _require(lambda v: v >= 2, "must be >= 2")),
+            "trace_duration_tau": _key(5.0, _POSITIVE),
         },
         "voltage_curve": {
-            "v_min_v": _float_key(-12.0),
-            "v_max_v": _float_key(12.0),
-            "points": _int_key(481, _require(lambda v: v >= 2, "must be >= 2")),
-            "pretreat_voltages_v": _Key(
-                (-20.0, -15.0, 0.0, 15.0, 20.0), _parse_float_list
-            ),
-            "pretreat_power_w": _float_key(12e-6, _NON_NEGATIVE),
+            "v_min_v": _key(-12.0),
+            "v_max_v": _key(12.0),
+            "points": _key(481, _require(lambda v: v >= 2, "must be >= 2")),
+            "pretreat_voltages_v": _key((-20.0, -15.0, 0.0, 15.0, 20.0)),
+            "pretreat_power_w": _key(12e-6, _NON_NEGATIVE),
         },
         "pre_treat": {
-            "v_app_v": _float_key(0.0),
-            "i_ir_w": _float_key(12e-6, _NON_NEGATIVE),
-            "saturation_epsilon": _float_key(
-                1e-4, _require(lambda v: 0 < v < 0.1, "must be in (0, 0.1)")
-            ),
-            "dt_s": _float_key(60.0, _POSITIVE),
-            "max_steps": _int_key(100_000, _POSITIVE),
+            **_fields_of(PreTreatmentPlan()),
+            "dt_s": _key(60.0, _POSITIVE),
+            "max_steps": _key(100_000, _POSITIVE),
         },
         "init": {
-            "power_w": _float_key(4.39e-6, _POSITIVE),
-            "saturation_epsilon": _float_key(
+            "power_w": _key(4.39e-6, _POSITIVE),
+            "saturation_epsilon": _key(
                 1e-6, _require(lambda v: 0 < v < 0.1, "must be in (0, 0.1)")
             ),
-            "dt_s": _float_key(60.0, _POSITIVE),
-            "max_steps": _int_key(200_000, _POSITIVE),
+            "dt_s": _key(60.0, _POSITIVE),
+            "max_steps": _key(200_000, _POSITIVE),
         },
         "pulse": {
-            "target_m_db": _float_key(30.0),
-            "duty_min": _float_key(1e-5, _UNIT_OPEN),
-            "duty_max": _float_key(1.0, _require(lambda v: 0 < v <= 1, "must be in (0, 1]")),
-            "gain_duty_per_db": _float_key(0.1, _POSITIVE),
-            "settle_tol_db": _float_key(0.1, _POSITIVE),
-            "period_s": _float_key(10.0, _POSITIVE),
-            "peak_power_w": _float_key(12e-6, _POSITIVE),
-            "noise_db": _float_key(0.0, _NON_NEGATIVE),
-            "max_periods": _int_key(2000, _POSITIVE),
-            "hold_periods": _int_key(0, _NON_NEGATIVE),
-            "seed": _int_key(1, _NON_NEGATIVE),
+            **_fields_of(PulseController(target_m_db=30.0)),
+            "max_periods": _key(2000, _POSITIVE),
+            "hold_periods": _key(0, _NON_NEGATIVE),
+            "seed": _key(1, _NON_NEGATIVE),
         },
         "qkd": {
-            "mu": _float_key(0.8, _POSITIVE),
-            "nu": _float_key(0.1, _POSITIVE),
-            "alpha_db_per_km": _float_key(0.2, _NON_NEGATIVE),
-            "eta_bob": _float_key(0.1, _require(lambda v: 0 < v <= 1, "must be in (0, 1]")),
-            "y0": _float_key(6e-7, _require(lambda v: 0 <= v < 1, "must be in [0, 1)")),
-            "e_det": _float_key(
-                0.005, _require(lambda v: 0 <= v <= 0.5, "must be in [0, 0.5]")
-            ),
-            "e0": _float_key(0.5, _require(lambda v: 0 <= v <= 1, "must be in [0, 1]")),
-            "f_ec": _float_key(1.16, _require(lambda v: v >= 1, "must be >= 1")),
-            "n_trunc": _int_key(80, _require(lambda v: v >= 20, "must be >= 20")),
-            "m_db_grid": _Key(
-                (0.0, 4.0, 5.0, 6.0, 6.5), _parse_float_list, (_EACH_NON_NEGATIVE,)
-            ),
-            "distance_min_km": _float_key(0.0, _NON_NEGATIVE),
-            "distance_max_km": _float_key(150.0, _NON_NEGATIVE),
-            "distance_step_km": _float_key(2.0, _POSITIVE),
-            "m_search_low_db": _float_key(4.0, _NON_NEGATIVE),
-            "m_search_high_db": _float_key(9.0, _NON_NEGATIVE),
-            "threshold_tol_db": _float_key(1e-3, _POSITIVE),
-            "estimator": _Key("decoy", _parse_str, (_choice(*ESTIMATORS),)),
+            **_fields_of(QkdScenario(), "distance_km"),
+            "m_db_grid": _key((0.0, 4.0, 5.0, 6.0, 6.5), _EACH_NON_NEGATIVE),
+            "distance_min_km": _key(0.0, _NON_NEGATIVE),
+            "distance_max_km": _key(150.0, _NON_NEGATIVE),
+            "distance_step_km": _key(2.0, _POSITIVE),
+            "m_search_low_db": _key(4.0, _NON_NEGATIVE),
+            "m_search_high_db": _key(9.0, _NON_NEGATIVE),
+            "threshold_tol_db": _key(1e-3, _POSITIVE),
+            "estimator": _key("decoy", _choice(*ESTIMATORS)),
         },
         "budget": {
-            "wavelength_nm": _int_key(405, _POSITIVE),
-            "fiber_length_km": _float_key(1.0, _NON_NEGATIVE),
-            "components": _Key(("dwdm_c33",), _parse_str_list),
-            "coupling_scheme": _Key(
-                "none", _parse_str, (_choice("none", *sorted(budget_mod.COUPLING_SCHEMES)),)
+            "wavelength_nm": _key(405, _POSITIVE),
+            "fiber_length_km": _key(1.0, _NON_NEGATIVE),
+            "components": _key(("dwdm_c33",)),
+            "coupling_scheme": _key(
+                "none", _choice("none", *sorted(budget_mod.COUPLING_SCHEMES))
             ),
-            "target_power_w": _float_key(3e-9, _POSITIVE),
-            "eve_max_power_w": _float_key(1.0, _POSITIVE),
+            "target_power_w": _key(3e-9, _POSITIVE),
+            "eve_max_power_w": _key(1.0, _POSITIVE),
         },
         "output": {
-            "directory": _Key("ipasim-out", _parse_str),
-            "svg": _Key(False, _parse_bool),
+            "directory": _key("ipasim-out"),
+            "svg": _key(False),
         },
     }
 
@@ -279,21 +257,13 @@ class ScenarioConfig:
         return self.values[section][key]
 
     def with_value(self, section: str, key: str, value: object) -> "ScenarioConfig":
-        """Copy with one validated override (used for CLI flag merging)."""
-        spec = _schema().get(section, {}).get(key)
-        if spec is None:
+        """Copy with one override, validated like a parsed config (used for
+        CLI flag merging)."""
+        if key not in _schema().get(section, {}):
             raise ConfigError(f"{section}.{key}: unknown key")
-        _run_checks(value, spec, f"{section}.{key}")
         values = {s: dict(kv) for s, kv in self.values.items()}
         values[section][key] = value
-        return ScenarioConfig(values, self.components)
-
-
-def _run_checks(value: object, spec: _Key, path: str) -> None:
-    for check in spec.checks:
-        message = check(value)
-        if message is not None:
-            raise ConfigError(f"{path}: {message}")
+        return _validate(ScenarioConfig(values, self.components))
 
 
 def default_config() -> ScenarioConfig:
@@ -345,14 +315,9 @@ def parse_config(text: str) -> ScenarioConfig:
             spec = schema[section].get(key)
             if spec is None:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            path = f"{section}.{key}"
-            value = spec.parse(raw, path)
-            _run_checks(value, spec, path)
-            values[section][key] = value
+            values[section][key] = spec.parse(raw, f"{section}.{key}")
 
-    cfg = ScenarioConfig(values, components)
-    _validate_cross(cfg)
-    return cfg
+    return _validate(ScenarioConfig(values, components))
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
@@ -363,17 +328,24 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _validate_cross(cfg: ScenarioConfig) -> None:
-    """Constraints that couple keys; per-key ranges are already enforced."""
+def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` if it is a runnable scenario, else the first ``ConfigError``.
+
+    The checks of the keys declared here run first, then the constraints that
+    couple keys, then the builders, whose dataclasses range-check the keys
+    they own.
+    """
+    for section, keys in _schema().items():
+        for key, spec in keys.items():
+            for check in spec.checks:
+                message = check(cfg.values[section][key])
+                if message is not None:
+                    raise ConfigError(f"{section}.{key}: {message}")
+
     vc = cfg.values["voltage_curve"]
     if not vc["v_max_v"] > vc["v_min_v"]:
         raise ConfigError("voltage_curve.v_max_v: must exceed v_min_v")
-    pulse = cfg.values["pulse"]
-    if not pulse["duty_min"] < pulse["duty_max"]:
-        raise ConfigError("pulse.duty_min: must be below duty_max")
     qkd = cfg.values["qkd"]
-    if not qkd["nu"] < qkd["mu"]:
-        raise ConfigError("qkd.nu: decoy intensity must be below signal intensity mu")
     if not qkd["distance_max_km"] >= qkd["distance_min_km"]:
         raise ConfigError("qkd.distance_max_km: must be >= distance_min_km")
     if not qkd["m_search_high_db"] > qkd["m_search_low_db"]:
@@ -410,6 +382,13 @@ def _validate_cross(cfg: ScenarioConfig) -> None:
             "budget.coupling_scheme: coupling schemes are specified at 405 nm only"
         )
 
+    build_device(cfg)
+    build_controller(cfg)
+    build_scenario(cfg)
+    build_pretreat_plan(cfg)
+    build_path(cfg)
+    return cfg
+
 
 # -- canonical serialization and hashing ------------------------------------------
 
@@ -417,12 +396,12 @@ def _validate_cross(cfg: ScenarioConfig) -> None:
 def _canon_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, tuple):
         return ", ".join(_canon_value(v) for v in value)
+    if isinstance(value, LossValue):
+        return (">" if value.lower_bound else "") + repr(value.db)
     return str(value)
 
 
@@ -439,10 +418,8 @@ def canonical_text(cfg: ScenarioConfig) -> str:
                 continue
             lines.append(f"{section}.{key} = {_canon_value(cfg.values[section][key])}")
     for name in sorted(cfg.components):
-        for wavelength in sorted(cfg.components[name]):
-            loss = cfg.components[name][wavelength]
-            rendered = (">" if loss.lower_bound else "") + repr(loss.db)
-            lines.append(f"component:{name}.{wavelength}_nm_db = {rendered}")
+        for wavelength, loss in sorted(cfg.components[name].items()):
+            lines.append(f"component:{name}.{wavelength}_nm_db = {_canon_value(loss)}")
     return "\n".join(lines) + "\n"
 
 
@@ -459,10 +436,8 @@ def to_ini_text(cfg: ScenarioConfig) -> str:
         chunks.append("")
     for name in sorted(cfg.components):
         chunks.append(f"[component:{name}]")
-        for wavelength in sorted(cfg.components[name]):
-            loss = cfg.components[name][wavelength]
-            rendered = (">" if loss.lower_bound else "") + repr(loss.db)
-            chunks.append(f"{wavelength}_nm_db = {rendered}")
+        for wavelength, loss in sorted(cfg.components[name].items()):
+            chunks.append(f"{wavelength}_nm_db = {_canon_value(loss)}")
         chunks.append("")
     return "\n".join(chunks)
 
@@ -502,20 +477,19 @@ def build_geometry(cfg: ScenarioConfig) -> GeometryParams:
 
 def build_device(cfg: ScenarioConfig) -> MziDevice:
     d = cfg.values["device"]
-    bias = (
-        math.pi
-        + d["residual_bias_rad"]
-        - 2.0 * math.pi * d["working_point_v"] / d["v_pi_v"]
-    )
-    return _build(
+    # built at zero bias first: the working-point bias divides by v_pi_v,
+    # which this build range-checks
+    device = _build(
         MziDevice,
         "device",
         cfg,
         material=build_material(cfg),
         geometry=build_geometry(cfg),
-        bias_phase_rad=bias,
+        bias_phase_rad=0.0,
         decay_mode=DecayMode(d["decay_mode"]),
     )
+    wp_phase = 2.0 * math.pi * d["working_point_v"] / device.v_pi_v
+    return replace(device, bias_phase_rad=math.pi + d["residual_bias_rad"] - wp_phase)
 
 
 def working_point_v(cfg: ScenarioConfig) -> float:

@@ -75,8 +75,10 @@ class QkdScenario:
             raise ValueError("e_det must be in [0, 0.5]")
         if not 0.0 <= self.e0 <= 1.0:
             raise ValueError("e0 must be in [0, 1]")
-        if self.alpha_db_per_km < 0.0 or self.distance_km < 0.0:
-            raise ValueError("fiber attenuation and distance must be >= 0")
+        if self.alpha_db_per_km < 0.0:
+            raise ValueError("alpha_db_per_km must be >= 0")
+        if self.distance_km < 0.0:
+            raise ValueError("distance_km must be >= 0")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
         if self.n_trunc < 20:

@@ -53,6 +53,15 @@ KEYS = {
     ("qkd", "m_search_low_db"): _numbers(0.0, 12.0),
     ("qkd", "m_search_high_db"): _numbers(0.0, 12.0),
     ("output", "svg"): st.sampled_from(["true", "false", "maybe"]),
+    # keys whose default and range check come from a domain dataclass
+    ("material", "sublinear_exponent"): st.sampled_from(["-1", "0", "1", "2", "3", "1.5"]),
+    ("geometry", "electrode_length_m"): st.sampled_from(["0.02", "0.04", "0.05", "0", "-1e-3"]),
+    ("device", "v_pi_v"): st.sampled_from(["5.0", "4", "0", "-5"]),
+    ("device", "decay_mode"): st.sampled_from(["frozen", "dark_decay", "DARK_DECAY", ""]),
+    ("pulse", "duty_min"): _numbers(0.0, 1.0, "0", "1", "-0.1"),
+    ("pre_treat", "saturation_epsilon"): _numbers(0.0, 0.2, "0", "0.1"),
+    ("qkd", "alpha_db_per_km"): _numbers(-0.5, 1.0),
+    ("qkd", "n_trunc"): st.sampled_from(["10", "20", "80", "80.0"]),
 }
 OVERRIDES = st.lists(st.sampled_from(sorted(KEYS)), max_size=4, unique=True).flatmap(
     lambda keys: st.fixed_dictionaries({key: KEYS[key] for key in keys})
@@ -73,6 +82,7 @@ def _ini(overrides: dict) -> str:
 @given(command=st.sampled_from(sorted(VERBS)), overrides=OVERRIDES)
 @example(command="security sweep", overrides={("qkd", "m_db_grid"): "0, 4000"})
 @example(command="attack pre-treat", overrides={("pre_treat", "dt_s"): "1e-320"})
+@example(command="budget", overrides={("device", "v_pi_v"): "0"})
 def test_cli_contract_holds_on_random_configs(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

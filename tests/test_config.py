@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,70 @@ from ipasim.config import (
     working_point_v,
 )
 from ipasim.budget import path_loss
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+# one out-of-range value per range-checked key of the dataclass-backed sections
+OUT_OF_RANGE = [
+    *(("material", key, "-1") for key in (
+        "refractive_index", "r33_m_per_v", "mode_overlap", "photovoltaic_const",
+        "absorption_per_m", "photocond_per_w", "dark_conductivity_s_per_m",
+        "rel_permittivity", "crossover_power_w",
+    )),
+    ("material", "sublinear_exponent", "0"),
+    *(("geometry", key, "-1") for key in (
+        "arm_length_m", "electrode_length_m", "electrode_gap_m", "effective_length_m",
+        "signal_wavelength_nm", "irradiation_wavelength_nm",
+    )),
+    ("device", "v_pi_v", "0"),
+    ("device", "signal_split", "1"),
+    ("device", "irradiation_split", "0"),
+    ("device", "irradiation_coupling_db", "-1"),
+    ("device", "polarization_loss_db", "1"),
+    ("device", "decay_mode", "sticky"),
+    ("device", "residual_bias_rad", "4"),
+    ("pre_treat", "i_ir_w", "-1"),
+    ("pre_treat", "saturation_epsilon", "0.5"),
+    ("pre_treat", "dt_s", "0"),
+    ("pre_treat", "max_steps", "0"),
+    ("pulse", "duty_min", "0"),
+    ("pulse", "duty_max", "1.5"),
+    ("pulse", "gain_duty_per_db", "0"),
+    ("pulse", "settle_tol_db", "0"),
+    ("pulse", "period_s", "0"),
+    ("pulse", "peak_power_w", "-1"),
+    ("pulse", "noise_db", "-0.1"),
+    ("pulse", "max_periods", "0"),
+    ("pulse", "hold_periods", "-1"),
+    ("pulse", "seed", "-1"),
+    ("qkd", "mu", "-1"),
+    ("qkd", "nu", "0"),
+    ("qkd", "alpha_db_per_km", "-1"),
+    ("qkd", "eta_bob", "0"),
+    ("qkd", "y0", "1"),
+    ("qkd", "e_det", "0.6"),
+    ("qkd", "e0", "2"),
+    ("qkd", "f_ec", "0.5"),
+    ("qkd", "n_trunc", "10"),
+    ("qkd", "m_db_grid", "-1"),
+    ("qkd", "distance_min_km", "-1"),
+    ("qkd", "distance_max_km", "-1"),
+    ("qkd", "distance_step_km", "0"),
+    ("qkd", "m_search_low_db", "-1"),
+    ("qkd", "m_search_high_db", "-1"),
+    ("qkd", "threshold_tol_db", "0"),
+    ("qkd", "estimator", "magic"),
+]
+UNCHECKED = {("device", "working_point_v"), ("pulse", "target_m_db"), ("pre_treat", "v_app_v")}
+# each value is in range alone and out of range against another key's default
+COUPLED = [
+    ("qkd", "distance_min_km", "200"),
+    ("qkd", "m_search_low_db", "10"),
+    ("qkd", "mu", "0.05"),
+    ("voltage_curve", "v_min_v", "20"),
+    ("pulse", "duty_min", "1"),
+    ("geometry", "arm_length_m", "0.01"),
+]
 
 
 def test_empty_config_is_the_calibrated_default():
@@ -73,7 +139,7 @@ def test_total_schema_rejection_names_the_key_path():
         parse_config("[device]\nvpi_v = 5\n")
     with pytest.raises(ConfigError, match="device.v_pi_v: expected a number"):
         parse_config("[device]\nv_pi_v = five\n")
-    with pytest.raises(ConfigError, match="device.v_pi_v: must be > 0"):
+    with pytest.raises(ConfigError, match="device: v_pi_v must be positive"):
         parse_config("[device]\nv_pi_v = -5\n")
     with pytest.raises(ConfigError, match="pulse.seed: expected an integer"):
         parse_config("[pulse]\nseed = 1.5\n")
@@ -86,7 +152,7 @@ def test_total_schema_rejection_names_the_key_path():
 
 
 def test_cross_field_validation():
-    with pytest.raises(ConfigError, match="qkd.nu"):
+    with pytest.raises(ConfigError, match="qkd: need 0 < nu < mu"):
         parse_config("[qkd]\nmu = 0.05\n")
     with pytest.raises(ConfigError, match="duty_min"):
         parse_config("[pulse]\nduty_min = 0.9\nduty_max = 0.5\n")
@@ -100,6 +166,44 @@ def test_cross_field_validation():
         parse_config(
             "[component:tap]\n405_nm_db = 1\n[budget]\nwavelength_nm = 780\ncomponents = tap\n"
         )
+
+
+def _case_id(case):
+    return f"{case[0]}.{case[1]}={case[2]}"
+
+
+def test_every_checked_key_has_an_out_of_range_case():
+    cfg = default_config()
+    listed = {(section, key) for section, key, _ in OUT_OF_RANGE}
+    for section in ("material", "geometry", "device", "pre_treat", "pulse", "qkd"):
+        for key in cfg.values[section]:
+            assert (section, key) in listed | UNCHECKED, f"{section}.{key}"
+
+
+@pytest.mark.parametrize("section, key, raw", OUT_OF_RANGE, ids=map(_case_id, OUT_OF_RANGE))
+def test_out_of_range_errors_name_the_section_and_the_key(section, key, raw):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+    message = str(info.value)
+    assert re.match(rf"{section}[.:]", message), message
+    assert re.search(rf"\b{key}\b", message), message
+
+
+def _typed(section, key, raw):
+    default = default_config().get(section, key)
+    if isinstance(default, tuple):
+        return tuple(float(x) for x in raw.split(","))
+    return type(default)(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key, raw", OUT_OF_RANGE + COUPLED, ids=map(_case_id, OUT_OF_RANGE + COUPLED)
+)
+def test_with_value_rejects_what_parse_config_rejects(section, key, raw):
+    with pytest.raises(ConfigError):
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=section):
+        default_config().with_value(section, key, _typed(section, key, raw))
 
 
 def test_with_value_checks_and_copies():
@@ -170,6 +274,31 @@ def test_ini_round_trip_preserves_identity():
     assert again.components == cfg.components
 
 
+def test_default_ini_lists_every_key_at_its_default():
+    def significant(text):
+        return [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+
+    shipped = (CONFIGS / "default.ini").read_text()
+    assert significant(shipped) == significant(to_ini_text(default_config()))
+
+
+DEFAULT_SHA256 = "f9f17e46dfb0642d6999a9648ea028617026ccf517df238ae93dd3ea49b7ab0a"
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        (None, DEFAULT_SHA256),
+        ("default.ini", DEFAULT_SHA256),
+        ("pulse_hold_40db.ini", "bbd9201376672cb462f1d189c669ff38df4b36a87e617ec226287a06472c1edf"),
+    ],
+)
+def test_config_hashes_are_pinned(name, digest):
+    """An int default where a float was, or an Enum stored by name, moves these."""
+    cfg = default_config() if name is None else load_config(CONFIGS / name)
+    assert config_sha256(cfg) == digest
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/no/such/file.ini")
@@ -183,9 +312,8 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_builders_translate_failures_to_config_errors():
-    cfg = default_config().with_value("geometry", "electrode_length_m", 1.0)
     with pytest.raises(ConfigError, match="geometry"):
-        build_device(cfg)
+        default_config().with_value("geometry", "electrode_length_m", 1.0)
 
 
 @pytest.mark.parametrize(
