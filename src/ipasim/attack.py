@@ -165,9 +165,11 @@ def run_program(
             elapsed.append(e)
             times.append(t)
         sampled = dev.exposed(seg.power_w, v_app_v, np.array(elapsed))
-        fields.append([sampled.arm1.field_v_per_m, sampled.arm2.field_v_per_m])
+        f1, f2 = sampled.arm1.field_v_per_m, sampled.arm2.field_v_per_m
+        fields.append([f1, f2])
         powers += [seg.power_w] * len(elapsed)
-        dev = dev.exposed(seg.power_w, v_app_v, e)
+        # the last sample is the segment's end state
+        dev = replace(dev, arm1=ArmState(float(f1[-1])), arm2=ArmState(float(f2[-1])))
     f1, f2 = np.concatenate(fields, axis=1)
     sampled = replace(device, arm1=ArmState(f1), arm2=ArmState(f2))
     return ExposureResult(dev, _trace(sampled, times, powers, v_app_v, mu_in))

@@ -48,6 +48,11 @@ class ConfigError(ValueError):
     """Anything wrong with a scenario config; messages carry the key path."""
 
 
+# Most points any grid read from a config may have (distances, voltage-curve
+# points, trace points): enough for any plot, small enough to stay in memory.
+MAX_GRID_POINTS = 100_000
+
+
 # -- value parsing and range checks --------------------------------------------
 
 Check = Callable[[object], Optional[str]]
@@ -102,6 +107,7 @@ _POSITIVE = _require(lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = _require(lambda v: v >= 0, "must be >= 0")
 _EACH_POSITIVE = _require(lambda v: all(x > 0 for x in v), "every entry must be > 0")
 _EACH_NON_NEGATIVE = _require(lambda v: all(x >= 0 for x in v), "every entry must be >= 0")
+_GRID_SIZE = _require(lambda v: 2 <= v <= MAX_GRID_POINTS, f"must be in [2, {MAX_GRID_POINTS}]")
 
 
 def _choice(*options: str) -> Check:
@@ -122,6 +128,24 @@ _PARSERS: dict[type, Callable[[str, str], object]] = {
     float: _parse_float,
     str: _parse_str,
 }
+
+
+def _typed(default: object, value: object, path: str) -> object:
+    """``value`` as the type of ``default``, the way a parsed value would be.
+
+    A bool never passes for an int; an int for a float is stored as a float.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{path}: expected a tuple, got {type(value).__name__}")
+        return tuple(_typed(default[0], item, path) for item in value)
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    return kind(value)
 
 
 def _key(default: object, *checks: Check) -> _Key:
@@ -186,13 +210,13 @@ def _schema() -> dict[str, dict[str, _Key]]:
             "powers_w": _key(
                 (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5), _EACH_POSITIVE
             ),
-            "trace_points": _key(200, _require(lambda v: v >= 2, "must be >= 2")),
+            "trace_points": _key(200, _GRID_SIZE),
             "trace_duration_tau": _key(5.0, _POSITIVE),
         },
         "voltage_curve": {
             "v_min_v": _key(-12.0),
             "v_max_v": _key(12.0),
-            "points": _key(481, _require(lambda v: v >= 2, "must be >= 2")),
+            "points": _key(481, _GRID_SIZE),
             "pretreat_voltages_v": _key((-20.0, -15.0, 0.0, 15.0, 20.0)),
             "pretreat_power_w": _key(12e-6, _NON_NEGATIVE),
         },
@@ -259,10 +283,11 @@ class ScenarioConfig:
     def with_value(self, section: str, key: str, value: object) -> "ScenarioConfig":
         """Copy with one override, validated like a parsed config (used for
         CLI flag merging)."""
-        if key not in _schema().get(section, {}):
+        spec = _schema().get(section, {}).get(key)
+        if spec is None:
             raise ConfigError(f"{section}.{key}: unknown key")
         values = {s: dict(kv) for s, kv in self.values.items()}
-        values[section][key] = value
+        values[section][key] = _typed(spec.default, value, f"{section}.{key}")
         return _validate(ScenarioConfig(values, self.components))
 
 
@@ -348,6 +373,13 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     qkd = cfg.values["qkd"]
     if not qkd["distance_max_km"] >= qkd["distance_min_km"]:
         raise ConfigError("qkd.distance_max_km: must be >= distance_min_km")
+    # build_distances_km makes int(span + 1e-9) + 1 points
+    span = (qkd["distance_max_km"] - qkd["distance_min_km"]) / qkd["distance_step_km"]
+    if span + 1e-9 >= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"qkd.distance_max_km: the distance grid from distance_min_km in "
+            f"distance_step_km steps exceeds {MAX_GRID_POINTS} points"
+        )
     if not qkd["m_search_high_db"] > qkd["m_search_low_db"]:
         raise ConfigError("qkd.m_search_high_db: must exceed m_search_low_db")
     if not cfg.values["pe_curve"]["powers_w"]:

@@ -11,14 +11,18 @@ computes both views and the resulting estimated vs actual key rates.
 
 Conventions: gains and yields are probabilities per pulse; magnification is
 linear here (callers convert from dB).  Photon-number statistics use closed
-forms and nothing is truncated.  ``n_trunc`` remains a validity guard: the
-Poisson mass above it is reported as ``tail_bound``, and a magnified mean
-whose tail reaches ``TAIL_LIMIT`` is refused.
+forms and nothing is truncated.  ``n_trunc`` remains a validity guard on
+attacked evaluations: the Poisson mass above it is reported as
+``tail_bound``, and a magnified mean whose tail reaches ``TAIL_LIMIT`` is
+refused.
 
 Every per-link formula is a numpy expression, so ``evaluate_scenario`` takes
-a whole distance grid in one call: a sweep or a threshold search costs one
-evaluation per magnification, and the Poisson tail, which does not depend on
-distance, is computed once for each.
+a whole distance grid in one call: a sweep costs one evaluation per
+magnification, and the Poisson tail, which does not depend on distance, is
+computed once for each.  The zero-key threshold costs one unattacked
+evaluation and no search: with p = eta_AB/M the success probability is a
+closed form in M, so each distance's zero-key magnification follows from its
+decoy estimate directly (``zero_key_threshold``).
 """
 
 from __future__ import annotations
@@ -321,7 +325,7 @@ class KeyRate:
 def key_rate(
     scenario: QkdScenario, delta: Floats, e1: Floats, q_mu: Floats, e_mu: Floats
 ) -> KeyRate:
-    """Secret key per pulse; clamped at zero, raw value kept for searches."""
+    """Secret key per pulse; clamped at zero, the signed raw value kept."""
     if not _within(delta, 0.0, 1.0):
         raise ValueError("delta must be in [0, 1]")
     if not _within(e1, 0.0, 0.5) or not _within(e_mu, 0.0, 0.5):
@@ -395,19 +399,20 @@ def evaluate_scenario(
     else:
         bounds = single_photon_truth(scenario, eta)
     delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
-    e1 = np.minimum(bounds.e1_upper, 0.5)
-    est = key_rate(scenario, delta_est, e1, q_mu, e_mu)
     if attack is None:
         zero = np.zeros(distance.shape)
-        delta_pns, p_s, tail, act = delta_est, zero, zero, est
+        delta_pns, p_s, tail = delta_est, zero, zero
         m_db = 0.0
     else:
         success = attack_success_probability(scenario, attack, eta_ab)
         p_s = success.value
         delta_pns = np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0)
         tail = success.tail_bound / q_mu
-        act = key_rate(scenario, delta_pns, e1, q_mu, e_mu)
         m_db = attack.m_db
+    # both tagged fractions in one call, so each entropy is taken once
+    e1 = np.minimum(bounds.e1_upper, 0.5)
+    rates = key_rate(scenario, np.stack([delta_est, delta_pns]), e1, q_mu, e_mu)
+    (r_est, r_actual), (r_est_raw, r_actual_raw) = rates.bits_per_pulse, rates.raw
     grid = SecurityResult(
         m_db=np.full(distance.shape, m_db),
         distance_km=distance,
@@ -420,10 +425,10 @@ def evaluate_scenario(
         bounds_clamped=bounds.clamped,
         delta_est=delta_est,
         delta_pns=delta_pns,
-        r_est=est.bits_per_pulse,
-        r_actual=act.bits_per_pulse,
-        r_est_raw=est.raw,
-        r_actual_raw=act.raw,
+        r_est=r_est,
+        r_actual=r_actual,
+        r_est_raw=r_est_raw,
+        r_actual_raw=r_actual_raw,
         p_s=p_s,
         tail_bound=tail,
     )
@@ -469,32 +474,31 @@ def zero_key_threshold(
 ) -> float:
     """Smallest magnification at which no distance yields any actual key.
 
-    Bisects on the raw (unclamped) actual key rate maximized over the
-    distance grid, one grid evaluation per magnification.  The assumed
-    monotone decrease of that maximum in M is checked on a presample of the
-    range first.
+    Exact for the grid, from one unattacked evaluation.  With p = eta_AB/M the
+    success probability p_s = (1 - exp(-mu*eta))(1 - exp(-mu*(M - eta_AB)))
+    rises in M, and the key at a distance is gone once p_s/q_mu reaches
+    delta* = 1 - f*H(e_mu)/(1 - H(e1)), so from M0 = eta_AB - ln(1 - r)/mu on,
+    with r = q_mu*delta*/(1 - exp(-mu*eta)) (-inf where delta* <= 0, +inf
+    where r >= 1).  The threshold m* is the largest M0 in dB, reported as a
+    bisection to ``tol_db`` would report it: the range is halved, keeping m*
+    in (lo, hi], until no wider than ``tol_db``, and its midpoint returned.
     """
-    distances = np.asarray(distances_km, dtype=float)
-
-    def best_raw(m_db: float) -> float:
-        grid = evaluate_scenario(scenario, AttackParams.from_db(m_db), estimator, distances)
-        return float(np.max(grid.r_actual_raw, initial=-math.inf))
-
     lo, hi = m_search_range_db
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= low < high in m_search_range_db")
-    samples = np.linspace(lo, hi, 7)
-    values = [best_raw(float(m)) for m in samples]
-    if any(b > a + 1e-12 for a, b in zip(values, values[1:])):
-        raise ValueError("best actual key rate is not monotone over the range")
-    if values[0] <= 0.0 or values[-1] > 0.0:
-        raise BracketError(
-            f"range {m_search_range_db} does not bracket the zero-key point"
-        )
+    link = evaluate_scenario(scenario, None, estimator, distances_km)
+    eta_ab = channel_transmittance(scenario.alpha_db_per_km, link.distance_km)
+    h1 = binary_entropy(np.minimum(link.e1_upper, 0.5))
+    # masked below: H(e1) = 1 and a dark link divide by zero, ratios >= 1 leave ln
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 1.0 - scenario.f_ec * binary_entropy(link.e_mu) / (1.0 - h1)
+        r = link.q_mu * delta / -np.expm1(-scenario.mu * (eta_ab * scenario.eta_bob))
+        m0 = np.where(r < 1.0, eta_ab - np.log1p(-r) / scenario.mu, math.inf)
+    best = float(np.max(np.where(delta > 0.0, m0, -math.inf), initial=-math.inf))
+    m_star = 10.0 * math.log10(best) if best > 0.0 else -math.inf
+    if not lo < m_star <= hi:
+        raise BracketError(f"range {m_search_range_db} does not bracket the zero-key point")
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        if best_raw(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if mid < m_star else (lo, mid)
     return 0.5 * (lo + hi)

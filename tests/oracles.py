@@ -292,3 +292,30 @@ def security_row(scenario, m_db: float, distance_km: float, estimator: str) -> d
         "r_est_raw": r_est_raw, "r_actual_raw": r_actual_raw,
         "p_s": p_s, "tail_bound": tail,
     }
+
+
+def threshold_bisection(
+    scenario, m_range_db: tuple[float, float], distances_km, estimator: str, tol_db: float
+) -> float:
+    """Zero-key magnification by literal bisection over ``security_row``.
+
+    A magnification leaves key if the raw actual key rate is positive at any
+    of the distances; the range is halved toward the point where that stops
+    until it is no wider than ``tol_db``, and its midpoint is returned.
+    """
+
+    def has_key(m_db):
+        return any(
+            security_row(scenario, m_db, d, estimator)["r_actual_raw"] > 0.0
+            for d in distances_km
+        )
+
+    lo, hi = m_range_db
+    assert has_key(lo) and not has_key(hi), "range does not bracket the zero-key point"
+    while hi - lo > tol_db:
+        mid = 0.5 * (lo + hi)
+        if has_key(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

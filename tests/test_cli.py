@@ -12,6 +12,7 @@ import pytest
 
 import ipasim
 from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, VERBS, main
+from ipasim.config import MAX_GRID_POINTS
 from ipasim.runio import MANIFEST_NAME
 
 TRACE_COLS = ["t_s", "transmittance", "attenuation_db", "m_db", "delta_theta_rad"]
@@ -264,6 +265,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["budget", "--seed", "-3"]) == EXIT_CONFIG
     # dry runs validate just as strictly
     assert main(["--dry-run", "budget", "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("qkd", "distance_max_km", "1e12"),
+        ("voltage_curve", "points", str(MAX_GRID_POINTS + 1)),
+        ("pe_curve", "trace_points", str(MAX_GRID_POINTS + 1)),
+    ],
+)
+def test_oversized_grids_exit_2_on_a_dry_run(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "huge-out"
+    argv = ["--dry-run", "security", "sweep", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {section}.{key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unbracketed_threshold_exits_3(tmp_path, capsys):

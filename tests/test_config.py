@@ -9,6 +9,7 @@ import pytest
 
 from ipasim.calibration import default_device
 from ipasim.config import (
+    MAX_GRID_POINTS,
     ConfigError,
     build_controller,
     build_device,
@@ -215,6 +216,56 @@ def test_with_value_checks_and_copies():
         cfg.with_value("pulse", "sead", 42)
     with pytest.raises(ConfigError, match="must be >= 0"):
         cfg.with_value("pulse", "seed", -1)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("qkd", "mu", "0.5"),
+        ("qkd", "mu", math.inf),
+        ("pulse", "seed", True),
+        ("pulse", "seed", 1.0),
+        ("output", "svg", 1),
+        ("output", "directory", Path("elsewhere")),
+        ("qkd", "m_db_grid", [0.0, 5.0]),
+        ("qkd", "m_db_grid", (0.0, "5")),
+        ("budget", "components", "dwdm_c33"),
+    ],
+)
+def test_with_value_rejects_wrongly_typed_values(section, key, value):
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+        default_config().with_value(section, key, value)
+
+
+def test_with_value_stores_values_as_a_parsed_config_would():
+    cfg = default_config()
+    for section, key, value, raw in [
+        ("qkd", "mu", 1, "1"),
+        ("qkd", "m_db_grid", (0, 5), "0, 5"),
+        ("pulse", "seed", 7, "7"),
+        ("output", "svg", True, "true"),
+    ]:
+        given = cfg.with_value(section, key, value)
+        parsed = parse_config(f"[{section}]\n{key} = {raw}\n")
+        assert given.get(section, key) == parsed.get(section, key)
+        assert config_sha256(given) == config_sha256(parsed)
+    assert type(cfg.with_value("qkd", "mu", 1).get("qkd", "mu")) is float
+
+
+def test_grid_sizes_are_bounded():
+    step = default_config().get("qkd", "distance_step_km")
+    largest = parse_config(f"[qkd]\ndistance_max_km = {(MAX_GRID_POINTS - 1) * step!r}\n")
+    assert len(build_distances_km(largest)) == MAX_GRID_POINTS
+    for section, key, raw in [
+        ("qkd", "distance_max_km", repr(MAX_GRID_POINTS * step)),
+        ("qkd", "distance_max_km", "1e300"),
+        ("voltage_curve", "points", str(MAX_GRID_POINTS + 1)),
+        ("pe_curve", "trace_points", str(MAX_GRID_POINTS + 1)),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=r"^qkd\.distance_max_km: "):
+        parse_config("[qkd]\ndistance_step_km = 1e-300\n")
 
 
 def test_hash_ignores_layout_but_not_values():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipasim import security
 from ipasim.security import (
     DEFAULT_DISTANCES_KM,
     DEFAULT_M_DB_GRID,
@@ -46,11 +47,13 @@ from oracles import (
     success_double_sum,
     success_monte_carlo,
     thinned_pmf_bruteforce,
+    threshold_bisection,
 )
 
 SCENARIO = QkdScenario()
 
-# frozen default-scenario zero-key point (bisection to 1e-3 dB)
+# frozen default-scenario zero-key point, reported to the default 1e-3 dB as
+# the midpoint of a halving of the (4, 9) dB range
 THRESHOLD_DB = 6.63946533203125
 
 LONG_DISTANCES_KM = tuple(float(d) for d in range(0, 321, 10))
@@ -352,7 +355,9 @@ def test_sweeps_and_threshold_raise_no_numpy_warnings():
 
 def test_zero_key_threshold_default_scenario():
     got = zero_key_threshold(SCENARIO)
-    assert got == pytest.approx(THRESHOLD_DB, abs=2e-3)
+    assert got == THRESHOLD_DB
+    # at 1e5 km eta underflows to 0: a link without clicks adds no key
+    assert zero_key_threshold(SCENARIO, distances_km=DEFAULT_DISTANCES_KM + (1e5,)) == got
     # sanity: strictly positive key just below, none just above, at any distance
     for m_db, expect_key in ((got - 0.05, True), (got + 0.05, False)):
         best = max(
@@ -364,11 +369,49 @@ def test_zero_key_threshold_default_scenario():
         assert (best > 0.0) is expect_key
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("scenario", [SCENARIO, NEAR_DECOY], ids=["default", "near_decoy"])
+def test_zero_key_threshold_matches_the_literal_bisection(scenario, estimator):
+    got = zero_key_threshold(scenario, (4.0, 9.0), LONG_DISTANCES_KM, estimator, tol_db=1e-12)
+    # the oracle's own midpoint is within 5e-11 dB of where the key stops
+    want = threshold_bisection(scenario, (4.0, 9.0), LONG_DISTANCES_KM, estimator, tol_db=1e-10)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_zero_key_threshold_evaluates_the_link_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return evaluate_scenario(*args)
+
+    monkeypatch.setattr(security, "evaluate_scenario", counted)
+    zero_key_threshold(SCENARIO)
+    assert calls == [None]  # one unattacked evaluation
+
+
+def test_zero_key_threshold_range_may_reach_past_the_truncation_guard():
+    # at 20 dB the magnified mean is 80, which the attacked evaluations refuse
+    with pytest.raises(ValueError, match="increase n_trunc"):
+        evaluate_scenario(SCENARIO, AttackParams.from_db(20.0))
+    wide = zero_key_threshold(SCENARIO, m_search_range_db=(4.0, 20.0))
+    assert abs(wide - THRESHOLD_DB) <= 1e-3
+
+
 def test_zero_key_threshold_bracket_errors():
     with pytest.raises(BracketError):
         zero_key_threshold(SCENARIO, m_search_range_db=(8.0, 8.5))
     with pytest.raises(BracketError):
         zero_key_threshold(SCENARIO, m_search_range_db=(1.0, 4.0))
+    # no key at any distance even without an attack
+    assert max(r.r_est for r in sweep_key_rates(replace(SCENARIO, e_det=0.2), [0.0])) == 0.0
+    with pytest.raises(BracketError):
+        zero_key_threshold(replace(SCENARIO, e_det=0.2))
+    # error-free clicks: the attack never takes the whole key (M0 = +inf)
+    with pytest.raises(BracketError):
+        zero_key_threshold(replace(SCENARIO, e0=0.0, e_det=0.0))
+    with pytest.raises(BracketError):
+        zero_key_threshold(SCENARIO, distances_km=())
     with pytest.raises(ValueError):
         zero_key_threshold(SCENARIO, m_search_range_db=(5.0, 5.0))
 
