@@ -14,10 +14,15 @@ Three attack styles are modeled:
 * **Initialization**: long moderate exposure at zero volts that drives both
   arms to a reproducible saturated state, erasing the attenuation history.
 
-Exposure programs and saturation runs evaluate each constant-power segment at
-all its sample times with one call of the exact exponential integrator from
-``ipasim.photorefractive``, so ``dt_s`` only sets trace resolution.  The pulse
-controller steps period by period: each duty depends on the last reading.
+Every path steps the arm fields with the one exact-exponential
+``relaxation_step`` of ``ipasim.photorefractive``, so ``dt_s`` only sets trace
+resolution.  An exposure program carries the two fields from segment to
+segment as scalars and then evaluates every sample time in one broadcast
+call; a saturation run is one such segment.  The pulse controller must go
+period by period, since each duty depends on the last reading, so a period
+is a scalar map of the two fields: one lit and one dark relaxation step, read
+out through the device's affine phase coefficients, a few microseconds with
+no device built until the loop ends.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .device import MziDevice
-from .photorefractive import ArmState, DecayMode, buildup_time_constant, steady_state_field
+from .photorefractive import ArmState, DecayMode, relaxation_step
 
 
 @dataclass(frozen=True)
@@ -142,37 +147,54 @@ def run_program(
     Magnification is measured against the device's own output at t = 0, so a
     zero-power program on a frozen device gives a flat 0 dB series.  For
     pulse-train programs ``dt_s`` must resolve the pulse (at most a quarter
-    width), otherwise the trace would alias the duty structure.  Each segment
-    is evaluated at all its sample times in one exact-exponential call.
+    width), otherwise the trace would alias the duty structure.  A scalar
+    recurrence carries the arm fields from segment to segment (each segment
+    power's relaxation law taken once); the whole trace is then one broadcast
+    exact-exponential call from each sample's segment start.
     """
     if dt_s <= 0.0:
         raise ValueError("dt_s must be positive")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
-    times, powers = [0.0], [program.segments[0].power_w]
-    fields = [[[device.arm1.field_v_per_m], [device.arm2.field_v_per_m]]]
+    start = (device.arm1.field_v_per_m, device.arm2.field_v_per_m)
+    times, powers, elapsed = [0.0], [program.segments[0].power_w], []
+    starts, laws, counts = [], [], []
+    cache: dict[float, tuple[tuple[float, float], ...]] = {}
     t = 0.0
-    dev = device
     for seg in program.segments:
+        law = cache.get(seg.power_w)
+        if law is None:
+            law = cache[seg.power_w] = device.arm_laws(seg.power_w, v_app_v)
         # the stepped clock sets the sample times, float residue rows included
-        elapsed: list[float] = []
-        left, e = seg.duration_s, 0.0
+        left, e, n = seg.duration_s, 0.0, 0
         while left > 0.0:
             step = min(dt_s, left)
             left -= step
             e += step
             t += step
+            n += 1
             elapsed.append(e)
             times.append(t)
-        sampled = dev.exposed(seg.power_w, v_app_v, np.array(elapsed))
-        f1, f2 = sampled.arm1.field_v_per_m, sampled.arm2.field_v_per_m
-        fields.append([f1, f2])
-        powers += [seg.power_w] * len(elapsed)
-        # the last sample is the segment's end state
-        dev = replace(dev, arm1=ArmState(float(f1[-1])), arm2=ArmState(float(f2[-1])))
-    f1, f2 = np.concatenate(fields, axis=1)
-    sampled = replace(device, arm1=ArmState(f1), arm2=ArmState(f2))
-    return ExposureResult(dev, _trace(sampled, times, powers, v_app_v, mu_in))
+        starts.append(start)
+        laws.append(law)
+        counts.append(n)
+        powers += [seg.power_w] * n
+        # the segment's last sample is the next segment's start
+        (target1, tau1), (target2, tau2) = law
+        start = (
+            relaxation_step(start[0], target1, e / tau1),
+            relaxation_step(start[1], target2, e / tau2),
+        )
+    law_rows = np.repeat(np.array(laws), counts, axis=0)  # (rows, arm, [target, tau])
+    sampled = relaxation_step(
+        np.repeat(np.array(starts), counts, axis=0),
+        law_rows[:, :, 0],
+        np.array(elapsed)[:, None] / law_rows[:, :, 1],
+    )
+    f1, f2 = np.vstack([starts[0], sampled]).T  # the t = 0 row first
+    trace_dev = replace(device, arm1=ArmState(f1), arm2=ArmState(f2))
+    end = replace(device, arm1=ArmState(start[0]), arm2=ArmState(start[1]))
+    return ExposureResult(end, _trace(trace_dev, times, powers, v_app_v, mu_in))
 
 
 # -- pre-treatment and initialization ----------------------------------------
@@ -223,9 +245,7 @@ def _saturate(
         raise ValueError("saturation runs need positive power")
     if dt_s <= 0.0:
         raise ValueError("dt_s must be positive")
-    arms = tuple(zip(device.split_irradiation(power_w), device.arm_fields(v_app_v)))
-    targets = [steady_state_field(device.material, p, e) for p, e in arms]
-    taus = [buildup_time_constant(device.material, p) for p, _ in arms]
+    targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 
     def moves(dev: MziDevice) -> list[float]:
         k = 1.0 - math.exp(-1.0)
@@ -425,18 +445,28 @@ def pulse_inject_to_target(
     if ctrl.noise_db > 0.0 and rng is None:
         raise ValueError("noise_db > 0 needs an rng")
 
+    # one period maps the two arm fields through a lit and a dark relaxation
+    # step; the laws and the phase coefficients are fixed, so a period is a
+    # few scalar math calls, and the device is built once, at the end
+    (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
+    (dark1, dark_tau1), (dark2, dark_tau2) = device.arm_laws(0.0, v_app_v)
+    read = device.magnification_reader(v_app_v, baseline, mu_in)
+    e1, e2 = device.arm1.field_v_per_m, device.arm2.field_v_per_m
     rows: list[tuple[float, float, float, float, float]] = []
-    dev = device
     duty = ctrl.duty_min
     streak = 0
     settled_at: Optional[int] = None
     period = 0
     while period < max_periods:
         period += 1
-        dev = dev.exposed(ctrl.peak_power_w, v_app_v, duty * ctrl.period_s)
+        on = duty * ctrl.period_s
+        e1 = relaxation_step(e1, lit1, on / lit_tau1)
+        e2 = relaxation_step(e2, lit2, on / lit_tau2)
         if duty < 1.0:
-            dev = dev.exposed(0.0, v_app_v, (1.0 - duty) * ctrl.period_s)
-        m = dev.magnification_db(v_app_v, baseline, mu_in)
+            off = (1.0 - duty) * ctrl.period_s
+            e1 = relaxation_step(e1, dark1, off / dark_tau1)
+            e2 = relaxation_step(e2, dark2, off / dark_tau2)
+        m = read(e1, e2)
         if ctrl.noise_db > 0.0:
             m += ctrl.noise_db * float(rng.standard_normal())
         error = ctrl.target_m_db - m
@@ -447,10 +477,9 @@ def pulse_inject_to_target(
                 settled_at = period
         if settled_at is not None and period - settled_at >= hold_periods:
             break
-        duty = float(
-            np.clip(duty + ctrl.gain_duty_per_db * error, ctrl.duty_min, ctrl.duty_max)
-        )
+        duty = min(max(duty + ctrl.gain_duty_per_db * error, ctrl.duty_min), ctrl.duty_max)
 
+    dev = replace(device, arm1=ArmState(e1), arm2=ArmState(e2))
     cols = list(zip(*rows))
     trace = PulseTrace(*(np.array(c, dtype=float) for c in cols))
     settled = settled_at is not None

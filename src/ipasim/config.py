@@ -49,8 +49,12 @@ class ConfigError(ValueError):
 
 
 # Most points any grid read from a config may have (distances, voltage-curve
-# points, trace points): enough for any plot, small enough to stay in memory.
+# points, trace points, sweep rows): enough for any plot, small enough to stay
+# in memory.
 MAX_GRID_POINTS = 100_000
+# Most steps a saturation run, or periods a pulse loop, may take: each one is
+# a trace row.
+MAX_STEPS = 1_000_000
 
 
 # -- value parsing and range checks --------------------------------------------
@@ -108,6 +112,7 @@ _NON_NEGATIVE = _require(lambda v: v >= 0, "must be >= 0")
 _EACH_POSITIVE = _require(lambda v: all(x > 0 for x in v), "every entry must be > 0")
 _EACH_NON_NEGATIVE = _require(lambda v: all(x >= 0 for x in v), "every entry must be >= 0")
 _GRID_SIZE = _require(lambda v: 2 <= v <= MAX_GRID_POINTS, f"must be in [2, {MAX_GRID_POINTS}]")
+_STEP_COUNT = _require(lambda v: 1 <= v <= MAX_STEPS, f"must be in [1, {MAX_STEPS}]")
 
 
 def _choice(*options: str) -> Check:
@@ -223,7 +228,7 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "pre_treat": {
             **_fields_of(PreTreatmentPlan()),
             "dt_s": _key(60.0, _POSITIVE),
-            "max_steps": _key(100_000, _POSITIVE),
+            "max_steps": _key(100_000, _STEP_COUNT),
         },
         "init": {
             "power_w": _key(4.39e-6, _POSITIVE),
@@ -231,11 +236,11 @@ def _schema() -> dict[str, dict[str, _Key]]:
                 1e-6, _require(lambda v: 0 < v < 0.1, "must be in (0, 0.1)")
             ),
             "dt_s": _key(60.0, _POSITIVE),
-            "max_steps": _key(200_000, _POSITIVE),
+            "max_steps": _key(200_000, _STEP_COUNT),
         },
         "pulse": {
             **_fields_of(PulseController(target_m_db=30.0)),
-            "max_periods": _key(2000, _POSITIVE),
+            "max_periods": _key(2000, _STEP_COUNT),
             "hold_periods": _key(0, _NON_NEGATIVE),
             "seed": _key(1, _NON_NEGATIVE),
         },
@@ -379,6 +384,11 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"qkd.distance_max_km: the distance grid from distance_min_km in "
             f"distance_step_km steps exceeds {MAX_GRID_POINTS} points"
+        )
+    if len(qkd["m_db_grid"]) * (int(span + 1e-9) + 1) > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"qkd.m_db_grid: a sweep of {len(qkd['m_db_grid'])} magnifications over the "
+            f"distance grid exceeds {MAX_GRID_POINTS} rows"
         )
     if not qkd["m_search_high_db"] > qkd["m_search_low_db"]:
         raise ConfigError("qkd.m_search_high_db: must exceed m_search_low_db")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .photorefractive import (
     buildup_time_constant,
     evolve_arm,
     field_coupling,
+    relaxation_law,
     steady_state_field,
 )
 
@@ -88,22 +89,26 @@ class MziDevice:
         delivered = power_w * 10.0 ** (-loss_db / 10.0)
         return delivered * self.irradiation_split, delivered * (1.0 - self.irradiation_split)
 
-    def index_responses(self) -> tuple[float, float]:
-        return (
-            self.arm1.index_response(self.material),
-            self.arm2.index_response(self.material),
-        )
+    def phase_coefficients(self, v_app_v: float) -> tuple[float, float, float]:
+        """``(theta, k_diff, k_common)``: the phase at ``v_app_v`` for arm fields
+        e1, e2 is theta + k_diff * (e1 - e2) + k_common * (e1 + e2).
 
-    def _phase_terms(self) -> tuple[float, float]:
-        """Voltage slope and differential offset of the affine phase."""
-        f1, f2 = self.index_responses()
+        The phase law, written as an affine map of the arm fields (the index
+        response is G * e): ``total_phase`` applies it to the device's own
+        fields, and a loop that carries bare fields reads the phase from the
+        same coefficients without building a device.  The differential term
+        is taken on the field difference, which stays exact when the two arms
+        sit near the same large field.
+        """
+        g = self.material.field_response
         c_over_d = field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
-        slope = 2.0 * math.pi / self.v_pi_v - c_over_d * (f1 + f2)
-        return slope, self.geometry.phase_scale_rad * (f1 - f2)
+        theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
+        return theta, g * self.geometry.phase_scale_rad, -g * c_over_d * v_app_v
 
     def total_phase(self, v_app_v: float) -> float:
-        slope, offset = self._phase_terms()
-        return self.bias_phase_rad + v_app_v * slope + offset
+        theta, k_diff, k_common = self.phase_coefficients(v_app_v)
+        e1, e2 = self.arm1.field_v_per_m, self.arm2.field_v_per_m
+        return theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
 
     def transmittance(self, v_app_v: float) -> float:
         r = self.signal_split
@@ -133,6 +138,30 @@ class MziDevice:
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)
 
+    def magnification_reader(
+        self, v_app_v: float, baseline_mu: float, mu_in: float = 1.0
+    ) -> Callable[[float, float], float]:
+        """``magnification_db`` of bare arm fields, as a scalar function (e1, e2) -> dB.
+
+        For loops that read one state at a time, where numpy's per-call
+        dispatch would dominate: the same phase coefficients and two-beam law
+        in ``math``, and -inf for a dark output, where ``math.log10`` raises.
+        """
+        if baseline_mu <= 0.0:
+            raise ValueError("baseline_mu must be positive")
+        if mu_in < 0.0:
+            raise ValueError("mu_in must be >= 0")
+        theta, k_diff, k_common = self.phase_coefficients(v_app_v)
+        r = self.signal_split
+        peak = 4.0 * r * (1.0 - r)
+
+        def read(e1: float, e2: float) -> float:
+            phase = theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
+            ratio = mu_in * (peak * math.cos(0.5 * phase) ** 2) / baseline_mu
+            return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+
+        return read
+
     # -- curves and search ----------------------------------------------------
 
     def voltage_curve(self, v_min_v: float, v_max_v: float, points: int) -> VoltageCurve:
@@ -151,20 +180,21 @@ class MziDevice:
     def find_extinction_voltage(self, v_min_v: float, v_max_v: float) -> float:
         """Drive voltage of the extinction null nearest the range center.
 
-        The phase is affine in the drive voltage, theta(v) = theta(0) +
-        slope * v, so the nulls sit exactly at
-        v_k = ((2k+1)*pi - theta(0)) / slope.  The range must span at least
-        two half-wave voltages; a ValueError is raised when the nearest null
-        still falls outside it, which happens once exposure has flattened the
-        slope enough to stretch the fringe period past the range.
+        The phase is affine in the drive voltage, so its values at the range
+        ends fix it: theta(v) = theta_lo + slope * (v - v_min), and the nulls
+        sit exactly at v_k = v_min + ((2k+1)*pi - theta_lo) / slope.  The
+        range must span at least two half-wave voltages; a ValueError is
+        raised when the nearest null still falls outside it, which happens
+        once exposure has flattened the slope enough to stretch the fringe
+        period past the range.
         """
         if v_max_v - v_min_v < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
-        slope, offset = self._phase_terms()
-        theta0 = self.bias_phase_rad + offset
-        center = 0.5 * (v_min_v + v_max_v)
-        k = round((theta0 + slope * center - math.pi) / (2.0 * math.pi))
-        v_null = ((2 * k + 1) * math.pi - theta0) / slope
+        theta_lo = self.total_phase(v_min_v)
+        slope = (self.total_phase(v_max_v) - theta_lo) / (v_max_v - v_min_v)
+        theta_center = theta_lo + slope * 0.5 * (v_max_v - v_min_v)
+        k = round((theta_center - math.pi) / (2.0 * math.pi))
+        v_null = v_min_v + ((2 * k + 1) * math.pi - theta_lo) / slope
         if not v_min_v <= v_null <= v_max_v:
             raise ValueError(
                 f"nearest extinction null {v_null:.4g} V lies outside "
@@ -187,6 +217,14 @@ class MziDevice:
             self,
             arm1=evolve_arm(self.material, self.arm1, p1, e1, dt_s, self.decay_mode),
             arm2=evolve_arm(self.material, self.arm2, p2, e2, dt_s, self.decay_mode),
+        )
+
+    def arm_laws(self, power_w: float, v_app_v: float) -> tuple[tuple[float, float], ...]:
+        """Each arm's (target field, relaxation time) under constant power and
+        bias: the :func:`relaxation_law` that ``exposed`` steps along."""
+        return tuple(
+            relaxation_law(self.material, p, e, self.decay_mode)
+            for p, e in zip(self.split_irradiation(power_w), self.arm_fields(v_app_v))
         )
 
     def equilibrated(self, power_w: float, v_app_v: float) -> "MziDevice":

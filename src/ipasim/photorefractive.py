@@ -252,6 +252,41 @@ class ArmState:
         return mat.field_response * self.field_v_per_m
 
 
+def relaxation_law(
+    mat: MaterialParams,
+    power_w: float,
+    e_app_v_per_m: float,
+    decay_mode: DecayMode = DecayMode.FROZEN,
+) -> tuple[float, float]:
+    """Target field and relaxation time of one arm under constant conditions.
+
+    In the dark the target is zero and tau the dark time constant; a
+    ``FROZEN`` arm holds its field there, which ``tau = inf`` expresses: it
+    makes every :func:`relaxation_step` a zero move.
+    """
+    if power_w == 0.0 and decay_mode is DecayMode.FROZEN:
+        return 0.0, math.inf
+    return steady_state_field(mat, power_w, e_app_v_per_m), buildup_time_constant(mat, power_w)
+
+
+def relaxation_step(
+    field_v_per_m: float | np.ndarray, target: float | np.ndarray, x: float | np.ndarray
+) -> float | np.ndarray:
+    """Field after ``x`` relaxation times of first-order relaxation toward ``target``.
+
+    The one exact-exponential step every exposure path takes.  expm1 keeps
+    full relative precision of the move when x << 1, where
+    target + gap*exp(-x) cancels; past x = ln 2 the move exceeds half the gap
+    and the exp form keeps the small remainder exact.  A scalar ``x`` takes
+    ``math`` (a per-period loop pays no numpy dispatch); an array ``x``
+    broadcasts against array fields and targets.
+    """
+    gap = field_v_per_m - target
+    if isinstance(x, np.ndarray):
+        return np.where(x > _LN2, target + gap * np.exp(-x), field_v_per_m + gap * np.expm1(-x))
+    return target + gap * math.exp(-x) if x > _LN2 else field_v_per_m + gap * math.expm1(-x)
+
+
 def evolve_field(
     mat: MaterialParams,
     field_v_per_m: float,
@@ -262,29 +297,23 @@ def evolve_field(
 ) -> float | np.ndarray:
     """Advance the space-charge field by ``dt_s`` under constant conditions.
 
-    Exact exponential step, so composing two steps of dt/2 matches one step of
-    dt to machine precision and dt may be chosen for trace resolution only.
-    ``dt_s`` may also be an array of elapsed times, which gives the field at
-    each of them from the same start (a float for a scalar ``dt_s``).  With
-    the irradiation off the field either holds (``FROZEN``) or relaxes to
-    zero with the dark time constant (``DARK_DECAY``).
+    One :func:`relaxation_step` toward the :func:`relaxation_law` target, so
+    composing two steps of dt/2 matches one step of dt to machine precision
+    and dt may be chosen for trace resolution only.  ``dt_s`` may also be an
+    array of elapsed times, which gives the field at each of them from the
+    same start (a float for a scalar ``dt_s``).  With the irradiation off the
+    field either holds (``FROZEN``) or relaxes to zero with the dark time
+    constant (``DARK_DECAY``).
     """
     if np.asarray(dt_s).min(initial=0.0) < 0.0:
         raise ValueError("dt_s must be >= 0")
     if power_w < 0.0:
         raise ValueError("power_w must be >= 0")
-    if power_w == 0.0 and decay_mode is DecayMode.FROZEN:
-        field = np.full(np.shape(dt_s), field_v_per_m)
-    else:
-        # in the dark the target is zero and tau the dark time constant
-        target = steady_state_field(mat, power_w, e_app_v_per_m)
-        x = dt_s / buildup_time_constant(mat, power_w)
-        gap = field_v_per_m - target
-        # expm1 keeps full relative precision of the move when dt << tau,
-        # where target + gap*exp(-x) cancels; past x = ln 2 the move exceeds
-        # half the gap and the exp form keeps the small remainder exact
-        field = np.where(x > _LN2, target + gap * np.exp(-x), field_v_per_m + gap * np.expm1(-x))
-    return field if field.ndim else float(field)
+    target, tau = relaxation_law(mat, power_w, e_app_v_per_m, decay_mode)
+    # a held arm makes no move however long the step, an infinite one included
+    x = np.divide(dt_s, tau) if tau < math.inf else np.zeros(np.shape(dt_s))
+    field = relaxation_step(field_v_per_m, target, x)
+    return float(field) if np.ndim(field) == 0 else field
 
 
 def evolve_arm(

@@ -186,6 +186,56 @@ def exposure_loop(device, segments, mu_in: float, v_app_v: float, dt_s: float) -
     return rows
 
 
+def pulse_loop(
+    device, ctrl, mu_in: float, v_app_v: float, max_periods: int, hold_periods: int, rng=None
+) -> tuple[int, bool, list[tuple]]:
+    """Literal duty-cycle loop: (periods, settled, rows).
+
+    Each period fires the peak power for duty * period, then, unless the duty
+    is 1, stays dark for the rest of the period; both arms step by the exact
+    relaxation solution, and the reading is the magnification against the
+    starting output, plus Gaussian dB noise when ``ctrl.noise_db`` is set.
+    The duty moves by gain * error, clamped to [duty_min, duty_max].  The loop
+    stops ``hold_periods`` after the error first stays within tolerance for
+    ``SETTLE_PERIODS`` periods in a row, or after ``max_periods``.  One row
+    (t, duty, power, m_db, error_db) per period.
+    """
+    settle_periods = 5  # ipasim.attack.SETTLE_PERIODS
+    f1, f2 = device.arm1.field_v_per_m, device.arm2.field_v_per_m
+    baseline = mu_in * _readout(device, f1, f2, v_app_v)[1]
+    (p1, e1), (p2, e2) = _arm_conditions(device, ctrl.peak_power_w, v_app_v)
+    rows = []
+    duty = ctrl.duty_min
+    streak, settled_at, period = 0, None, 0
+    while period < max_periods:
+        period += 1
+        on = duty * ctrl.period_s
+        f1 = _ode_step(device, f1, p1, e1, on)
+        f2 = _ode_step(device, f2, p2, e2, on)
+        if duty < 1.0:
+            off = (1.0 - duty) * ctrl.period_s
+            f1 = _ode_step(device, f1, 0.0, e1, off)
+            f2 = _ode_step(device, f2, 0.0, e2, off)
+        trans = _readout(device, f1, f2, v_app_v)[1]
+        m = 10.0 * math.log10(mu_in * trans / baseline) if trans > 0.0 else -math.inf
+        if ctrl.noise_db > 0.0:
+            m += ctrl.noise_db * float(rng.standard_normal())
+        error = ctrl.target_m_db - m
+        rows.append((period * ctrl.period_s, duty, ctrl.peak_power_w, m, error))
+        if settled_at is None:
+            streak = streak + 1 if abs(error) <= ctrl.settle_tol_db else 0
+            if streak >= settle_periods:
+                settled_at = period
+        if settled_at is not None and period - settled_at >= hold_periods:
+            break
+        duty = duty + ctrl.gain_duty_per_db * error
+        if duty < ctrl.duty_min:
+            duty = ctrl.duty_min
+        if duty > ctrl.duty_max:
+            duty = ctrl.duty_max
+    return period, settled_at is not None, rows
+
+
 def saturation_loop(
     device, power_w: float, v_app_v: float, dt_s: float, epsilon: float, max_steps: int
 ) -> tuple[int, bool]:

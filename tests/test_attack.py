@@ -22,7 +22,7 @@ from ipasim.attack import (
 from ipasim.calibration import WORKING_POINT_V, default_device
 from ipasim.device import curve_rms_db
 from ipasim.photorefractive import DecayMode
-from oracles import exposure_loop, saturation_loop
+from oracles import exposure_loop, pulse_loop, saturation_loop
 
 DEV = default_device()
 WP = WORKING_POINT_V
@@ -266,8 +266,13 @@ PRE_EXPOSED = DEV.exposed(12e-6, 20.0, 3e4)
         (PRE_EXPOSED, [(12e-6, 10.0), (0.0, 10.0)] * 4, 1.0, WP, 0.25),
         (DEV, [(12e-6, 0.7)], 1.0, WP, 0.1),  # float residue: two rows at t = 0.7
         (PRE_EXPOSED, [(1e-7, 5e4)], 2.0, -3.0, 1234.5),
+        (DEV, [(12e-6, 2.0), (0.0, 8.0)] * 60, 1.0, WP, 0.5),
+        (FROZEN_DEV, [(12e-6, 2.0), (0.0, 8.0)] * 60, 1.0, WP, 0.5),
     ],
-    ids=["cw", "dark-segment", "dark-segment-frozen", "pulse-train", "float-residue", "slow"],
+    ids=[
+        "cw", "dark-segment", "dark-segment-frozen", "pulse-train", "float-residue", "slow",
+        "60-period-train", "60-period-train-frozen",
+    ],
 )
 def test_run_program_matches_the_literal_step_loop(device, segments, mu_in, v_app, dt):
     res = run_program(device, IrradiationProgram.steps(segments), mu_in, v_app, dt)
@@ -322,3 +327,44 @@ def test_initialization_steps_match_the_literal_saturation_loop(device, dt, max_
     assert (res.steps, res.converged) == saturation_loop(
         device, INIT_POWER_W, 0.0, dt, 1e-6, max_steps
     )
+
+
+# the loop carries bare arm fields from period to period; the literal loop
+# steps them with target + gap*exp(-x), whose relative error near a small
+# move is ~eps/x, so early readings differ most in relative terms.  Measured
+# worst difference over these cases: 7.7e-12 of the column's largest value (duty).
+PULSE_COLUMN_TOL = 1e-10
+
+
+@pytest.mark.parametrize(
+    "device, ctrl, max_periods, hold_periods, seed",
+    [
+        (DEV, PulseController(target_m_db=30.0), 2000, 0, None),
+        (FROZEN_DEV, PulseController(target_m_db=30.0), 300, 0, None),  # overshoots, never settles
+        (DEV, PulseController(target_m_db=25.0, noise_db=0.02), 2000, 0, 11),
+        (FROZEN_DEV, PulseController(target_m_db=25.0, noise_db=0.02), 300, 0, 11),
+        (DEV, PulseController(target_m_db=35.0, noise_db=0.01), 2000, 60, 5),
+        (DEV, PulseController(target_m_db=45.0), 10, 0, None),  # stopped before settling
+    ],
+    ids=["dark", "frozen", "noisy", "noisy-frozen", "hold", "unsettled"],
+)
+def test_pulse_loop_matches_the_literal_duty_loop(device, ctrl, max_periods, hold_periods, seed):
+    def rng():  # a fresh generator for each loop, so both draw the same noise
+        return None if seed is None else np.random.default_rng(seed)
+
+    res = pulse_inject_to_target(
+        device, ctrl, 1.0, WP, max_periods=max_periods, hold_periods=hold_periods, rng=rng()
+    )
+    periods, settled, rows = pulse_loop(device, ctrl, 1.0, WP, max_periods, hold_periods, rng())
+    assert (res.periods, res.settled) == (periods, settled)
+    want = np.array(rows)
+    tr = res.trace
+    assert np.array_equal(tr.t_s, want[:, 0])
+    assert np.array_equal(tr.power_w, want[:, 2])
+    for got, column in ((tr.duty, want[:, 1]), (tr.m_db, want[:, 3]), (tr.error_db, want[:, 4])):
+        assert np.max(np.abs(got - column)) <= PULSE_COLUMN_TOL * np.max(np.abs(column))
+    # every case ramps at full duty, where the dark step is skipped
+    assert ctrl.duty_max == 1.0 and np.any(tr.duty == 1.0)
+    if ctrl.noise_db == 0.0:  # the returned device carries the final fields
+        base = device.output_mpn(1.0, WP)
+        assert res.device.magnification_db(WP, base) == pytest.approx(tr.m_db[-1], rel=1e-12)

@@ -273,6 +273,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("qkd", "distance_max_km", "1e12"),
         ("voltage_curve", "points", str(MAX_GRID_POINTS + 1)),
         ("pe_curve", "trace_points", str(MAX_GRID_POINTS + 1)),
+        ("init", "max_steps", "1000000000000"),
+        ("pre_treat", "max_steps", "1000000000000"),
+        ("pulse", "max_periods", "1000000000000"),
     ],
 )
 def test_oversized_grids_exit_2_on_a_dry_run(tmp_path, capsys, section, key, value):
@@ -282,6 +285,28 @@ def test_oversized_grids_exit_2_on_a_dry_run(tmp_path, capsys, section, key, val
     argv = ["--dry-run", "security", "sweep", "--config", str(cfg), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {section}.{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, ini, key",
+    [
+        (
+            ["security", "sweep"],
+            "[qkd]\nm_db_grid = " + ", ".join(str(float(m)) for m in range(1000))
+            + "\ndistance_step_km = 0.002\n",
+            "qkd.m_db_grid",
+        ),
+        (["attack", "init"], "[init]\nmax_steps = 1000000000000\ndt_s = 1e-6\n", "init.max_steps"),
+    ],
+    ids=["1000x75001-sweep", "init-steps"],
+)
+def test_oversized_runs_exit_2_on_a_dry_run_of_their_verb(tmp_path, capsys, argv, ini, key):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "huge-out"
+    assert main(["--dry-run", *argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ import pytest
 from ipasim.calibration import default_device
 from ipasim.config import (
     MAX_GRID_POINTS,
+    MAX_STEPS,
     ConfigError,
     build_controller,
     build_device,
@@ -254,7 +255,9 @@ def test_with_value_stores_values_as_a_parsed_config_would():
 
 def test_grid_sizes_are_bounded():
     step = default_config().get("qkd", "distance_step_km")
-    largest = parse_config(f"[qkd]\ndistance_max_km = {(MAX_GRID_POINTS - 1) * step!r}\n")
+    largest = parse_config(
+        f"[qkd]\nm_db_grid = 0\ndistance_max_km = {(MAX_GRID_POINTS - 1) * step!r}\n"
+    )
     assert len(build_distances_km(largest)) == MAX_GRID_POINTS
     for section, key, raw in [
         ("qkd", "distance_max_km", repr(MAX_GRID_POINTS * step)),
@@ -266,6 +269,32 @@ def test_grid_sizes_are_bounded():
             parse_config(f"[{section}]\n{key} = {raw}\n")
     with pytest.raises(ConfigError, match=r"^qkd\.distance_max_km: "):
         parse_config("[qkd]\ndistance_step_km = 1e-300\n")
+
+
+def test_sweep_rows_are_bounded():
+    def sweep(magnifications, step_km, max_km=150.0):
+        grid = ", ".join(str(float(m)) for m in range(magnifications))
+        distances = f"distance_step_km = {step_km}\ndistance_max_km = {max_km}\n"
+        return f"[qkd]\nm_db_grid = {grid}\n{distances}"
+
+    # 2 x 50000 rows is the most a sweep may have; one distance more is refused
+    largest = parse_config(sweep(2, 2.0, (MAX_GRID_POINTS // 2 - 1) * 2.0))
+    assert len(build_distances_km(largest)) == MAX_GRID_POINTS // 2
+    with pytest.raises(ConfigError, match=rf"^qkd\.m_db_grid: .* exceeds {MAX_GRID_POINTS} rows"):
+        parse_config(sweep(2, 2.0, (MAX_GRID_POINTS // 2) * 2.0))
+    # 1000 magnifications over 75001 distances
+    with pytest.raises(ConfigError, match=r"^qkd\.m_db_grid: a sweep of 1000 magnifications"):
+        parse_config(sweep(1000, 0.002))
+
+
+@pytest.mark.parametrize(
+    "section, key", [("pre_treat", "max_steps"), ("init", "max_steps"), ("pulse", "max_periods")]
+)
+def test_step_counts_are_bounded(section, key):
+    assert parse_config(f"[{section}]\n{key} = {MAX_STEPS}\n").get(section, key) == MAX_STEPS
+    for raw in (str(MAX_STEPS + 1), "1000000000000"):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be in \[1, {MAX_STEPS}\]"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
 
 
 def test_hash_ignores_layout_but_not_values():

@@ -72,6 +72,32 @@ def test_magnification_zero_against_own_baseline():
         DEV.output_mpn(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("v", [WORKING_POINT_V, 0.0, -7.5])
+@pytest.mark.parametrize("mu_in", [1.0, 0.3])
+def test_scalar_reader_matches_magnification_db(v, mu_in):
+    baseline = DEV.output_mpn(mu_in, v)
+    read = DEV.magnification_reader(v, baseline, mu_in)
+    rng = np.random.default_rng(3)
+    states = [DEV, DEV.equilibrated(12e-6, v), DEV.exposed(3e-6, 20.0, 500.0)]
+    states += [
+        replace(DEV, arm1=ArmState(a), arm2=ArmState(b))
+        for a, b in rng.uniform(-3e7, 3e7, size=(8, 2))
+    ]
+    for dev in states:
+        got = read(dev.arm1.field_v_per_m, dev.arm2.field_v_per_m)
+        assert got == pytest.approx(dev.magnification_db(v, baseline, mu_in), rel=1e-14, abs=1e-12)
+
+
+def test_scalar_reader_gives_minus_inf_for_a_dark_output():
+    # a vanishing signal split and a phase on the null underflow the output to 0
+    dark = replace(DEV, signal_split=1e-300, bias_phase_rad=math.pi)
+    assert dark.transmittance(0.0) == 0.0
+    assert dark.magnification_db(0.0, 1.0) == -math.inf
+    assert dark.magnification_reader(0.0, 1.0)(0.0, 0.0) == -math.inf
+    with pytest.raises(ValueError):
+        DEV.magnification_reader(0.0, 0.0)
+
+
 def test_split_irradiation_applies_coupling_and_polarization():
     p1, p2 = DEV.split_irradiation(1e-3)
     delivered = 1e-3 * 10.0 ** (-DEV.irradiation_coupling_db / 10.0)

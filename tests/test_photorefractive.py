@@ -117,6 +117,8 @@ def test_steady_state_screens_applied_field():
 def test_dark_behavior_frozen_vs_decay():
     f0 = 5e4
     assert evolve_field(MAT, f0, 0.0, 0.0, 1e6, DecayMode.FROZEN) == f0
+    assert evolve_field(MAT, f0, 0.0, 0.0, math.inf, DecayMode.FROZEN) == f0
+    assert evolve_field(MAT, f0, 0.0, 0.0, math.inf, DecayMode.DARK_DECAY) == 0.0
     decayed = evolve_field(MAT, f0, 0.0, 0.0, MAT.tau_dark_s, DecayMode.DARK_DECAY)
     assert decayed == pytest.approx(f0 * math.exp(-1.0), rel=1e-12)
 
