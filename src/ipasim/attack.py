@@ -14,11 +14,14 @@ Three attack styles are modeled:
 * **Initialization**: long moderate exposure at zero volts that drives both
   arms to a reproducible saturated state, erasing the attenuation history.
 
-Every path steps the arm fields with the one exact-exponential
+The beam changes one thing in the device: the space-charge field of each arm,
+which ``MziDevice`` holds as ``field1_v_per_m`` and ``field2_v_per_m``.  Every
+path steps those two fields with the one exact-exponential
 ``relaxation_step`` of ``ipasim.photorefractive``, so ``dt_s`` only sets trace
 resolution.  An exposure program carries the two fields from segment to
 segment as scalars and then evaluates every sample time in one broadcast
-call; a saturation run is one such segment.  The pulse controller must go
+call; a saturation run is one such segment, and its end state is the trace's
+last sample.  The pulse controller must go
 period by period, since each duty depends on the last reading, so a period
 is a scalar map of the two fields: one lit and one dark relaxation step, read
 out through the device's affine phase coefficients, a few microseconds with
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .device import MziDevice
-from .photorefractive import ArmState, DecayMode, relaxation_step
+from .photorefractive import DecayMode, relaxation_step
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def run_program(
         raise ValueError("dt_s must be positive")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
-    start = (device.arm1.field_v_per_m, device.arm2.field_v_per_m)
+    start = (device.field1_v_per_m, device.field2_v_per_m)
     times, powers, elapsed = [0.0], [program.segments[0].power_w], []
     starts, laws, counts = [], [], []
     cache: dict[float, tuple[tuple[float, float], ...]] = {}
@@ -192,8 +195,8 @@ def run_program(
         np.array(elapsed)[:, None] / law_rows[:, :, 1],
     )
     f1, f2 = np.vstack([starts[0], sampled]).T  # the t = 0 row first
-    trace_dev = replace(device, arm1=ArmState(f1), arm2=ArmState(f2))
-    end = replace(device, arm1=ArmState(start[0]), arm2=ArmState(start[1]))
+    trace_dev = replace(device, field1_v_per_m=f1, field2_v_per_m=f2)
+    end = replace(device, field1_v_per_m=start[0], field2_v_per_m=start[1])
     return ExposureResult(end, _trace(trace_dev, times, powers, v_app_v, mu_in))
 
 
@@ -216,7 +219,7 @@ class PreTreatmentPlan:
 
 
 @dataclass(frozen=True)
-class SaturationRun:
+class InitResult:
     device: MziDevice
     converged: bool
     steps: int
@@ -231,7 +234,7 @@ def _saturate(
     dt_s: float,
     saturation_epsilon: float,
     max_steps: int,
-) -> SaturationRun:
+) -> InitResult:
     """Expose for as many ``dt_s`` steps as bring both arms within
     ``saturation_epsilon`` of steady state.
 
@@ -239,7 +242,7 @@ def _saturate(
     time, so it is insensitive to ``dt_s``.  Each step shrinks an arm's move
     by exp(-dt/tau), which fixes the step count in closed form.  Running out
     of the step budget reports converged = False with the partial state, it
-    does not raise.
+    does not raise.  The end state is the trace's last sample.
     """
     if power_w <= 0.0:
         raise ValueError("saturation runs need positive power")
@@ -247,24 +250,25 @@ def _saturate(
         raise ValueError("dt_s must be positive")
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 
-    def moves(dev: MziDevice) -> list[float]:
+    def moves(e1: float, e2: float) -> list[float]:
         k = 1.0 - math.exp(-1.0)
         return [
-            abs(target - arm.field_v_per_m) * k / max(abs(target), 1e-30)
-            for target, arm in zip(targets, (dev.arm1, dev.arm2))
+            abs(target - e) * k / max(abs(target), 1e-30)
+            for target, e in zip(targets, (e1, e2))
         ]
 
     steps = 0
-    for move, tau in zip(moves(device), taus):
+    for move, tau in zip(moves(device.field1_v_per_m, device.field2_v_per_m), taus):
         if move > saturation_epsilon:
             steps = max(steps, math.ceil(tau / dt_s * math.log(move / saturation_epsilon)))
     steps = min(steps, max_steps)
     elapsed = np.arange(steps + 1) * dt_s
     sampled = device.exposed(power_w, v_app_v, elapsed)
     trace = _trace(sampled, elapsed, np.full(steps + 1, power_w), v_app_v)
-    final = device.exposed(power_w, v_app_v, steps * dt_s)
-    converged = max(moves(final)) <= saturation_epsilon
-    return SaturationRun(final, converged, steps, steps * dt_s, trace)
+    e1, e2 = float(sampled.field1_v_per_m[-1]), float(sampled.field2_v_per_m[-1])
+    final = replace(device, field1_v_per_m=e1, field2_v_per_m=e2)
+    converged = max(moves(e1, e2)) <= saturation_epsilon
+    return InitResult(final, converged, steps, steps * dt_s, trace)
 
 
 @dataclass(frozen=True)
@@ -300,15 +304,6 @@ def pre_treat(
     return PreTreatResult(treated, run.converged, run.steps, run.elapsed_s, shift, run.trace)
 
 
-@dataclass(frozen=True)
-class InitResult:
-    device: MziDevice
-    converged: bool
-    steps: int
-    elapsed_s: float
-    trace: ExposureTrace
-
-
 INIT_POWER_W = 4.39e-6
 
 
@@ -327,8 +322,7 @@ def initialize_device(
     pre-treatment: near a deep working point the dB curve is steeply
     sensitive to residual phase, and the restore tolerance budget is small.
     """
-    run = _saturate(device, power_w, 0.0, dt_s, saturation_epsilon, max_steps)
-    return InitResult(run.device, run.converged, run.steps, run.elapsed_s, run.trace)
+    return _saturate(device, power_w, 0.0, dt_s, saturation_epsilon, max_steps)
 
 
 # -- closed-loop pulse injection ----------------------------------------------
@@ -451,7 +445,7 @@ def pulse_inject_to_target(
     (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
     (dark1, dark_tau1), (dark2, dark_tau2) = device.arm_laws(0.0, v_app_v)
     read = device.magnification_reader(v_app_v, baseline, mu_in)
-    e1, e2 = device.arm1.field_v_per_m, device.arm2.field_v_per_m
+    e1, e2 = device.field1_v_per_m, device.field2_v_per_m
     rows: list[tuple[float, float, float, float, float]] = []
     duty = ctrl.duty_min
     streak = 0
@@ -479,7 +473,7 @@ def pulse_inject_to_target(
             break
         duty = min(max(duty + ctrl.gain_duty_per_db * error, ctrl.duty_min), ctrl.duty_max)
 
-    dev = replace(device, arm1=ArmState(e1), arm2=ArmState(e2))
+    dev = replace(device, field1_v_per_m=e1, field2_v_per_m=e2)
     cols = list(zip(*rows))
     trace = PulseTrace(*(np.array(c, dtype=float) for c in cols))
     settled = settled_at is not None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__, budget as budget_mod
 from .attack import (
     IrradiationProgram,
-    PreTreatmentPlan,
     initialize_device,
     pre_treat,
     pulse_inject_to_target,
@@ -126,17 +125,14 @@ def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
     voltages = cfg.get("voltage_curve", "pretreat_voltages_v")
     power = cfg.get("voltage_curve", "pretreat_power_w")
     plan_keys = cfg.values["pre_treat"]
+    base_plan = build_pretreat_plan(cfg)
 
     pristine = device.voltage_curve(v_min, v_max, points)
     tables = [_curve_table(pristine, pristine)]
     series = [("pristine", pristine.v_app_v, pristine.transmittance)]
     shift_rows = []
     for v_treat in voltages:
-        plan = PreTreatmentPlan(
-            v_app_v=v_treat,
-            i_ir_w=power,
-            saturation_epsilon=plan_keys["saturation_epsilon"],
-        )
+        plan = replace(base_plan, v_app_v=v_treat, i_ir_w=power)
         result = pre_treat(device, plan, plan_keys["dt_s"], plan_keys["max_steps"])
         curve = result.device.voltage_curve(v_min, v_max, points)
         tables.append(_curve_table(curve, pristine))
@@ -205,21 +201,10 @@ def run_attack_pulse(cfg: ScenarioConfig) -> RunResult:
 
 def run_attack_init(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
-    init_keys = cfg.values["init"]
     pre_keys = cfg.values["pre_treat"]
-
-    def init(dev):
-        return initialize_device(
-            dev,
-            dt_s=init_keys["dt_s"],
-            power_w=init_keys["power_w"],
-            saturation_epsilon=init_keys["saturation_epsilon"],
-            max_steps=init_keys["max_steps"],
-        )
-
-    reference = init(device)
+    reference = initialize_device(device, **cfg.values["init"])
     treated = pre_treat(device, build_pretreat_plan(cfg), pre_keys["dt_s"], pre_keys["max_steps"])
-    restored = init(treated.device)
+    restored = initialize_device(treated.device, **cfg.values["init"])
 
     v_min = cfg.get("voltage_curve", "v_min_v")
     v_max = cfg.get("voltage_curve", "v_max_v")

@@ -49,8 +49,8 @@ class ConfigError(ValueError):
 
 
 # Most points any grid read from a config may have (distances, voltage-curve
-# points, trace points, sweep rows): enough for any plot, small enough to stay
-# in memory.
+# points, trace points, and the rows of a sweep or of all the traces or curves
+# a curve verb makes): enough for any plot, small enough to stay in memory.
 MAX_GRID_POINTS = 100_000
 # Most steps a saturation run, or periods a pulse loop, may take: each one is
 # a trace row.
@@ -203,7 +203,7 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "device": {
             **_fields_of(
                 calibration.default_device(),
-                "material", "geometry", "bias_phase_rad", "arm1", "arm2",
+                "material", "geometry", "bias_phase_rad", "field1_v_per_m", "field2_v_per_m",
             ),
             "working_point_v": _key(calibration.WORKING_POINT_V),
             "residual_bias_rad": _key(
@@ -392,8 +392,20 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         )
     if not qkd["m_search_high_db"] > qkd["m_search_low_db"]:
         raise ConfigError("qkd.m_search_high_db: must exceed m_search_low_db")
-    if not cfg.values["pe_curve"]["powers_w"]:
+    pe = cfg.values["pe_curve"]
+    if not pe["powers_w"]:
         raise ConfigError("pe_curve.powers_w: needs at least one power")
+    if len(pe["powers_w"]) * pe["trace_points"] > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"pe_curve.powers_w: {len(pe['powers_w'])} traces of trace_points "
+            f"{pe['trace_points']} exceed {MAX_GRID_POINTS} rows"
+        )
+    curves = len(vc["pretreat_voltages_v"]) + 1  # the pristine curve too
+    if curves * vc["points"] > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"voltage_curve.pretreat_voltages_v: {curves} curves of points "
+            f"{vc['points']} exceed {MAX_GRID_POINTS} rows"
+        )
     if not qkd["m_db_grid"]:
         raise ConfigError("qkd.m_db_grid: needs at least one magnification")
 

@@ -2,8 +2,9 @@
 model.
 
 The device applies push-pull bias: a drive voltage v puts +v/d across one arm
-and -v/d across the other.  Each arm carries a photorefractive state whose
-index response f_i shifts that arm's phase; the interferometer phase is
+and -v/d across the other.  Each arm's space-charge field e_i gives it an
+index response f_i = G * e_i that shifts that arm's phase; the interferometer
+phase is
 
     delta_theta(v) = theta0 + v * (2*pi/v_pi - (C/d) * (f1 + f2)) + D * (f1 - f2)
 
@@ -13,7 +14,7 @@ usual two-beam interference law with the signal split ratio setting the
 extinction contrast.
 
 Devices are immutable; exposure helpers return a new device with updated arm
-states.  The readouts are numpy expressions, so a voltage grid, or arm fields
+fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
 sampled along an exposure, read out in one call.  ``attenuation_db`` is
 insertion loss relative to unit input (positive numbers, bigger means darker);
 ``magnification_db`` compares transmittance against a stored baseline, the
@@ -23,21 +24,19 @@ figure of merit for attacks on a VOA parked at deep attenuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .photorefractive import (
-    ArmState,
     DecayMode,
     GeometryParams,
     MaterialParams,
     buildup_time_constant,
-    evolve_arm,
+    evolve_field,
     field_coupling,
     relaxation_law,
-    steady_state_field,
 )
 
 
@@ -53,7 +52,8 @@ class VoltageCurve:
 
 @dataclass(frozen=True)
 class MziDevice:
-    """Immutable VOA snapshot: fixed construction plus per-arm charge state."""
+    """Immutable VOA snapshot: fixed construction plus each arm's space-charge
+    field (floats, or sampled arrays for a device that reads out a trace)."""
 
     material: MaterialParams
     geometry: GeometryParams
@@ -64,8 +64,8 @@ class MziDevice:
     irradiation_coupling_db: float  # injection path loss before the splitter
     polarization_loss_db: float = 0.0  # worst-case scalar for misaligned injection
     decay_mode: DecayMode = DecayMode.DARK_DECAY
-    arm1: ArmState = field(default_factory=ArmState)
-    arm2: ArmState = field(default_factory=ArmState)
+    field1_v_per_m: float = 0.0
+    field2_v_per_m: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.signal_split < 1.0:
@@ -107,7 +107,7 @@ class MziDevice:
 
     def total_phase(self, v_app_v: float) -> float:
         theta, k_diff, k_common = self.phase_coefficients(v_app_v)
-        e1, e2 = self.arm1.field_v_per_m, self.arm2.field_v_per_m
+        e1, e2 = self.field1_v_per_m, self.field2_v_per_m
         return theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
 
     def transmittance(self, v_app_v: float) -> float:
@@ -213,10 +213,11 @@ class MziDevice:
         """New device after ``dt_s`` of constant injected power under bias."""
         p1, p2 = self.split_irradiation(power_w)
         e1, e2 = self.arm_fields(v_app_v)
+        mat, mode = self.material, self.decay_mode
         return replace(
             self,
-            arm1=evolve_arm(self.material, self.arm1, p1, e1, dt_s, self.decay_mode),
-            arm2=evolve_arm(self.material, self.arm2, p2, e2, dt_s, self.decay_mode),
+            field1_v_per_m=evolve_field(mat, self.field1_v_per_m, p1, e1, dt_s, mode),
+            field2_v_per_m=evolve_field(mat, self.field2_v_per_m, p2, e2, dt_s, mode),
         )
 
     def arm_laws(self, power_w: float, v_app_v: float) -> tuple[tuple[float, float], ...]:
@@ -229,13 +230,8 @@ class MziDevice:
 
     def equilibrated(self, power_w: float, v_app_v: float) -> "MziDevice":
         """Device with both arms at their steady state for these conditions."""
-        p1, p2 = self.split_irradiation(power_w)
-        e1, e2 = self.arm_fields(v_app_v)
-        return replace(
-            self,
-            arm1=replace(self.arm1, field_v_per_m=steady_state_field(self.material, p1, e1)),
-            arm2=replace(self.arm2, field_v_per_m=steady_state_field(self.material, p2, e2)),
-        )
+        (target1, _), (target2, _) = self.arm_laws(power_w, v_app_v)
+        return replace(self, field1_v_per_m=target1, field2_v_per_m=target2)
 
     def slowest_time_constant(self, power_w: float) -> float:
         """Relaxation time of the weaker-lit arm; bounds settling time."""
@@ -247,7 +243,7 @@ class MziDevice:
 
     def pristine(self) -> "MziDevice":
         """Same construction with both arms discharged."""
-        return replace(self, arm1=ArmState(), arm2=ArmState())
+        return replace(self, field1_v_per_m=0.0, field2_v_per_m=0.0)
 
 
 def curve_rms_db(reference: VoltageCurve, other: VoltageCurve) -> float:

@@ -242,16 +242,6 @@ def saturated_phase_shift(
     return (d_scale - c_scale * e_app_v_per_m) * saturated_index_response(mat, power_w)
 
 
-@dataclass(frozen=True)
-class ArmState:
-    """Dynamic state of one arm: its space-charge field."""
-
-    field_v_per_m: float = 0.0
-
-    def index_response(self, mat: MaterialParams) -> float:
-        return mat.field_response * self.field_v_per_m
-
-
 def relaxation_law(
     mat: MaterialParams,
     power_w: float,
@@ -315,15 +305,3 @@ def evolve_field(
     field = relaxation_step(field_v_per_m, target, x)
     return float(field) if np.ndim(field) == 0 else field
 
-
-def evolve_arm(
-    mat: MaterialParams,
-    state: ArmState,
-    power_w: float,
-    e_app_v_per_m: float,
-    dt_s: float | np.ndarray,
-    decay_mode: DecayMode = DecayMode.FROZEN,
-) -> ArmState:
-    """ArmState counterpart of :func:`evolve_field`."""
-    field = evolve_field(mat, state.field_v_per_m, power_w, e_app_v_per_m, dt_s, decay_mode)
-    return ArmState(field)

@@ -162,7 +162,7 @@ def exposure_loop(device, segments, mu_in: float, v_app_v: float, dt_s: float) -
     one row (t, power, theta, transmittance, attenuation dB, magnification dB)
     is recorded at t = 0 and after every step.
     """
-    f1, f2 = device.arm1.field_v_per_m, device.arm2.field_v_per_m
+    f1, f2 = device.field1_v_per_m, device.field2_v_per_m
     baseline = mu_in * _readout(device, f1, f2, v_app_v)[1]
 
     def row(t: float, power: float) -> tuple:
@@ -201,7 +201,7 @@ def pulse_loop(
     (t, duty, power, m_db, error_db) per period.
     """
     settle_periods = 5  # ipasim.attack.SETTLE_PERIODS
-    f1, f2 = device.arm1.field_v_per_m, device.arm2.field_v_per_m
+    f1, f2 = device.field1_v_per_m, device.field2_v_per_m
     baseline = mu_in * _readout(device, f1, f2, v_app_v)[1]
     (p1, e1), (p2, e2) = _arm_conditions(device, ctrl.peak_power_w, v_app_v)
     rows = []
@@ -238,15 +238,15 @@ def pulse_loop(
 
 def saturation_loop(
     device, power_w: float, v_app_v: float, dt_s: float, epsilon: float, max_steps: int
-) -> tuple[int, bool]:
-    """Literal saturation run: (steps, converged).
+) -> tuple[int, bool, tuple[float, float]]:
+    """Literal saturation run: (steps, converged, the two arm fields at the end).
 
     Steps of ``dt_s`` until, for both arms, the projected relative field move
     over one relaxation time, |target - field| * (1 - 1/e) / |target|, is at
     most ``epsilon``, or until ``max_steps``.
     """
     conditions = _arm_conditions(device, power_w, v_app_v)
-    fields = [device.arm1.field_v_per_m, device.arm2.field_v_per_m]
+    fields = [device.field1_v_per_m, device.field2_v_per_m]
 
     def settled() -> bool:
         for (p, e), f in zip(conditions, fields):
@@ -259,7 +259,7 @@ def saturation_loop(
     while steps < max_steps and not settled():
         fields = [_ode_step(device, f, p, e, dt_s) for f, (p, e) in zip(fields, conditions)]
         steps += 1
-    return steps, settled()
+    return steps, settled(), tuple(fields)
 
 
 def binary_entropy_reference(x: float) -> float:

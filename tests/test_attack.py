@@ -69,7 +69,7 @@ def test_zero_power_program_on_frozen_device_is_flat():
     frozen = replace(DEV.exposed(6e-6, WP, 5e3), decay_mode=DecayMode.FROZEN)
     res = run_program(frozen, IrradiationProgram.cw(0.0, 100.0), 1.0, WP, dt_s=10.0)
     assert np.allclose(res.trace.m_db, 0.0, atol=1e-12)
-    assert res.device.arm1 == frozen.arm1
+    assert res.device.field1_v_per_m == frozen.field1_v_per_m
 
 
 def test_run_program_trace_shape_and_monotone_rise():
@@ -86,8 +86,8 @@ def test_run_program_trace_shape_and_monotone_rise():
 def test_run_program_sampling_does_not_change_the_endpoint():
     coarse = run_program(DEV, IrradiationProgram.cw(3e-6, 1800.0), 1.0, WP, dt_s=600.0)
     fine = run_program(DEV, IrradiationProgram.cw(3e-6, 1800.0), 1.0, WP, dt_s=7.0)
-    assert coarse.device.arm1.field_v_per_m == pytest.approx(
-        fine.device.arm1.field_v_per_m, rel=1e-12
+    assert coarse.device.field1_v_per_m == pytest.approx(
+        fine.device.field1_v_per_m, rel=1e-12
     )
     assert coarse.trace.final_m_db == pytest.approx(fine.trace.final_m_db, rel=1e-12)
 
@@ -163,8 +163,8 @@ def test_initialization_erases_attenuation_history():
 def test_initialization_state_is_history_independent():
     a = initialize_device(DEV).device
     b = initialize_device(DEV.exposed(12e-6, 20.0, 3e4)).device
-    assert a.arm1.field_v_per_m == pytest.approx(b.arm1.field_v_per_m, rel=1e-5)
-    assert a.arm2.field_v_per_m == pytest.approx(b.arm2.field_v_per_m, rel=1e-5)
+    assert a.field1_v_per_m == pytest.approx(b.field1_v_per_m, rel=1e-5)
+    assert a.field2_v_per_m == pytest.approx(b.field2_v_per_m, rel=1e-5)
 
 
 # -- pulse injection -----------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_run_program_matches_the_literal_step_loop(device, segments, mu_in, v_ap
     assert np.array_equal(tr.power_w, want[:, 1])
     got = np.column_stack([tr.delta_theta_rad, tr.transmittance, tr.attenuation_db, tr.m_db])
     np.testing.assert_allclose(got, want[:, 2:], rtol=1e-9, atol=1e-12)
-    assert isinstance(res.device.arm1.field_v_per_m, float)
+    assert isinstance(res.device.field1_v_per_m, float)
 
 
 def _oracle_pretreat_cases():
@@ -305,8 +305,12 @@ def _oracle_pretreat_cases():
 def test_pretreat_steps_match_the_literal_saturation_loop(device, plan, dt, max_steps):
     res = pre_treat(device, plan, dt_s=dt, max_steps=max_steps)
     eps = plan.saturation_epsilon
-    want = saturation_loop(device, plan.i_ir_w, plan.v_app_v, dt, eps, max_steps)
-    assert (res.steps, res.converged) == want
+    steps, converged, fields = saturation_loop(
+        device, plan.i_ir_w, plan.v_app_v, dt, eps, max_steps
+    )
+    assert (res.steps, res.converged) == (steps, converged)
+    end = (res.device.field1_v_per_m, res.device.field2_v_per_m)
+    assert end == pytest.approx(fields, rel=1e-12)
     assert len(res.trace.t_s) == res.steps + 1
     assert res.elapsed_s == res.steps * dt
 
@@ -324,9 +328,10 @@ def test_pretreat_steps_match_the_literal_saturation_loop(device, plan, dt, max_
 )
 def test_initialization_steps_match_the_literal_saturation_loop(device, dt, max_steps):
     res = initialize_device(device, dt_s=dt, max_steps=max_steps)
-    assert (res.steps, res.converged) == saturation_loop(
-        device, INIT_POWER_W, 0.0, dt, 1e-6, max_steps
-    )
+    steps, converged, fields = saturation_loop(device, INIT_POWER_W, 0.0, dt, 1e-6, max_steps)
+    assert (res.steps, res.converged) == (steps, converged)
+    end = (res.device.field1_v_per_m, res.device.field2_v_per_m)
+    assert end == pytest.approx(fields, rel=1e-12)
 
 
 # the loop carries bare arm fields from period to period; the literal loop

@@ -72,7 +72,7 @@ def test_default_device_construction():
     assert dev.signal_split == cal.SIGNAL_SPLIT
     assert dev.irradiation_split == cal.IRRADIATION_SPLIT
     assert dev.polarization_loss_db == 0.0
-    assert dev.arm1.field_v_per_m == 0.0 and dev.arm2.field_v_per_m == 0.0
+    assert dev.field1_v_per_m == 0.0 and dev.field2_v_per_m == 0.0
 
 
 def test_peak_stationarity_closed_form_reproduces_the_stored_saturation():

@@ -298,8 +298,19 @@ def test_oversized_grids_exit_2_on_a_dry_run(tmp_path, capsys, section, key, val
             "qkd.m_db_grid",
         ),
         (["attack", "init"], "[init]\nmax_steps = 1000000000000\ndt_s = 1e-6\n", "init.max_steps"),
+        (
+            ["pe-curve"],
+            "[pe_curve]\ntrace_points = 100000\npowers_w = " + ", ".join(["1e-6"] * 1000) + "\n",
+            "pe_curve.powers_w",
+        ),
+        (
+            ["voltage-curve"],
+            "[voltage_curve]\npoints = 100000\npretreat_voltages_v = "
+            + ", ".join(["1.0"] * 10000) + "\n",
+            "voltage_curve.pretreat_voltages_v",
+        ),
     ],
-    ids=["1000x75001-sweep", "init-steps"],
+    ids=["1000x75001-sweep", "init-steps", "1000x100000-pe-curve", "10001x100000-voltage-curve"],
 )
 def test_oversized_runs_exit_2_on_a_dry_run_of_their_verb(tmp_path, capsys, argv, ini, key):
     cfg = tmp_path / "huge.ini"

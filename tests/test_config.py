@@ -287,6 +287,27 @@ def test_sweep_rows_are_bounded():
         parse_config(sweep(1000, 0.002))
 
 
+def test_curve_verb_rows_are_bounded():
+    def rows(cfg, section):
+        return parse_config(cfg).values[section]
+
+    # the default 8 pe-curve powers may have 12500 trace points each, not one more
+    most = MAX_GRID_POINTS // 8
+    assert rows(f"[pe_curve]\ntrace_points = {most}\n", "pe_curve")["trace_points"] == most
+    with pytest.raises(ConfigError, match=r"^pe_curve\.powers_w: 8 traces .* 100000 rows"):
+        parse_config(f"[pe_curve]\ntrace_points = {most + 1}\n")
+    # the pristine curve plus the 5 default pre-treated ones, 16666 points each
+    most = MAX_GRID_POINTS // 6
+    assert rows(f"[voltage_curve]\npoints = {most}\n", "voltage_curve")["points"] == most
+    with pytest.raises(ConfigError, match=r"^voltage_curve\.pretreat_voltages_v: 6 curves"):
+        parse_config(f"[voltage_curve]\npoints = {most + 1}\n")
+    # one curve of the largest grid leaves no room for a pre-treated one
+    full = f"[voltage_curve]\npoints = {MAX_GRID_POINTS}\npretreat_voltages_v ="
+    assert rows(full + "\n", "voltage_curve")["pretreat_voltages_v"] == ()
+    with pytest.raises(ConfigError, match=r"^voltage_curve\.pretreat_voltages_v: 2 curves"):
+        parse_config(full + " 20.0\n")
+
+
 @pytest.mark.parametrize(
     "section, key", [("pre_treat", "max_steps"), ("init", "max_steps"), ("pulse", "max_periods")]
 )

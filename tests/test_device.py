@@ -15,7 +15,6 @@ from ipasim.calibration import (
     default_device,
 )
 from ipasim.device import curve_rms_db
-from ipasim.photorefractive import ArmState
 
 DEV = default_device()
 # pristine extinction nearest the range center on [-12, 12] V
@@ -80,11 +79,11 @@ def test_scalar_reader_matches_magnification_db(v, mu_in):
     rng = np.random.default_rng(3)
     states = [DEV, DEV.equilibrated(12e-6, v), DEV.exposed(3e-6, 20.0, 500.0)]
     states += [
-        replace(DEV, arm1=ArmState(a), arm2=ArmState(b))
+        replace(DEV, field1_v_per_m=a, field2_v_per_m=b)
         for a, b in rng.uniform(-3e7, 3e7, size=(8, 2))
     ]
     for dev in states:
-        got = read(dev.arm1.field_v_per_m, dev.arm2.field_v_per_m)
+        got = read(dev.field1_v_per_m, dev.field2_v_per_m)
         assert got == pytest.approx(dev.magnification_db(v, baseline, mu_in), rel=1e-14, abs=1e-12)
 
 
@@ -173,8 +172,8 @@ def test_equilibrated_matches_long_exposure():
     eq = DEV.equilibrated(5e-6, 3.0)
     tau = DEV.slowest_time_constant(5e-6)
     soaked = DEV.exposed(5e-6, 3.0, 60.0 * tau)
-    assert soaked.arm1.field_v_per_m == pytest.approx(eq.arm1.field_v_per_m, rel=1e-9)
-    assert soaked.arm2.field_v_per_m == pytest.approx(eq.arm2.field_v_per_m, rel=1e-9)
+    assert soaked.field1_v_per_m == pytest.approx(eq.field1_v_per_m, rel=1e-9)
+    assert soaked.field2_v_per_m == pytest.approx(eq.field2_v_per_m, rel=1e-9)
 
 
 def test_arm_fields_push_pull():
@@ -185,10 +184,10 @@ def test_arm_fields_push_pull():
 
 def test_pristine_discharges_both_arms():
     soaked = DEV.exposed(5e-6, 0.0, 1e4)
-    assert soaked.arm1.field_v_per_m != 0.0
+    assert soaked.field1_v_per_m != 0.0
     fresh = soaked.pristine()
-    assert fresh.arm1 == ArmState()
-    assert fresh.arm2 == ArmState()
+    assert fresh.field1_v_per_m == 0.0
+    assert fresh.field2_v_per_m == 0.0
     assert fresh.transmittance(1.3) == pytest.approx(DEV.transmittance(1.3), rel=1e-12)
 
 

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from ipasim.calibration import default_material
 from ipasim.photorefractive import (
-    ArmState,
     DecayMode,
     GeometryParams,
     MaterialParams,
     buildup_time_constant,
-    evolve_arm,
     evolve_field,
     field_coupling,
     photoconductivity,
@@ -121,13 +119,6 @@ def test_dark_behavior_frozen_vs_decay():
     assert evolve_field(MAT, f0, 0.0, 0.0, math.inf, DecayMode.DARK_DECAY) == 0.0
     decayed = evolve_field(MAT, f0, 0.0, 0.0, MAT.tau_dark_s, DecayMode.DARK_DECAY)
     assert decayed == pytest.approx(f0 * math.exp(-1.0), rel=1e-12)
-
-
-def test_arm_index_response_follows_its_field():
-    s = ArmState()
-    s = evolve_arm(MAT, s, 2e-6, 0.0, 100.0)
-    s = evolve_arm(MAT, s, 0.0, 0.0, 50.0, DecayMode.DARK_DECAY)
-    assert s.index_response(MAT) == pytest.approx(MAT.field_response * s.field_v_per_m)
 
 
 def test_saturated_phase_uses_drift_correction():
