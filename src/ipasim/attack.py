@@ -18,14 +18,16 @@ The beam changes one thing in the device: the space-charge field of each arm,
 which ``MziDevice`` holds as ``field1_v_per_m`` and ``field2_v_per_m``.  Every
 path steps those two fields with the one exact-exponential
 ``relaxation_step`` of ``ipasim.photorefractive``, so ``dt_s`` only sets trace
-resolution.  An exposure program carries the two fields from segment to
-segment as scalars and then evaluates every sample time in one broadcast
-call; a saturation run is one such segment, and its end state is the trace's
-last sample.  The pulse controller must go
-period by period, since each duty depends on the last reading, so a period
-is a scalar map of the two fields: one lit and one dark relaxation step, read
-out through the device's affine phase coefficients, a few microseconds with
-no device built until the loop ends.
+resolution.  An exposure program samples each segment every ``dt_s``,
+closing with one shorter step; the clock is numpy accumulates, built once per
+distinct segment duration and bit-identical to a sequential ``left -= dt``
+loop.  It carries the two fields from segment to segment as scalars and then
+evaluates every sample time in one broadcast call; a saturation run is one
+such segment, and its end state is the trace's last sample.  The pulse
+controller must go period by period, since each duty depends on the last
+reading, so a period is a scalar map of the two fields: one lit and one dark
+relaxation step, read out through the device's affine phase coefficients, a
+few microseconds with no device built until the loop ends.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ class Segment:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if self.power_w < 0.0:
-            raise ValueError("segment power must be >= 0")
-        if self.duration_s <= 0.0:
-            raise ValueError("segment duration must be positive")
+        if not (math.isfinite(self.power_w) and self.power_w >= 0.0):
+            raise ValueError("segment power must be finite and >= 0")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise ValueError("segment duration must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,10 @@ class IrradiationProgram:
         if count < 1:
             raise ValueError("count must be >= 1")
         on = Segment(peak_power_w, pulse_width_s)
-        segs: list[Segment] = []
-        for _ in range(count):
-            segs.append(on)
-            if pulse_width_s < period_s:
-                segs.append(Segment(0.0, period_s - pulse_width_s))
-        return cls(tuple(segs), pulse_width_s=pulse_width_s)
+        if pulse_width_s == period_s:
+            return cls((on,) * count, pulse_width_s=pulse_width_s)
+        off = Segment(0.0, period_s - pulse_width_s)
+        return cls((on, off) * count, pulse_width_s=pulse_width_s)
 
     @property
     def total_duration_s(self) -> float:
@@ -138,6 +138,29 @@ def _trace(
     )
 
 
+def _segment_clock(duration_s: float, dt_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Steps and elapsed times of one segment's ``dt_s`` sample clock.
+
+    The clock subtracts ``dt_s`` from the time left until at most one step
+    remains, then closes with that remainder, so a float residue can add one
+    row (0.7 s in 0.1 s steps takes eight).  ``np.subtract.accumulate`` and
+    ``np.add.accumulate`` fold left to right, one rounding per element, so
+    every remainder and elapsed time is the sequential ``left -= dt``,
+    ``e += step`` clock bit for bit.
+    """
+    q = duration_s / dt_s
+    # each subtraction rounds by at most half an ulp of the duration, so the
+    # ~q subtractions drift by at most q*q*2**-53 steps; the margin also
+    # covers the rounding of q itself
+    left = np.full(math.ceil(q) + 2 + int(q * q * 2.0**-51), dt_s)
+    left[0] = duration_s
+    np.subtract.accumulate(left, out=left)
+    k = int(np.argmax(left <= dt_s))  # the first remainder that fits one step
+    steps = np.full(k + 1, dt_s)
+    steps[k] = left[k]
+    return steps, np.add.accumulate(steps)
+
+
 def run_program(
     device: MziDevice,
     program: IrradiationProgram,
@@ -150,54 +173,56 @@ def run_program(
     Magnification is measured against the device's own output at t = 0, so a
     zero-power program on a frozen device gives a flat 0 dB series.  For
     pulse-train programs ``dt_s`` must resolve the pulse (at most a quarter
-    width), otherwise the trace would alias the duty structure.  A scalar
-    recurrence carries the arm fields from segment to segment (each segment
-    power's relaxation law taken once); the whole trace is then one broadcast
-    exact-exponential call from each sample's segment start.
+    width), otherwise the trace would alias the duty structure.  Each segment
+    is sampled in ``dt_s`` steps closed by one shorter step; that clock is two
+    numpy accumulates, built once per distinct duration (a pulse train has
+    two), and one more accumulate over all steps gives ``t_s``, so sample
+    times and row counts are those of a sequential ``left -= dt`` loop to the
+    last bit.  A scalar recurrence carries the arm fields from segment to
+    segment (each segment power's relaxation law taken once); the whole
+    trace is then one broadcast exact-exponential call from each sample's
+    segment start.
     """
-    if dt_s <= 0.0:
+    if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
     start = (device.field1_v_per_m, device.field2_v_per_m)
-    times, powers, elapsed = [0.0], [program.segments[0].power_w], []
-    starts, laws, counts = [], [], []
-    cache: dict[float, tuple[tuple[float, float], ...]] = {}
-    t = 0.0
+    starts, laws, clocks = [], [], []
+    law_cache: dict[float, tuple[tuple[float, float], ...]] = {}
+    clock_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for seg in program.segments:
-        law = cache.get(seg.power_w)
+        law = law_cache.get(seg.power_w)
         if law is None:
-            law = cache[seg.power_w] = device.arm_laws(seg.power_w, v_app_v)
-        # the stepped clock sets the sample times, float residue rows included
-        left, e, n = seg.duration_s, 0.0, 0
-        while left > 0.0:
-            step = min(dt_s, left)
-            left -= step
-            e += step
-            t += step
-            n += 1
-            elapsed.append(e)
-            times.append(t)
+            law = law_cache[seg.power_w] = device.arm_laws(seg.power_w, v_app_v)
+        clock = clock_cache.get(seg.duration_s)
+        if clock is None:
+            clock = clock_cache[seg.duration_s] = _segment_clock(seg.duration_s, dt_s)
         starts.append(start)
         laws.append(law)
-        counts.append(n)
-        powers += [seg.power_w] * n
+        clocks.append(clock)
         # the segment's last sample is the next segment's start
+        e = float(clock[1][-1])
         (target1, tau1), (target2, tau2) = law
         start = (
             relaxation_step(start[0], target1, e / tau1),
             relaxation_step(start[1], target2, e / tau2),
         )
+    steps, elapsed = zip(*clocks)
+    counts = [len(s) for s in steps]
     law_rows = np.repeat(np.array(laws), counts, axis=0)  # (rows, arm, [target, tau])
     sampled = relaxation_step(
         np.repeat(np.array(starts), counts, axis=0),
         law_rows[:, :, 0],
-        np.array(elapsed)[:, None] / law_rows[:, :, 1],
+        np.concatenate(elapsed)[:, None] / law_rows[:, :, 1],
     )
     f1, f2 = np.vstack([starts[0], sampled]).T  # the t = 0 row first
     trace_dev = replace(device, field1_v_per_m=f1, field2_v_per_m=f2)
     end = replace(device, field1_v_per_m=start[0], field2_v_per_m=start[1])
-    return ExposureResult(end, _trace(trace_dev, times, powers, v_app_v, mu_in))
+    t_s = np.add.accumulate(np.concatenate([[0.0], *steps]))
+    segs = program.segments[:1] + program.segments
+    power_w = np.repeat([s.power_w for s in segs], [1, *counts])
+    return ExposureResult(end, _trace(trace_dev, t_s, power_w, v_app_v, mu_in))
 
 
 # -- pre-treatment and initialization ----------------------------------------
@@ -246,7 +271,7 @@ def _saturate(
     """
     if power_w <= 0.0:
         raise ValueError("saturation runs need positive power")
-    if dt_s <= 0.0:
+    if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ipasim.attack import (
     INIT_POWER_W,
@@ -56,6 +58,25 @@ def test_program_validation():
     assert train.pulse_width_s == 1.0
 
 
+@pytest.mark.parametrize(
+    "power, duration", [(math.nan, 1.0), (math.inf, 1.0), (1e-6, math.nan), (1e-6, math.inf)]
+)
+def test_segment_refuses_non_finite_values(power, duration):
+    with pytest.raises(ValueError, match="finite"):
+        Segment(power, duration)
+
+
+@pytest.mark.parametrize("period, width", [(10.0, 1.0), (1.1, 0.3), (10.0, 10.0)])
+def test_pulse_train_segments_match_one_segment_per_period(period, width):
+    train = IrradiationProgram.pulse_train(12e-6, period, width, 7)
+    want = []
+    for _ in range(7):
+        want.append((12e-6, width))
+        if width < period:
+            want.append((0.0, period - width))
+    assert [(s.power_w, s.duration_s) for s in train.segments] == want
+
+
 def test_run_program_rejects_coarse_sampling_of_pulse_trains():
     train = IrradiationProgram.pulse_train(12e-6, 10.0, 1.0, 2)
     with pytest.raises(ValueError, match="pulse_width_s / 4"):
@@ -63,6 +84,15 @@ def test_run_program_rejects_coarse_sampling_of_pulse_trains():
     run_program(DEV, train, 1.0, WP, dt_s=0.25)  # quarter width is allowed
     with pytest.raises(ValueError):
         run_program(DEV, train, 1.0, WP, dt_s=0.0)
+
+
+def test_nan_dt_is_refused():
+    with pytest.raises(ValueError, match="dt_s must be positive"):
+        run_program(DEV, IrradiationProgram.cw(1e-6, 100.0), 1.0, WP, math.nan)
+    with pytest.raises(ValueError, match="dt_s must be positive"):
+        pre_treat(DEV, PreTreatmentPlan(), dt_s=math.nan)
+    with pytest.raises(ValueError, match="dt_s must be positive"):
+        initialize_device(DEV, dt_s=math.nan)
 
 
 def test_zero_power_program_on_frozen_device_is_flat():
@@ -283,6 +313,43 @@ def test_run_program_matches_the_literal_step_loop(device, segments, mu_in, v_ap
     got = np.column_stack([tr.delta_theta_rad, tr.transmittance, tr.attenuation_db, tr.m_db])
     np.testing.assert_allclose(got, want[:, 2:], rtol=1e-9, atol=1e-12)
     assert isinstance(res.device.field1_v_per_m, float)
+
+
+@st.composite
+def _programs(draw):
+    """Multi-segment programs whose durations repeat from a small pool; the
+    decimal durations leave float-residue rows against the decimal steps."""
+    dt = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0 / 3.0, 0.25]))
+    decimal = st.integers(1, 40).map(lambda n: n / 10.0)
+    scaled = st.floats(0.05, 30.0).map(lambda f: f * dt)
+    pool = draw(st.lists(st.one_of(decimal, scaled), min_size=1, max_size=3))
+    powers = st.sampled_from([0.0, 3e-6, 12e-6])
+    segments = draw(st.lists(st.tuples(powers, st.sampled_from(pool)), min_size=1, max_size=8))
+    return segments, dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=_programs(), device=st.sampled_from([DEV, FROZEN_DEV]))
+@example(program=([(12e-6, 0.7), (0.0, 0.7), (12e-6, 0.7)], 0.1), device=DEV)
+def test_run_program_clock_is_the_literal_step_clock(program, device):
+    segments, dt = program
+    tr = run_program(device, IrradiationProgram.steps(segments), 1.0, WP, dt).trace
+    want = np.array(exposure_loop(device, segments, 1.0, WP, dt))
+    assert len(tr.t_s) == len(want)
+    assert np.array_equal(tr.t_s, want[:, 0])
+    assert np.array_equal(tr.power_w, want[:, 1])
+
+
+def test_long_segment_keeps_the_sequential_step_count():
+    # 1e5 steps of 0.3 s: the sequential remainders end in a residue step,
+    # one more step than ceil(duration / dt)
+    duration, dt = 3e4, 0.3
+    tr = run_program(DEV, IrradiationProgram.cw(3e-6, duration), 1.0, WP, dt).trace
+    want = np.array(exposure_loop(DEV, [(3e-6, duration)], 1.0, WP, dt))
+    assert len(tr.t_s) - 1 == math.ceil(duration / dt) + 1
+    assert np.array_equal(tr.t_s, want[:, 0])
+    assert np.array_equal(tr.power_w, want[:, 1])
+    np.testing.assert_allclose(tr.m_db, want[:, 5], rtol=1e-9, atol=1e-12)
 
 
 def _oracle_pretreat_cases():
