@@ -16,13 +16,13 @@ attacked evaluations: the Poisson mass above it is reported as
 ``tail_bound``, and a magnified mean whose tail reaches ``TAIL_LIMIT`` is
 refused.
 
-Every per-link formula is a numpy expression, so ``evaluate_scenario`` takes
-a whole distance grid in one call: a sweep costs one evaluation per
-magnification, and the Poisson tail, which does not depend on distance, is
-computed once for each.  The zero-key threshold costs one unattacked
-evaluation and no search: with p = eta_AB/M the success probability is a
-closed form in M, so each distance's zero-key magnification follows from its
-decoy estimate directly (``zero_key_threshold``).
+Every per-link formula is a numpy expression over a whole distance grid.
+The link half (gains, error rates, decoy bounds, estimated key) does not
+depend on the magnification, so a sweep costs one link evaluation plus a
+row of attack terms (p_s, actual key, Poisson tail) per magnification.  The
+zero-key threshold costs one unattacked evaluation and no search: with p =
+eta_AB/M the success probability is a closed form in M, so each distance's
+zero-key magnification follows from its decoy estimate (``zero_key_threshold``).
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class AttackParams:
     p_resend: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.m_linear < 1.0:
-            raise ValueError("m_linear must be >= 1")
+        if not 1.0 <= self.m_linear < math.inf:
+            raise ValueError("m_linear must be >= 1 and finite")
         if self.p_resend is not None and not 0.0 <= self.p_resend <= 1.0:
             raise ValueError("p_resend must be in [0, 1]")
 
@@ -215,7 +215,7 @@ def single_photon_truth(scenario: QkdScenario, eta: Optional[Floats] = None) -> 
 
 def resend_probability(eta_ab: Floats, m_linear: float) -> Floats:
     """Per-photon forwarding probability that hides the attack in the rates."""
-    if m_linear < 1.0:
+    if not m_linear >= 1.0:
         raise ValueError("m_linear must be >= 1")
     return eta_ab / m_linear
 
@@ -258,6 +258,8 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
     mean above the cut puts most of the mass in the tail, which is then one
     minus the short sum of the first ``n_trunc + 1`` terms.
     """
+    if not math.isfinite(mean):
+        raise ValueError("Poisson mean must be finite")
     if mean > n_trunc:
         return 1.0 - math.fsum(_poisson_pmf(n, mean) for n in range(n_trunc + 1))
     tail, n = 0.0, n_trunc + 1
@@ -363,6 +365,54 @@ class SecurityResult:
 ESTIMATORS = ("decoy", "single_photon_true")
 
 
+def _evaluate(
+    scenario: QkdScenario, attacks: Sequence[Optional[AttackParams]],
+    estimator: str, distances_km: Sequence[float],
+) -> SecurityResult:
+    """One link under each of ``attacks`` (None: no attacker), as 2-D arrays.
+
+    Row i of every field is ``attacks[i]`` at each distance.  The users' side
+    is computed once; the attack terms are elementwise, so each row has the
+    bits a one-attack evaluation gives.
+    """
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    distance = np.asarray(distances_km, dtype=float)
+    if (distance < 0.0).any():
+        raise ValueError("fiber attenuation and distance must be >= 0")
+    eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
+    eta = eta_ab * scenario.eta_bob
+    q_mu = gain(scenario.mu, eta, scenario.y0)
+    e_mu = qber(scenario.mu, eta, scenario.y0, scenario.e0, scenario.e_det)
+    q_nu = gain(scenario.nu, eta, scenario.y0)
+    e_nu = qber(scenario.nu, eta, scenario.y0, scenario.e0, scenario.e_det)
+    if estimator == "decoy":
+        bounds = decoy_bounds(scenario, q_mu, e_mu, q_nu, e_nu)
+    else:
+        bounds = single_photon_truth(scenario, eta)
+    delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
+    shape = (len(attacks), distance.size)
+    p_s, (tail, m_db) = np.zeros(shape), np.zeros((2, shape[0], 1))
+    attacked = np.array([attack is not None for attack in attacks], dtype=bool)[:, None]
+    for i, attack in enumerate(attacks):
+        if attack is not None:
+            success = attack_success_probability(scenario, attack, eta_ab)
+            p_s[i], tail[i], m_db[i] = success.value, success.tail_bound, attack.m_db
+    # no attacker: the actual key is the estimate by definition
+    delta_pns = np.where(attacked, np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0), delta_est)
+    # the estimate and every actual tagged fraction in one call: each entropy once
+    e1 = np.minimum(bounds.e1_upper, 0.5)
+    rates = key_rate(scenario, np.vstack([delta_est, delta_pns]), e1, q_mu, e_mu)
+    columns = dict(
+        m_db=m_db, distance_km=distance, q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu,
+        y1_lower=bounds.y1_lower, e1_upper=bounds.e1_upper, bounds_clamped=bounds.clamped,
+        delta_est=delta_est, delta_pns=delta_pns, p_s=p_s, tail_bound=tail / q_mu,
+        r_est=rates.bits_per_pulse[0], r_actual=rates.bits_per_pulse[1:],
+        r_est_raw=rates.raw[0], r_actual_raw=rates.raw[1:],
+    )
+    return SecurityResult(**{name: np.broadcast_to(v, shape) for name, v in columns.items()})
+
+
 def evaluate_scenario(
     scenario: QkdScenario,
     attack: Optional[AttackParams] = None,
@@ -380,61 +430,14 @@ def evaluate_scenario(
     and every field is a float (or bool).  With a grid every field is an
     array with one entry per distance, from one pass of the array formulas;
     the attack's Poisson tail, which does not depend on distance, is
-    computed once.
+    computed once.  It is one row of the sweep's evaluation.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
     grid = [scenario.distance_km] if distances_km is None else distances_km
-    distance = np.asarray(grid, dtype=float)
-    if (distance < 0.0).any():
-        raise ValueError("fiber attenuation and distance must be >= 0")
-    eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
-    eta = eta_ab * scenario.eta_bob
-    q_mu = gain(scenario.mu, eta, scenario.y0)
-    e_mu = qber(scenario.mu, eta, scenario.y0, scenario.e0, scenario.e_det)
-    q_nu = gain(scenario.nu, eta, scenario.y0)
-    e_nu = qber(scenario.nu, eta, scenario.y0, scenario.e0, scenario.e_det)
-    if estimator == "decoy":
-        bounds = decoy_bounds(scenario, q_mu, e_mu, q_nu, e_nu)
-    else:
-        bounds = single_photon_truth(scenario, eta)
-    delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
-    if attack is None:
-        zero = np.zeros(distance.shape)
-        delta_pns, p_s, tail = delta_est, zero, zero
-        m_db = 0.0
-    else:
-        success = attack_success_probability(scenario, attack, eta_ab)
-        p_s = success.value
-        delta_pns = np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0)
-        tail = success.tail_bound / q_mu
-        m_db = attack.m_db
-    # both tagged fractions in one call, so each entropy is taken once
-    e1 = np.minimum(bounds.e1_upper, 0.5)
-    rates = key_rate(scenario, np.stack([delta_est, delta_pns]), e1, q_mu, e_mu)
-    (r_est, r_actual), (r_est_raw, r_actual_raw) = rates.bits_per_pulse, rates.raw
-    grid = SecurityResult(
-        m_db=np.full(distance.shape, m_db),
-        distance_km=distance,
-        q_mu=q_mu,
-        e_mu=e_mu,
-        q_nu=q_nu,
-        e_nu=e_nu,
-        y1_lower=bounds.y1_lower,
-        e1_upper=bounds.e1_upper,
-        bounds_clamped=bounds.clamped,
-        delta_est=delta_est,
-        delta_pns=delta_pns,
-        r_est=r_est,
-        r_actual=r_actual,
-        r_est_raw=r_est_raw,
-        r_actual_raw=r_actual_raw,
-        p_s=p_s,
-        tail_bound=tail,
-    )
-    if distances_km is not None:
-        return grid
-    return SecurityResult(**{f.name: getattr(grid, f.name).item() for f in fields(SecurityResult)})
+    result = _evaluate(scenario, [attack], estimator, grid)
+    row = {f.name: getattr(result, f.name)[0] for f in fields(SecurityResult)}
+    if distances_km is None:
+        row = {name: value.item() for name, value in row.items()}
+    return SecurityResult(**row)
 
 
 DEFAULT_M_DB_GRID = (0.0, 4.0, 5.0, 6.0, 6.5)
@@ -450,19 +453,16 @@ def sweep_key_rates(
     """Estimated vs actual key rate over a magnification and distance grid.
 
     An entry of 0 dB means no attacker at all (not an M = 1 interceptor):
-    the actual columns repeat the estimated ones.  Each magnification is one
-    grid evaluation; the rows hold plain floats and bools.
+    the actual columns repeat the estimated ones.  The link is evaluated once
+    for the whole grid and each magnification adds only its attack terms;
+    the rows, magnification-major, hold plain floats and bools.
     """
-    distances = np.asarray(distances_km, dtype=float)
-    rows: list[SecurityResult] = []
-    for m_db in m_db_list:
-        if m_db < 0.0:
-            raise ValueError("m_db must be >= 0")
-        attack = None if m_db == 0.0 else AttackParams.from_db(m_db)
-        grid = evaluate_scenario(scenario, attack, estimator, distances)
-        columns = [getattr(grid, f.name).tolist() for f in fields(SecurityResult)]
-        rows.extend(SecurityResult(*row) for row in zip(*columns))
-    return rows
+    if not all(m_db >= 0.0 for m_db in m_db_list):
+        raise ValueError("m_db must be >= 0")
+    attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]
+    grid = _evaluate(scenario, attacks, estimator, distances_km)
+    columns = [getattr(grid, f.name).ravel().tolist() for f in fields(SecurityResult)]
+    return [SecurityResult(*row) for row in zip(*columns)]
 
 
 def zero_key_threshold(

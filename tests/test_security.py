@@ -6,13 +6,15 @@ Monte-Carlo sampling; nothing here reuses the implementation's own algebra.
 """
 
 import math
+import signal
 import warnings
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipasim import security
@@ -23,6 +25,7 @@ from ipasim.security import (
     AttackParams,
     BracketError,
     QkdScenario,
+    SecurityResult,
     attack_success_probability,
     attacked_gain,
     binary_entropy,
@@ -62,6 +65,22 @@ ORACLE_M_DB = (0.0, 4.0, 6.5)  # 0 dB: no attacker
 # error bound tends to ~0.53.  A decoy close to the signal pushes it past 1,
 # which clamps every row from 280 km on.
 NEAR_DECOY = QkdScenario(mu=1.0, nu=0.9)
+
+
+@contextmanager
+def time_bound(seconds=5.0):
+    """Fail the body with TimeoutError instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- rate identities -------------------------------------------------------------
@@ -158,6 +177,14 @@ def test_success_probability_within_monte_carlo_error(seed, m_db, distance_km):
 def test_poisson_tail_matches_bruteforce_sum(mean, n_trunc):
     want = math.fsum(poisson_pmf(n, mean) for n in range(n_trunc + 1, 400))
     assert poisson_tail(mean, n_trunc) == pytest.approx(want, rel=1e-12)
+
+
+def test_poisson_tail_refuses_a_non_finite_mean():
+    # the upward sum never meets its stopping test on NaN
+    with time_bound():
+        for mean in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                poisson_tail(mean, 80)
 
 
 def test_truncation_tail_guard():
@@ -265,6 +292,15 @@ def test_scenario_and_attack_validation():
     assert AttackParams(2.0, p_resend=0.3).resolved_p(0.1) == 0.3
 
 
+def test_attack_refuses_a_non_finite_magnification():
+    with time_bound():
+        for m_linear in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="m_linear must be >= 1 and finite"):
+                AttackParams(m_linear)
+        with pytest.raises(ValueError, match="m_linear must be >= 1 and finite"):
+            sweep_key_rates(SCENARIO, [math.inf], [10.0])
+
+
 # -- scenario evaluation and sweeps ----------------------------------------------------
 
 
@@ -289,6 +325,58 @@ def test_actual_key_never_exceeds_estimate_on_the_default_grid():
             assert row.delta_pns >= row.delta_est - 1e-15
     with pytest.raises(ValueError):
         sweep_key_rates(SCENARIO, m_db_list=[-1.0])
+
+
+def test_sweep_refuses_a_nan_magnification_without_hanging():
+    with time_bound():
+        with pytest.raises(ValueError, match="m_db must be >= 0"):
+            sweep_key_rates(SCENARIO, [float("nan")], [10.0])
+        with pytest.raises(ValueError, match="m_db must be >= 0"):
+            sweep_key_rates(SCENARIO, [4.0, 0.0, float("nan")], [10.0])
+
+
+def test_sweep_of_an_empty_grid_is_empty():
+    assert sweep_key_rates(SCENARIO, m_db_list=[]) == []
+    assert sweep_key_rates(SCENARIO, distances_km=[]) == []
+
+
+def test_sweep_evaluates_the_link_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decoy_bounds(*args)
+
+    monkeypatch.setattr(security, "decoy_bounds", counted)
+    rows = sweep_key_rates(SCENARIO)
+    assert len(DEFAULT_M_DB_GRID) == 5
+    assert len(rows) == 5 * len(DEFAULT_DISTANCES_KM)
+    assert len(calls) == 1
+
+
+# 0 dB (no attacker) and a few fixed magnifications, so lists repeat entries
+SWEEP_M_DB = st.sampled_from([0.0, 4.0, 6.5]) | st.floats(min_value=0.0, max_value=10.0)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("scenario", [SCENARIO, NEAR_DECOY], ids=["default", "near_decoy"])
+@settings(max_examples=25, deadline=None)
+@given(
+    m_db_list=st.lists(SWEEP_M_DB, max_size=6),
+    distances=st.lists(st.floats(min_value=0.0, max_value=320.0), max_size=8),
+)
+@example(m_db_list=[6.5, 0.0, 4.0, 0.0, 6.5, 5.0], distances=[300.0, 0.0, 50.0, 50.0])
+def test_sweep_rows_equal_the_per_magnification_grids(scenario, estimator, m_db_list, distances):
+    rows = sweep_key_rates(scenario, m_db_list, distances, estimator)
+    assert len(rows) == len(m_db_list) * len(distances)
+    rows = iter(rows)
+    for m_db in m_db_list:
+        attack = None if m_db == 0.0 else AttackParams.from_db(m_db)
+        grid = evaluate_scenario(scenario, attack, estimator, distances)
+        for k, distance_km in enumerate(distances):
+            row = next(rows)
+            for f in fields(SecurityResult):
+                assert getattr(row, f.name) == getattr(grid, f.name)[k], (f.name, m_db, distance_km)
 
 
 def test_estimated_key_survives_while_actual_key_dies():
