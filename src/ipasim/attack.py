@@ -16,22 +16,22 @@ Three attack styles are modeled:
 
 The beam changes one thing in the device: the space-charge field of each arm,
 which ``MziDevice`` holds as ``field1_v_per_m`` and ``field2_v_per_m``.  Every
-path steps those two fields with the one exact-exponential
-``relaxation_step`` of ``ipasim.photorefractive``, so ``dt_s`` only sets trace
-resolution.  An exposure program samples each segment every ``dt_s``,
-closing with one shorter step; the clock is numpy accumulates, built once per
-distinct segment duration and bit-identical to a sequential ``left -= dt``
-loop.  It carries the two fields from segment to segment as scalars and then
-evaluates every sample time in one broadcast call; a saturation run is one
-such segment, and its end state is the trace's last sample.  The pulse
-controller must go period by period, since each duty depends on the last
-reading, so a period is a scalar map of the two fields: one lit and one dark
-relaxation step, read out through the device's affine phase coefficients, a
-few microseconds with no device built until the loop ends.
+path steps them by the exact-exponential ``relaxation_step`` of
+``ipasim.photorefractive`` (the scalar loops write out its expression), so
+``dt_s`` only sets trace resolution.  An exposure program samples each segment
+every ``dt_s``, closing with one shorter step, on a clock bit-identical to a
+sequential ``left -= dt`` loop.  Each kind of segment, a distinct (power,
+duration), takes its laws, clock and step factors once; the fields go from
+segment to segment by one scalar multiply-add per arm, and every sample is
+evaluated and read out in one broadcast pass.  A saturation run is one such
+segment.  The pulse controller must go period by period, since each duty
+depends on the last reading: a period is one lit and one dark step of the two
+scalar fields and one reading, with noise drawn in blocks of 64.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .device import MziDevice
-from .photorefractive import DecayMode, relaxation_step
+from .photorefractive import _LN2, DecayMode, relaxation_step
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,20 @@ def _trace(
     v_app_v: float,
     mu_in: float = 1.0,
 ) -> ExposureTrace:
-    """Read out a device whose arm fields are sampled arrays, one row each;
-    magnification is relative to the first row's output."""
-    baseline = float(sampled.output_mpn(mu_in, v_app_v)[0])
-    return ExposureTrace(
-        np.asarray(t_s, dtype=float),
-        np.asarray(power_w, dtype=float),
-        sampled.total_phase(v_app_v),
-        sampled.transmittance(v_app_v),
-        sampled.attenuation_db(v_app_v),
-        sampled.magnification_db(v_app_v, baseline, mu_in),
-    )
+    """Read out a device whose arm fields are sampled arrays, one row each, from one
+    phase and one transmittance pass; magnification is relative to the first row's output."""
+    if mu_in < 0.0:
+        raise ValueError("mu_in must be >= 0")
+    phase = sampled.total_phase(v_app_v)
+    trans = sampled.phase_transmittance(phase)
+    output = mu_in * trans
+    baseline = float(output[0])
+    if baseline <= 0.0:
+        raise ValueError("baseline_mu must be positive")
+    with np.errstate(divide="ignore"):
+        att_db, m_db = -10.0 * np.log10(trans), 10.0 * np.log10(output / baseline)
+    t_s, power_w = np.asarray(t_s, dtype=float), np.asarray(power_w, dtype=float)
+    return ExposureTrace(t_s, power_w, phase, trans, att_db, m_db)
 
 
 def _segment_clock(duration_s: float, dt_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,54 +177,57 @@ def run_program(
     zero-power program on a frozen device gives a flat 0 dB series.  For
     pulse-train programs ``dt_s`` must resolve the pulse (at most a quarter
     width), otherwise the trace would alias the duty structure.  Each segment
-    is sampled in ``dt_s`` steps closed by one shorter step; that clock is two
-    numpy accumulates, built once per distinct duration (a pulse train has
-    two), and one more accumulate over all steps gives ``t_s``, so sample
-    times and row counts are those of a sequential ``left -= dt`` loop to the
-    last bit.  A scalar recurrence carries the arm fields from segment to
-    segment (each segment power's relaxation law taken once); the whole
-    trace is then one broadcast exact-exponential call from each sample's
-    segment start.
+    is sampled in ``dt_s`` steps closed by one shorter step.  A segment's kind
+    is its (power, duration) (a pulse train has two); each kind takes its arm
+    laws, its clock (two numpy accumulates) and each arm's step factor,
+    exp(-x) or expm1(-x) on ``relaxation_step``'s ln 2 branch, once.  The
+    fields then go from segment start to segment start by one multiply-add
+    per arm, each row gathers its law and clock through a kind index, and
+    one accumulate over the steps gives ``t_s``, the sequential ``left -= dt``
+    clock to the last bit; the trace is one broadcast exact-exponential call.
     """
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
-    start = (device.field1_v_per_m, device.field2_v_per_m)
-    starts, laws, clocks = [], [], []
-    law_cache: dict[float, tuple[tuple[float, float], ...]] = {}
-    clock_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for seg in program.segments:
-        law = law_cache.get(seg.power_w)
-        if law is None:
-            law = law_cache[seg.power_w] = device.arm_laws(seg.power_w, v_app_v)
-        clock = clock_cache.get(seg.duration_s)
-        if clock is None:
-            clock = clock_cache[seg.duration_s] = _segment_clock(seg.duration_s, dt_s)
-        starts.append(start)
-        laws.append(law)
-        clocks.append(clock)
-        # the segment's last sample is the next segment's start
-        e = float(clock[1][-1])
-        (target1, tau1), (target2, tau2) = law
-        start = (
-            relaxation_step(start[0], target1, e / tau1),
-            relaxation_step(start[1], target2, e / tau2),
-        )
-    steps, elapsed = zip(*clocks)
-    counts = [len(s) for s in steps]
-    law_rows = np.repeat(np.array(laws), counts, axis=0)  # (rows, arm, [target, tau])
+    kinds: dict[tuple[float, float], int] = {}  # (power, duration) -> kind
+    kind_of = [kinds.setdefault((s.power_w, s.duration_s), len(kinds)) for s in program.segments]
+    laws = [device.arm_laws(power_w, v_app_v) for power_w, _ in kinds]
+    steps, elapsed = zip(*(_segment_clock(duration_s, dt_s) for _, duration_s in kinds))
+    # per kind and arm, relaxation_step's math branch over the whole segment:
+    # (target, exp or expm1 factor, whether the move is taken from the target)
+    xs = [[(t, float(e[-1]) / tau) for t, tau in law] for law, e in zip(laws, elapsed)]
+    moves = [
+        [(t, math.exp(-x), True) if x > _LN2 else (t, math.expm1(-x), False) for t, x in arms]
+        for arms in xs
+    ]
+    f1, f2 = device.field1_v_per_m, device.field2_v_per_m
+    starts1, starts2 = [], []
+    for k in kind_of:  # the segment's last sample is the next segment's start
+        starts1.append(f1)
+        starts2.append(f2)
+        (t1, a1, far1), (t2, a2, far2) = moves[k]
+        f1 = t1 + (f1 - t1) * a1 if far1 else f1 + (f1 - t1) * a1
+        f2 = t2 + (f2 - t2) * a2 if far2 else f2 + (f2 - t2) * a2
+    # each sample row gathers its law, elapsed time and clock step by kind
+    index = np.array(kind_of)
+    lengths = np.array([len(s) for s in steps])
+    counts = lengths[index]
+    ends = np.add.accumulate(counts)
+    first = np.add.accumulate(lengths) - lengths  # each kind's offset in the joined clocks
+    row = np.arange(ends[-1]) + np.repeat(first[index] - (ends - counts), counts)
+    law_rows = np.array(laws)[np.repeat(index, counts)]  # (rows, arm, [target, tau])
     sampled = relaxation_step(
-        np.repeat(np.array(starts), counts, axis=0),
+        np.repeat(np.array([starts1, starts2]).T, counts, axis=0),
         law_rows[:, :, 0],
-        np.concatenate(elapsed)[:, None] / law_rows[:, :, 1],
+        np.concatenate(elapsed)[row][:, None] / law_rows[:, :, 1],
     )
-    f1, f2 = np.vstack([starts[0], sampled]).T  # the t = 0 row first
-    trace_dev = replace(device, field1_v_per_m=f1, field2_v_per_m=f2)
-    end = replace(device, field1_v_per_m=start[0], field2_v_per_m=start[1])
-    t_s = np.add.accumulate(np.concatenate([[0.0], *steps]))
-    segs = program.segments[:1] + program.segments
-    power_w = np.repeat([s.power_w for s in segs], [1, *counts])
+    trace1, trace2 = np.vstack([(starts1[0], starts2[0]), sampled]).T  # the t = 0 row first
+    trace_dev = replace(device, field1_v_per_m=trace1, field2_v_per_m=trace2)
+    end = replace(device, field1_v_per_m=f1, field2_v_per_m=f2)
+    t_s = np.add.accumulate(np.concatenate([[0.0], np.concatenate(steps)[row]]))
+    seg_power = [s.power_w for s in program.segments]
+    power_w = np.concatenate([seg_power[:1], np.repeat(seg_power, counts)])
     return ExposureResult(end, _trace(trace_dev, t_s, power_w, v_app_v, mu_in))
 
 
@@ -237,7 +243,7 @@ class PreTreatmentPlan:
     saturation_epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.i_ir_w < 0.0:
+        if not self.i_ir_w >= 0.0:
             raise ValueError("i_ir_w must be >= 0")
         if not 0.0 < self.saturation_epsilon < 0.1:
             raise ValueError("saturation_epsilon must be in (0, 0.1)")
@@ -269,7 +275,7 @@ def _saturate(
     of the step budget reports converged = False with the partial state, it
     does not raise.  The end state is the trace's last sample.
     """
-    if power_w <= 0.0:
+    if not power_w > 0.0:
         raise ValueError("saturation runs need positive power")
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
@@ -380,15 +386,17 @@ class PulseController:
     noise_db: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.target_m_db):
+            raise ValueError("target_m_db must be finite")
         if not 0.0 < self.duty_min < self.duty_max <= 1.0:
             raise ValueError("need 0 < duty_min < duty_max <= 1")
-        if self.gain_duty_per_db <= 0.0:
+        if not 0.0 < self.gain_duty_per_db < math.inf:
             raise ValueError("gain_duty_per_db must be positive")
-        if self.settle_tol_db <= 0.0:
+        if not 0.0 < self.settle_tol_db < math.inf:
             raise ValueError("settle_tol_db must be positive")
-        if self.period_s <= 0.0 or self.peak_power_w <= 0.0:
+        if not (0.0 < self.period_s < math.inf and 0.0 < self.peak_power_w < math.inf):
             raise ValueError("period_s and peak_power_w must be positive")
-        if self.noise_db < 0.0:
+        if not 0.0 <= self.noise_db < math.inf:
             raise ValueError("noise_db must be >= 0")
 
 
@@ -449,6 +457,9 @@ def pulse_inject_to_target(
     that many extra periods after settling, to demonstrate the hold; with
     ``DecayMode.DARK_DECAY`` the duty then rides at the level whose
     per-period build-up replenishes one period of decay.
+    Noise is drawn from ``rng`` 64 values at a time, the values of one
+    scalar ``standard_normal()`` per period, and the generator is left
+    exactly one such draw per period on; a noise-free run leaves it untouched.
     """
     baseline = device.output_mpn(mu_in, v_app_v)
     if baseline <= 0.0:
@@ -464,14 +475,19 @@ def pulse_inject_to_target(
     if ctrl.noise_db > 0.0 and rng is None:
         raise ValueError("noise_db > 0 needs an rng")
 
-    # one period maps the two arm fields through a lit and a dark relaxation
-    # step; the laws and the phase coefficients are fixed, so a period is a
-    # few scalar math calls, and the device is built once, at the end
+    # one period maps the two arm fields through a lit and a dark step, each
+    # relaxation_step's math branch written out; the laws and the phase
+    # coefficients are fixed, and the device is built once, at the end
     (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
     (dark1, dark_tau1), (dark2, dark_tau2) = device.arm_laws(0.0, v_app_v)
     read = device.magnification_reader(v_app_v, baseline, mu_in)
+    exp, expm1 = math.exp, math.expm1
+    noisy = ctrl.noise_db > 0.0
+    if noisy:
+        state = rng.bit_generator.state
+        normals = (z for _ in itertools.count() for z in rng.standard_normal(64).tolist())
     e1, e2 = device.field1_v_per_m, device.field2_v_per_m
-    rows: list[tuple[float, float, float, float, float]] = []
+    duties, m_db, error_db = [], [], []
     duty = ctrl.duty_min
     streak = 0
     settled_at: Optional[int] = None
@@ -479,17 +495,23 @@ def pulse_inject_to_target(
     while period < max_periods:
         period += 1
         on = duty * ctrl.period_s
-        e1 = relaxation_step(e1, lit1, on / lit_tau1)
-        e2 = relaxation_step(e2, lit2, on / lit_tau2)
+        x = on / lit_tau1
+        e1 = lit1 + (e1 - lit1) * exp(-x) if x > _LN2 else e1 + (e1 - lit1) * expm1(-x)
+        x = on / lit_tau2
+        e2 = lit2 + (e2 - lit2) * exp(-x) if x > _LN2 else e2 + (e2 - lit2) * expm1(-x)
         if duty < 1.0:
             off = (1.0 - duty) * ctrl.period_s
-            e1 = relaxation_step(e1, dark1, off / dark_tau1)
-            e2 = relaxation_step(e2, dark2, off / dark_tau2)
+            x = off / dark_tau1
+            e1 = dark1 + (e1 - dark1) * exp(-x) if x > _LN2 else e1 + (e1 - dark1) * expm1(-x)
+            x = off / dark_tau2
+            e2 = dark2 + (e2 - dark2) * exp(-x) if x > _LN2 else e2 + (e2 - dark2) * expm1(-x)
         m = read(e1, e2)
-        if ctrl.noise_db > 0.0:
-            m += ctrl.noise_db * float(rng.standard_normal())
+        if noisy:
+            m += ctrl.noise_db * next(normals)
         error = ctrl.target_m_db - m
-        rows.append((period * ctrl.period_s, duty, ctrl.peak_power_w, m, error))
+        duties.append(duty)
+        m_db.append(m)
+        error_db.append(error)
         if settled_at is None:
             streak = streak + 1 if abs(error) <= ctrl.settle_tol_db else 0
             if streak >= SETTLE_PERIODS:
@@ -497,17 +519,21 @@ def pulse_inject_to_target(
         if settled_at is not None and period - settled_at >= hold_periods:
             break
         duty = min(max(duty + ctrl.gain_duty_per_db * error, ctrl.duty_min), ctrl.duty_max)
+    if noisy:  # the caller's generator moves on by one scalar draw per period
+        rng.bit_generator.state = state
+        rng.standard_normal(period)
 
     dev = replace(device, field1_v_per_m=e1, field2_v_per_m=e2)
-    cols = list(zip(*rows))
-    trace = PulseTrace(*(np.array(c, dtype=float) for c in cols))
+    t_col = np.arange(1.0, period + 1) * ctrl.period_s
+    duty_col, m_col, error_col = (np.array(c, dtype=float) for c in (duties, m_db, error_db))
+    trace = PulseTrace(t_col, duty_col, np.full(period, float(ctrl.peak_power_w)), m_col, error_col)
     settled = settled_at is not None
     if settled and hold_periods > 0:
         hold_lo = settled_at           # rows after the settle period
     elif settled:
         hold_lo = settled_at - streak  # the terminal in-tolerance streak
     else:
-        hold_lo = len(rows)
+        hold_lo = period
     hold_duty = trace.duty[hold_lo:]
     hold_err = trace.error_db[settled_at:] if settled and hold_periods > 0 else trace.error_db[:0]
     ramp = trace.duty[: settled_at - streak] if settled else trace.duty

@@ -111,8 +111,12 @@ class MziDevice:
         return theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
 
     def transmittance(self, v_app_v: float) -> float:
+        return self.phase_transmittance(self.total_phase(v_app_v))
+
+    def phase_transmittance(self, phase: float) -> float:
+        """The two-beam interference law at interferometer phase ``phase``."""
         r = self.signal_split
-        return 4.0 * r * (1.0 - r) * np.cos(0.5 * self.total_phase(v_app_v)) ** 2
+        return 4.0 * r * (1.0 - r) * np.cos(0.5 * phase) ** 2
 
     def attenuation_db(self, v_app_v: float) -> float:
         """Insertion loss in dB; inf at an exact null."""

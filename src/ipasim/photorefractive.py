@@ -268,8 +268,8 @@ def relaxation_step(
     full relative precision of the move when x << 1, where
     target + gap*exp(-x) cancels; past x = ln 2 the move exceeds half the gap
     and the exp form keeps the small remainder exact.  A scalar ``x`` takes
-    ``math`` (a per-period loop pays no numpy dispatch); an array ``x``
-    broadcasts against array fields and targets.
+    ``math``, whose expression the scalar loops of ``ipasim.attack`` write
+    out; an array ``x`` broadcasts against array fields and targets.
     """
     gap = field_v_per_m - target
     if isinstance(x, np.ndarray):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ipasim.attack as attack_module
 from ipasim.attack import (
     INIT_POWER_W,
     SETTLE_PERIODS,
@@ -23,7 +24,7 @@ from ipasim.attack import (
 )
 from ipasim.calibration import WORKING_POINT_V, default_device
 from ipasim.device import curve_rms_db
-from ipasim.photorefractive import DecayMode
+from ipasim.photorefractive import DecayMode, relaxation_step
 from oracles import exposure_loop, pulse_loop, saturation_loop
 
 DEV = default_device()
@@ -176,6 +177,16 @@ def test_pretreat_plan_validation():
         PreTreatmentPlan(saturation_epsilon=0.5)
 
 
+def test_pretreat_plan_refuses_a_nan_power():
+    with pytest.raises(ValueError, match="i_ir_w must be >= 0"):
+        PreTreatmentPlan(i_ir_w=math.nan)
+
+
+def test_saturation_refuses_a_nan_power():
+    with pytest.raises(ValueError, match="saturation runs need positive power"):
+        initialize_device(DEV, power_w=math.nan)
+
+
 # -- initialization ----------------------------------------------------------------
 
 
@@ -211,6 +222,23 @@ def test_controller_validation():
         PulseController(30.0, settle_tol_db=0.0)
     with pytest.raises(ValueError):
         PulseController(30.0, noise_db=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("target_m_db", "target_m_db must be finite"),
+        ("gain_duty_per_db", "gain_duty_per_db must be positive"),
+        ("settle_tol_db", "settle_tol_db must be positive"),
+        ("period_s", "period_s and peak_power_w must be positive"),
+        ("peak_power_w", "period_s and peak_power_w must be positive"),
+        ("noise_db", "noise_db must be >= 0"),
+    ],
+)
+def test_controller_refuses_non_finite_inputs(field, message, value):
+    with pytest.raises(ValueError, match=message):
+        PulseController(**{"target_m_db": 30.0, field: value})
 
 
 def test_infeasible_target_returns_the_device_untouched():
@@ -272,6 +300,28 @@ def test_noise_requires_an_rng_and_is_reproducible():
     c = pulse_inject_to_target(DEV, ctrl, 1.0, WP, rng=np.random.default_rng(8))
     assert np.array_equal(a.trace.m_db, b.trace.m_db)
     assert not np.array_equal(a.trace.m_db, c.trace.m_db)
+
+
+@pytest.mark.parametrize("max_periods", [10, 64, 2000], ids=["10", "64", "settles"])
+def test_noisy_loop_leaves_the_generator_one_draw_per_period_on(max_periods):
+    # the noise is drawn 64 values at a time; the caller's generator must
+    # still end where one scalar standard_normal() per period leaves it
+    ctrl = PulseController(target_m_db=25.0, noise_db=0.02)
+    rng = np.random.default_rng(3)
+    res = pulse_inject_to_target(DEV, ctrl, 1.0, WP, max_periods=max_periods, rng=rng)
+    assert res.periods == max_periods or (res.settled and res.periods > 128)
+    fresh = np.random.default_rng(3)
+    for _ in range(res.periods):
+        fresh.standard_normal()
+    assert rng.random() == fresh.random()
+
+
+def test_noise_free_loop_leaves_the_generator_untouched():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    res = pulse_inject_to_target(DEV, PulseController(target_m_db=25.0), 1.0, WP, rng=rng)
+    assert res.settled
+    assert rng.bit_generator.state == before
 
 
 def test_max_periods_reports_unsettled():
@@ -338,6 +388,111 @@ def test_run_program_clock_is_the_literal_step_clock(program, device):
     assert len(tr.t_s) == len(want)
     assert np.array_equal(tr.t_s, want[:, 0])
     assert np.array_equal(tr.power_w, want[:, 1])
+
+
+def _per_segment_loop(device, segments, mu_in, v_app, dt):
+    """run_program's end fields and trace by a literal loop over segments.
+
+    Each segment takes its own arm laws and a sequential ``left -= dt`` clock;
+    relaxation_step maps the segment start to each of its samples (one array
+    call per arm) and to the next segment's start (one scalar call per arm),
+    and the sampled device is read out through its own methods.
+    """
+    f1, f2 = device.field1_v_per_m, device.field2_v_per_m
+    t, t_s, power_w, rows1, rows2 = 0.0, [0.0], [segments[0][0]], [[f1]], [[f2]]
+    for power, duration in segments:
+        (target1, tau1), (target2, tau2) = device.arm_laws(power, v_app)
+        steps, left = [], duration
+        while left > dt:
+            steps.append(dt)
+            left -= dt
+        steps.append(left)
+        e, elapsed = 0.0, []
+        for step in steps:
+            e += step
+            t += step
+            elapsed.append(e)
+            t_s.append(t)
+            power_w.append(power)
+        rows1.append(relaxation_step(f1, target1, np.array(elapsed) / tau1))
+        rows2.append(relaxation_step(f2, target2, np.array(elapsed) / tau2))
+        f1, f2 = relaxation_step(f1, target1, e / tau1), relaxation_step(f2, target2, e / tau2)
+    sampled = replace(
+        device, field1_v_per_m=np.concatenate(rows1), field2_v_per_m=np.concatenate(rows2)
+    )
+    baseline = float(sampled.output_mpn(mu_in, v_app)[0])
+    columns = (
+        t_s,
+        power_w,
+        sampled.total_phase(v_app),
+        sampled.transmittance(v_app),
+        sampled.attenuation_db(v_app),
+        sampled.magnification_db(v_app, baseline, mu_in),
+    )
+    return (f1, f2), columns
+
+
+@st.composite
+def _mixed_kind_programs(draw):
+    """Programs in which one power runs for two durations and one duration at
+    two powers, so a segment's kind is neither its power nor its duration."""
+    dt = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0]))
+    def two(values):
+        return st.lists(values, min_size=2, max_size=2, unique=True)
+
+    p0, p1 = draw(two(st.sampled_from([0.0, 1e-6, 3e-6, 12e-6])))
+    d0, d1 = draw(two(st.integers(1, 30).map(lambda n: n / 10.0)))
+    pairs = st.tuples(st.sampled_from([p0, p1]), st.sampled_from([d0, d1]))
+    extra = draw(st.lists(pairs, max_size=5))
+    return draw(st.permutations([(p0, d0), (p0, d1), (p1, d0), *extra])), dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    program=_mixed_kind_programs(),
+    device=st.sampled_from([DEV, FROZEN_DEV, PRE_EXPOSED]),
+    mu_in=st.sampled_from([1.0, 0.3]),
+)
+@example(
+    program=([(12e-6, 0.5), (12e-6, 2.0), (0.0, 0.5), (0.0, 2.0)], 0.25), device=DEV, mu_in=1.0
+)
+def test_run_program_keys_segments_by_power_and_duration(program, device, mu_in):
+    segments, dt = program
+    res = run_program(device, IrradiationProgram.steps(segments), mu_in, WP, dt)
+    end, columns = _per_segment_loop(device, segments, mu_in, WP, dt)
+    assert (res.device.field1_v_per_m, res.device.field2_v_per_m) == end
+    tr = res.trace
+    got = (tr.t_s, tr.power_w, tr.delta_theta_rad, tr.transmittance, tr.attenuation_db, tr.m_db)
+    for column, want in zip(got, columns):
+        assert np.array_equal(column, want)
+
+
+@pytest.mark.parametrize("device", [DEV, FROZEN_DEV], ids=["dark", "frozen"])
+@pytest.mark.parametrize(
+    "program, dt",
+    [
+        (IrradiationProgram.cw(3e-6, 2000.0), 7.0),
+        (IrradiationProgram.steps([(6e-6, 700.0), (0.0, 900.0), (2e-6, 450.0)]), 60.0),
+        (IrradiationProgram.pulse_train(12e-6, 10.0, 2.0, 30), 0.5),
+    ],
+    ids=["cw", "step", "pulse-train"],
+)
+def test_trace_readout_is_the_sampled_device_readout(monkeypatch, device, program, dt):
+    read = attack_module._trace
+    sampled = []
+
+    def spy(dev, *args):
+        sampled.append(dev)
+        return read(dev, *args)
+
+    monkeypatch.setattr(attack_module, "_trace", spy)
+    tr = run_program(device, program, 0.7, WP, dt).trace
+    (dev,) = sampled
+    baseline = float(dev.output_mpn(0.7, WP)[0])
+    assert np.array_equal(tr.delta_theta_rad, dev.total_phase(WP))
+    assert np.array_equal(tr.transmittance, dev.transmittance(WP))
+    assert np.array_equal(tr.attenuation_db, dev.attenuation_db(WP))
+    assert np.array_equal(tr.m_db, dev.magnification_db(WP, baseline, 0.7))
 
 
 def test_long_segment_keeps_the_sequential_step_count():
