@@ -461,6 +461,8 @@ def pulse_inject_to_target(
     scalar ``standard_normal()`` per period, and the generator is left
     exactly one such draw per period on; a noise-free run leaves it untouched.
     """
+    if max_periods < 1 or hold_periods < 0:
+        raise ValueError("need max_periods >= 1 and hold_periods >= 0")
     baseline = device.output_mpn(mu_in, v_app_v)
     if baseline <= 0.0:
         raise ValueError("baseline output must be positive")

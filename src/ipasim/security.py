@@ -20,9 +20,9 @@ Every per-link formula is a numpy expression over a whole distance grid.
 The link half (gains, error rates, decoy bounds, estimated key) does not
 depend on the magnification, so a sweep costs one link evaluation plus a
 row of attack terms (p_s, actual key, Poisson tail) per magnification.  The
-zero-key threshold costs one unattacked evaluation and no search: with p =
-eta_AB/M the success probability is a closed form in M, so each distance's
-zero-key magnification follows from its decoy estimate (``zero_key_threshold``).
+zero-key threshold costs one link evaluation and no search: with p = eta_AB/M
+the success probability is a closed form in M, so each distance's zero-key
+magnification follows from its decoy estimate (``zero_key_threshold``).
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ class QkdScenario:
             raise ValueError("e_det must be in [0, 0.5]")
         if not 0.0 <= self.e0 <= 1.0:
             raise ValueError("e0 must be in [0, 1]")
-        if self.alpha_db_per_km < 0.0:
+        if not 0.0 <= self.alpha_db_per_km < math.inf:
             raise ValueError("alpha_db_per_km must be >= 0")
-        if self.distance_km < 0.0:
+        if not 0.0 <= self.distance_km < math.inf:
             raise ValueError("distance_km must be >= 0")
-        if self.f_ec < 1.0:
+        if not 1.0 <= self.f_ec < math.inf:
             raise ValueError("f_ec must be >= 1")
         if self.n_trunc < 20:
             raise ValueError("n_trunc must be >= 20")
@@ -339,7 +339,8 @@ def key_rate(
     return KeyRate(np.maximum(raw, 0.0), raw)
 
 
-@dataclass(frozen=True)
+# not frozen: a sweep builds one per row, and a frozen one costs ten times as much
+@dataclass
 class SecurityResult:
     """One link's bookkeeping: floats at one distance, arrays over a grid."""
 
@@ -365,20 +366,12 @@ class SecurityResult:
 ESTIMATORS = ("decoy", "single_photon_true")
 
 
-def _evaluate(
-    scenario: QkdScenario, attacks: Sequence[Optional[AttackParams]],
-    estimator: str, distances_km: Sequence[float],
-) -> SecurityResult:
-    """One link under each of ``attacks`` (None: no attacker), as 2-D arrays.
-
-    Row i of every field is ``attacks[i]`` at each distance.  The users' side
-    is computed once; the attack terms are elementwise, so each row has the
-    bits a one-attack evaluation gives.
-    """
+def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) -> tuple:
+    """The users' side of a link over a distance grid, the same under any attack."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
     distance = np.asarray(distances_km, dtype=float)
-    if (distance < 0.0).any():
+    if not _within(distance, 0.0, math.inf):
         raise ValueError("fiber attenuation and distance must be >= 0")
     eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
     eta = eta_ab * scenario.eta_bob
@@ -391,8 +384,24 @@ def _evaluate(
     else:
         bounds = single_photon_truth(scenario, eta)
     delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
+    return distance, eta_ab, q_mu, e_mu, q_nu, e_nu, bounds, delta_est
+
+
+def _evaluate(
+    scenario: QkdScenario, attacks: Sequence[Optional[AttackParams]],
+    estimator: str, distances_km: Sequence[float],
+) -> dict[str, np.ndarray]:
+    """One link under each of ``attacks`` (None: no attacker), field by field.
+
+    The link's fields are 1-D over the distances and the attack's are 2-D, row
+    i for ``attacks[i]``.  The users' side is computed once; the attack terms
+    are elementwise, so each row has the bits a one-attack evaluation gives.
+    """
+    distance, eta_ab, q_mu, e_mu, q_nu, e_nu, bounds, delta_est = _link(
+        scenario, estimator, distances_km
+    )
     shape = (len(attacks), distance.size)
-    p_s, (tail, m_db) = np.zeros(shape), np.zeros((2, shape[0], 1))
+    (p_s, m_db), tail = np.zeros((2, *shape)), np.zeros((shape[0], 1))
     attacked = np.array([attack is not None for attack in attacks], dtype=bool)[:, None]
     for i, attack in enumerate(attacks):
         if attack is not None:
@@ -403,14 +412,13 @@ def _evaluate(
     # the estimate and every actual tagged fraction in one call: each entropy once
     e1 = np.minimum(bounds.e1_upper, 0.5)
     rates = key_rate(scenario, np.vstack([delta_est, delta_pns]), e1, q_mu, e_mu)
-    columns = dict(
+    return dict(
         m_db=m_db, distance_km=distance, q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu,
         y1_lower=bounds.y1_lower, e1_upper=bounds.e1_upper, bounds_clamped=bounds.clamped,
         delta_est=delta_est, delta_pns=delta_pns, p_s=p_s, tail_bound=tail / q_mu,
         r_est=rates.bits_per_pulse[0], r_actual=rates.bits_per_pulse[1:],
         r_est_raw=rates.raw[0], r_actual_raw=rates.raw[1:],
     )
-    return SecurityResult(**{name: np.broadcast_to(v, shape) for name, v in columns.items()})
 
 
 def evaluate_scenario(
@@ -433,8 +441,9 @@ def evaluate_scenario(
     computed once.  It is one row of the sweep's evaluation.
     """
     grid = [scenario.distance_km] if distances_km is None else distances_km
-    result = _evaluate(scenario, [attack], estimator, grid)
-    row = {f.name: getattr(result, f.name)[0] for f in fields(SecurityResult)}
+    columns = _evaluate(scenario, [attack], estimator, grid)
+    shape = (1, columns["distance_km"].size)
+    row = {name: np.broadcast_to(v, shape)[0] for name, v in columns.items()}
     if distances_km is None:
         row = {name: value.item() for name, value in row.items()}
     return SecurityResult(**row)
@@ -461,7 +470,10 @@ def sweep_key_rates(
         raise ValueError("m_db must be >= 0")
     attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]
     grid = _evaluate(scenario, attacks, estimator, distances_km)
-    columns = [getattr(grid, f.name).ravel().tolist() for f in fields(SecurityResult)]
+    n = len(attacks)
+    # a 1-D column is the link's, the same under every magnification
+    columns = [grid[f.name] for f in fields(SecurityResult)]
+    columns = [v.tolist() * n if v.ndim == 1 else v.ravel().tolist() for v in columns]
     return [SecurityResult(*row) for row in zip(*columns)]
 
 
@@ -474,9 +486,11 @@ def zero_key_threshold(
 ) -> float:
     """Smallest magnification at which no distance yields any actual key.
 
-    Exact for the grid, from one unattacked evaluation.  With p = eta_AB/M the
-    success probability p_s = (1 - exp(-mu*eta))(1 - exp(-mu*(M - eta_AB)))
-    rises in M, and the key at a distance is gone once p_s/q_mu reaches
+    Exact for the grid, from one evaluation of the users' side of the link
+    (no attack term, no key rate), whose e_mu must be at most 1/2 as the key
+    rate requires.  With p = eta_AB/M the success probability
+    p_s = (1 - exp(-mu*eta))(1 - exp(-mu*(M - eta_AB))) rises in M, and the
+    key at a distance is gone once p_s/q_mu reaches
     delta* = 1 - f*H(e_mu)/(1 - H(e1)), so from M0 = eta_AB - ln(1 - r)/mu on,
     with r = q_mu*delta*/(1 - exp(-mu*eta)) (-inf where delta* <= 0, +inf
     where r >= 1).  The threshold m* is the largest M0 in dB, reported as a
@@ -486,13 +500,14 @@ def zero_key_threshold(
     lo, hi = m_search_range_db
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= low < high in m_search_range_db")
-    link = evaluate_scenario(scenario, None, estimator, distances_km)
-    eta_ab = channel_transmittance(scenario.alpha_db_per_km, link.distance_km)
-    h1 = binary_entropy(np.minimum(link.e1_upper, 0.5))
+    _, eta_ab, q_mu, e_mu, _, _, bounds, _ = _link(scenario, estimator, distances_km)
+    if not _within(e_mu, 0.0, 0.5):
+        raise ValueError("e1 and e_mu must be in [0, 0.5]")
+    h1 = binary_entropy(np.minimum(bounds.e1_upper, 0.5))
     # masked below: H(e1) = 1 and a dark link divide by zero, ratios >= 1 leave ln
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = 1.0 - scenario.f_ec * binary_entropy(link.e_mu) / (1.0 - h1)
-        r = link.q_mu * delta / -np.expm1(-scenario.mu * (eta_ab * scenario.eta_bob))
+        delta = 1.0 - scenario.f_ec * binary_entropy(e_mu) / (1.0 - h1)
+        r = q_mu * delta / -np.expm1(-scenario.mu * (eta_ab * scenario.eta_bob))
         m0 = np.where(r < 1.0, eta_ab - np.log1p(-r) / scenario.mu, math.inf)
     best = float(np.max(np.where(delta > 0.0, m0, -math.inf), initial=-math.inf))
     m_star = 10.0 * math.log10(best) if best > 0.0 else -math.inf

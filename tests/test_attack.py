@@ -331,6 +331,12 @@ def test_max_periods_reports_unsettled():
     assert math.isnan(res.held_max_abs_error_db)
 
 
+@pytest.mark.parametrize("periods", [{"max_periods": 0}, {"hold_periods": -5}])
+def test_pulse_loop_refuses_an_invalid_period_count(periods):
+    with pytest.raises(ValueError, match="need max_periods >= 1 and hold_periods >= 0"):
+        pulse_inject_to_target(DEV, PulseController(target_m_db=45.0), 1.0, WP, **periods)
+
+
 # -- segment evaluation against literal step loops ----------------------------------
 
 FROZEN_DEV = replace(DEV, decay_mode=DecayMode.FROZEN)

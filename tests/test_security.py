@@ -292,6 +292,20 @@ def test_scenario_and_attack_validation():
     assert AttackParams(2.0, p_resend=0.3).resolved_p(0.1) == 0.3
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("alpha_db_per_km", "alpha_db_per_km must be >= 0"),
+        ("distance_km", "distance_km must be >= 0"),
+        ("f_ec", "f_ec must be >= 1"),
+    ],
+)
+def test_scenario_refuses_non_finite_inputs(field, message, value):
+    with pytest.raises(ValueError, match=message):
+        QkdScenario(**{field: value})
+
+
 def test_attack_refuses_a_non_finite_magnification():
     with time_bound():
         for m_linear in (math.nan, math.inf):
@@ -366,6 +380,7 @@ SWEEP_M_DB = st.sampled_from([0.0, 4.0, 6.5]) | st.floats(min_value=0.0, max_val
     distances=st.lists(st.floats(min_value=0.0, max_value=320.0), max_size=8),
 )
 @example(m_db_list=[6.5, 0.0, 4.0, 0.0, 6.5, 5.0], distances=[300.0, 0.0, 50.0, 50.0])
+@example(m_db_list=[6.0, 0.0, 3.0, 6.0, 0.0], distances=[0.0, 35.0, 70.0])
 def test_sweep_rows_equal_the_per_magnification_grids(scenario, estimator, m_db_list, distances):
     rows = sweep_key_rates(scenario, m_db_list, distances, estimator)
     assert len(rows) == len(m_db_list) * len(distances)
@@ -377,6 +392,17 @@ def test_sweep_rows_equal_the_per_magnification_grids(scenario, estimator, m_db_
             row = next(rows)
             for f in fields(SecurityResult):
                 assert getattr(row, f.name) == getattr(grid, f.name)[k], (f.name, m_db, distance_km)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_sweep_rows_hold_python_floats_and_bools(estimator):
+    # unsorted, with a repeated 0 dB (no attacker) and a duplicated magnification
+    rows = sweep_key_rates(SCENARIO, [6.0, 0.0, 3.0, 6.0, 0.0], [0.0, 35.0, 70.0], estimator)
+    assert len(rows) == 15
+    for row in rows:
+        for f in fields(SecurityResult):
+            want = bool if f.name == "bounds_clamped" else float
+            assert type(getattr(row, f.name)) is want, f.name
 
 
 def test_estimated_key_survives_while_actual_key_dies():
@@ -466,16 +492,37 @@ def test_zero_key_threshold_matches_the_literal_bisection(scenario, estimator):
     assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_zero_key_threshold_evaluates_the_link_once(monkeypatch):
+def test_zero_key_threshold_evaluates_only_the_link_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[1])
-        return evaluate_scenario(*args)
+        calls.append(args)
+        return link(*args)
 
-    monkeypatch.setattr(security, "evaluate_scenario", counted)
-    zero_key_threshold(SCENARIO)
-    assert calls == [None]  # one unattacked evaluation
+    def refused(*args):
+        raise AssertionError("the threshold evaluates no attack")
+
+    link = security._link
+    monkeypatch.setattr(security, "_link", counted)
+    monkeypatch.setattr(security, "_evaluate", refused)
+    monkeypatch.setattr(security, "attack_success_probability", refused)
+    assert zero_key_threshold(SCENARIO) == THRESHOLD_DB
+    assert len(calls) == 1
+
+
+def test_link_refuses_a_nan_distance():
+    message = "fiber attenuation and distance must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        sweep_key_rates(SCENARIO, [0.0, 5.0], [10.0, math.nan])
+    with pytest.raises(ValueError, match=message):
+        zero_key_threshold(SCENARIO, distances_km=[10.0, math.nan])
+
+
+def test_zero_key_threshold_refuses_an_error_rate_past_one_half():
+    # dark counts that are always wrong push e_mu toward 1 at 400 km, which
+    # the key rate, and so the threshold, refuse
+    with pytest.raises(ValueError, match="e1 and e_mu must be in"):
+        zero_key_threshold(QkdScenario(e0=1.0), distances_km=[0.0, 50.0, 400.0])
 
 
 def test_zero_key_threshold_range_may_reach_past_the_truncation_guard():
