@@ -26,7 +26,8 @@ segment to segment by one scalar multiply-add per arm, and every sample is
 evaluated and read out in one broadcast pass.  A saturation run is one such
 segment.  The pulse controller must go period by period, since each duty
 depends on the last reading: a period is one lit and one dark step of the two
-scalar fields and one reading, with noise drawn in blocks of 64.
+scalar fields and one reading, with noise drawn in blocks of 64.  Segments,
+plans and controllers range-check every parameter field (``ipasim._ranges``).
 """
 
 from __future__ import annotations
@@ -38,20 +39,17 @@ from typing import Optional
 
 import numpy as np
 
+from ._ranges import check_ranges, ranged
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
 
 
 @dataclass(frozen=True)
 class Segment:
-    power_w: float
-    duration_s: float
+    power_w: float = ranged("[0, inf)")
+    duration_s: float = ranged("(0, inf)")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.power_w) and self.power_w >= 0.0):
-            raise ValueError("segment power must be finite and >= 0")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise ValueError("segment duration must be finite and positive")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,6 @@ class IrradiationProgram:
     ) -> "IrradiationProgram":
         if not 0.0 < pulse_width_s <= period_s:
             raise ValueError("need 0 < pulse_width_s <= period_s")
-        if count < 1:
-            raise ValueError("count must be >= 1")
         on = Segment(peak_power_w, pulse_width_s)
         if pulse_width_s == period_s:
             return cls((on,) * count, pulse_width_s=pulse_width_s)
@@ -238,15 +234,11 @@ def run_program(
 class PreTreatmentPlan:
     """Saturating exposure at a fixed drive voltage."""
 
-    v_app_v: float = 0.0
-    i_ir_w: float = 12e-6
-    saturation_epsilon: float = 1e-4
+    v_app_v: float = ranged("(-inf, inf)", 0.0)
+    i_ir_w: float = ranged("[0, inf)", 12e-6)
+    saturation_epsilon: float = ranged("(0, 0.1)", 1e-4)
 
-    def __post_init__(self) -> None:
-        if not self.i_ir_w >= 0.0:
-            raise ValueError("i_ir_w must be >= 0")
-        if not 0.0 < self.saturation_epsilon < 0.1:
-            raise ValueError("saturation_epsilon must be in (0, 0.1)")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -376,28 +368,19 @@ class PulseController:
     ``noise_db`` is set, which adds Gaussian dB noise to each reading.
     """
 
-    target_m_db: float
-    duty_min: float = 1e-5
-    duty_max: float = 1.0
-    gain_duty_per_db: float = 0.1
-    settle_tol_db: float = 0.1
-    period_s: float = 10.0
-    peak_power_w: float = 12e-6
-    noise_db: float = 0.0
+    target_m_db: float = ranged("(-inf, inf)")
+    duty_min: float = ranged("(0, 1)", 1e-5)
+    duty_max: float = ranged("(0, 1]", 1.0)
+    gain_duty_per_db: float = ranged("(0, inf)", 0.1)
+    settle_tol_db: float = ranged("(0, inf)", 0.1)
+    period_s: float = ranged("(0, inf)", 10.0)
+    peak_power_w: float = ranged("(0, inf)", 12e-6)
+    noise_db: float = ranged("[0, inf)", 0.0)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.target_m_db):
-            raise ValueError("target_m_db must be finite")
-        if not 0.0 < self.duty_min < self.duty_max <= 1.0:
-            raise ValueError("need 0 < duty_min < duty_max <= 1")
-        if not 0.0 < self.gain_duty_per_db < math.inf:
-            raise ValueError("gain_duty_per_db must be positive")
-        if not 0.0 < self.settle_tol_db < math.inf:
-            raise ValueError("settle_tol_db must be positive")
-        if not (0.0 < self.period_s < math.inf and 0.0 < self.peak_power_w < math.inf):
-            raise ValueError("period_s and peak_power_w must be positive")
-        if not 0.0 <= self.noise_db < math.inf:
-            raise ValueError("noise_db must be >= 0")
+        check_ranges(self)
+        if not self.duty_min < self.duty_max:
+            raise ValueError("need duty_min < duty_max")
 
 
 @dataclass(frozen=True)
@@ -464,8 +447,6 @@ def pulse_inject_to_target(
     if max_periods < 1 or hold_periods < 0:
         raise ValueError("need max_periods >= 1 and hold_periods >= 0")
     baseline = device.output_mpn(mu_in, v_app_v)
-    if baseline <= 0.0:
-        raise ValueError("baseline output must be positive")
     sat_m = device.equilibrated(ctrl.peak_power_w, v_app_v).magnification_db(
         v_app_v, baseline, mu_in
     )

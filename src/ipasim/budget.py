@@ -11,7 +11,8 @@ wavelengths, and the coupling schemes for getting the beam into the channel).
 Entries measured only down to an instrument floor, recorded as ">78" style
 strings, are carried through every computation as sticky lower bounds: the
 true loss can only be higher, so an infeasibility verdict derived from a
-bound stays valid while a feasibility one is best-case.
+bound stays valid while a feasibility one is best-case.  A loss, a floor
+included, and a fiber length must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ from importlib import resources
 from math import isclose, log10
 from typing import Mapping, Sequence, Union
 
+from ._ranges import check_ranges, ranged
+
 
 @dataclass(frozen=True)
 class LossValue:
     """A dB loss that may be only a lower bound on the true loss."""
 
-    db: float
+    db: float = ranged("[0, inf)")
     lower_bound: bool = False
 
-    def __post_init__(self) -> None:
-        if self.db < 0.0:
-            raise ValueError("losses must be >= 0 dB")
+    __post_init__ = check_ranges
 
     def __add__(self, other: "LossValue") -> "LossValue":
         return LossValue(self.db + other.db, self.lower_bound or other.lower_bound)
@@ -87,13 +88,11 @@ class CouplingScheme:
 
 @dataclass(frozen=True)
 class InjectionPath:
-    fiber_length_km: float = 0.0
+    fiber_length_km: float = ranged("[0, inf)", 0.0)
     fiber_loss_db_per_km: Mapping[int, float] = field(default_factory=dict)
     components: tuple[ComponentLoss, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.fiber_length_km < 0.0:
-            raise ValueError("fiber_length_km must be >= 0")
+    __post_init__ = check_ranges
 
     def fiber_loss(self, wavelength_nm: int) -> LossValue:
         if self.fiber_length_km == 0.0:

@@ -418,9 +418,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(config_path) if config_path else default_config()
         if seed is not None:
-            if seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            cfg = cfg.with_value("pulse", "seed", int(seed))
+            cfg = cfg.with_value("pulse", "seed", seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,12 +4,13 @@ Every tunable of the simulator lives under one typed, unit-suffixed key
 (``_w``, ``_db``, ``_s``, ``_nm``, ...).  A section backed by a domain
 dataclass takes its keys from the dataclass fields: a key's default is the
 field's value on the calibrated default instance, its parser follows the type
-of that value, and the dataclass's ``__post_init__`` is its only range check.
-Keys no dataclass owns are declared here with their defaults and checks.  A
-config is accepted only if every section and key is known, every value parses
-and passes its checks, and every domain object builds from it; each error
-names the section and the key.  Defaults reproduce the calibrated bench
-device, so an empty file, or no file at all, is already a complete scenario.
+of that value, and the range the dataclass declares for the field is its only
+range check.  Keys no dataclass owns are declared here with their defaults and
+ranges, checked by the same rule (``ipasim._ranges``).  A config is accepted
+only if every section and key is known, every value parses and passes its
+checks, and every domain object builds from it; each error names the section
+and the key.  Defaults reproduce the calibrated bench device, so an empty
+file, or no file at all, is already a complete scenario.
 
 The canonical serialization (sorted ``section.key = value`` lines with
 shortest round-trip float formatting) feeds the run hash.  The output
@@ -37,6 +38,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from . import budget as budget_mod
 from . import calibration
+from ._ranges import Interval, interval
 from .attack import PreTreatmentPlan, PulseController
 from .budget import ComponentLoss, InjectionPath, LossValue, parse_loss_entry
 from .device import MziDevice
@@ -57,9 +59,7 @@ MAX_GRID_POINTS = 100_000
 MAX_STEPS = 1_000_000
 
 
-# -- value parsing and range checks --------------------------------------------
-
-Check = Callable[[object], Optional[str]]
+# -- value parsing -----------------------------------------------------------------
 
 
 def _parse_float(raw: str, path: str) -> float:
@@ -67,8 +67,6 @@ def _parse_float(raw: str, path: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
     return value
 
 
@@ -103,27 +101,12 @@ def _parse_str_list(raw: str, path: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _require(pred: Callable[[object], bool], message: str) -> Check:
-    return lambda v: None if pred(v) else message
-
-
-_POSITIVE = _require(lambda v: v > 0, "must be > 0")
-_NON_NEGATIVE = _require(lambda v: v >= 0, "must be >= 0")
-_EACH_POSITIVE = _require(lambda v: all(x > 0 for x in v), "every entry must be > 0")
-_EACH_NON_NEGATIVE = _require(lambda v: all(x >= 0 for x in v), "every entry must be >= 0")
-_GRID_SIZE = _require(lambda v: 2 <= v <= MAX_GRID_POINTS, f"must be in [2, {MAX_GRID_POINTS}]")
-_STEP_COUNT = _require(lambda v: 1 <= v <= MAX_STEPS, f"must be in [1, {MAX_STEPS}]")
-
-
-def _choice(*options: str) -> Check:
-    return _require(lambda v: v in options, "must be one of: " + ", ".join(options))
-
-
 @dataclass(frozen=True)
 class _Key:
     default: object
     parse: Callable[[str, str], object]
-    checks: tuple[Check, ...] = ()
+    allowed: Optional[Interval] = None  # of every entry, for a tuple
+    options: tuple[str, ...] = ()
 
 
 # keyed by exact type, so a bool default never parses as an int
@@ -148,18 +131,18 @@ def _typed(default: object, value: object, path: str) -> object:
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
     return kind(value)
 
 
-def _key(default: object, *checks: Check) -> _Key:
-    """A key whose parser follows the type of its default."""
+def _key(default: object, allowed: Optional[str] = None, options: tuple[str, ...] = ()) -> _Key:
+    """A key parsed as its default is typed, in ``allowed`` or among ``options``."""
     if isinstance(default, tuple):
         parse = _parse_float_list if isinstance(default[0], float) else _parse_str_list
     else:
         parse = _PARSERS[type(default)]
-    return _Key(default, parse, checks)
+    if allowed is None and parse in (_parse_float, _parse_float_list):
+        allowed = "(-inf, inf)"
+    return _Key(default, parse, None if allowed is None else interval(allowed), options)
 
 
 # -- schema ---------------------------------------------------------------------
@@ -173,8 +156,8 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
 
     The default is the instance's value; an ``Enum`` becomes a choice of its
     values and is stored as the value.  The range check is the dataclass's
-    own ``__post_init__``.  ``elsewhere`` names the fields the section spells
-    differently or not at all.
+    own, made when the section's builder constructs it.  ``elsewhere`` names
+    the fields the section spells differently or not at all.
     """
     keys = {}
     for f in fields(instance):
@@ -182,7 +165,7 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
             continue
         value = getattr(instance, f.name)
         if isinstance(value, Enum):
-            keys[f.name] = _key(value.value, _choice(*(m.value for m in type(value))))
+            keys[f.name] = _key(value.value, options=tuple(m.value for m in type(value)))
         else:
             keys[f.name] = _key(value)
     return keys
@@ -197,8 +180,8 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "material": _fields_of(calibration.default_material()),
         "geometry": {
             **_fields_of(geo, "signal_wavelength_m", "irradiation_wavelength_m"),
-            "signal_wavelength_nm": _key(geo.signal_wavelength_m * 1e9, _POSITIVE),
-            "irradiation_wavelength_nm": _key(geo.irradiation_wavelength_m * 1e9, _POSITIVE),
+            "signal_wavelength_nm": _key(geo.signal_wavelength_m * 1e9, "(0, inf)"),
+            "irradiation_wavelength_nm": _key(geo.irradiation_wavelength_m * 1e9, "(0, inf)"),
         },
         "device": {
             **_fields_of(
@@ -206,64 +189,55 @@ def _schema() -> dict[str, dict[str, _Key]]:
                 "material", "geometry", "bias_phase_rad", "field1_v_per_m", "field2_v_per_m",
             ),
             "working_point_v": _key(calibration.WORKING_POINT_V),
-            "residual_bias_rad": _key(
-                calibration.RESIDUAL_BIAS_RAD,
-                _require(lambda v: 0 < v < math.pi, "must be in (0, pi)"),
-            ),
+            "residual_bias_rad": _key(calibration.RESIDUAL_BIAS_RAD, "(0, pi)"),
         },
         "pe_curve": {
-            "powers_w": _key(
-                (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5), _EACH_POSITIVE
-            ),
-            "trace_points": _key(200, _GRID_SIZE),
-            "trace_duration_tau": _key(5.0, _POSITIVE),
+            "powers_w": _key((3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5), "(0, inf)"),
+            "trace_points": _key(200, f"[2, {MAX_GRID_POINTS}]"),
+            "trace_duration_tau": _key(5.0, "(0, inf)"),
         },
         "voltage_curve": {
             "v_min_v": _key(-12.0),
             "v_max_v": _key(12.0),
-            "points": _key(481, _GRID_SIZE),
+            "points": _key(481, f"[2, {MAX_GRID_POINTS}]"),
             "pretreat_voltages_v": _key((-20.0, -15.0, 0.0, 15.0, 20.0)),
-            "pretreat_power_w": _key(12e-6, _NON_NEGATIVE),
+            "pretreat_power_w": _key(12e-6, "[0, inf)"),
         },
         "pre_treat": {
             **_fields_of(PreTreatmentPlan()),
-            "dt_s": _key(60.0, _POSITIVE),
-            "max_steps": _key(100_000, _STEP_COUNT),
+            "dt_s": _key(60.0, "(0, inf)"),
+            "max_steps": _key(100_000, f"[1, {MAX_STEPS}]"),
         },
         "init": {
-            "power_w": _key(4.39e-6, _POSITIVE),
-            "saturation_epsilon": _key(
-                1e-6, _require(lambda v: 0 < v < 0.1, "must be in (0, 0.1)")
-            ),
-            "dt_s": _key(60.0, _POSITIVE),
-            "max_steps": _key(200_000, _STEP_COUNT),
+            "power_w": _key(4.39e-6, "(0, inf)"),
+            "saturation_epsilon": _key(1e-6, "(0, 0.1)"),
+            "dt_s": _key(60.0, "(0, inf)"),
+            "max_steps": _key(200_000, f"[1, {MAX_STEPS}]"),
         },
         "pulse": {
             **_fields_of(PulseController(target_m_db=30.0)),
-            "max_periods": _key(2000, _STEP_COUNT),
-            "hold_periods": _key(0, _NON_NEGATIVE),
-            "seed": _key(1, _NON_NEGATIVE),
+            "max_periods": _key(2000, f"[1, {MAX_STEPS}]"),
+            "hold_periods": _key(0, "[0, inf)"),
+            "seed": _key(1, "[0, inf)"),
         },
         "qkd": {
             **_fields_of(QkdScenario(), "distance_km"),
-            "m_db_grid": _key((0.0, 4.0, 5.0, 6.0, 6.5), _EACH_NON_NEGATIVE),
-            "distance_min_km": _key(0.0, _NON_NEGATIVE),
-            "distance_max_km": _key(150.0, _NON_NEGATIVE),
-            "distance_step_km": _key(2.0, _POSITIVE),
-            "m_search_low_db": _key(4.0, _NON_NEGATIVE),
-            "m_search_high_db": _key(9.0, _NON_NEGATIVE),
-            "threshold_tol_db": _key(1e-3, _POSITIVE),
-            "estimator": _key("decoy", _choice(*ESTIMATORS)),
+            "m_db_grid": _key((0.0, 4.0, 5.0, 6.0, 6.5), "[0, inf)"),
+            "distance_min_km": _key(0.0, "[0, inf)"),
+            "distance_max_km": _key(150.0, "[0, inf)"),
+            "distance_step_km": _key(2.0, "(0, inf)"),
+            "m_search_low_db": _key(4.0, "[0, inf)"),
+            "m_search_high_db": _key(9.0, "[0, inf)"),
+            "threshold_tol_db": _key(1e-3, "(0, inf)"),
+            "estimator": _key("decoy", options=ESTIMATORS),
         },
         "budget": {
-            "wavelength_nm": _key(405, _POSITIVE),
-            "fiber_length_km": _key(1.0, _NON_NEGATIVE),
+            "wavelength_nm": _key(405, "(0, inf)"),
+            "fiber_length_km": _key(1.0, "[0, inf)"),
             "components": _key(("dwdm_c33",)),
-            "coupling_scheme": _key(
-                "none", _choice("none", *sorted(budget_mod.COUPLING_SCHEMES))
-            ),
-            "target_power_w": _key(3e-9, _POSITIVE),
-            "eve_max_power_w": _key(1.0, _POSITIVE),
+            "coupling_scheme": _key("none", options=("none", *sorted(budget_mod.COUPLING_SCHEMES))),
+            "target_power_w": _key(3e-9, "(0, inf)"),
+            "eve_max_power_w": _key(1.0, "(0, inf)"),
         },
         "output": {
             "directory": _key("ipasim-out"),
@@ -361,16 +335,18 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` if it is a runnable scenario, else the first ``ConfigError``.
 
-    The checks of the keys declared here run first, then the constraints that
-    couple keys, then the builders, whose dataclasses range-check the keys
-    they own.
+    Every key's range or options come first, then the constraints that couple
+    keys, then the builders, whose dataclasses range-check the keys they own.
     """
     for section, keys in _schema().items():
         for key, spec in keys.items():
-            for check in spec.checks:
-                message = check(cfg.values[section][key])
-                if message is not None:
-                    raise ConfigError(f"{section}.{key}: {message}")
+            value = cfg.values[section][key]
+            if spec.options and value not in spec.options:
+                raise ConfigError(f"{section}.{key}: must be one of: {', '.join(spec.options)}")
+            entries = value if isinstance(value, tuple) else (value,)
+            if spec.allowed is not None and not all(map(spec.allowed.holds, entries)):
+                every = "every entry " if isinstance(value, tuple) else ""
+                raise ConfigError(f"{section}.{key}: {every}{spec.allowed.message}")
 
     vc = cfg.values["voltage_curve"]
     if not vc["v_max_v"] > vc["v_min_v"]:

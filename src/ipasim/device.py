@@ -13,7 +13,8 @@ response reduces the effective half-wave voltage.  Transmittance follows the
 usual two-beam interference law with the signal split ratio setting the
 extinction contrast.
 
-Devices are immutable; exposure helpers return a new device with updated arm
+Devices are immutable, their construction range-checked on every build and
+their arm fields not; exposure helpers return a new device with updated arm
 fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
 sampled along an exposure, read out in one call.  ``attenuation_db`` is
 insertion loss relative to unit input (positive numbers, bigger means darker);
@@ -29,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._ranges import check_ranges, ranged
 from .photorefractive import (
     DecayMode,
     GeometryParams,
@@ -52,32 +54,23 @@ class VoltageCurve:
 
 @dataclass(frozen=True)
 class MziDevice:
-    """Immutable VOA snapshot: fixed construction plus each arm's space-charge
-    field (floats, or sampled arrays for a device that reads out a trace)."""
+    """Immutable VOA snapshot: range-checked construction plus each arm's
+    space-charge field, computed state that declares no range (floats, or
+    sampled arrays for a trace device, which so pays no per-sample check)."""
 
     material: MaterialParams
     geometry: GeometryParams
-    bias_phase_rad: float          # theta0, interferometer imbalance at v = 0
-    v_pi_v: float
-    signal_split: float            # power fraction of the signal in arm 1
-    irradiation_split: float       # power fraction of injected light in arm 1
-    irradiation_coupling_db: float  # injection path loss before the splitter
-    polarization_loss_db: float = 0.0  # worst-case scalar for misaligned injection
+    bias_phase_rad: float = ranged("(-inf, inf)")  # theta0, interferometer imbalance at v = 0
+    v_pi_v: float = ranged("(0, inf)")
+    signal_split: float = ranged("(0, 1)")         # power fraction of the signal in arm 1
+    irradiation_split: float = ranged("(0, 1)")    # power fraction of injected light in arm 1
+    irradiation_coupling_db: float = ranged("[0, inf)")  # injection path loss before the splitter
+    polarization_loss_db: float = ranged("[0, 0.93]", 0.0)  # worst case, misaligned injection
     decay_mode: DecayMode = DecayMode.DARK_DECAY
     field1_v_per_m: float = 0.0
     field2_v_per_m: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.signal_split < 1.0:
-            raise ValueError("signal_split must be in (0, 1)")
-        if not 0.0 < self.irradiation_split < 1.0:
-            raise ValueError("irradiation_split must be in (0, 1)")
-        if self.v_pi_v <= 0.0:
-            raise ValueError("v_pi_v must be positive")
-        if self.irradiation_coupling_db < 0.0:
-            raise ValueError("irradiation_coupling_db must be >= 0")
-        if not 0.0 <= self.polarization_loss_db <= 0.93:
-            raise ValueError("polarization_loss_db must be in [0, 0.93]")
+    __post_init__ = check_ranges
 
     # -- static relations ---------------------------------------------------
 

@@ -26,7 +26,8 @@ crossover.
 Unit conventions: ``P`` is the per-arm optical power in watts delivered to the
 waveguide (beam geometry is absorbed into the transport constants, so the
 photovoltaic and photoconductive coefficients are lumped per-watt quantities).
-Fields are V/m, conductivities S/m, times seconds.
+Fields are V/m, conductivities S/m, times seconds.  Every parameter field
+declares its range (``ipasim._ranges``), which refuses NaN and +-inf.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._ranges import check_ranges, ranged
 
 VACUUM_PERMITTIVITY_F_PER_M = 8.8541878128e-12
 _LN2 = math.log(2.0)
@@ -59,33 +62,21 @@ class MaterialParams:
     device behavior).
     """
 
-    refractive_index: float        # guided-mode index at the signal wavelength
-    r33_m_per_v: float             # electro-optic coefficient
-    mode_overlap: float            # optical/static field overlap, dimensionless
-    photovoltaic_const: float      # kappa, V*m per (absorbed W/m) in lumped units
-    absorption_per_m: float        # alpha at the irradiation wavelength
-    photocond_per_w: float         # a, photoconductivity per absorbed watt
-    dark_conductivity_s_per_m: float
-    rel_permittivity: float
-    sublinear_exponent: int = 2    # m in sigma_ph ~ P**(1/m) above the crossover
-    crossover_power_w: float = 7e-6
+    refractive_index: float = ranged("(0, inf)")  # guided-mode index at the signal wavelength
+    r33_m_per_v: float = ranged("(0, inf)")       # electro-optic coefficient
+    mode_overlap: float = ranged("(0, inf)")      # optical/static field overlap, dimensionless
+    photovoltaic_const: float = ranged("(0, inf)")  # kappa, V*m per (absorbed W/m), lumped
+    absorption_per_m: float = ranged("(0, inf)")  # alpha at the irradiation wavelength
+    photocond_per_w: float = ranged("(0, inf)")   # a, photoconductivity per absorbed watt
+    dark_conductivity_s_per_m: float = ranged("(0, inf)")
+    rel_permittivity: float = ranged("(0, inf)")
+    sublinear_exponent: int = ranged("[1, inf)", 2)  # m in sigma_ph ~ P**(1/m) above crossover
+    crossover_power_w: float = ranged("(0, inf)", 7e-6)
 
     def __post_init__(self) -> None:
-        for name in (
-            "refractive_index",
-            "r33_m_per_v",
-            "mode_overlap",
-            "photovoltaic_const",
-            "absorption_per_m",
-            "photocond_per_w",
-            "dark_conductivity_s_per_m",
-            "rel_permittivity",
-            "crossover_power_w",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"MaterialParams.{name} must be positive")
-        if self.sublinear_exponent < 1 or self.sublinear_exponent != int(self.sublinear_exponent):
-            raise ValueError("sublinear_exponent must be an integer >= 1")
+        check_ranges(self)
+        if self.sublinear_exponent != int(self.sublinear_exponent):
+            raise ValueError("sublinear_exponent must be an integer")
 
     @property
     def response_amplitude(self) -> float:
@@ -137,24 +128,15 @@ class MaterialParams:
 class GeometryParams:
     """Waveguide and electrode geometry of the interferometer arms."""
 
-    arm_length_m: float
-    electrode_length_m: float
-    electrode_gap_m: float
-    signal_wavelength_m: float
-    irradiation_wavelength_m: float
-    effective_length_m: float      # interaction length weighting the index change
+    arm_length_m: float = ranged("(0, inf)")
+    electrode_length_m: float = ranged("(0, inf)")
+    electrode_gap_m: float = ranged("(0, inf)")
+    signal_wavelength_m: float = ranged("(0, inf)")
+    irradiation_wavelength_m: float = ranged("(0, inf)")
+    effective_length_m: float = ranged("(0, inf)")  # interaction length weighting the index change
 
     def __post_init__(self) -> None:
-        for name in (
-            "arm_length_m",
-            "electrode_length_m",
-            "electrode_gap_m",
-            "signal_wavelength_m",
-            "irradiation_wavelength_m",
-            "effective_length_m",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"GeometryParams.{name} must be positive")
+        check_ranges(self)
         if self.electrode_length_m > self.arm_length_m:
             raise ValueError("electrode_length_m cannot exceed arm_length_m")
 
@@ -297,8 +279,6 @@ def evolve_field(
     """
     if np.asarray(dt_s).min(initial=0.0) < 0.0:
         raise ValueError("dt_s must be >= 0")
-    if power_w < 0.0:
-        raise ValueError("power_w must be >= 0")
     target, tau = relaxation_law(mat, power_w, e_app_v_per_m, decay_mode)
     # a held arm makes no move however long the step, an infinite one included
     x = np.divide(dt_s, tau) if tau < math.inf else np.zeros(np.shape(dt_s))

@@ -10,11 +10,11 @@ fraction from decoy statistics that no longer describe reality; this module
 computes both views and the resulting estimated vs actual key rates.
 
 Conventions: gains and yields are probabilities per pulse; magnification is
-linear here (callers convert from dB).  Photon-number statistics use closed
-forms and nothing is truncated.  ``n_trunc`` remains a validity guard on
-attacked evaluations: the Poisson mass above it is reported as
-``tail_bound``, and a magnified mean whose tail reaches ``TAIL_LIMIT`` is
-refused.
+linear here (callers convert from dB); every scenario and attack field is
+range-checked.  Photon-number statistics use closed forms, nothing truncated.
+``n_trunc`` remains a validity guard on attacked evaluations: the Poisson mass
+above it is reported as ``tail_bound``, and a magnified mean whose tail
+reaches ``TAIL_LIMIT`` is refused.
 
 Every per-link formula is a numpy expression over a whole distance grid.
 The link half (gains, error rates, decoy bounds, estimated key) does not
@@ -32,6 +32,8 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
+
+from ._ranges import check_ranges, ranged
 
 # A float, or an array with one entry per distance of a grid.  The per-link
 # functions take and return either; each range check covers every entry.
@@ -57,36 +59,21 @@ class QkdScenario:
     1.16 times the Shannon limit.
     """
 
-    mu: float = 0.8
-    nu: float = 0.1
-    alpha_db_per_km: float = 0.2
-    distance_km: float = 50.0
-    eta_bob: float = 0.1
-    y0: float = 6e-7
-    e_det: float = 0.005
-    e0: float = DARK_COUNT_ERROR
-    f_ec: float = 1.16
-    n_trunc: int = 80
+    mu: float = ranged("(0, inf)", 0.8)
+    nu: float = ranged("(0, inf)", 0.1)
+    alpha_db_per_km: float = ranged("[0, inf)", 0.2)
+    distance_km: float = ranged("[0, inf)", 50.0)
+    eta_bob: float = ranged("(0, 1]", 0.1)
+    y0: float = ranged("[0, 1)", 6e-7)
+    e_det: float = ranged("[0, 0.5]", 0.005)
+    e0: float = ranged("[0, 1]", DARK_COUNT_ERROR)
+    f_ec: float = ranged("[1, inf)", 1.16)
+    n_trunc: int = ranged("[20, inf)", 80)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nu < self.mu:
+        check_ranges(self)
+        if not self.nu < self.mu:
             raise ValueError("need 0 < nu < mu")
-        if not 0.0 < self.eta_bob <= 1.0:
-            raise ValueError("eta_bob must be in (0, 1]")
-        if not 0.0 <= self.y0 < 1.0:
-            raise ValueError("y0 must be in [0, 1)")
-        if not 0.0 <= self.e_det <= 0.5:
-            raise ValueError("e_det must be in [0, 0.5]")
-        if not 0.0 <= self.e0 <= 1.0:
-            raise ValueError("e0 must be in [0, 1]")
-        if not 0.0 <= self.alpha_db_per_km < math.inf:
-            raise ValueError("alpha_db_per_km must be >= 0")
-        if not 0.0 <= self.distance_km < math.inf:
-            raise ValueError("distance_km must be >= 0")
-        if not 1.0 <= self.f_ec < math.inf:
-            raise ValueError("f_ec must be >= 1")
-        if self.n_trunc < 20:
-            raise ValueError("n_trunc must be >= 20")
 
     @property
     def eta_ab(self) -> float:
@@ -105,14 +92,10 @@ class AttackParams:
     value that leaves the receiver's count rates unchanged.
     """
 
-    m_linear: float
-    p_resend: Optional[float] = None
+    m_linear: float = ranged("[1, inf)")
+    p_resend: Optional[float] = ranged("[0, 1]", None)
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.m_linear < math.inf:
-            raise ValueError("m_linear must be >= 1 and finite")
-        if self.p_resend is not None and not 0.0 <= self.p_resend <= 1.0:
-            raise ValueError("p_resend must be in [0, 1]")
+    __post_init__ = check_ranges
 
     @classmethod
     def from_db(cls, m_db: float, p_resend: Optional[float] = None) -> "AttackParams":
@@ -135,8 +118,8 @@ def _within(x: Floats, low: float, high: float) -> bool:
 
 
 def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats:
-    if (np.asarray(distance_km) < 0.0).any():
-        raise ValueError("distance_km must be >= 0")
+    if not (0.0 <= alpha_db_per_km <= math.inf and _within(distance_km, 0.0, math.inf)):
+        raise ValueError("fiber attenuation and distance must be >= 0")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -371,8 +354,6 @@ def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) 
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
     distance = np.asarray(distances_km, dtype=float)
-    if not _within(distance, 0.0, math.inf):
-        raise ValueError("fiber attenuation and distance must be >= 0")
     eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
     eta = eta_ab * scenario.eta_bob
     q_mu = gain(scenario.mu, eta, scenario.y0)

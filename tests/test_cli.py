@@ -218,6 +218,15 @@ def test_budget_lower_bound_rendering(tmp_path):
     assert ">= " in (out / "budget.txt").read_text()
 
 
+def test_non_finite_component_loss_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[component:foo]\n405_nm_db = nan\n[budget]\ncomponents = foo\n")
+    out = tmp_path / "nan-out"
+    assert main(["budget", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: component:foo.405_nm_db: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- global flags -----------------------------------------------------------------
 
 

@@ -356,6 +356,12 @@ def test_component_sections():
         parse_config("[component:tap]\n405_nm_db = lots\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", ">nan", ">inf"])
+def test_component_losses_must_be_finite(raw):
+    with pytest.raises(ConfigError, match=r"^component:foo\.405_nm_db: "):
+        parse_config(f"[component:foo]\n405_nm_db = {raw}\n[budget]\ncomponents = foo\n")
+
+
 def test_coupling_scheme_joins_the_path():
     cfg = parse_config("[budget]\ncoupling_scheme = bs_5050\n")
     base = parse_config("")

@@ -309,9 +309,9 @@ def test_scenario_refuses_non_finite_inputs(field, message, value):
 def test_attack_refuses_a_non_finite_magnification():
     with time_bound():
         for m_linear in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="m_linear must be >= 1 and finite"):
+            with pytest.raises(ValueError, match="m_linear must be >= 1"):
                 AttackParams(m_linear)
-        with pytest.raises(ValueError, match="m_linear must be >= 1 and finite"):
+        with pytest.raises(ValueError, match="m_linear must be >= 1"):
             sweep_key_rates(SCENARIO, [math.inf], [10.0])
 
 
@@ -452,6 +452,13 @@ def test_grid_evaluation_returns_arrays_and_checks_every_distance():
         evaluate_scenario(SCENARIO, distances_km=[10.0, -1.0])
     with pytest.raises(ValueError, match="distance must be >= 0"):
         sweep_key_rates(SCENARIO, distances_km=[10.0, -1.0])
+
+
+def test_channel_transmittance_refuses_nan_attenuation_and_distance():
+    message = "fiber attenuation and distance must be >= 0"
+    for alpha, distance in [(math.nan, 10.0), (0.2, math.nan), (0.2, np.array([10.0, math.nan]))]:
+        with pytest.raises(ValueError, match=message):
+            channel_transmittance(alpha, distance)
 
 
 def test_sweeps_and_threshold_raise_no_numpy_warnings():
