@@ -12,6 +12,8 @@ and ``budget`` prices the injection path of a real link.  ``config``,
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .attack import (
     INIT_POWER_W,
     ExposureResult,
@@ -28,7 +30,6 @@ from .attack import (
     pre_treat,
     pulse_inject_to_target,
     run_program,
-    single_period_gain_db,
 )
 from .budget import (
     BUILTIN_COMPONENTS,
@@ -79,69 +80,8 @@ from .security import (
     zero_key_threshold,
 )
 
-__all__ = [
-    "__version__",
-    "AttackParams",
-    "BracketError",
-    "BUILTIN_COMPONENTS",
-    "BUILTIN_FIBER_DB_PER_KM",
-    "COUPLING_SCHEMES",
-    "ComponentLoss",
-    "CouplingScheme",
-    "DecayMode",
-    "DecoyBounds",
-    "ExposureResult",
-    "ExposureTrace",
-    "GeometryParams",
-    "INIT_POWER_W",
-    "InitResult",
-    "InjectionPath",
-    "IrradiationProgram",
-    "KeyRate",
-    "LossValue",
-    "MarginReport",
-    "MaterialParams",
-    "MziDevice",
-    "PowerValue",
-    "PreTreatResult",
-    "PreTreatmentPlan",
-    "PulseController",
-    "PulseResult",
-    "PulseTrace",
-    "QkdScenario",
-    "SecurityResult",
-    "Segment",
-    "TailBounded",
-    "VoltageCurve",
-    "attack_success_probability",
-    "binary_entropy",
-    "buildup_time_constant",
-    "calibration_summary",
-    "countermeasure_margin",
-    "coupling_plan_loss",
-    "curve_rms_db",
-    "decoy_bounds",
-    "default_device",
-    "default_geometry",
-    "default_material",
-    "delivered_power",
-    "evaluate_scenario",
-    "evolve_field",
-    "initialize_device",
-    "key_rate",
-    "path_loss",
-    "photoconductivity",
-    "pns_photon_distribution",
-    "pre_treat",
-    "pulse_inject_to_target",
-    "required_eve_power",
-    "run_program",
-    "saturated_phase_shift",
-    "single_period_gain_db",
-    "single_photon_truth",
-    "standard_path",
-    "steady_state_field",
-    "sweep_key_rates",
-    "tagged_fraction_estimated",
-    "zero_key_threshold",
+# every public name imported above; the submodules are not exports
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
 ]

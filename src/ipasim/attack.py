@@ -27,7 +27,9 @@ evaluated and read out in one broadcast pass.  A saturation run is one such
 segment.  The pulse controller must go period by period, since each duty
 depends on the last reading: a period is one lit and one dark step of the two
 scalar fields and one reading, with noise drawn in blocks of 64.  Segments,
-plans and controllers range-check every parameter field (``ipasim._ranges``).
+plans and controllers range-check every parameter field (``ipasim._ranges``),
+and every run refuses, before it allocates, a trace of more than ``MAX_STEPS``
+steps or periods.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._ranges import check_ranges, ranged
+from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_ranges, check_size, ranged
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
 
@@ -61,9 +63,10 @@ class IrradiationProgram:
     """
 
     segments: tuple[Segment, ...]
-    pulse_width_s: Optional[float] = None
+    pulse_width_s: Optional[float] = ranged("(0, inf)", None)
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         if not self.segments:
             raise ValueError("program needs at least one segment")
 
@@ -184,6 +187,7 @@ def run_program(
     """
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
+    check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
     kinds: dict[tuple[float, float], int] = {}  # (power, duration) -> kind
@@ -225,6 +229,28 @@ def run_program(
     seg_power = [s.power_w for s in program.segments]
     power_w = np.concatenate([seg_power[:1], np.repeat(seg_power, counts)])
     return ExposureResult(end, _trace(trace_dev, t_s, power_w, v_app_v, mu_in))
+
+
+@dataclass
+class PeCurvePlan:
+    """A pe-curve run: one CW trace per power in ``powers_w``, each of
+    ``trace_points`` steps over ``trace_duration_tau`` build-up times of the
+    weaker-lit arm.  The traces hold at most ``MAX_GRID_POINTS`` rows together.
+    """
+
+    powers_w: tuple[float, ...] = ranged(
+        "(0, inf)", (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5)
+    )
+    trace_points: int = ranged(f"[2, {MAX_GRID_POINTS}]", 200)
+    trace_duration_tau: float = ranged("(0, inf)", 5.0)
+
+    def __post_init__(self) -> None:
+        check_ranges(self)
+        n = len(self.powers_w)
+        if not n:
+            raise ValueError("powers_w: needs at least one power")
+        check_size(n * self.trace_points, MAX_GRID_POINTS, f"powers_w: {n} traces of "
+                   f"trace_points {self.trace_points} exceed {MAX_GRID_POINTS} rows")
 
 
 # -- pre-treatment and initialization ----------------------------------------
@@ -271,6 +297,7 @@ def _saturate(
         raise ValueError("saturation runs need positive power")
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
+    check_size(max_steps, MAX_STEPS, f"max_steps must be at most {MAX_STEPS}")
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 
     def moves(e1: float, e2: float) -> list[float]:
@@ -406,20 +433,6 @@ class PulseResult:
     trace: PulseTrace
 
 
-def single_period_gain_db(
-    device: MziDevice, ctrl: PulseController, mu_in: float, v_app_v: float
-) -> float:
-    """Magnification gained by one full-duty period from the given state.
-
-    The relaxation law makes this the largest move any single period can
-    produce from states at or above this one, so evaluated on a pristine
-    device it bounds how far the closed loop can overshoot its target.
-    """
-    baseline = device.output_mpn(mu_in, v_app_v)
-    after = device.exposed(ctrl.peak_power_w, v_app_v, ctrl.period_s)
-    return after.magnification_db(v_app_v, baseline, mu_in)
-
-
 def pulse_inject_to_target(
     device: MziDevice,
     ctrl: PulseController,
@@ -446,6 +459,7 @@ def pulse_inject_to_target(
     """
     if max_periods < 1 or hold_periods < 0:
         raise ValueError("need max_periods >= 1 and hold_periods >= 0")
+    check_size(max_periods, MAX_STEPS, f"max_periods must be at most {MAX_STEPS}")
     baseline = device.output_mpn(mu_in, v_app_v)
     sat_m = device.equilibrated(ctrl.peak_power_w, v_app_v).magnification_db(
         v_app_v, baseline, mu_in

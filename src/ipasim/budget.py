@@ -12,7 +12,8 @@ Entries measured only down to an instrument floor, recorded as ">78" style
 strings, are carried through every computation as sticky lower bounds: the
 true loss can only be higher, so an infeasibility verdict derived from a
 bound stays valid while a feasibility one is best-case.  A loss, a floor
-included, and a fiber length must be finite and >= 0.
+included, a coupling scheme's losses, a fiber length and a power must be
+finite and >= 0.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ class LossValue:
 
 @dataclass(frozen=True)
 class PowerValue:
-    watts: float
+    watts: float = ranged("[0, inf)")
     lower_bound: bool = False
+
+    __post_init__ = check_ranges
 
 
 RawEntry = Union[int, float, str]
@@ -82,8 +85,10 @@ class ComponentLoss:
 @dataclass(frozen=True)
 class CouplingScheme:
     name: str
-    signal_loss_1550_db: float
-    irradiation_loss_405_db: float
+    signal_loss_1550_db: float = ranged("[0, inf)")
+    irradiation_loss_405_db: float = ranged("[0, inf)")
+
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)

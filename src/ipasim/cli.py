@@ -42,11 +42,13 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     build_controller,
+    build_curve_plan,
     build_device,
-    build_distances_km,
     build_path,
+    build_pe_curve_plan,
     build_pretreat_plan,
     build_scenario,
+    build_sweep_plan,
     config_sha256,
     default_config,
     load_config,
@@ -94,47 +96,43 @@ def _curve_table(curve, baseline) -> Table:
 def run_pe_curve(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
     v0 = working_point_v(cfg)
-    powers = cfg.get("pe_curve", "powers_w")
-    points = cfg.get("pe_curve", "trace_points")
-    tau_span = cfg.get("pe_curve", "trace_duration_tau")
+    plan = build_pe_curve_plan(cfg)
     baseline = device.output_mpn(1.0, v0)
     tables = []
     summary = [(0.0, 0.0, device.material.tau_dark_s)]
-    for power in powers:
+    for power in plan.powers_w:
         tau = device.slowest_time_constant(power)
         saturated = device.equilibrated(power, v0).magnification_db(v0, baseline)
-        duration = tau_span * tau
+        duration = plan.trace_duration_tau * tau
         result = run_program(
-            device, IrradiationProgram.cw(power, duration), 1.0, v0, duration / points
+            device, IrradiationProgram.cw(power, duration), 1.0, v0, duration / plan.trace_points
         )
         tables.append(_columns(result.trace, _TRACE_HEADER))
         summary.append((power, saturated, tau))
     tables.append((("power_w", "saturated_m_db", "tau_s"), summary))
     peak = max(summary[1:], key=lambda row: row[1])
     return tables, [
-        f"pe-curve: {len(powers)} powers, traces over {tau_span:g} build-up times each",
+        f"pe-curve: {len(plan.powers_w)} powers, traces over "
+        f"{plan.trace_duration_tau:g} build-up times each",
         f"largest saturated magnification: {peak[1]:.3f} dB at {peak[0]:.3g} W injected",
     ]
 
 
 def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
     device = build_device(cfg)
-    v_min = cfg.get("voltage_curve", "v_min_v")
-    v_max = cfg.get("voltage_curve", "v_max_v")
-    points = cfg.get("voltage_curve", "points")
-    voltages = cfg.get("voltage_curve", "pretreat_voltages_v")
-    power = cfg.get("voltage_curve", "pretreat_power_w")
+    grid = build_curve_plan(cfg)
+    grid_args = (grid.v_min_v, grid.v_max_v, grid.points)
     plan_keys = cfg.values["pre_treat"]
     base_plan = build_pretreat_plan(cfg)
 
-    pristine = device.voltage_curve(v_min, v_max, points)
+    pristine = device.voltage_curve(*grid_args)
     tables = [_curve_table(pristine, pristine)]
     series = [("pristine", pristine.v_app_v, pristine.transmittance)]
     shift_rows = []
-    for v_treat in voltages:
-        plan = replace(base_plan, v_app_v=v_treat, i_ir_w=power)
+    for v_treat in grid.pretreat_voltages_v:
+        plan = replace(base_plan, v_app_v=v_treat, i_ir_w=grid.pretreat_power_w)
         result = pre_treat(device, plan, plan_keys["dt_s"], plan_keys["max_steps"])
-        curve = result.device.voltage_curve(v_min, v_max, points)
+        curve = result.device.voltage_curve(*grid_args)
         tables.append(_curve_table(curve, pristine))
         series.append((f"pre-treated {v_treat:+g} V", curve.v_app_v, curve.transmittance))
         shift_rows.append((v_treat, result.bias_shift_rad, result.converged))
@@ -145,7 +143,7 @@ def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
                 "transmission vs drive voltage", "drive voltage (V)", "transmittance", series
             )
         )
-    lines = [f"voltage-curve: pristine plus {len(voltages)} pre-treated curves"]
+    lines = [f"voltage-curve: pristine plus {len(grid.pretreat_voltages_v)} pre-treated curves"]
     if shift_rows:
         shifts = [row[1] for row in shift_rows]
         lines.append(
@@ -206,11 +204,9 @@ def run_attack_init(cfg: ScenarioConfig) -> RunResult:
     treated = pre_treat(device, build_pretreat_plan(cfg), pre_keys["dt_s"], pre_keys["max_steps"])
     restored = initialize_device(treated.device, **cfg.values["init"])
 
-    v_min = cfg.get("voltage_curve", "v_min_v")
-    v_max = cfg.get("voltage_curve", "v_max_v")
-    points = cfg.get("voltage_curve", "points")
-    ref_curve = reference.device.voltage_curve(v_min, v_max, points)
-    new_curve = restored.device.voltage_curve(v_min, v_max, points)
+    grid = build_curve_plan(cfg)
+    ref_curve = reference.device.voltage_curve(grid.v_min_v, grid.v_max_v, grid.points)
+    new_curve = restored.device.voltage_curve(grid.v_min_v, grid.v_max_v, grid.points)
     rms = curve_rms_db(ref_curve, new_curve)
 
     tables = [
@@ -223,39 +219,34 @@ def run_attack_init(cfg: ScenarioConfig) -> RunResult:
         f"re-initialization converged={str(restored.converged).lower()} "
         f"after {restored.steps} steps ({restored.elapsed_s:.0f} s)",
         f"voltage curve restored to {rms:.4f} dB RMS of the reference "
-        f"({points} points over [{v_min:g}, {v_max:g}] V)",
+        f"({grid.points} points over [{grid.v_min_v:g}, {grid.v_max_v:g}] V)",
     ]
 
 
 def run_security_sweep(cfg: ScenarioConfig) -> RunResult:
-    scenario = build_scenario(cfg)
-    m_grid = cfg.get("qkd", "m_db_grid")
-    distances = build_distances_km(cfg)
-    estimator = cfg.get("qkd", "estimator")
-    rows = sweep_key_rates(scenario, m_grid, distances, estimator)
+    plan = build_sweep_plan(cfg)
+    distances = plan.distances_km
+    rows = sweep_key_rates(build_scenario(cfg), plan.m_db_grid, distances, plan.estimator)
     header = (
         "m_db", "distance_km", "q_mu", "e_mu", "y1_lower", "e1_upper",
         "delta_est", "delta_pns", "r_est", "r_actual", "tail_bound",
     )
     table = header, [[getattr(row, name) for name in header] for row in rows]
     return [table], [
-        f"security sweep: {len(m_grid)} magnifications x {len(distances)} distances "
-        f"({estimator} estimator)",
+        f"security sweep: {len(plan.m_db_grid)} magnifications x {len(distances)} distances "
+        f"({plan.estimator} estimator)",
     ]
 
 
 def run_security_threshold(cfg: ScenarioConfig) -> RunResult:
-    scenario = build_scenario(cfg)
-    low = cfg.get("qkd", "m_search_low_db")
-    high = cfg.get("qkd", "m_search_high_db")
-    tol = cfg.get("qkd", "threshold_tol_db")
-    estimator = cfg.get("qkd", "estimator")
+    plan = build_sweep_plan(cfg)
+    low, high, tol = plan.m_search_low_db, plan.m_search_high_db, plan.threshold_tol_db
     threshold = zero_key_threshold(
-        scenario, (low, high), build_distances_km(cfg), estimator, tol
+        build_scenario(cfg), (low, high), plan.distances_km, plan.estimator, tol
     )
     table = (
         ("m_threshold_db", "m_search_low_db", "m_search_high_db", "tol_db", "estimator"),
-        [(threshold, low, high, tol, estimator)],
+        [(threshold, low, high, tol, plan.estimator)],
     )
     return [table], [f"zero-key magnification threshold: {threshold:.3f} dB"]
 

@@ -2,15 +2,19 @@
 
 Every tunable of the simulator lives under one typed, unit-suffixed key
 (``_w``, ``_db``, ``_s``, ``_nm``, ...).  A section backed by a domain
-dataclass takes its keys from the dataclass fields: a key's default is the
-field's value on the calibrated default instance, its parser follows the type
-of that value, and the range the dataclass declares for the field is its only
-range check.  Keys no dataclass owns are declared here with their defaults and
-ranges, checked by the same rule (``ipasim._ranges``).  A config is accepted
-only if every section and key is known, every value parses and passes its
-checks, and every domain object builds from it; each error names the section
-and the key.  Defaults reproduce the calibrated bench device, so an empty
-file, or no file at all, is already a complete scenario.
+dataclass or a plan takes its keys from the dataclass fields: a key's default
+is the field's value on the calibrated default instance, its parser follows
+the type of that value, and the dataclass's own checks (the range it declares
+for each field, the constraints that couple fields, the sizes it bounds) are
+the key's only checks.  The plans sit beside the code that runs them:
+``[qkd]``'s grids and search in ``security.SweepPlan``, ``[voltage_curve]`` in
+``device.CurvePlan`` and ``[pe_curve]`` in ``attack.PeCurvePlan``.  Keys no
+dataclass owns are declared here with their defaults and ranges, checked by
+the same rule (``ipasim._ranges``).  A config is accepted only if every
+section and key is known, every value parses and passes its checks, and every
+domain object builds from it; each error names the section and the key.
+Defaults reproduce the calibrated bench device, so an empty file, or no file
+at all, is already a complete scenario.
 
 The canonical serialization (sorted ``section.key = value`` lines with
 shortest round-trip float formatting) feeds the run hash.  The output
@@ -34,29 +38,20 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from . import budget as budget_mod
 from . import calibration
-from ._ranges import Interval, interval
-from .attack import PreTreatmentPlan, PulseController
+from ._ranges import MAX_STEPS, Interval, interval
+from .attack import PeCurvePlan, PreTreatmentPlan, PulseController
 from .budget import ComponentLoss, InjectionPath, LossValue, parse_loss_entry
-from .device import MziDevice
+from .device import CurvePlan, MziDevice
 from .photorefractive import DecayMode, GeometryParams, MaterialParams
-from .security import ESTIMATORS, QkdScenario
+from .security import QkdScenario, SweepPlan
 
 
 class ConfigError(ValueError):
     """Anything wrong with a scenario config; messages carry the key path."""
-
-
-# Most points any grid read from a config may have (distances, voltage-curve
-# points, trace points, and the rows of a sweep or of all the traces or curves
-# a curve verb makes): enough for any plot, small enough to stay in memory.
-MAX_GRID_POINTS = 100_000
-# Most steps a saturation run, or periods a pulse loop, may take: each one is
-# a trace row.
-MAX_STEPS = 1_000_000
 
 
 # -- value parsing -----------------------------------------------------------------
@@ -64,10 +59,9 @@ MAX_STEPS = 1_000_000
 
 def _parse_float(raw: str, path: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
-    return value
 
 
 def _parse_int(raw: str, path: str) -> int:
@@ -101,11 +95,10 @@ def _parse_str_list(raw: str, path: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     default: object
     parse: Callable[[str, str], object]
-    allowed: Optional[Interval] = None  # of every entry, for a tuple
+    allowed: Optional[Interval] = None
     options: tuple[str, ...] = ()
 
 
@@ -140,8 +133,6 @@ def _key(default: object, allowed: Optional[str] = None, options: tuple[str, ...
         parse = _parse_float_list if isinstance(default[0], float) else _parse_str_list
     else:
         parse = _PARSERS[type(default)]
-    if allowed is None and parse in (_parse_float, _parse_float_list):
-        allowed = "(-inf, inf)"
     return _Key(default, parse, None if allowed is None else interval(allowed), options)
 
 
@@ -155,9 +146,9 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
     """One key per field of the dataclass ``instance``, in field order.
 
     The default is the instance's value; an ``Enum`` becomes a choice of its
-    values and is stored as the value.  The range check is the dataclass's
-    own, made when the section's builder constructs it.  ``elsewhere`` names
-    the fields the section spells differently or not at all.
+    values and is stored as the value.  The key declares no range: its checks
+    are the dataclass's own, made when the section's builder constructs it.
+    ``elsewhere`` names the fields the section spells differently or not at all.
     """
     keys = {}
     for f in fields(instance):
@@ -188,21 +179,11 @@ def _schema() -> dict[str, dict[str, _Key]]:
                 calibration.default_device(),
                 "material", "geometry", "bias_phase_rad", "field1_v_per_m", "field2_v_per_m",
             ),
-            "working_point_v": _key(calibration.WORKING_POINT_V),
+            "working_point_v": _key(calibration.WORKING_POINT_V, "(-inf, inf)"),
             "residual_bias_rad": _key(calibration.RESIDUAL_BIAS_RAD, "(0, pi)"),
         },
-        "pe_curve": {
-            "powers_w": _key((3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5), "(0, inf)"),
-            "trace_points": _key(200, f"[2, {MAX_GRID_POINTS}]"),
-            "trace_duration_tau": _key(5.0, "(0, inf)"),
-        },
-        "voltage_curve": {
-            "v_min_v": _key(-12.0),
-            "v_max_v": _key(12.0),
-            "points": _key(481, f"[2, {MAX_GRID_POINTS}]"),
-            "pretreat_voltages_v": _key((-20.0, -15.0, 0.0, 15.0, 20.0)),
-            "pretreat_power_w": _key(12e-6, "[0, inf)"),
-        },
+        "pe_curve": _fields_of(PeCurvePlan()),
+        "voltage_curve": _fields_of(CurvePlan()),
         "pre_treat": {
             **_fields_of(PreTreatmentPlan()),
             "dt_s": _key(60.0, "(0, inf)"),
@@ -220,17 +201,7 @@ def _schema() -> dict[str, dict[str, _Key]]:
             "hold_periods": _key(0, "[0, inf)"),
             "seed": _key(1, "[0, inf)"),
         },
-        "qkd": {
-            **_fields_of(QkdScenario(), "distance_km"),
-            "m_db_grid": _key((0.0, 4.0, 5.0, 6.0, 6.5), "[0, inf)"),
-            "distance_min_km": _key(0.0, "[0, inf)"),
-            "distance_max_km": _key(150.0, "[0, inf)"),
-            "distance_step_km": _key(2.0, "(0, inf)"),
-            "m_search_low_db": _key(4.0, "[0, inf)"),
-            "m_search_high_db": _key(9.0, "[0, inf)"),
-            "threshold_tol_db": _key(1e-3, "(0, inf)"),
-            "estimator": _key("decoy", options=ESTIMATORS),
-        },
+        "qkd": {**_fields_of(QkdScenario(), "distance_km"), **_fields_of(SweepPlan())},
         "budget": {
             "wavelength_nm": _key(405, "(0, inf)"),
             "fiber_length_km": _key(1.0, "[0, inf)"),
@@ -335,88 +306,32 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` if it is a runnable scenario, else the first ``ConfigError``.
 
-    Every key's range or options come first, then the constraints that couple
-    keys, then the builders, whose dataclasses range-check the keys they own.
+    Each key's options and the range this module declares for it come first.
+    Then every object a runner builds is built: the dataclasses and the plans
+    check the keys they own, the constraints that couple them and the sizes
+    they bound.  Last, the budget path is priced at its wavelength, which
+    names an unknown component or a missing loss entry.
     """
     for section, keys in _schema().items():
         for key, spec in keys.items():
             value = cfg.values[section][key]
             if spec.options and value not in spec.options:
                 raise ConfigError(f"{section}.{key}: must be one of: {', '.join(spec.options)}")
-            entries = value if isinstance(value, tuple) else (value,)
-            if spec.allowed is not None and not all(map(spec.allowed.holds, entries)):
-                every = "every entry " if isinstance(value, tuple) else ""
-                raise ConfigError(f"{section}.{key}: {every}{spec.allowed.message}")
-
-    vc = cfg.values["voltage_curve"]
-    if not vc["v_max_v"] > vc["v_min_v"]:
-        raise ConfigError("voltage_curve.v_max_v: must exceed v_min_v")
-    qkd = cfg.values["qkd"]
-    if not qkd["distance_max_km"] >= qkd["distance_min_km"]:
-        raise ConfigError("qkd.distance_max_km: must be >= distance_min_km")
-    # build_distances_km makes int(span + 1e-9) + 1 points
-    span = (qkd["distance_max_km"] - qkd["distance_min_km"]) / qkd["distance_step_km"]
-    if span + 1e-9 >= MAX_GRID_POINTS:
-        raise ConfigError(
-            f"qkd.distance_max_km: the distance grid from distance_min_km in "
-            f"distance_step_km steps exceeds {MAX_GRID_POINTS} points"
-        )
-    if len(qkd["m_db_grid"]) * (int(span + 1e-9) + 1) > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"qkd.m_db_grid: a sweep of {len(qkd['m_db_grid'])} magnifications over the "
-            f"distance grid exceeds {MAX_GRID_POINTS} rows"
-        )
-    if not qkd["m_search_high_db"] > qkd["m_search_low_db"]:
-        raise ConfigError("qkd.m_search_high_db: must exceed m_search_low_db")
-    pe = cfg.values["pe_curve"]
-    if not pe["powers_w"]:
-        raise ConfigError("pe_curve.powers_w: needs at least one power")
-    if len(pe["powers_w"]) * pe["trace_points"] > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"pe_curve.powers_w: {len(pe['powers_w'])} traces of trace_points "
-            f"{pe['trace_points']} exceed {MAX_GRID_POINTS} rows"
-        )
-    curves = len(vc["pretreat_voltages_v"]) + 1  # the pristine curve too
-    if curves * vc["points"] > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"voltage_curve.pretreat_voltages_v: {curves} curves of points "
-            f"{vc['points']} exceed {MAX_GRID_POINTS} rows"
-        )
-    if not qkd["m_db_grid"]:
-        raise ConfigError("qkd.m_db_grid: needs at least one magnification")
-
-    b = cfg.values["budget"]
-    wavelength = int(b["wavelength_nm"])
-    if b["fiber_length_km"] > 0 and wavelength not in budget_mod.BUILTIN_FIBER_DB_PER_KM:
-        known = ", ".join(str(w) for w in sorted(budget_mod.BUILTIN_FIBER_DB_PER_KM))
-        raise ConfigError(
-            f"budget.wavelength_nm: no fiber loss data at {wavelength} nm (known: {known})"
-        )
-    catalog = set(budget_mod.BUILTIN_COMPONENTS) | set(cfg.components)
-    for name in b["components"]:
-        if name not in catalog:
-            raise ConfigError(
-                f"budget.components: unknown component '{name}' "
-                f"(known: {', '.join(sorted(catalog))})"
-            )
-        entries = cfg.components.get(name)
-        has_wl = wavelength in entries if entries is not None else (
-            wavelength in budget_mod.BUILTIN_COMPONENTS[name].loss_db
-        )
-        if not has_wl:
-            raise ConfigError(
-                f"budget.components: '{name}' has no loss entry at {wavelength} nm"
-            )
-    if b["coupling_scheme"] != "none" and wavelength != 405:
-        raise ConfigError(
-            "budget.coupling_scheme: coupling schemes are specified at 405 nm only"
-        )
+            if spec.allowed is not None and not spec.allowed.holds(value):
+                raise ConfigError(f"{section}.{key}: {spec.allowed.message}")
 
     build_device(cfg)
     build_controller(cfg)
     build_scenario(cfg)
     build_pretreat_plan(cfg)
-    build_path(cfg)
+    build_sweep_plan(cfg)
+    build_curve_plan(cfg)
+    build_pe_curve_plan(cfg)
+    path = build_path(cfg)
+    try:
+        budget_mod.path_loss(path, cfg.values["budget"]["wavelength_nm"])
+    except ValueError as exc:
+        raise ConfigError(f"budget.wavelength_nm: {exc}") from None
     return cfg
 
 
@@ -479,13 +394,19 @@ def _build(cls, section: str, cfg: ScenarioConfig, **explicit: object):
     """``cls`` from the ``section`` values whose keys name its fields.
 
     ``explicit`` supplies fields the section spells differently or not at all.
+    A refusal led by the name of one of the section's keys names that key
+    (``v_pi_v must be positive`` becomes ``device.v_pi_v: must be positive``);
+    any other names the section.
     """
     names = {f.name for f in fields(cls)}
     matched = {k: v for k, v in cfg.values[section].items() if k in names}
     try:
         return cls(**{**matched, **explicit})
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        head, _, rest = str(exc).partition(" ")
+        key = head.rstrip(":")
+        where = f"{section}.{key}: {rest}" if key in matched else f"{section}: {exc}"
+        raise ConfigError(where) from None
 
 
 def build_material(cfg: ScenarioConfig) -> MaterialParams:
@@ -538,11 +459,20 @@ def build_scenario(cfg: ScenarioConfig) -> QkdScenario:
     return _build(QkdScenario, "qkd", cfg)
 
 
+def build_sweep_plan(cfg: ScenarioConfig) -> SweepPlan:
+    return _build(SweepPlan, "qkd", cfg)
+
+
 def build_distances_km(cfg: ScenarioConfig) -> tuple[float, ...]:
-    q = cfg.values["qkd"]
-    lo, hi, step = q["distance_min_km"], q["distance_max_km"], q["distance_step_km"]
-    count = int((hi - lo) / step + 1e-9) + 1
-    return tuple(lo + i * step for i in range(count))
+    return build_sweep_plan(cfg).distances_km
+
+
+def build_curve_plan(cfg: ScenarioConfig) -> CurvePlan:
+    return _build(CurvePlan, "voltage_curve", cfg)
+
+
+def build_pe_curve_plan(cfg: ScenarioConfig) -> PeCurvePlan:
+    return _build(PeCurvePlan, "pe_curve", cfg)
 
 
 def build_path(cfg: ScenarioConfig) -> InjectionPath:
@@ -551,7 +481,10 @@ def build_path(cfg: ScenarioConfig) -> InjectionPath:
         name: ComponentLoss(name, dict(entries))
         for name, entries in cfg.components.items()
     }
-    path = budget_mod.standard_path(b["fiber_length_km"], b["components"], extras)
+    try:
+        path = budget_mod.standard_path(b["fiber_length_km"], b["components"], extras)
+    except ValueError as exc:
+        raise ConfigError(f"budget.components: {exc}") from None
     scheme = b["coupling_scheme"]
     if scheme != "none":
         loss = budget_mod.coupling_plan_loss(scheme)

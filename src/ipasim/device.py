@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._ranges import check_ranges, ranged
+from ._ranges import MAX_GRID_POINTS, check_ranges, check_size, ranged
 from .photorefractive import (
     DecayMode,
     GeometryParams,
@@ -50,6 +50,29 @@ class VoltageCurve:
     transmittance: np.ndarray
     attenuation_db: np.ndarray
     delta_theta_rad: np.ndarray
+
+
+@dataclass
+class CurvePlan:
+    """A drive-voltage grid of ``points`` from ``v_min_v`` up to ``v_max_v``, and
+    the voltages (at ``pretreat_power_w``) of the pre-treated curves drawn beside
+    the pristine one, ``MAX_GRID_POINTS`` rows at most in all.  Its checks are
+    the grid's: ``MziDevice.voltage_curve`` checks a plan of no pre-treatments.
+    """
+
+    v_min_v: float = ranged("(-inf, inf)", -12.0)
+    v_max_v: float = ranged("(-inf, inf)", 12.0)
+    points: int = ranged(f"[2, {MAX_GRID_POINTS}]", 481)
+    pretreat_voltages_v: tuple[float, ...] = ranged("(-inf, inf)", (-20.0, -15.0, 0.0, 15.0, 20.0))
+    pretreat_power_w: float = ranged("[0, inf)", 12e-6)
+
+    def __post_init__(self) -> None:
+        check_ranges(self)
+        if not self.v_max_v > self.v_min_v:
+            raise ValueError("v_max_v must exceed v_min_v")
+        curves = len(self.pretreat_voltages_v) + 1
+        check_size(curves * self.points, MAX_GRID_POINTS, f"pretreat_voltages_v: {curves} "
+                   f"curves of points {self.points} exceed {MAX_GRID_POINTS} rows")
 
 
 @dataclass(frozen=True)
@@ -162,10 +185,7 @@ class MziDevice:
     # -- curves and search ----------------------------------------------------
 
     def voltage_curve(self, v_min_v: float, v_max_v: float, points: int) -> VoltageCurve:
-        if points < 2:
-            raise ValueError("points must be >= 2")
-        if not v_max_v > v_min_v:
-            raise ValueError("v_max_v must exceed v_min_v")
+        CurvePlan(v_min_v, v_max_v, points, ())  # refuses a grid its plan would refuse
         volts = np.linspace(v_min_v, v_max_v, points)
         return VoltageCurve(
             volts,

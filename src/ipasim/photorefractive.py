@@ -200,18 +200,6 @@ def saturated_index_response(mat: MaterialParams, power_w: float) -> float:
     )
 
 
-def saturated_index_change(
-    mat: MaterialParams, power_w: float, e_app_v_per_m: float = 0.0
-) -> float:
-    """Microscopic steady-state index change, 0.5 * n^3 * r33 * gamma * e_inf.
-
-    Relates to the effective response by delta_n = f * L / l_eff when the
-    applied field is zero or the photoconductivity is in its linear regime.
-    """
-    n3r = mat.refractive_index**3 * mat.r33_m_per_v * mat.mode_overlap
-    return 0.5 * n3r * steady_state_field(mat, power_w, e_app_v_per_m)
-
-
 def saturated_phase_shift(
     mat: MaterialParams,
     geo: GeometryParams,

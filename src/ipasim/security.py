@@ -23,6 +23,8 @@ row of attack terms (p_s, actual key, Poisson tail) per magnification.  The
 zero-key threshold costs one link evaluation and no search: with p = eta_AB/M
 the success probability is a closed form in M, so each distance's zero-key
 magnification follows from its decoy estimate (``zero_key_threshold``).
+``SweepPlan`` lays out a sweep's grids and the threshold's search range, and
+a sweep of more than ``MAX_GRID_POINTS`` rows is refused before it is built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._ranges import check_ranges, ranged
+from ._ranges import MAX_GRID_POINTS, check_ranges, check_size, ranged
 
 # A float, or an array with one entry per distance of a grid.  The per-link
 # functions take and return either; each range check covers every entry.
@@ -434,6 +436,45 @@ DEFAULT_M_DB_GRID = (0.0, 4.0, 5.0, 6.0, 6.5)
 DEFAULT_DISTANCES_KM = tuple(float(d) for d in range(0, 151, 2))
 
 
+@dataclass
+class SweepPlan:
+    """A key-rate sweep of every magnification in ``m_db_grid`` over the
+    distances from ``distance_min_km`` to ``distance_max_km`` in
+    ``distance_step_km`` steps (``distances_km``, built by the checks), and
+    its zero-key threshold search in (``m_search_low_db``,
+    ``m_search_high_db``] to ``threshold_tol_db``.  The distances, and the
+    rows of the sweep, number at most ``MAX_GRID_POINTS``.
+    """
+
+    m_db_grid: tuple[float, ...] = ranged("[0, inf)", DEFAULT_M_DB_GRID)
+    distance_min_km: float = ranged("[0, inf)", 0.0)
+    distance_max_km: float = ranged("[0, inf)", 150.0)
+    distance_step_km: float = ranged("(0, inf)", 2.0)
+    m_search_low_db: float = ranged("[0, inf)", 4.0)
+    m_search_high_db: float = ranged("[0, inf)", 9.0)
+    threshold_tol_db: float = ranged("(0, inf)", 1e-3)
+    estimator: str = "decoy"
+
+    def __post_init__(self) -> None:
+        check_ranges(self)
+        lo, hi, step = self.distance_min_km, self.distance_max_km, self.distance_step_km
+        n = len(self.m_db_grid)
+        if not n:
+            raise ValueError("m_db_grid: needs at least one magnification")
+        if not hi >= lo:
+            raise ValueError("distance_max_km must be >= distance_min_km")
+        count = ((hi - lo) / step + 1e-9) // 1 + 1  # a float: too fine a grid is inf // 1, nan
+        check_size(count, MAX_GRID_POINTS, "distance_max_km: the distance grid from "
+                   f"distance_min_km in distance_step_km steps exceeds {MAX_GRID_POINTS} points")
+        check_size(n * count, MAX_GRID_POINTS, f"m_db_grid: a sweep of {n} magnifications "
+                   f"over the distance grid exceeds {MAX_GRID_POINTS} rows")
+        if not self.m_search_high_db > self.m_search_low_db:
+            raise ValueError("m_search_high_db must exceed m_search_low_db")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of: {', '.join(ESTIMATORS)}")
+        self.distances_km = tuple(lo + i * step for i in range(int(count)))
+
+
 def sweep_key_rates(
     scenario: QkdScenario,
     m_db_list: Sequence[float] = DEFAULT_M_DB_GRID,
@@ -447,6 +488,9 @@ def sweep_key_rates(
     for the whole grid and each magnification adds only its attack terms;
     the rows, magnification-major, hold plain floats and bools.
     """
+    n, count = len(m_db_list), len(distances_km)
+    check_size(n * count, MAX_GRID_POINTS, f"a sweep of {n} magnifications over {count} "
+               f"distances exceeds {MAX_GRID_POINTS} rows")
     if not all(m_db >= 0.0 for m_db in m_db_list):
         raise ValueError("m_db must be >= 0")
     attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]

@@ -115,6 +115,16 @@ def _arm_relaxation(mat, power_w: float, e_app: float) -> tuple[float, float]:
     return target, mat.rel_permittivity * 8.8541878128e-12 / sigma
 
 
+def saturated_index_change(mat, power_w: float, e_app: float = 0.0) -> float:
+    """Microscopic steady-state index change, 0.5 * n^3 * r33 * gamma * e_inf.
+
+    Relates to the effective response by delta_n = f * L / l_eff when the
+    applied field is zero or the photoconductivity is in its linear regime.
+    """
+    n3r = mat.refractive_index**3 * mat.r33_m_per_v * mat.mode_overlap
+    return 0.5 * n3r * _arm_relaxation(mat, power_w, e_app)[0]
+
+
 def _arm_conditions(device, power_w: float, v_app_v: float) -> list[tuple[float, float]]:
     """(power, applied field) of each arm: lossy injection split, push-pull bias."""
     loss_db = device.irradiation_coupling_db + device.polarization_loss_db
@@ -152,6 +162,24 @@ def _readout(device, f1: float, f2: float, v: float) -> tuple[float, float]:
     )
     r = device.signal_split
     return theta, 4.0 * r * (1.0 - r) * math.cos(theta / 2.0) ** 2
+
+
+def single_period_gain_db(device, ctrl, mu_in: float, v_app_v: float) -> float:
+    """Magnification gained by one full-duty period from the device's state.
+
+    The relaxation law makes this the largest move any single period can
+    produce from states at or above this one, so evaluated on a pristine
+    device it bounds how far the closed loop can overshoot its target.  The
+    input mean photon number ``mu_in`` scales both readings and cancels.
+    """
+    fields = (device.field1_v_per_m, device.field2_v_per_m)
+    lit = [
+        _ode_step(device, f, p, e, ctrl.period_s)
+        for f, (p, e) in zip(fields, _arm_conditions(device, ctrl.peak_power_w, v_app_v))
+    ]
+    _, before = _readout(device, *fields, v_app_v)
+    _, after = _readout(device, *lit, v_app_v)
+    return 10.0 * math.log10(after / before)
 
 
 def exposure_loop(device, segments, mu_in: float, v_app_v: float, dt_s: float) -> list[tuple]:

@@ -20,12 +20,11 @@ from ipasim.attack import (
     pre_treat,
     pulse_inject_to_target,
     run_program,
-    single_period_gain_db,
 )
 from ipasim.calibration import WORKING_POINT_V, default_device
 from ipasim.device import curve_rms_db
 from ipasim.photorefractive import DecayMode, relaxation_step
-from oracles import exposure_loop, pulse_loop, saturation_loop
+from oracles import exposure_loop, pulse_loop, saturation_loop, single_period_gain_db
 
 DEV = default_device()
 WP = WORKING_POINT_V

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import ipasim
+from ipasim._ranges import MAX_GRID_POINTS
 from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, VERBS, main
-from ipasim.config import MAX_GRID_POINTS
 from ipasim.runio import MANIFEST_NAME
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TRACE_COLS = ["t_s", "transmittance", "attenuation_db", "m_db", "delta_theta_rad"]
 CURVE_COLS = ["v_volts", "transmittance", "attenuation_db", "m_db", "delta_theta_rad"]
@@ -274,6 +277,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["budget", "--seed", "-3"]) == EXIT_CONFIG
     # dry runs validate just as strictly
     assert main(["--dry-run", "budget", "--config", str(bad)]) == EXIT_CONFIG
+
+
+# the config and flags behind each config error the README quotes
+README_ERRORS = {
+    "config error: device.v_pi_v: must be positive": ("[device]\nv_pi_v = -5\n", []),
+    "config error: pulse.seed: must be >= 0": ("", ["--seed", "-1"]),
+    "config error: budget.wavelength_nm: component 'coupling:bs_5050' has no loss entry "
+    "at 780 nm": ("[budget]\nwavelength_nm = 780\ncoupling_scheme = bs_5050\n", []),
+}
+
+
+def test_readme_config_errors_are_printed_verbatim(tmp_path, capsys):
+    assert set(re.findall(r"`(config error: [^`]*)`", README.read_text())) == set(README_ERRORS)
+    cfg = tmp_path / "readme.ini"
+    for text, (ini, flags) in README_ERRORS.items():
+        cfg.write_text(ini)
+        assert main(["--dry-run", "budget", "--config", str(cfg), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == text + "\n"
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from ipasim.calibration import default_device
+from ipasim._ranges import MAX_GRID_POINTS, MAX_STEPS
 from ipasim.config import (
-    MAX_GRID_POINTS,
-    MAX_STEPS,
     ConfigError,
     build_controller,
     build_device,
@@ -28,7 +27,10 @@ from ipasim.config import (
     to_ini_text,
     working_point_v,
 )
+from ipasim.attack import PeCurvePlan
 from ipasim.budget import path_loss
+from ipasim.device import CurvePlan
+from ipasim.security import SweepPlan
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -82,6 +84,14 @@ OUT_OF_RANGE = [
     ("qkd", "m_search_high_db", "-1"),
     ("qkd", "threshold_tol_db", "0"),
     ("qkd", "estimator", "magic"),
+    ("pe_curve", "powers_w", "3e-9, 0"),
+    ("pe_curve", "trace_points", "1"),
+    ("pe_curve", "trace_duration_tau", "0"),
+    ("voltage_curve", "v_min_v", "nan"),
+    ("voltage_curve", "v_max_v", "inf"),
+    ("voltage_curve", "points", "1"),
+    ("voltage_curve", "pretreat_voltages_v", "1, nan"),
+    ("voltage_curve", "pretreat_power_w", "-1"),
 ]
 UNCHECKED = {("device", "working_point_v"), ("pulse", "target_m_db"), ("pre_treat", "v_app_v")}
 # each value is in range alone and out of range against another key's default
@@ -141,7 +151,7 @@ def test_total_schema_rejection_names_the_key_path():
         parse_config("[device]\nvpi_v = 5\n")
     with pytest.raises(ConfigError, match="device.v_pi_v: expected a number"):
         parse_config("[device]\nv_pi_v = five\n")
-    with pytest.raises(ConfigError, match="device: v_pi_v must be positive"):
+    with pytest.raises(ConfigError, match=r"^device\.v_pi_v: must be positive$"):
         parse_config("[device]\nv_pi_v = -5\n")
     with pytest.raises(ConfigError, match="pulse.seed: expected an integer"):
         parse_config("[pulse]\nseed = 1.5\n")
@@ -160,7 +170,9 @@ def test_cross_field_validation():
         parse_config("[pulse]\nduty_min = 0.9\nduty_max = 0.5\n")
     with pytest.raises(ConfigError, match="v_max_v"):
         parse_config("[voltage_curve]\nv_min_v = 10\nv_max_v = -10\n")
-    with pytest.raises(ConfigError, match="coupling schemes"):
+    with pytest.raises(
+        ConfigError, match=r"^budget\.wavelength_nm: component 'coupling:bs_5050' has no loss entry"
+    ):
         parse_config("[budget]\nwavelength_nm = 780\ncoupling_scheme = bs_5050\n")
     with pytest.raises(ConfigError, match="unknown component"):
         parse_config("[budget]\ncomponents = warp_core\n")
@@ -177,7 +189,9 @@ def _case_id(case):
 def test_every_checked_key_has_an_out_of_range_case():
     cfg = default_config()
     listed = {(section, key) for section, key, _ in OUT_OF_RANGE}
-    for section in ("material", "geometry", "device", "pre_treat", "pulse", "qkd"):
+    for section in (
+        "material", "geometry", "device", "pre_treat", "pulse", "qkd", "pe_curve", "voltage_curve"
+    ):
         for key in cfg.values[section]:
             assert (section, key) in listed | UNCHECKED, f"{section}.{key}"
 
@@ -306,6 +320,33 @@ def test_curve_verb_rows_are_bounded():
     assert rows(full + "\n", "voltage_curve")["pretreat_voltages_v"] == ()
     with pytest.raises(ConfigError, match=r"^voltage_curve\.pretreat_voltages_v: 2 curves"):
         parse_config(full + " 20.0\n")
+
+
+# each coupled or size constraint of a plan, refused by the plan itself
+PLAN_VIOLATIONS = [
+    (SweepPlan, {"m_db_grid": ()}, "m_db_grid: needs at least one magnification"),
+    (SweepPlan, {"distance_min_km": 200.0}, "distance_max_km must be >= distance_min_km"),
+    (SweepPlan, {"distance_step_km": 1e-300}, "distance_max_km: the distance grid .* points"),
+    # too fine a grid to count: (1e300 / 1e-300) // 1 is nan
+    (SweepPlan, {"distance_max_km": 1e300, "distance_step_km": 1e-300}, "distance_max_km: the"),
+    (SweepPlan, {"distance_max_km": 1e5}, "m_db_grid: a sweep of 5 magnifications .* 100000 rows"),
+    (SweepPlan, {"m_search_low_db": 9.0}, "m_search_high_db must exceed m_search_low_db"),
+    (SweepPlan, {"estimator": "magic"}, "estimator must be one of: decoy, single_photon_true"),
+    (CurvePlan, {"v_min_v": 12.0}, "v_max_v must exceed v_min_v"),
+    (CurvePlan, {"points": MAX_GRID_POINTS // 6 + 1}, "pretreat_voltages_v: 6 curves .* rows"),
+    (PeCurvePlan, {"powers_w": ()}, "powers_w: needs at least one power"),
+    (PeCurvePlan, {"trace_points": MAX_GRID_POINTS // 8 + 1}, "powers_w: 8 traces .* 100000 rows"),
+]
+
+
+@pytest.mark.parametrize(
+    "plan, changes, message",
+    PLAN_VIOLATIONS,
+    ids=[f"{plan.__name__}-{'-'.join(changes)}" for plan, changes, _ in PLAN_VIOLATIONS],
+)
+def test_plans_refuse_coupled_and_oversized_values(plan, changes, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        plan(**changes)
 
 
 @pytest.mark.parametrize(

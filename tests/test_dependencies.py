@@ -1,4 +1,5 @@
-"""The runtime needs numpy only: importing the package loads no scipy."""
+"""The package surface: the runtime needs numpy only, and the exported names
+are pinned."""
 
 import os
 import subprocess
@@ -18,3 +19,28 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+EXPORTS = {
+    "__version__", "AttackParams", "BracketError", "BUILTIN_COMPONENTS",
+    "BUILTIN_FIBER_DB_PER_KM", "COUPLING_SCHEMES", "ComponentLoss", "CouplingScheme",
+    "DecayMode", "DecoyBounds", "ExposureResult", "ExposureTrace", "GeometryParams",
+    "INIT_POWER_W", "InitResult", "InjectionPath", "IrradiationProgram", "KeyRate",
+    "LossValue", "MarginReport", "MaterialParams", "MziDevice", "PowerValue",
+    "PreTreatResult", "PreTreatmentPlan", "PulseController", "PulseResult", "PulseTrace",
+    "QkdScenario", "SecurityResult", "Segment", "TailBounded", "VoltageCurve",
+    "attack_success_probability", "binary_entropy", "buildup_time_constant",
+    "calibration_summary", "countermeasure_margin", "coupling_plan_loss", "curve_rms_db",
+    "decoy_bounds", "default_device", "default_geometry", "default_material",
+    "delivered_power", "evaluate_scenario", "evolve_field", "initialize_device", "key_rate",
+    "path_loss", "photoconductivity", "pns_photon_distribution", "pre_treat",
+    "pulse_inject_to_target", "required_eve_power", "run_program", "saturated_phase_shift",
+    "single_photon_truth", "standard_path", "steady_state_field", "sweep_key_rates",
+    "tagged_fraction_estimated", "zero_key_threshold",
+}
+
+
+def test_exported_names_are_pinned():
+    assert len(ipasim.__all__) == len(EXPORTS)
+    assert set(ipasim.__all__) == EXPORTS
+    assert all(hasattr(ipasim, name) for name in EXPORTS)

@@ -15,12 +15,11 @@ from ipasim.photorefractive import (
     evolve_field,
     field_coupling,
     photoconductivity,
-    saturated_index_change,
     saturated_index_response,
     saturated_phase_shift,
     steady_state_field,
 )
-from oracles import relaxation_closed_form
+from oracles import relaxation_closed_form, saturated_index_change
 
 MAT = default_material()
 

@@ -1,5 +1,7 @@
-"""The range contract of the parameter dataclasses: every numeric field declares
-its interval, and NaN, +-inf and values just outside a finite end are refused."""
+"""The range contract of the parameter dataclasses and plans: every numeric
+field declares its interval, and NaN, +-inf and values just outside a finite
+end are refused.  Every library call that allocates a grid or a trace refuses
+one past its size bound."""
 
 import math
 import typing
@@ -7,20 +9,33 @@ from dataclasses import fields, replace
 
 import pytest
 
+import ipasim.attack as attack_module
+import ipasim.security as security_module
 from ipasim import (
     AttackParams,
+    CouplingScheme,
     GeometryParams,
     InjectionPath,
+    IrradiationProgram,
     LossValue,
     MaterialParams,
     MziDevice,
+    PowerValue,
     PreTreatmentPlan,
     PulseController,
     QkdScenario,
     Segment,
+    initialize_device,
+    pre_treat,
+    pulse_inject_to_target,
+    run_program,
+    sweep_key_rates,
 )
-from ipasim._ranges import interval
-from ipasim.calibration import default_device, default_geometry, default_material
+from ipasim._ranges import MAX_GRID_POINTS, MAX_STEPS, interval
+from ipasim.attack import PeCurvePlan
+from ipasim.calibration import WORKING_POINT_V, default_device, default_geometry, default_material
+from ipasim.device import CurvePlan
+from ipasim.security import SweepPlan
 
 # one default or calibrated instance per parameter dataclass
 INSTANCES = {
@@ -34,6 +49,12 @@ INSTANCES = {
     AttackParams: AttackParams(2.0),
     LossValue: LossValue(1.0),
     InjectionPath: InjectionPath(),
+    IrradiationProgram: IrradiationProgram((Segment(1e-6, 1.0),)),
+    CouplingScheme: CouplingScheme("x", 1.0, 3.0),
+    PowerValue: PowerValue(1e-3),
+    SweepPlan: SweepPlan(),
+    CurvePlan: CurvePlan(),
+    PeCurvePlan: PeCurvePlan(),
 }
 NUMERIC = (float, int, typing.Optional[float], typing.Optional[int])
 
@@ -61,6 +82,10 @@ CASES = [
     "cls, name, value", CASES, ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in CASES]
 )
 def test_every_declared_field_refuses_values_outside_its_range(cls, name, value):
+    if isinstance(getattr(INSTANCES[cls], name), tuple):  # a range of every entry
+        with pytest.raises(ValueError, match=rf"^{name}: every entry must be "):
+            replace(INSTANCES[cls], **{name: (*getattr(INSTANCES[cls], name), value)})
+        return
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         replace(INSTANCES[cls], **{name: value})
 
@@ -78,6 +103,56 @@ def test_only_the_arm_fields_declare_no_range():
 def test_an_optional_field_may_be_none():
     assert AttackParams(2.0, p_resend=None).p_resend is None
     assert AttackParams(2.0, p_resend=0.0).p_resend == 0.0
+    assert IrradiationProgram((Segment(1e-6, 1.0),)).pulse_width_s is None
+
+
+class _Allocating(Exception):
+    """Raised in place of the allocation a bounded call makes once it is past its check."""
+
+
+def _allocating(*args, **kwargs):
+    raise _Allocating
+
+
+DEV = INSTANCES[MziDevice]
+# call with a size n, its bound, its refusal one past the bound, and where an
+# expensive call allocates (replaced, so the call at its bound stops there)
+BOUNDED_CALLS = {
+    "voltage_curve": (
+        lambda n: DEV.voltage_curve(-12.0, 12.0, n), MAX_GRID_POINTS, "points must be in", None
+    ),
+    "sweep_key_rates": (
+        lambda n: sweep_key_rates(QkdScenario(), [5.0], [0.0] * n),
+        MAX_GRID_POINTS, "exceeds 100000 rows", (security_module, "_evaluate"),
+    ),
+    "run_program": (
+        lambda n: run_program(DEV, IrradiationProgram.cw(0.0, float(n)), 1.0, 0.0, 1.0),
+        MAX_STEPS, "program takes over 1000000 steps", (attack_module, "_segment_clock"),
+    ),
+    "pre_treat": (
+        lambda n: pre_treat(DEV, PreTreatmentPlan(), 60.0, n), MAX_STEPS, "max_steps must be", None
+    ),
+    "initialize_device": (
+        lambda n: initialize_device(DEV, max_steps=n), MAX_STEPS, "max_steps must be", None
+    ),
+    "pulse_inject_to_target": (
+        lambda n: pulse_inject_to_target(DEV, PulseController(10.0), 1.0, WORKING_POINT_V, n),
+        MAX_STEPS, "max_periods must be", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_library_calls_refuse_one_past_their_size_bound(name, monkeypatch):
+    call, bound, message, allocation = BOUNDED_CALLS[name]
+    if allocation is None:
+        call(bound)
+    else:
+        monkeypatch.setattr(*allocation, _allocating)
+        with pytest.raises(_Allocating):
+            call(bound)
+    with pytest.raises(ValueError, match=message):
+        call(bound + 1)
 
 
 @pytest.mark.parametrize(
