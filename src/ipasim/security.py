@@ -29,7 +29,9 @@ a sweep of more than ``MAX_GRID_POINTS`` rows is refused before it is built.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -113,37 +115,60 @@ class AttackParams:
         return resend_probability(eta_ab, self.m_linear)
 
 
+# The checks reduce through the ufuncs: ndarray.all/any/min/max add a Python
+# call to numpy's method wrappers, which costs more than the check itself.
 def _within(x: Floats, low: float, high: float) -> bool:
-    """Every entry in [low, high]; NaN is outside."""
-    x = np.asarray(x)
-    return bool(((low <= x) & (x <= high)).all())
+    """Every entry in [low, high]; NaN is outside, as min and max propagate it."""
+    x = np.asarray(x, dtype=float)
+    return bool(low <= np.minimum.reduce(x, axis=None, initial=math.inf)
+                and np.maximum.reduce(x, axis=None, initial=-math.inf) <= high)
+
+
+def _any(mask: Union[bool, np.ndarray]) -> bool:
+    return bool(np.logical_or.reduce(mask, axis=None))
 
 
 def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats:
-    if not (0.0 <= alpha_db_per_km <= math.inf and _within(distance_km, 0.0, math.inf)):
+    """Fiber transmittance.  A distance may be inf (no light) except on a
+    lossless fiber, where its loss 0 * inf would be NaN."""
+    longest = math.inf if alpha_db_per_km > 0.0 else sys.float_info.max
+    if not (0.0 <= alpha_db_per_km < math.inf and _within(distance_km, 0.0, longest)):
         raise ValueError("fiber attenuation and distance must be >= 0")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
-def gain(mpn: float, eta: Floats, y0: float) -> Floats:
+def _clicks(mpn: Floats, eta: Floats, y0: float) -> tuple[Floats, Floats]:
+    """The gain and exp(-eta*mpn) - 1, the one expm1 that gain and qber share."""
+    if _any(np.asarray(mpn) < 0.0):
+        raise ValueError("mpn must be >= 0")
+    missed = np.expm1(-eta * mpn)
+    return np.minimum(y0 - missed, 1.0), missed
+
+
+def gain(mpn: Floats, eta: Floats, y0: float) -> Floats:
     """Detection probability per pulse; clamped at 1 for pathological inputs.
 
     1 - exp(-eta*mpn) is formed with expm1: next to 1 it keeps only ~1e-16
     absolute accuracy, which on a long link is a ~1e-10 relative error in
-    the gain that the decoy bounds amplify further.
+    the gain that the decoy bounds amplify further.  ``mpn`` may be a column,
+    e.g. (mu, nu) as shape (2, 1), giving one row per mean photon number.
     """
-    if mpn < 0.0:
-        raise ValueError("mpn must be >= 0")
-    return np.minimum(y0 - np.expm1(-eta * mpn), 1.0)
+    return _clicks(mpn, eta, y0)[0]
 
 
-def qber(mpn: float, eta: Floats, y0: float, e0: float, e_det: float) -> Floats:
-    """Error rate per detected pulse: dark-count noise diluted by real signal."""
-    q = gain(mpn, eta, y0)
+def _error_rate(q: Floats, missed: Floats, y0: float, e0: float, e_det: float) -> Floats:
     detected = q > 0.0
     # a link that never clicks has only the dark-count error
-    errors = e0 * y0 - e_det * np.expm1(-eta * mpn)
+    errors = e0 * y0 - e_det * missed
     return np.where(detected, errors / np.where(detected, q, 1.0), e0)[()]
+
+
+def qber(mpn: Floats, eta: Floats, y0: float, e0: float, e_det: float) -> Floats:
+    """Error rate per detected pulse: dark-count noise diluted by real signal.
+
+    ``mpn`` may be a column, as for :func:`gain`.
+    """
+    return _error_rate(*_clicks(mpn, eta, y0), y0, e0, e_det)
 
 
 def binary_entropy(x: Floats) -> Floats:
@@ -153,7 +178,8 @@ def binary_entropy(x: Floats) -> Floats:
     inside = (x > 0.0) & (x < 1.0)
     # the end points carry no entropy; 1/2 stands in there so no log sees 0
     y = np.where(inside, x, 0.5)
-    return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)[()]
+    z = 1.0 - y
+    return np.where(inside, -y * np.log2(y) - z * np.log2(z), 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -198,9 +224,12 @@ def single_photon_truth(scenario: QkdScenario, eta: Optional[Floats] = None) -> 
     return DecoyBounds(y1, e1, np.zeros(np.shape(y1), dtype=bool)[()])
 
 
-def resend_probability(eta_ab: Floats, m_linear: float) -> Floats:
-    """Per-photon forwarding probability that hides the attack in the rates."""
-    if not m_linear >= 1.0:
+def resend_probability(eta_ab: Floats, m_linear: Floats) -> Floats:
+    """Per-photon forwarding probability that hides the attack in the rates.
+
+    ``m_linear`` may be a column of magnifications, one row each.
+    """
+    if not _within(m_linear, 1.0, math.inf):
         raise ValueError("m_linear must be >= 1")
     return eta_ab / m_linear
 
@@ -247,9 +276,13 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
         raise ValueError("Poisson mean must be finite")
     if mean > n_trunc:
         return 1.0 - math.fsum(_poisson_pmf(n, mean) for n in range(n_trunc + 1))
-    tail, n = 0.0, n_trunc + 1
+    if mean == 0.0:
+        return 0.0
+    # _poisson_pmf written out, with log(mean) taken once: a call per term
+    # would double the cost of the sum
+    log_mean, tail, n = math.log(mean), 0.0, n_trunc + 1
     while True:
-        term = _poisson_pmf(n, mean)
+        term = math.exp(n * log_mean - mean - math.lgamma(n + 1))
         tail += term
         if term <= 1e-17 * tail:
             return tail
@@ -257,7 +290,9 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
 
 
 def attack_success_probability(
-    scenario: QkdScenario, attack: AttackParams, eta_ab: Optional[Floats] = None
+    scenario: QkdScenario,
+    attack: Union[AttackParams, Sequence[AttackParams]],
+    eta_ab: Optional[Floats] = None,
 ) -> TailBounded:
     """Probability a pulse both leaves Eve a stored photon and clicks at Bob.
 
@@ -279,25 +314,43 @@ def attack_success_probability(
     depends on the magnified mean only, so ``eta_ab``, which replaces the
     scenario's channel transmittance (e.g. with one entry per distance of a
     grid), leaves it a float.
+
+    ``attack`` may also be a sequence of n attacks.  Then both fields gain a
+    leading axis, row i for ``attack[i]``: the success probabilities of all
+    of them come from one broadcast of the magnifications as an (n, 1)
+    column against the grid, and only the tails, checked in order, are
+    summed one attack at a time.
     """
-    mu_e = attack.m_linear * scenario.mu
-    p = attack.resolved_p(scenario.eta_ab if eta_ab is None else eta_ab)
-    tail = poisson_tail(mu_e, scenario.n_trunc)
-    if tail >= TAIL_LIMIT:
-        raise ValueError(
-            f"n_trunc={scenario.n_trunc} leaves Poisson tail {tail:.3e} at mean "
-            f"{mu_e:.3f}; increase n_trunc"
-        )
-    detected = -np.expm1(-mu_e * p * scenario.eta_bob)
-    kept = -np.expm1(-mu_e * (1.0 - p))
-    return TailBounded(detected * kept, tail)
+    single = isinstance(attack, AttackParams)
+    attacks = (attack,) if single else attack
+    eta_ab = scenario.eta_ab if eta_ab is None else eta_ab
+    column = (len(attacks),) + (1,) * np.asarray(eta_ab).ndim
+    m_linear = np.array([a.m_linear for a in attacks]).reshape(column)
+    p = resend_probability(eta_ab, m_linear)
+    tails = []
+    for i, a in enumerate(attacks):
+        if a.p_resend is not None:
+            p[i] = a.p_resend
+        mu_e = a.m_linear * scenario.mu
+        tails.append(poisson_tail(mu_e, scenario.n_trunc))
+        if tails[-1] >= TAIL_LIMIT:
+            raise ValueError(
+                f"n_trunc={scenario.n_trunc} leaves Poisson tail {tails[-1]:.3e} at mean "
+                f"{mu_e:.3f}; increase n_trunc"
+            )
+    # both factors are exp(-x) - 1, not 1 - exp(-x): the signs cancel in the product
+    minus_mu_e = m_linear * -scenario.mu
+    value = np.expm1(minus_mu_e * p * scenario.eta_bob) * np.expm1(minus_mu_e * (1.0 - p))
+    if single:
+        return TailBounded(value[0], tails[0])
+    return TailBounded(value, np.array(tails).reshape(column))
 
 
 def tagged_fraction_estimated(
     scenario: QkdScenario, y1_lower: Floats, q_mu: Floats
 ) -> Floats:
     """Multiphoton fraction the users infer from their decoy bound."""
-    if (np.asarray(q_mu) <= 0.0).any():
+    if _any(np.asarray(q_mu) <= 0.0):
         raise ValueError("q_mu must be positive")
     p1 = scenario.mu * math.exp(-scenario.mu)
     return np.minimum(np.maximum(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
@@ -312,15 +365,18 @@ class KeyRate:
 def key_rate(
     scenario: QkdScenario, delta: Floats, e1: Floats, q_mu: Floats, e_mu: Floats
 ) -> KeyRate:
-    """Secret key per pulse; clamped at zero, the signed raw value kept."""
+    """Secret key per pulse; clamped at zero, the signed raw value kept.
+
+    Both entropies come from one call on the stacked (e1, e_mu) block.
+    """
     if not _within(delta, 0.0, 1.0):
         raise ValueError("delta must be in [0, 1]")
-    if not _within(e1, 0.0, 0.5) or not _within(e_mu, 0.0, 0.5):
+    errors = np.empty((2, *np.broadcast(e1, e_mu).shape))
+    errors[0], errors[1] = e1, e_mu
+    if not _within(errors, 0.0, 0.5):
         raise ValueError("e1 and e_mu must be in [0, 0.5]")
-    raw = q_mu * (
-        (1.0 - delta) * (1.0 - binary_entropy(e1))
-        - scenario.f_ec * binary_entropy(e_mu)
-    )
+    h1, h_mu = binary_entropy(errors)
+    raw = q_mu * ((1.0 - delta) * (1.0 - h1) - scenario.f_ec * h_mu)
     return KeyRate(np.maximum(raw, 0.0), raw)
 
 
@@ -348,60 +404,75 @@ class SecurityResult:
     tail_bound: Floats
 
 
+_FIELDS = tuple(f.name for f in fields(SecurityResult))
+
 ESTIMATORS = ("decoy", "single_photon_true")
 
 
 def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) -> tuple:
-    """The users' side of a link over a distance grid, the same under any attack."""
+    """The users' side of a link over a distance grid, the same under any attack.
+
+    The signal and the decoy are one (2, 1) column of mean photon numbers
+    against the grid, so the gains ``q``, error rates ``e`` and the
+    exp(-eta*mpn) - 1 they share (``missed``) are (2, d) blocks, row 0 the
+    signal's and row 1 the decoy's.
+    """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
     distance = np.asarray(distances_km, dtype=float)
     eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
     eta = eta_ab * scenario.eta_bob
-    q_mu = gain(scenario.mu, eta, scenario.y0)
-    e_mu = qber(scenario.mu, eta, scenario.y0, scenario.e0, scenario.e_det)
-    q_nu = gain(scenario.nu, eta, scenario.y0)
-    e_nu = qber(scenario.nu, eta, scenario.y0, scenario.e0, scenario.e_det)
+    q, missed = _clicks(np.array([[scenario.mu], [scenario.nu]]), eta, scenario.y0)
+    e = _error_rate(q, missed, scenario.y0, scenario.e0, scenario.e_det)
     if estimator == "decoy":
-        bounds = decoy_bounds(scenario, q_mu, e_mu, q_nu, e_nu)
+        bounds = decoy_bounds(scenario, q[0], e[0], q[1], e[1])
     else:
         bounds = single_photon_truth(scenario, eta)
-    delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
-    return distance, eta_ab, q_mu, e_mu, q_nu, e_nu, bounds, delta_est
+    return distance, eta_ab, q, e, missed, bounds
+
+
+# the fields that differ between attacks, in the order of _evaluate's block
+_ATTACK_FIELDS = ("m_db", "p_s", "tail_bound", "delta_pns", "r_actual", "r_actual_raw")
 
 
 def _evaluate(
     scenario: QkdScenario, attacks: Sequence[Optional[AttackParams]],
     estimator: str, distances_km: Sequence[float],
-) -> dict[str, np.ndarray]:
-    """One link under each of ``attacks`` (None: no attacker), field by field.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """One link under each of ``attacks`` (None: no attacker).
 
-    The link's fields are 1-D over the distances and the attack's are 2-D, row
-    i for ``attacks[i]``.  The users' side is computed once; the attack terms
-    are elementwise, so each row has the bits a one-attack evaluation gives.
+    Returns the link's fields, 1-D over the distances, and the attack's as
+    one (6, n, d) block in ``_ATTACK_FIELDS`` order, row i for ``attacks[i]``.
+    The users' side is computed once and the terms of every attack in one
+    call; all are elementwise, so each row has the bits a one-attack
+    evaluation gives.
     """
-    distance, eta_ab, q_mu, e_mu, q_nu, e_nu, bounds, delta_est = _link(
+    distance, eta_ab, (q_mu, q_nu), (e_mu, e_nu), _, bounds = _link(
         scenario, estimator, distances_km
     )
-    shape = (len(attacks), distance.size)
-    (p_s, m_db), tail = np.zeros((2, *shape)), np.zeros((shape[0], 1))
-    attacked = np.array([attack is not None for attack in attacks], dtype=bool)[:, None]
-    for i, attack in enumerate(attacks):
-        if attack is not None:
-            success = attack_success_probability(scenario, attack, eta_ab)
-            p_s[i], tail[i], m_db[i] = success.value, success.tail_bound, attack.m_db
+    delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
+    attacked = [attack for attack in attacks if attack is not None]
+    # row 0 is the link without an attacker, row j the j-th attack
+    block = np.zeros((len(_ATTACK_FIELDS), len(attacked) + 1, distance.size))
+    m_db, p_s, tail, delta, r_actual, r_actual_raw = block
+    if attacked:
+        success = attack_success_probability(scenario, attacked, eta_ab)
+        m_db[1:] = [[attack.m_db] for attack in attacked]
+        p_s[1:] = success.value
+        np.divide(success.tail_bound, q_mu, out=tail[1:])
+    np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0, out=delta)
     # no attacker: the actual key is the estimate by definition
-    delta_pns = np.where(attacked, np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0), delta_est)
-    # the estimate and every actual tagged fraction in one call: each entropy once
-    e1 = np.minimum(bounds.e1_upper, 0.5)
-    rates = key_rate(scenario, np.vstack([delta_est, delta_pns]), e1, q_mu, e_mu)
-    return dict(
-        m_db=m_db, distance_km=distance, q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu,
+    delta[0] = delta_est
+    rates = key_rate(scenario, delta, np.minimum(bounds.e1_upper, 0.5), q_mu, e_mu)
+    r_actual[:], r_actual_raw[:] = rates.bits_per_pulse, rates.raw
+    count = itertools.count(1)
+    rows = np.array([0 if attack is None else next(count) for attack in attacks], dtype=int)
+    link = dict(
+        distance_km=distance, q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu,
         y1_lower=bounds.y1_lower, e1_upper=bounds.e1_upper, bounds_clamped=bounds.clamped,
-        delta_est=delta_est, delta_pns=delta_pns, p_s=p_s, tail_bound=tail / q_mu,
-        r_est=rates.bits_per_pulse[0], r_actual=rates.bits_per_pulse[1:],
-        r_est_raw=rates.raw[0], r_actual_raw=rates.raw[1:],
+        delta_est=delta_est, r_est=r_actual[0], r_est_raw=r_actual_raw[0],
     )
+    return link, block[:, rows]
 
 
 def evaluate_scenario(
@@ -424,9 +495,8 @@ def evaluate_scenario(
     computed once.  It is one row of the sweep's evaluation.
     """
     grid = [scenario.distance_km] if distances_km is None else distances_km
-    columns = _evaluate(scenario, [attack], estimator, grid)
-    shape = (1, columns["distance_km"].size)
-    row = {name: np.broadcast_to(v, shape)[0] for name, v in columns.items()}
+    link, block = _evaluate(scenario, [attack], estimator, grid)
+    row = dict(link, **dict(zip(_ATTACK_FIELDS, block[:, 0])))
     if distances_km is None:
         row = {name: value.item() for name, value in row.items()}
     return SecurityResult(**row)
@@ -494,12 +564,11 @@ def sweep_key_rates(
     if not all(m_db >= 0.0 for m_db in m_db_list):
         raise ValueError("m_db must be >= 0")
     attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]
-    grid = _evaluate(scenario, attacks, estimator, distances_km)
-    n = len(attacks)
-    # a 1-D column is the link's, the same under every magnification
-    columns = [grid[f.name] for f in fields(SecurityResult)]
-    columns = [v.tolist() * n if v.ndim == 1 else v.ravel().tolist() for v in columns]
-    return [SecurityResult(*row) for row in zip(*columns)]
+    link, block = _evaluate(scenario, attacks, estimator, distances_km)
+    # a link column is the same under every magnification
+    columns = {name: value.tolist() * n for name, value in link.items()}
+    columns.update(zip(_ATTACK_FIELDS, block.reshape(len(_ATTACK_FIELDS), -1).tolist()))
+    return list(map(SecurityResult, *(columns[name] for name in _FIELDS)))
 
 
 def zero_key_threshold(
@@ -521,24 +590,35 @@ def zero_key_threshold(
     where r >= 1).  The threshold m* is the largest M0 in dB, reported as a
     bisection to ``tol_db`` would report it: the range is halved, keeping m*
     in (lo, hi], until no wider than ``tol_db``, and its midpoint returned.
+    A ``tol_db`` below the float spacing near m* stops the halving once lo
+    and hi are adjacent floats, so the result is within one ulp of m*.
     """
     lo, hi = m_search_range_db
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= low < high in m_search_range_db")
-    _, eta_ab, q_mu, e_mu, _, _, bounds, _ = _link(scenario, estimator, distances_km)
+    if hi == math.inf:  # every midpoint would be inf
+        raise ValueError("m_search_range_db: high must be finite")
+    _, eta_ab, q, (e_mu, _), missed, bounds = _link(scenario, estimator, distances_km)
+    # the sweep's tagged_fraction_estimated refuses a dark signal; so does this
+    if _any(q[0] <= 0.0):
+        raise ValueError("q_mu must be positive")
     if not _within(e_mu, 0.0, 0.5):
         raise ValueError("e1 and e_mu must be in [0, 0.5]")
-    h1 = binary_entropy(np.minimum(bounds.e1_upper, 0.5))
+    h1, h_mu = binary_entropy((np.minimum(bounds.e1_upper, 0.5), e_mu))
     # masked below: H(e1) = 1 and a dark link divide by zero, ratios >= 1 leave ln
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = 1.0 - scenario.f_ec * binary_entropy(e_mu) / (1.0 - h1)
-        r = q_mu * delta / -np.expm1(-scenario.mu * (eta_ab * scenario.eta_bob))
+        delta = 1.0 - scenario.f_ec * h_mu / (1.0 - h1)
+        # -missed[0] is the signal's 1 - exp(-mu*eta)
+        r = q[0] * delta / -missed[0]
         m0 = np.where(r < 1.0, eta_ab - np.log1p(-r) / scenario.mu, math.inf)
-    best = float(np.max(np.where(delta > 0.0, m0, -math.inf), initial=-math.inf))
+    m0 = np.where(delta > 0.0, m0, -math.inf)
+    best = float(np.maximum.reduce(m0, axis=None, initial=-math.inf))
     m_star = 10.0 * math.log10(best) if best > 0.0 else -math.inf
     if not lo < m_star <= hi:
         raise BracketError(f"range {m_search_range_db} does not bracket the zero-key point")
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # ends a float apart: no tolerance below that is reachable
+            break
         lo, hi = (mid, hi) if mid < m_star else (lo, mid)
     return 0.5 * (lo + hi)

@@ -388,6 +388,22 @@ def test_library_value_error_exits_3_without_traceback(tmp_path):
     assert not out.exists()
 
 
+def test_threshold_tolerance_below_the_float_spacing_exits_0(tmp_path):
+    # 1e-300 dB is inside the key's range but finer than any float step near
+    # the threshold; a child process with a deadline turns a hang into a failure
+    cfg = tmp_path / "fine.ini"
+    cfg.write_text("[qkd]\nthreshold_tol_db = 1e-300\n")
+    out = tmp_path / "fine-out"
+    env = dict(os.environ, PYTHONPATH=str(Path(ipasim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipasim.cli", "security", "threshold",
+         "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (out / "threshold.csv").is_file()
+
+
 @pytest.mark.parametrize(
     "argv, ini",
     [

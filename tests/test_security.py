@@ -6,11 +6,15 @@ Monte-Carlo sampling; nothing here reuses the implementation's own algebra.
 """
 
 import math
+import os
 import signal
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,25 @@ def test_success_probability_matches_literal_double_sum(m_db, distance_km):
     assert 0.0 <= got.tail_bound < 1e-12
 
 
+def test_explicit_resend_probability_on_a_grid_matches_literal_double_sum():
+    # a fixed p_resend replaces the rate-preserving eta_AB/M in its row of
+    # the attack broadcast; the sweep never sets one
+    distances = [0.0, 25.0, 60.0, 140.0]
+    fixed, derived = AttackParams.from_db(5.0, p_resend=0.3), AttackParams.from_db(5.0)
+    grid = evaluate_scenario(SCENARIO, fixed, distances_km=distances)
+    mu_e = fixed.m_linear * SCENARIO.mu
+    want = success_double_sum(mu_e, 0.3, SCENARIO.eta_bob, SCENARIO.n_trunc)
+    for k in range(len(distances)):
+        assert grid.p_s[k] == pytest.approx(want, rel=1e-10)
+    eta_ab = channel_transmittance(SCENARIO.alpha_db_per_km, np.array(distances))
+    both = attack_success_probability(SCENARIO, [fixed, derived], eta_ab)
+    assert both.value.shape == (2, len(distances))
+    assert both.value[0].tolist() == grid.p_s.tolist()
+    for k, eta in enumerate(eta_ab):
+        want = success_double_sum(mu_e, eta / derived.m_linear, SCENARIO.eta_bob, SCENARIO.n_trunc)
+        assert both.value[1, k] == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize(
     "seed,m_db,distance_km",
     [(1, 4.0, 25.0), (2, 5.0, 50.0), (3, 6.0, 75.0), (4, 6.5, 100.0), (5, 8.0, 30.0)],
@@ -259,10 +282,42 @@ def test_gain_and_qber_limits():
         gain(-0.1, 0.01, 0.0)
 
 
+def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
+    # the link evaluates signal and decoy as one (2, 1) column: each row must
+    # carry the bits of the scalar call
+    eta = channel_transmittance(0.2, np.array([0.0, 35.0, 150.0, 1e5])) * 0.1
+    column = np.array([[0.8], [0.1]])
+    q = gain(column, eta, 6e-7)
+    e = qber(column, eta, 6e-7, 0.5, 0.005)
+    assert q.shape == e.shape == (2, 4)
+    for row, mpn in enumerate((0.8, 0.1)):
+        assert q[row].tobytes() == gain(mpn, eta, 6e-7).tobytes()
+        assert e[row].tobytes() == qber(mpn, eta, 6e-7, 0.5, 0.005).tobytes()
+    with pytest.raises(ValueError, match="mpn must be >= 0"):
+        gain(np.array([[0.8], [-0.1]]), eta, 6e-7)
+
+
 def test_channel_transmittance():
     assert channel_transmittance(0.2, 50.0) == pytest.approx(0.1, rel=1e-12)
+    assert channel_transmittance(0.2, math.inf) == 0.0
     with pytest.raises(ValueError):
         channel_transmittance(0.2, -1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lossless_fiber_of_infinite_length_is_refused():
+    # 0 dB/km times an infinite distance is a NaN loss, not a transmittance
+    message = "fiber attenuation and distance must be >= 0"
+    for alpha, distance in [(math.inf, 0.0), (0.0, math.inf), (0.0, np.array([5.0, math.inf]))]:
+        with pytest.raises(ValueError, match=message):
+            channel_transmittance(alpha, distance)
+    lossless = QkdScenario(alpha_db_per_km=0.0)
+    with pytest.raises(ValueError, match=message):
+        sweep_key_rates(lossless, [0.0, 5.0], [0.0, math.inf])
+    with pytest.raises(ValueError, match=message):
+        zero_key_threshold(lossless, distances_km=[0.0, math.inf])
+    # any finite length of lossless fiber still transmits everything
+    assert channel_transmittance(0.0, np.array([0.0, 1e300])).tolist() == [1.0, 1.0]
 
 
 def test_key_rate_clamps_at_zero_and_keeps_raw():
@@ -366,6 +421,24 @@ def test_sweep_evaluates_the_link_once(monkeypatch):
     assert len(DEFAULT_M_DB_GRID) == 5
     assert len(rows) == 5 * len(DEFAULT_DISTANCES_KM)
     assert len(calls) == 1
+
+
+def test_sweep_evaluates_its_attack_terms_once(monkeypatch):
+    calls = []
+
+    def counted(scenario, attack, eta_ab=None):
+        calls.append(attack)
+        return success(scenario, attack, eta_ab)
+
+    success = security.attack_success_probability
+    monkeypatch.setattr(security, "attack_success_probability", counted)
+    rows = sweep_key_rates(SCENARIO)
+    assert len(rows) == 5 * len(DEFAULT_DISTANCES_KM)
+    # one call for the four attacked magnifications; 0 dB has no attacker
+    assert len(calls) == 1
+    assert [attack.m_linear for attack in calls[0]] == [
+        AttackParams.from_db(m_db).m_linear for m_db in DEFAULT_M_DB_GRID[1:]
+    ]
 
 
 # 0 dB (no attacker) and a few fixed magnifications, so lists repeat entries
@@ -515,6 +588,28 @@ def test_zero_key_threshold_evaluates_only_the_link_once(monkeypatch):
     monkeypatch.setattr(security, "attack_success_probability", refused)
     assert zero_key_threshold(SCENARIO) == THRESHOLD_DB
     assert len(calls) == 1
+
+
+def test_zero_key_threshold_returns_below_the_float_spacing():
+    # the halving used to spin forever once lo and hi were adjacent floats;
+    # run it in a child process so a hang fails the test instead of the suite
+    code = (
+        "from ipasim.security import QkdScenario, zero_key_threshold\n"
+        "print(repr(zero_key_threshold(QkdScenario(), tol_db=1e-300)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(security.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = float(proc.stdout)
+    assert abs(got - THRESHOLD_DB) <= 1e-3
+    # m* lies within one ulp: the range between got's neighbours brackets it
+    zero_key_threshold(SCENARIO, (math.nextafter(got, 0.0), math.nextafter(got, math.inf)))
+    # a tolerance the halving reaches still gives the same bits as before
+    assert zero_key_threshold(SCENARIO, tol_db=1e-3) == THRESHOLD_DB
+    with pytest.raises(ValueError, match="high must be finite"):
+        zero_key_threshold(SCENARIO, m_search_range_db=(4.0, math.inf))
 
 
 def test_link_refuses_a_nan_distance():
