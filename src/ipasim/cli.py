@@ -17,7 +17,10 @@ unusable output path).
 A run computes all its outputs before it touches the output directory, so a
 run that fails while computing leaves the directory as it was.  It then
 writes its CSV outputs plus one ``manifest.json`` recording the config hash,
-so identical scenarios are verifiably byte-identical.
+so identical scenarios are verifiably byte-identical.  A runner returns each
+table as its header and its columns, and ``runio`` writes it column by
+column, one type per column: floats in shortest round-trip ``repr``, bools
+as ``true``/``false``, string cells (names) never quoted.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# A text file's contents, or a CSV file's header and rows.
-Table = Union[str, tuple[Sequence[str], object]]
+# A text file's contents, or a CSV file's header and columns.
+Table = Union[str, tuple[Sequence[str], list]]
 # A runner's tables, in the order its verb names them, and its summary lines.
 RunResult = tuple[list[Table], list[str]]
 
@@ -82,15 +85,15 @@ _CURVE_HEADER = ("v_volts", "transmittance", "attenuation_db", "m_db", "delta_th
 
 def _columns(obj, header: Sequence[str]) -> Table:
     """CSV table whose columns are the same-named array fields of ``obj``."""
-    return header, zip(*(getattr(obj, name) for name in header))
+    return header, [getattr(obj, name) for name in header]
 
 
 def _curve_table(curve, baseline) -> Table:
-    """Curve rows with magnification measured against a baseline curve."""
+    """Curve columns with magnification measured against a baseline curve."""
     m_db = baseline.attenuation_db - curve.attenuation_db
-    return _CURVE_HEADER, zip(
+    return _CURVE_HEADER, [
         curve.v_app_v, curve.transmittance, curve.attenuation_db, m_db, curve.delta_theta_rad
-    )
+    ]
 
 
 def run_pe_curve(cfg: ScenarioConfig) -> RunResult:
@@ -98,23 +101,22 @@ def run_pe_curve(cfg: ScenarioConfig) -> RunResult:
     v0 = working_point_v(cfg)
     plan = build_pe_curve_plan(cfg)
     baseline = device.output_mpn(1.0, v0)
-    tables = []
-    summary = [(0.0, 0.0, device.material.tau_dark_s)]
+    tables, saturated, taus = [], [0.0], [device.material.tau_dark_s]
     for power in plan.powers_w:
-        tau = device.slowest_time_constant(power)
-        saturated = device.equilibrated(power, v0).magnification_db(v0, baseline)
-        duration = plan.trace_duration_tau * tau
+        taus.append(device.slowest_time_constant(power))
+        saturated.append(device.equilibrated(power, v0).magnification_db(v0, baseline))
+        duration = plan.trace_duration_tau * taus[-1]
         result = run_program(
             device, IrradiationProgram.cw(power, duration), 1.0, v0, duration / plan.trace_points
         )
         tables.append(_columns(result.trace, _TRACE_HEADER))
-        summary.append((power, saturated, tau))
-    tables.append((("power_w", "saturated_m_db", "tau_s"), summary))
-    peak = max(summary[1:], key=lambda row: row[1])
+    powers = [0.0, *plan.powers_w]
+    tables.append((("power_w", "saturated_m_db", "tau_s"), [powers, saturated, taus]))
+    peak_w, peak_db = max(zip(plan.powers_w, saturated[1:]), key=lambda row: row[1])
     return tables, [
         f"pe-curve: {len(plan.powers_w)} powers, traces over "
         f"{plan.trace_duration_tau:g} build-up times each",
-        f"largest saturated magnification: {peak[1]:.3f} dB at {peak[0]:.3g} W injected",
+        f"largest saturated magnification: {peak_db:.3f} dB at {peak_w:.3g} W injected",
     ]
 
 
@@ -128,15 +130,17 @@ def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
     pristine = device.voltage_curve(*grid_args)
     tables = [_curve_table(pristine, pristine)]
     series = [("pristine", pristine.v_app_v, pristine.transmittance)]
-    shift_rows = []
+    shifts, converged = [], []
     for v_treat in grid.pretreat_voltages_v:
         plan = replace(base_plan, v_app_v=v_treat, i_ir_w=grid.pretreat_power_w)
         result = pre_treat(device, plan, plan_keys["dt_s"], plan_keys["max_steps"])
         curve = result.device.voltage_curve(*grid_args)
         tables.append(_curve_table(curve, pristine))
         series.append((f"pre-treated {v_treat:+g} V", curve.v_app_v, curve.transmittance))
-        shift_rows.append((v_treat, result.bias_shift_rad, result.converged))
-    tables.append((("v_app_v", "bias_shift_rad", "converged"), shift_rows))
+        shifts.append(result.bias_shift_rad)
+        converged.append(result.converged)
+    header = ("v_app_v", "bias_shift_rad", "converged")
+    tables.append((header, [grid.pretreat_voltages_v, shifts, converged]))
     if cfg.get("output", "svg"):
         tables.append(
             line_plot_svg(
@@ -144,8 +148,7 @@ def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
             )
         )
     lines = [f"voltage-curve: pristine plus {len(grid.pretreat_voltages_v)} pre-treated curves"]
-    if shift_rows:
-        shifts = [row[1] for row in shift_rows]
+    if shifts:
         lines.append(
             f"bias shifts from {min(shifts):+.4f} to {max(shifts):+.4f} rad "
             f"(span {max(shifts) - min(shifts):.4f} rad)"
@@ -231,7 +234,7 @@ def run_security_sweep(cfg: ScenarioConfig) -> RunResult:
         "m_db", "distance_km", "q_mu", "e_mu", "y1_lower", "e1_upper",
         "delta_est", "delta_pns", "r_est", "r_actual", "tail_bound",
     )
-    table = header, [[getattr(row, name) for name in header] for row in rows]
+    table = header, [[getattr(row, name) for row in rows] for name in header]
     return [table], [
         f"security sweep: {len(plan.m_db_grid)} magnifications x {len(distances)} distances "
         f"({plan.estimator} estimator)",
@@ -246,7 +249,7 @@ def run_security_threshold(cfg: ScenarioConfig) -> RunResult:
     )
     table = (
         ("m_threshold_db", "m_search_low_db", "m_search_high_db", "tol_db", "estimator"),
-        [(threshold, low, high, tol, plan.estimator)],
+        [[threshold], [low], [high], [tol], [plan.estimator]],
     )
     return [table], [f"zero-key magnification threshold: {threshold:.3f} dB"]
 
@@ -257,15 +260,12 @@ def run_budget(cfg: ScenarioConfig) -> RunResult:
     target = cfg.get("budget", "target_power_w")
     eve_max = cfg.get("budget", "eve_max_power_w")
 
-    rows = []
-    if path.fiber_length_km > 0:
-        fiber = path.fiber_loss(wavelength)
-        rows.append((f"fiber ({path.fiber_length_km:g} km)", fiber.db, fiber.lower_bound))
-    for component in path.components:
-        loss = component.at(wavelength)
-        rows.append((component.name, loss.db, loss.lower_bound))
     total = budget_mod.path_loss(path, wavelength)
-    rows.append(("total", total.db, total.lower_bound))
+    items = [component.name for component in path.components] + ["total"]
+    losses = [component.at(wavelength) for component in path.components] + [total]
+    if path.fiber_length_km > 0:
+        items.insert(0, f"fiber ({path.fiber_length_km:g} km)")
+        losses.insert(0, path.fiber_loss(wavelength))
 
     required = budget_mod.required_eve_power(path, wavelength, target)
     margin = budget_mod.countermeasure_margin(path, wavelength, eve_max, target)
@@ -273,7 +273,8 @@ def run_budget(cfg: ScenarioConfig) -> RunResult:
     report = [
         f"injection budget at {wavelength} nm",
         "",
-        *(f"  {name:<24} {db:8.2f} dB{'  (lower bound)' if lb else ''}" for name, db, lb in rows),
+        *(f"  {item:<24} {loss.db:8.2f} dB{'  (lower bound)' if loss.lower_bound else ''}"
+          for item, loss in zip(items, losses)),
         "",
         f"target power at device : {target:.3g} W",
         f"required launch power  : {bound}{required.watts:.6g} W",
@@ -288,7 +289,8 @@ def run_budget(cfg: ScenarioConfig) -> RunResult:
             f"coupling scheme '{scheme}' also inserts "
             f"{plan.signal_loss_1550_db:g} dB in the 1550 nm signal path"
         )
-    tables = [(("item", "loss_db", "lower_bound"), rows), "\n".join(report) + "\n"]
+    columns = [items, [loss.db for loss in losses], [loss.lower_bound for loss in losses]]
+    tables = [(("item", "loss_db", "lower_bound"), columns), "\n".join(report) + "\n"]
     return tables, [
         f"budget: total loss {bound}{total.db:.2f} dB, "
         f"required launch {bound}{required.watts:.6g} W, {margin.verdict}",

@@ -1,10 +1,13 @@
 """Deterministic run outputs: CSV files, simple SVG renderings, one manifest.
 
-CSV is the source of truth.  Cells are written with shortest round-trip float
-formatting, comma separators, a header row and ``\\n`` line endings, with no
-locale involvement anywhere, so identical data produces identical bytes on
-every platform.  Data files never contain timestamps; wall-clock information
-lives only in the manifest, which is metadata, not data.
+CSV is the source of truth.  A table is a header and its columns, written
+column by column: each column holds one type and is formatted once, floats
+in shortest round-trip ``repr``, bools as ``true``/``false``.  String cells
+are names that hold no comma, quote or line break; they are never quoted,
+and one that would need quoting is refused.  Comma separators and ``\\n``
+line endings, with no locale involvement anywhere, give identical data
+identical bytes on every platform.  Data files never contain timestamps;
+wall-clock information lives only in the manifest, which is metadata.
 
 Every run directory ends up with exactly one ``manifest.json`` listing the
 content hash of the config that produced it and the name and sha256 of every
@@ -21,8 +24,6 @@ a truncated manifest.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,28 +48,24 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def format_cell(value: object) -> str:
-    """Locale-free cell rendering; floats use shortest round-trip form."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def format_column(column: Sequence[object]) -> list[str]:
+    """A column's cells, formatted once by the column's one type."""
+    array = np.asarray(column)
+    if array.dtype.kind == "b":
+        return ["true" if value else "false" for value in array.tolist()]
+    if array.dtype.kind == "f":
+        return list(map(float.__repr__, array.tolist()))
+    cells = list(map(str, array.tolist()))
+    if any(char in "".join(cells) for char in ',"\r\n'):
+        bad = next(cell for cell in cells if set(cell) & set(',"\r\n'))
+        raise ValueError(f"CSV cells are never quoted, so cannot hold {bad!r}")
+    return cells
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
-    return buf.getvalue()
-
-
-def file_sha256(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
+def render_csv(header: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+    """A table's CSV text; a ragged table raises ``ValueError``."""
+    cells = [format_column(column) for _, column in zip(header, columns, strict=True)]
+    return "\n".join(map(",".join, [format_column(header), *zip(*cells, strict=True)])) + "\n"
 
 
 # -- SVG ---------------------------------------------------------------------
@@ -264,9 +261,9 @@ class RunWriter:
         self.files.append((name, sha256(data).hexdigest()))
 
     def write_csv(
-        self, name: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+        self, name: str, header: Sequence[str], columns: Sequence[Sequence[object]]
     ) -> None:
-        self._record(name, render_csv(header, rows).encode("ascii"))
+        self._record(name, render_csv(header, columns).encode("ascii"))
 
     def write_text(self, name: str, text: str) -> None:
         self._record(name, text.encode("utf-8"))
@@ -292,9 +289,7 @@ class RunWriter:
             self.pending.unlink(missing_ok=True)
             self.pending = None
         for name, _ in self.files:
-            target = self.out_dir / name
-            if target.exists():
-                target.unlink()
+            (self.out_dir / name).unlink(missing_ok=True)
         if self.created:
             try:
                 self.out_dir.rmdir()

@@ -435,6 +435,9 @@ def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) 
     eta = eta_ab * scenario.eta_bob
     q, missed = _clicks(np.array([[scenario.mu], [scenario.nu]]), eta, scenario.y0)
     e = _error_rate(q, missed, scenario.y0, scenario.e0, scenario.e_det)
+    # a dark signal leaves nothing to estimate from, and 0/0 in the true yield
+    if _any(q[0] <= 0.0):
+        raise ValueError("q_mu must be positive")
     if estimator == "decoy":
         bounds = decoy_bounds(scenario, q[0], e[0], q[1], e[1])
     else:
@@ -610,9 +613,6 @@ def zero_key_threshold(
     if hi == math.inf:  # every midpoint would be inf
         raise ValueError("m_search_range_db: high must be finite")
     _, eta_ab, q, (e_mu, _), missed, bounds = _link(scenario, estimator, distances_km)
-    # the sweep's tagged_fraction_estimated refuses a dark signal; so does this
-    if _any(q[0] <= 0.0):
-        raise ValueError("q_mu must be positive")
     if not _within(e_mu, 0.0, 0.5):
         raise ValueError("e1 and e_mu must be in [0, 0.5]")
     h1, h_mu = binary_entropy((np.minimum(bounds.e1_upper, 0.5), e_mu))

@@ -8,6 +8,8 @@ itself uses.  Slow and dumb on purpose.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -397,3 +399,26 @@ def threshold_bisection(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def csv_by_rows(header, columns) -> str:
+    """A table through stdlib ``csv.writer``, row by row, each cell rendered
+    by its own type: bools as true/false, floats by shortest round-trip
+    ``repr``, ints and everything else by ``str``.
+    """
+
+    def cell(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([cell(value) for value in row])
+    return buf.getvalue()

@@ -1,40 +1,94 @@
 """Deterministic file emission: cells, CSV bytes, SVG, manifest lifecycle."""
 
 import json
+import math
+from hashlib import sha256
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipasim import __version__
 from ipasim.runio import (
     MANIFEST_NAME,
     RunDirError,
     RunWriter,
-    file_sha256,
-    format_cell,
+    format_column,
     line_plot_svg,
     render_csv,
 )
 
+from oracles import csv_by_rows
 
-def test_format_cell_rules():
-    assert format_cell(True) == "true"
-    assert format_cell(np.bool_(False)) == "false"
-    assert format_cell(3) == "3"
-    assert format_cell(np.int64(3)) == "3"
-    assert format_cell(0.1) == "0.1"
-    assert format_cell(np.float64(1.0 / 3.0)) == repr(1.0 / 3.0)
-    assert format_cell(3e-9) == "3e-09"
-    assert format_cell("text") == "text"
+
+def test_format_column_rules():
+    assert format_column([True, np.bool_(False)]) == ["true", "false"]
+    assert format_column(np.array([False, True])) == ["false", "true"]
+    assert format_column([3, np.int64(3)]) == ["3", "3"]
+    assert format_column(np.arange(3, dtype=np.uint8)) == ["0", "1", "2"]
+    assert format_column([0.1, np.float64(1.0 / 3.0), 3e-9]) == ["0.1", repr(1.0 / 3.0), "3e-09"]
+    assert format_column(["text", "total"]) == ["text", "total"]
+    assert format_column([]) == []
+    # the shortest round-trip repr, signed zero and non-finite values included
+    edges = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+    assert format_column(edges) == ["-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05"]
     # round trip: parsing the rendered cell recovers the exact float
-    for value in (0.1, 1e300, 6.63946533203125, -0.0):
-        assert float(format_cell(value)) == value
+    values = [0.1, 1e300, 6.63946533203125, -0.0, 5e-324, 1e16, 1e-5]
+    assert [float(cell) for cell in format_column(values)] == values
+
+
+def test_format_column_refuses_cells_that_would_need_quoting():
+    for bad in ("a,b", 'say "x"', "two\nlines", "cr\r"):
+        with pytest.raises(ValueError, match="never quoted"):
+            format_column(["fine", bad])
+    with pytest.raises(ValueError, match="never quoted"):
+        render_csv(("a,b",), [[1.0]])
 
 
 def test_render_csv_uses_newline_terminators():
-    text = render_csv(("a", "b"), [(1, 2.5), (True, "x")])
-    assert text == "a,b\n1,2.5\ntrue,x\n"
+    text = render_csv(("a", "b", "c", "d"), [[1, 2], [2.5, -0.0], [True, False], ["x", "y"]])
+    assert text == "a,b,c,d\n1,2.5,true,x\n2,-0.0,false,y\n"
     assert "\r" not in text
+
+
+def test_render_csv_writes_a_zero_row_table_as_its_header():
+    assert render_csv(("a", "b"), [[], np.array([])]) == "a,b\n"
+
+
+def test_render_csv_refuses_a_ragged_table():
+    with pytest.raises(ValueError):
+        render_csv(("a", "b"), [[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError):
+        render_csv(("a", "b"), [[1.0]])
+    with pytest.raises(ValueError):
+        render_csv(("a",), [[1.0], [2.0]])
+
+
+_IDENTIFIERS = st.from_regex(r"[a-z][a-z0-9_]*", fullmatch=True)
+_COLUMN_CELLS = (
+    st.floats(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1),
+    _IDENTIFIERS,
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_CELLS), min_size=1, max_size=5))
+    columns = [draw(st.lists(cells, min_size=rows, max_size=rows)) for cells in kinds]
+    # library columns arrive as numpy arrays as often as lists
+    columns = [np.asarray(c) if draw(st.booleans()) and c else c for c in columns]
+    header = draw(st.lists(_IDENTIFIERS, min_size=len(kinds), max_size=len(kinds)))
+    return header, columns
+
+
+@given(_tables())
+def test_render_csv_matches_csv_writer_with_per_cell_rules(table):
+    header, columns = table
+    assert render_csv(header, columns) == csv_by_rows(header, columns)
 
 
 def test_line_plot_svg_is_deterministic_and_drops_non_finite():
@@ -63,7 +117,7 @@ def test_writer_seals_a_manifest(tmp_path):
     names = [entry["name"] for entry in manifest["outputs"]]
     assert names == ["data.csv", "notes.txt"]  # sorted
     for entry in manifest["outputs"]:
-        assert file_sha256(out / entry["name"]) == entry["sha256"]
+        assert sha256((out / entry["name"]).read_bytes()).hexdigest() == entry["sha256"]
 
 
 def test_prepare_reuses_only_manifested_directories(tmp_path):

@@ -620,6 +620,22 @@ def test_link_refuses_a_nan_distance():
         zero_key_threshold(SCENARIO, distances_km=[10.0, math.nan])
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_link_refuses_a_dark_signal_under_either_estimator(estimator):
+    # without dark counts the transmittance at 50000 km underflows to 0, so
+    # the signal never clicks; the true single-photon yield would be 0/0
+    dark = QkdScenario(y0=0.0)
+    distances = [0.0, 50000.0, 100000.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="q_mu must be positive"):
+            sweep_key_rates(dark, [0.0, 5.0], distances, estimator)
+        with pytest.raises(ValueError, match="q_mu must be positive"):
+            zero_key_threshold(dark, distances_km=distances, estimator=estimator)
+        with pytest.raises(ValueError, match="q_mu must be positive"):
+            evaluate_scenario(dark, AttackParams.from_db(5.0), estimator, distances)
+
+
 def test_zero_key_threshold_refuses_an_error_rate_past_one_half():
     # dark counts that are always wrong push e_mu toward 1 at 400 km, which
     # the key rate, and so the threshold, refuse
