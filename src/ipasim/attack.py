@@ -22,14 +22,16 @@ path steps them by the exact-exponential ``relaxation_step`` of
 every ``dt_s``, closing with one shorter step, on a clock bit-identical to a
 sequential ``left -= dt`` loop.  Each kind of segment, a distinct (power,
 duration), takes its laws, clock and step factors once; the fields go from
-segment to segment by one scalar multiply-add per arm, and every sample is
-evaluated and read out in one broadcast pass.  A saturation run is one such
-segment.  The pulse controller must go period by period, since each duty
-depends on the last reading: a period is one lit and one dark step of the two
-scalar fields and one reading, with noise drawn in blocks of 64.  Segments,
-plans and controllers range-check every parameter field (``ipasim._ranges``),
-and every run refuses, before it allocates, a trace of more than ``MAX_STEPS``
-steps or periods.
+segment to segment by one scalar multiply-add per arm.  A one-kind program,
+like a saturation run, is ``relaxation_path`` along its clock, with no
+gathers; otherwise each row takes its factor from its kind's clock.  The
+pulse controller must go period by period, since each duty depends on the
+last reading: a period is one lit and one dark step of the two bare fields
+(no dark one on a frozen device) and one reading, in ``math``, with noise
+drawn in blocks of 64.  Segments, plans and controllers range-check every
+parameter field (``ipasim._ranges``), arm fields are swapped unchecked
+(``MziDevice.with_fields``), and every run refuses, before it allocates, a
+trace of more than ``MAX_STEPS`` steps or periods.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_ranges, check_size, ranged
 from .device import MziDevice
-from .photorefractive import _LN2, DecayMode, relaxation_step
+from .photorefractive import _LN2, DecayMode, relaxation_path
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class IrradiationProgram:
 
     @property
     def total_duration_s(self) -> float:
-        return sum(s.duration_s for s in self.segments)
+        return sum(map(attrgetter("duration_s"), self.segments))
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def _segment_clock(duration_s: float, dt_s: float) -> tuple[np.ndarray, np.ndarr
     left = np.full(math.ceil(q) + 2 + int(q * q * 2.0**-51), dt_s)
     left[0] = duration_s
     np.subtract.accumulate(left, out=left)
-    k = int(np.argmax(left <= dt_s))  # the first remainder that fits one step
+    k = int((left <= dt_s).argmax())  # the first remainder that fits one step
     steps = np.full(k + 1, dt_s)
     steps[k] = left[k]
     return steps, np.add.accumulate(steps)
@@ -179,19 +182,24 @@ def run_program(
     is sampled in ``dt_s`` steps closed by one shorter step.  A segment's kind
     is its (power, duration) (a pulse train has two); each kind takes its arm
     laws, its clock (two numpy accumulates) and each arm's step factor,
-    exp(-x) or expm1(-x) on ``relaxation_step``'s ln 2 branch, once.  The
-    fields then go from segment start to segment start by one multiply-add
-    per arm, each row gathers its law and clock through a kind index, and
-    one accumulate over the steps gives ``t_s``, the sequential ``left -= dt``
-    clock to the last bit; the trace is one broadcast exact-exponential call.
+    exp(-x) or expm1(-x) on ``relaxation_step``'s ln 2 branch, once, and the
+    fields go from segment start to segment start by one multiply-add per
+    arm.  A one-kind program is its clock's ``relaxation_path`` from each
+    start; otherwise each row takes its factor, taken once per sample of its
+    kind's clock, by its place there.  One accumulate over the steps gives
+    ``t_s``, the sequential ``left -= dt`` clock to the last bit.
     """
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
+    segments = program.segments
+    ids = list(map(id, segments))  # a pulse train repeats two Segment objects: key each once
     kinds: dict[tuple[float, float], int] = {}  # (power, duration) -> kind
-    kind_of = [kinds.setdefault((s.power_w, s.duration_s), len(kinds)) for s in program.segments]
+    kind_by_id = {i: kinds.setdefault((s.power_w, s.duration_s), len(kinds))
+                  for i, s in dict(zip(ids, segments)).items()}
+    kind_of = list(map(kind_by_id.__getitem__, ids))
     laws = [device.arm_laws(power_w, v_app_v) for power_w, _ in kinds]
     steps, elapsed = zip(*(_segment_clock(duration_s, dt_s) for _, duration_s in kinds))
     # per kind and arm, relaxation_step's math branch over the whole segment:
@@ -209,26 +217,40 @@ def run_program(
         (t1, a1, far1), (t2, a2, far2) = moves[k]
         f1 = t1 + (f1 - t1) * a1 if far1 else f1 + (f1 - t1) * a1
         f2 = t2 + (f2 - t2) * a2 if far2 else f2 + (f2 - t2) * a2
-    # each sample row gathers its law, elapsed time and clock step by kind
-    index = np.array(kind_of)
-    lengths = np.array([len(s) for s in steps])
-    counts = lengths[index]
-    ends = np.add.accumulate(counts)
-    first = np.add.accumulate(lengths) - lengths  # each kind's offset in the joined clocks
-    row = np.arange(ends[-1]) + np.repeat(first[index] - (ends - counts), counts)
-    law_rows = np.array(laws)[np.repeat(index, counts)]  # (rows, arm, [target, tau])
-    sampled = relaxation_step(
-        np.repeat(np.array([starts1, starts2]).T, counts, axis=0),
-        law_rows[:, :, 0],
-        np.concatenate(elapsed)[row][:, None] / law_rows[:, :, 1],
-    )
-    trace1, trace2 = np.vstack([(starts1[0], starts2[0]), sampled]).T  # the t = 0 row first
-    trace_dev = replace(device, field1_v_per_m=trace1, field2_v_per_m=trace2)
-    end = replace(device, field1_v_per_m=f1, field2_v_per_m=f2)
-    t_s = np.add.accumulate(np.concatenate([[0.0], np.concatenate(steps)[row]]))
-    seg_power = [s.power_w for s in program.segments]
-    power_w = np.concatenate([seg_power[:1], np.repeat(seg_power, counts)])
-    return ExposureResult(end, _trace(trace_dev, t_s, power_w, v_app_v, mu_in))
+    if len(laws) == 1:
+        # one kind: a row of samples along its one clock per segment start
+        ((law,), (clock,), (e,)), n = (laws, steps, elapsed), len(kind_of)
+        trace1, trace2 = (
+            np.concatenate([s[:1], relaxation_path(np.array(s)[:, None], t, e / tau).ravel()])
+            for (t, tau), s in zip(law, (starts1, starts2))
+        )
+        t_s = np.add.accumulate(np.concatenate([[0.0], np.tile(clock, n)]))
+        power_w = np.full(len(t_s), segments[0].power_w)
+    else:
+        # a row takes its factor and branch at its place in its kind's clock,
+        # and its segment's start and target (np.take: a 2-d fancy index is slow)
+        index = np.array(kind_of)
+        lengths = np.array([len(s) for s in steps])
+        counts = lengths[index]
+        ends = np.add.accumulate(counts)
+        first = np.add.accumulate(lengths) - lengths  # each kind's offset in the joined clocks
+        row = np.arange(ends[-1]) + np.repeat(first[index] - (ends - counts), counts)
+        targets, taus = np.array(laws).T  # each (arm, kind)
+        x = np.concatenate(elapsed) / np.repeat(taus, lengths, axis=1)
+        far = x > _LN2
+        factor = np.where(far, np.exp(-x), np.expm1(-x))
+        start = np.repeat(np.array([starts1, starts2]), counts, axis=1)
+        target = np.repeat(np.take(targets, index, axis=1), counts, axis=1)
+        fields = np.empty((2, len(row) + 1))
+        fields[:, 0] = starts1[0], starts2[0]  # the t = 0 row first
+        move = (start - target) * np.take(factor, row, axis=1)
+        np.add(np.where(np.take(far, row, axis=1), target, start), move, out=fields[:, 1:])
+        trace1, trace2 = fields
+        t_s = np.add.accumulate(np.concatenate([[0.0], np.concatenate(steps)[row]]))
+        seg_power = np.array([p for p, _ in kinds])[index]
+        power_w = np.concatenate([seg_power[:1], np.repeat(seg_power, counts)])
+    trace = _trace(device.with_fields(trace1, trace2), t_s, power_w, v_app_v, mu_in)
+    return ExposureResult(device.with_fields(f1, f2), trace)
 
 
 @dataclass
@@ -313,10 +335,13 @@ def _saturate(
             steps = max(steps, math.ceil(tau / dt_s * math.log(move / saturation_epsilon)))
     steps = min(steps, max_steps)
     elapsed = np.arange(steps + 1) * dt_s
-    sampled = device.exposed(power_w, v_app_v, elapsed)
+    sampled = device.with_fields(*(
+        relaxation_path(f, target, elapsed / tau)
+        for f, target, tau in zip((device.field1_v_per_m, device.field2_v_per_m), targets, taus)
+    ))
     trace = _trace(sampled, elapsed, np.full(steps + 1, power_w), v_app_v)
     e1, e2 = float(sampled.field1_v_per_m[-1]), float(sampled.field2_v_per_m[-1])
-    final = replace(device, field1_v_per_m=e1, field2_v_per_m=e2)
+    final = device.with_fields(e1, e2)
     converged = max(moves(e1, e2)) <= saturation_epsilon
     return InitResult(final, converged, steps, steps * dt_s, trace)
 
@@ -461,69 +486,74 @@ def pulse_inject_to_target(
         raise ValueError("need max_periods >= 1 and hold_periods >= 0")
     check_size(max_periods, MAX_STEPS, f"max_periods must be at most {MAX_STEPS}")
     baseline = device.output_mpn(mu_in, v_app_v)
-    sat_m = device.equilibrated(ctrl.peak_power_w, v_app_v).magnification_db(
-        v_app_v, baseline, mu_in
-    )
-    empty = PulseTrace(*(np.empty(0) for _ in range(5)))
+    (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
+    sat_m = device.with_fields(lit1, lit2).magnification_db(v_app_v, baseline, mu_in)
     if abs(ctrl.target_m_db) > sat_m:
+        empty = PulseTrace(*(np.empty(0) for _ in range(5)))
         return PulseResult(
             device, False, False, 0, sat_m, math.nan, math.nan, math.nan, math.nan, empty
         )
     if ctrl.noise_db > 0.0 and rng is None:
         raise ValueError("noise_db > 0 needs an rng")
 
-    # one period maps the two arm fields through a lit and a dark step, each
-    # relaxation_step's math branch written out; the laws and the phase
-    # coefficients are fixed, and the device is built once, at the end
-    (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
+    # a period steps the bare arm fields by relaxation_step's math branch, lit
+    # then dark (a frozen arm's dark step is a zero move: skipped), and reads
+    # them by magnification_db's phase and two-beam law in math; the device and
+    # the error column (target - m_db, one numpy pass) are built after the loop
     (dark1, dark_tau1), (dark2, dark_tau2) = device.arm_laws(0.0, v_app_v)
-    read = device.magnification_reader(v_app_v, baseline, mu_in)
-    exp, expm1 = math.exp, math.expm1
-    noisy = ctrl.noise_db > 0.0
+    dark = dark_tau1 < math.inf or dark_tau2 < math.inf
+    theta, k_diff, k_common = device.phase_coefficients(v_app_v)
+    r, base = device.signal_split, float(baseline)
+    peak = 4.0 * r * (1.0 - r)
+    target, tol, gain, period_s = (
+        ctrl.target_m_db, ctrl.settle_tol_db, ctrl.gain_duty_per_db, ctrl.period_s
+    )
+    duty_min, duty_max, noise_db = ctrl.duty_min, ctrl.duty_max, ctrl.noise_db
+    exp, expm1, cos, log10, ln2, inf = math.exp, math.expm1, math.cos, math.log10, _LN2, math.inf
+    noisy = noise_db > 0.0
     if noisy:
         state = rng.bit_generator.state
-        normals = (z for _ in itertools.count() for z in rng.standard_normal(64).tolist())
+        blocks = iter(lambda: rng.standard_normal(64).tolist(), None)  # never ends
+        normal = itertools.chain.from_iterable(blocks).__next__
     e1, e2 = device.field1_v_per_m, device.field2_v_per_m
-    duties, m_db, error_db = [], [], []
-    duty = ctrl.duty_min
-    streak = 0
-    settled_at: Optional[int] = None
-    period = 0
-    while period < max_periods:
+    duties, m_db = [], []
+    duty, streak, settled_at = duty_min, 0, None
+    period, stop = 0, max_periods
+    while period < stop:
         period += 1
-        on = duty * ctrl.period_s
+        on = duty * period_s
         x = on / lit_tau1
-        e1 = lit1 + (e1 - lit1) * exp(-x) if x > _LN2 else e1 + (e1 - lit1) * expm1(-x)
+        e1 = lit1 + (e1 - lit1) * exp(-x) if x > ln2 else e1 + (e1 - lit1) * expm1(-x)
         x = on / lit_tau2
-        e2 = lit2 + (e2 - lit2) * exp(-x) if x > _LN2 else e2 + (e2 - lit2) * expm1(-x)
-        if duty < 1.0:
-            off = (1.0 - duty) * ctrl.period_s
+        e2 = lit2 + (e2 - lit2) * exp(-x) if x > ln2 else e2 + (e2 - lit2) * expm1(-x)
+        if duty < 1.0 and dark:
+            off = (1.0 - duty) * period_s
             x = off / dark_tau1
-            e1 = dark1 + (e1 - dark1) * exp(-x) if x > _LN2 else e1 + (e1 - dark1) * expm1(-x)
+            e1 = dark1 + (e1 - dark1) * exp(-x) if x > ln2 else e1 + (e1 - dark1) * expm1(-x)
             x = off / dark_tau2
-            e2 = dark2 + (e2 - dark2) * exp(-x) if x > _LN2 else e2 + (e2 - dark2) * expm1(-x)
-        m = read(e1, e2)
+            e2 = dark2 + (e2 - dark2) * exp(-x) if x > ln2 else e2 + (e2 - dark2) * expm1(-x)
+        phase = theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
+        ratio = mu_in * (peak * cos(0.5 * phase) ** 2) / base
+        m = 10.0 * log10(ratio) if ratio > 0.0 else -inf
         if noisy:
-            m += ctrl.noise_db * next(normals)
-        error = ctrl.target_m_db - m
+            m += noise_db * normal()
+        error = target - m
         duties.append(duty)
         m_db.append(m)
-        error_db.append(error)
         if settled_at is None:
-            streak = streak + 1 if abs(error) <= ctrl.settle_tol_db else 0
+            streak = streak + 1 if abs(error) <= tol else 0
             if streak >= SETTLE_PERIODS:
                 settled_at = period
-        if settled_at is not None and period - settled_at >= hold_periods:
-            break
-        duty = min(max(duty + ctrl.gain_duty_per_db * error, ctrl.duty_min), ctrl.duty_max)
+                stop = min(stop, period + hold_periods)
+        duty += gain * error
+        duty = duty_min if duty < duty_min else duty_max if duty > duty_max else duty
     if noisy:  # the caller's generator moves on by one scalar draw per period
         rng.bit_generator.state = state
         rng.standard_normal(period)
 
-    dev = replace(device, field1_v_per_m=e1, field2_v_per_m=e2)
-    t_col = np.arange(1.0, period + 1) * ctrl.period_s
-    duty_col, m_col, error_col = (np.array(c, dtype=float) for c in (duties, m_db, error_db))
-    trace = PulseTrace(t_col, duty_col, np.full(period, float(ctrl.peak_power_w)), m_col, error_col)
+    duty_col, m_col, t_col = np.array(duties), np.array(m_db), np.arange(1.0, period + 1) * period_s
+    power_col = np.full(period, float(ctrl.peak_power_w))
+    trace = PulseTrace(t_col, duty_col, power_col, m_col, target - m_col)
     settled = settled_at is not None
     if settled and hold_periods > 0:
         hold_lo = settled_at           # rows after the settle period
@@ -531,18 +561,20 @@ def pulse_inject_to_target(
         hold_lo = settled_at - streak  # the terminal in-tolerance streak
     else:
         hold_lo = period
-    hold_duty = trace.duty[hold_lo:]
-    hold_err = trace.error_db[settled_at:] if settled and hold_periods > 0 else trace.error_db[:0]
-    ramp = trace.duty[: settled_at - streak] if settled else trace.duty
+    hold_duty = duty_col[hold_lo:]
+    hold_err = trace.error_db[settled_at:] if settled and hold_periods > 0 else duty_col[:0]
+    ramp = duty_col[: settled_at - streak] if settled else duty_col
+    # np.max and np.mean without their wrappers: the same ufunc reductions
+    top, total = np.maximum.reduce, np.add.reduce
     return PulseResult(
-        device=dev,
+        device=device.with_fields(e1, e2),
         feasible=True,
         settled=settled,
         periods=period,
         saturated_m_db=sat_m,
-        final_duty=float(trace.duty[-1]),
-        ramp_duty_max=float(np.max(ramp)) if ramp.size else math.nan,
-        holding_duty_mean=float(np.mean(hold_duty)) if hold_duty.size else math.nan,
-        held_max_abs_error_db=float(np.max(np.abs(hold_err))) if hold_err.size else math.nan,
+        final_duty=duties[-1],
+        ramp_duty_max=float(top(ramp)) if ramp.size else math.nan,
+        holding_duty_mean=float(total(hold_duty) / hold_duty.size) if hold_duty.size else math.nan,
+        held_max_abs_error_db=float(top(np.abs(hold_err))) if hold_err.size else math.nan,
         trace=trace,
     )

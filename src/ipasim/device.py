@@ -25,8 +25,7 @@ figure of merit for attacks on a VOA parked at deep attenuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +98,8 @@ class MziDevice:
 
     def split_irradiation(self, power_w: float) -> tuple[float, float]:
         """Per-arm powers for a given injected power at the device input."""
-        if power_w < 0.0:
-            raise ValueError("power_w must be >= 0")
+        if not 0.0 <= power_w < math.inf:
+            raise ValueError("power_w must be >= 0 and finite")
         loss_db = self.irradiation_coupling_db + self.polarization_loss_db
         delivered = power_w * 10.0 ** (-loss_db / 10.0)
         return delivered * self.irradiation_split, delivered * (1.0 - self.irradiation_split)
@@ -158,30 +157,6 @@ class MziDevice:
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)
 
-    def magnification_reader(
-        self, v_app_v: float, baseline_mu: float, mu_in: float = 1.0
-    ) -> Callable[[float, float], float]:
-        """``magnification_db`` of bare arm fields, as a scalar function (e1, e2) -> dB.
-
-        For loops that read one state at a time, where numpy's per-call
-        dispatch would dominate: the same phase coefficients and two-beam law
-        in ``math``, and -inf for a dark output, where ``math.log10`` raises.
-        """
-        if baseline_mu <= 0.0:
-            raise ValueError("baseline_mu must be positive")
-        if mu_in < 0.0:
-            raise ValueError("mu_in must be >= 0")
-        theta, k_diff, k_common = self.phase_coefficients(v_app_v)
-        r = self.signal_split
-        peak = 4.0 * r * (1.0 - r)
-
-        def read(e1: float, e2: float) -> float:
-            phase = theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
-            ratio = mu_in * (peak * math.cos(0.5 * phase) ** 2) / baseline_mu
-            return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
-
-        return read
-
     # -- curves and search ----------------------------------------------------
 
     def voltage_curve(self, v_min_v: float, v_max_v: float, points: int) -> VoltageCurve:
@@ -231,10 +206,9 @@ class MziDevice:
         p1, p2 = self.split_irradiation(power_w)
         e1, e2 = self.arm_fields(v_app_v)
         mat, mode = self.material, self.decay_mode
-        return replace(
-            self,
-            field1_v_per_m=evolve_field(mat, self.field1_v_per_m, p1, e1, dt_s, mode),
-            field2_v_per_m=evolve_field(mat, self.field2_v_per_m, p2, e2, dt_s, mode),
+        return self.with_fields(
+            evolve_field(mat, self.field1_v_per_m, p1, e1, dt_s, mode),
+            evolve_field(mat, self.field2_v_per_m, p2, e2, dt_s, mode),
         )
 
     def arm_laws(self, power_w: float, v_app_v: float) -> tuple[tuple[float, float], ...]:
@@ -248,7 +222,7 @@ class MziDevice:
     def equilibrated(self, power_w: float, v_app_v: float) -> "MziDevice":
         """Device with both arms at their steady state for these conditions."""
         (target1, _), (target2, _) = self.arm_laws(power_w, v_app_v)
-        return replace(self, field1_v_per_m=target1, field2_v_per_m=target2)
+        return self.with_fields(target1, target2)
 
     def slowest_time_constant(self, power_w: float) -> float:
         """Relaxation time of the weaker-lit arm; bounds settling time."""
@@ -260,7 +234,14 @@ class MziDevice:
 
     def pristine(self) -> "MziDevice":
         """Same construction with both arms discharged."""
-        return replace(self, field1_v_per_m=0.0, field2_v_per_m=0.0)
+        return self.with_fields(0.0, 0.0)
+
+    def with_fields(self, field1_v_per_m, field2_v_per_m) -> "MziDevice":
+        """This device with other arm fields, floats or sampled arrays; unlike
+        ``replace``, which any other change goes through, it re-checks nothing."""
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), field1_v_per_m=field1_v_per_m, field2_v_per_m=field2_v_per_m)
+        return new
 
 
 def curve_rms_db(reference: VoltageCurve, other: VoltageCurve) -> float:

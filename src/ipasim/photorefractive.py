@@ -163,8 +163,8 @@ def field_coupling(mat: MaterialParams, geo: GeometryParams) -> float:
 
 def photoconductivity(mat: MaterialParams, power_w: float) -> float:
     """sigma_ph(P): linear below the crossover, ~P**(1/m) above it."""
-    if power_w < 0.0:
-        raise ValueError("power_w must be >= 0")
+    if not 0.0 <= power_w < math.inf:
+        raise ValueError("power_w must be >= 0 and finite")
     if power_w <= mat.crossover_power_w:
         return mat.photocond_per_w * mat.absorption_per_m * power_w
     return mat.high_regime_coeff * power_w ** (1.0 / mat.sublinear_exponent)
@@ -247,6 +247,17 @@ def relaxation_step(
     return target + gap * math.exp(-x) if x > _LN2 else field_v_per_m + gap * math.expm1(-x)
 
 
+def relaxation_path(field_v_per_m: float | np.ndarray, target: float, x: np.ndarray) -> np.ndarray:
+    """:func:`relaxation_step` from ``field_v_per_m`` at each of the rising ``x``,
+    bit for bit: the ln 2 switch is one split index, expm1 is taken before it
+    and exp after it.  A column of fields, shape (n, 1), gives a row per field.
+    """
+    split = int(x.searchsorted(_LN2, "right"))  # x[:split] <= ln 2 < x[split:]
+    gap = field_v_per_m - target
+    near = field_v_per_m + gap * np.expm1(-x[:split])
+    return np.concatenate([near, target + gap * np.exp(-x[split:])], axis=-1)
+
+
 def evolve_field(
     mat: MaterialParams,
     field_v_per_m: float,
@@ -265,7 +276,7 @@ def evolve_field(
     field either holds (``FROZEN``) or relaxes to zero with the dark time
     constant (``DARK_DECAY``).
     """
-    if np.asarray(dt_s).min(initial=0.0) < 0.0:
+    if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
         raise ValueError("dt_s must be >= 0")
     target, tau = relaxation_law(mat, power_w, e_app_v_per_m, decay_mode)
     # a held arm makes no move however long the step, an infinite one included

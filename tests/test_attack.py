@@ -472,6 +472,32 @@ def test_run_program_keys_segments_by_power_and_duration(program, device, mu_in)
         assert np.array_equal(column, want)
 
 
+@pytest.mark.parametrize(
+    "device", [DEV, FROZEN_DEV, PRE_EXPOSED], ids=["dark", "frozen", "pre-exposed"]
+)
+@pytest.mark.parametrize(
+    "segment, repeats, dt",
+    [
+        ((3e-6, 2000.0), 1, 7.0),  # crosses relaxation_step's ln 2 switch
+        ((12e-6, 0.7), 1, 0.1),  # float residue
+        ((1e-7, 50.0), 3, 2.5),  # every row short of the switch
+        ((12e-6, 2.0), 5, 0.5),
+        ((0.0, 900.0), 2, 60.0),  # dark: a frozen device holds
+    ],
+    ids=["cw", "float-residue", "short", "repeated", "dark"],
+)
+def test_one_kind_program_rows_are_the_general_paths_rows(device, segment, repeats, dt):
+    """A program of one kind takes no gathers; followed by a second kind, its
+    segments go through the general path and give the same first rows."""
+    one = run_program(device, IrradiationProgram.steps([segment] * repeats), 0.7, WP, dt).trace
+    other = (segment[0] + 1e-6, segment[1] / 2.0)
+    two = run_program(device, IrradiationProgram.steps([segment] * repeats + [other]), 0.7, WP, dt)
+    n = len(one.t_s)
+    assert len(two.trace.t_s) > n
+    for name in ("t_s", "power_w", "delta_theta_rad", "transmittance", "attenuation_db", "m_db"):
+        assert np.array_equal(getattr(one, name), getattr(two.trace, name)[:n]), name
+
+
 @pytest.mark.parametrize("device", [DEV, FROZEN_DEV], ids=["dark", "frozen"])
 @pytest.mark.parametrize(
     "program, dt",
@@ -510,6 +536,24 @@ def test_long_segment_keeps_the_sequential_step_count():
     assert np.array_equal(tr.t_s, want[:, 0])
     assert np.array_equal(tr.power_w, want[:, 1])
     np.testing.assert_allclose(tr.m_db, want[:, 5], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "device", [DEV, FROZEN_DEV, PRE_EXPOSED], ids=["dark", "frozen", "pre-exposed"]
+)
+def test_saturation_trace_is_the_exposed_device_readout(device):
+    """A saturation run evaluates each arm along its clock split at ln 2;
+    ``exposed`` at the same elapsed times takes both branches and picks."""
+    for res, power, v_app in (
+        (pre_treat(device, PreTreatmentPlan(-15.0, 12e-6, 1e-4)), 12e-6, -15.0),
+        (initialize_device(device, dt_s=7.5), INIT_POWER_W, 0.0),
+    ):
+        elapsed = res.trace.t_s
+        sampled = device.exposed(power, v_app, elapsed)
+        assert np.array_equal(res.trace.delta_theta_rad, sampled.total_phase(v_app))
+        assert np.array_equal(res.trace.transmittance, sampled.transmittance(v_app))
+        end = (res.device.field1_v_per_m, res.device.field2_v_per_m)
+        assert end == (sampled.field1_v_per_m[-1], sampled.field2_v_per_m[-1])
 
 
 def _oracle_pretreat_cases():
@@ -577,8 +621,13 @@ PULSE_COLUMN_TOL = 1e-10
         (FROZEN_DEV, PulseController(target_m_db=25.0, noise_db=0.02), 300, 0, 11),
         (DEV, PulseController(target_m_db=35.0, noise_db=0.01), 2000, 60, 5),
         (DEV, PulseController(target_m_db=45.0), 10, 0, None),  # stopped before settling
+        # the benchmark's regime: noise and a 200-period hold, much of it at
+        # duty_min; a frozen device takes no dark step there
+        (DEV, PulseController(target_m_db=33.0, noise_db=0.02), 2000, 200, 7),
+        (FROZEN_DEV, PulseController(target_m_db=35.0, period_s=0.1, noise_db=0.01), 2000, 200, 5),
     ],
-    ids=["dark", "frozen", "noisy", "noisy-frozen", "hold", "unsettled"],
+    ids=["dark", "frozen", "noisy", "noisy-frozen", "hold", "unsettled", "hold-200",
+         "frozen-hold-200"],
 )
 def test_pulse_loop_matches_the_literal_duty_loop(device, ctrl, max_periods, hold_periods, seed):
     def rng():  # a fresh generator for each loop, so both draw the same noise
@@ -597,6 +646,8 @@ def test_pulse_loop_matches_the_literal_duty_loop(device, ctrl, max_periods, hol
         assert np.max(np.abs(got - column)) <= PULSE_COLUMN_TOL * np.max(np.abs(column))
     # every case ramps at full duty, where the dark step is skipped
     assert ctrl.duty_max == 1.0 and np.any(tr.duty == 1.0)
+    if hold_periods == 200:  # and these settle, then hold at duty_min for a while
+        assert settled and np.count_nonzero(tr.duty == ctrl.duty_min) >= 100
     if ctrl.noise_db == 0.0:  # the returned device carries the final fields
         base = device.output_mpn(1.0, WP)
         assert res.device.magnification_db(WP, base) == pytest.approx(tr.m_db[-1], rel=1e-12)

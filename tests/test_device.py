@@ -14,7 +14,8 @@ from ipasim.calibration import (
     WORKING_POINT_V,
     default_device,
 )
-from ipasim.device import curve_rms_db
+from ipasim.device import MziDevice, curve_rms_db
+from ipasim.photorefractive import DecayMode
 
 DEV = default_device()
 # pristine extinction nearest the range center on [-12, 12] V
@@ -71,30 +72,51 @@ def test_magnification_zero_against_own_baseline():
         DEV.output_mpn(-1.0, 0.0)
 
 
-@pytest.mark.parametrize("v", [WORKING_POINT_V, 0.0, -7.5])
-@pytest.mark.parametrize("mu_in", [1.0, 0.3])
-def test_scalar_reader_matches_magnification_db(v, mu_in):
-    baseline = DEV.output_mpn(mu_in, v)
-    read = DEV.magnification_reader(v, baseline, mu_in)
-    rng = np.random.default_rng(3)
-    states = [DEV, DEV.equilibrated(12e-6, v), DEV.exposed(3e-6, 20.0, 500.0)]
-    states += [
-        replace(DEV, field1_v_per_m=a, field2_v_per_m=b)
-        for a, b in rng.uniform(-3e7, 3e7, size=(8, 2))
-    ]
-    for dev in states:
-        got = read(dev.field1_v_per_m, dev.field2_v_per_m)
-        assert got == pytest.approx(dev.magnification_db(v, baseline, mu_in), rel=1e-14, abs=1e-12)
+@pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, p: d.split_irradiation(p),
+        lambda d, p: d.exposed(p, WORKING_POINT_V, 10.0),
+        lambda d, p: d.arm_laws(p, WORKING_POINT_V),
+        lambda d, p: d.equilibrated(p, WORKING_POINT_V),
+        lambda d, p: d.slowest_time_constant(p),
+    ],
+    ids=["split_irradiation", "exposed", "arm_laws", "equilibrated", "slowest_time_constant"],
+)
+@pytest.mark.parametrize("mode", list(DecayMode))
+def test_non_finite_power_is_refused(call, power, mode):
+    with pytest.raises(ValueError, match="power_w must be >= 0 and finite"):
+        call(replace(DEV, decay_mode=mode), power)
 
 
-def test_scalar_reader_gives_minus_inf_for_a_dark_output():
-    # a vanishing signal split and a phase on the null underflow the output to 0
-    dark = replace(DEV, signal_split=1e-300, bias_phase_rad=math.pi)
-    assert dark.transmittance(0.0) == 0.0
-    assert dark.magnification_db(0.0, 1.0) == -math.inf
-    assert dark.magnification_reader(0.0, 1.0)(0.0, 0.0) == -math.inf
-    with pytest.raises(ValueError):
-        DEV.magnification_reader(0.0, 0.0)
+@pytest.mark.parametrize(
+    "dt", [math.nan, np.array([1.0, math.nan]), np.array([math.nan])],
+    ids=["scalar", "inside-array", "one-element-array"],
+)
+@pytest.mark.parametrize("power", [0.0, 3e-6])
+def test_exposed_refuses_a_nan_step(dt, power):
+    for mode in DecayMode:
+        with pytest.raises(ValueError, match="dt_s must be >= 0"):
+            replace(DEV, decay_mode=mode).exposed(power, WORKING_POINT_V, dt)
+
+
+def test_with_fields_swaps_the_fields_and_checks_nothing(monkeypatch):
+    soaked = DEV.exposed(5e-6, 3.0, 1e3)
+    want = replace(soaked, field1_v_per_m=1.5e6, field2_v_per_m=-2e5)
+
+    def refuse(self):
+        raise AssertionError("construction re-checked")
+
+    monkeypatch.setattr(MziDevice, "__post_init__", refuse)
+    got = soaked.with_fields(1.5e6, -2e5)
+    assert got == want and type(got) is MziDevice
+    assert (soaked.field1_v_per_m, soaked.field2_v_per_m) != (1.5e6, -2e5)  # a new device
+    rows = np.array([1.0, 2.0])
+    sampled = soaked.with_fields(rows, -rows)
+    assert sampled.field1_v_per_m is rows
+    want = [soaked.with_fields(r, -r).total_phase(0.0) for r in rows]
+    assert np.array_equal(sampled.total_phase(0.0), want)
 
 
 def test_split_irradiation_applies_coupling_and_polarization():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from ipasim.photorefractive import (
     evolve_field,
     field_coupling,
     photoconductivity,
+    relaxation_path,
+    relaxation_step,
     saturated_index_response,
     saturated_phase_shift,
     steady_state_field,
@@ -163,3 +166,56 @@ def test_validation():
             irradiation_wavelength_m=405e-9,
             effective_length_m=0.01,
         )
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: photoconductivity(MAT, p),
+        lambda p: buildup_time_constant(MAT, p),
+        lambda p: steady_state_field(MAT, p, 1e5),
+        lambda p: evolve_field(MAT, 1e5, p, 0.0, 1.0),
+        lambda p: evolve_field(MAT, 1e5, p, 0.0, 1.0, DecayMode.DARK_DECAY),
+    ],
+    ids=["photoconductivity", "buildup_time_constant", "steady_state_field", "evolve_field",
+         "evolve_field-dark"],
+)
+def test_non_finite_power_is_refused(call, power):
+    with pytest.raises(ValueError, match="power_w must be >= 0 and finite"):
+        call(power)
+
+
+@pytest.mark.parametrize(
+    "dt", [math.nan, np.array([1.0, math.nan, 3.0]), np.array([math.nan])],
+    ids=["scalar", "inside-array", "one-element-array"],
+)
+@pytest.mark.parametrize("mode", list(DecayMode))
+def test_nan_step_is_refused(dt, mode):
+    with pytest.raises(ValueError, match="dt_s must be >= 0"):
+        evolve_field(MAT, 1e5, 1e-6, 0.0, dt, mode)
+    with pytest.raises(ValueError, match="dt_s must be >= 0"):
+        evolve_field(MAT, 1e5, 0.0, 0.0, dt, mode)  # a frozen arm in the dark too
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.linspace(0.0, 3.0, 301),
+        np.linspace(0.0, 0.5, 17),  # every row before the switch
+        np.linspace(0.8, 40.0, 33),  # every row after it
+        np.array([0.0, 0.3, math.log(2.0), math.log(2.0), np.nextafter(math.log(2.0), 1.0), 5.0]),
+        np.zeros(4),  # a held arm: x = elapsed / inf
+    ],
+    ids=["across", "near", "far", "at-the-switch", "held"],
+)
+@pytest.mark.parametrize("field, target", [(0.0, 3.7e6), (-2.5e6, 1.1e5), (4e5, 4e5)])
+def test_relaxation_path_is_the_stepwise_relaxation(x, field, target):
+    want = relaxation_step(np.full(len(x), field), target, x)
+    assert np.array_equal(relaxation_path(field, target, x), want)
+    # a column of starts gives one row of samples each
+    starts = np.array([[field], [target], [-1e6]])
+    rows = relaxation_path(starts, target, x)
+    assert rows.shape == (3, len(x))
+    for start, got in zip(starts[:, 0], rows):
+        assert np.array_equal(got, relaxation_step(np.full(len(x), start), target, x))
