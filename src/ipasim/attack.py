@@ -31,7 +31,10 @@ last reading: a period is one lit and one dark step of the two bare fields
 drawn in blocks of 64.  Segments, plans and controllers range-check every
 parameter field (``ipasim._ranges``), arm fields are swapped unchecked
 (``MziDevice.with_fields``), and every run refuses, before it allocates, a
-trace of more than ``MAX_STEPS`` steps or periods.
+trace of more than ``MAX_STEPS`` steps or periods.  On the ``attack_traces``
+benchmark an op (three 1000-2200-row traces, two saturation runs and a
+316-402-period pulse loop) takes a median 1.95 ms, 2.71 ms before this
+design, and a pulse period 2.6 us with its call's fixed cost (4.2 us before).
 """
 
 from __future__ import annotations

@@ -209,7 +209,11 @@ def test_nan_step_is_refused(dt, mode):
     ],
     ids=["across", "near", "far", "at-the-switch", "held"],
 )
-@pytest.mark.parametrize("field, target", [(0.0, 3.7e6), (-2.5e6, 1.1e5), (4e5, 4e5)])
+# the last pair rounds differently in the two forms at x = ln 2 itself
+@pytest.mark.parametrize(
+    "field, target",
+    [(0.0, 3.7e6), (-2.5e6, 1.1e5), (4e5, 4e5), (-731271.5117751976, 694867.4738744653)],
+)
 def test_relaxation_path_is_the_stepwise_relaxation(x, field, target):
     want = relaxation_step(np.full(len(x), field), target, x)
     assert np.array_equal(relaxation_path(field, target, x), want)
