@@ -31,10 +31,8 @@ last reading: a period is one lit and one dark step of the two bare fields
 drawn in blocks of 64.  Segments, plans and controllers range-check every
 parameter field (``ipasim._ranges``), arm fields are swapped unchecked
 (``MziDevice.with_fields``), and every run refuses, before it allocates, a
-trace of more than ``MAX_STEPS`` steps or periods.  On the ``attack_traces``
-benchmark an op (three 1000-2200-row traces, two saturation runs and a
-316-402-period pulse loop) takes a median 1.95 ms, 2.71 ms before this
-design, and a pulse period 2.6 us with its call's fixed cost (4.2 us before).
+trace of more than ``MAX_STEPS`` steps or periods.  The README and
+``BENCH_attack_traces.json`` give the measured costs.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -98,7 +95,7 @@ class IrradiationProgram:
 
     @property
     def total_duration_s(self) -> float:
-        return sum(map(attrgetter("duration_s"), self.segments))
+        return sum(s.duration_s for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def _segment_clock(duration_s: float, dt_s: float) -> tuple[np.ndarray, np.ndarr
     left = np.full(math.ceil(q) + 2 + int(q * q * 2.0**-51), dt_s)
     left[0] = duration_s
     np.subtract.accumulate(left, out=left)
-    k = int((left <= dt_s).argmax())  # the first remainder that fits one step
+    k = int(np.argmax(left <= dt_s))  # the first remainder that fits one step
     steps = np.full(k + 1, dt_s)
     steps[k] = left[k]
     return steps, np.add.accumulate(steps)
@@ -197,12 +194,8 @@ def run_program(
     check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
         raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
-    segments = program.segments
-    ids = list(map(id, segments))  # a pulse train repeats two Segment objects: key each once
     kinds: dict[tuple[float, float], int] = {}  # (power, duration) -> kind
-    kind_by_id = {i: kinds.setdefault((s.power_w, s.duration_s), len(kinds))
-                  for i, s in dict(zip(ids, segments)).items()}
-    kind_of = list(map(kind_by_id.__getitem__, ids))
+    kind_of = [kinds.setdefault((s.power_w, s.duration_s), len(kinds)) for s in program.segments]
     laws = [device.arm_laws(power_w, v_app_v) for power_w, _ in kinds]
     steps, elapsed = zip(*(_segment_clock(duration_s, dt_s) for _, duration_s in kinds))
     # per kind and arm, relaxation_step's math branch over the whole segment:
@@ -228,7 +221,7 @@ def run_program(
             for (t, tau), s in zip(law, (starts1, starts2))
         )
         t_s = np.add.accumulate(np.concatenate([[0.0], np.tile(clock, n)]))
-        power_w = np.full(len(t_s), segments[0].power_w)
+        power_w = np.full(len(t_s), program.segments[0].power_w)
     else:
         # a row takes its factor and branch at its place in its kind's clock,
         # and its segment's start and target (np.take: a 2-d fancy index is slow)
@@ -567,17 +560,15 @@ def pulse_inject_to_target(
     hold_duty = duty_col[hold_lo:]
     hold_err = trace.error_db[settled_at:] if settled and hold_periods > 0 else duty_col[:0]
     ramp = duty_col[: settled_at - streak] if settled else duty_col
-    # np.max and np.mean without their wrappers: the same ufunc reductions
-    top, total = np.maximum.reduce, np.add.reduce
     return PulseResult(
         device=device.with_fields(e1, e2),
         feasible=True,
         settled=settled,
         periods=period,
         saturated_m_db=sat_m,
-        final_duty=duties[-1],
-        ramp_duty_max=float(top(ramp)) if ramp.size else math.nan,
-        holding_duty_mean=float(total(hold_duty) / hold_duty.size) if hold_duty.size else math.nan,
-        held_max_abs_error_db=float(top(np.abs(hold_err))) if hold_err.size else math.nan,
+        final_duty=float(duty_col[-1]),
+        ramp_duty_max=float(np.max(ramp)) if ramp.size else math.nan,
+        holding_duty_mean=float(np.mean(hold_duty)) if hold_duty.size else math.nan,
+        held_max_abs_error_db=float(np.max(np.abs(hold_err))) if hold_err.size else math.nan,
         trace=trace,
     )

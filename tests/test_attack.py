@@ -651,3 +651,50 @@ def test_pulse_loop_matches_the_literal_duty_loop(device, ctrl, max_periods, hol
     if ctrl.noise_db == 0.0:  # the returned device carries the final fields
         base = device.output_mpn(1.0, WP)
         assert res.device.magnification_db(WP, base) == pytest.approx(tr.m_db[-1], rel=1e-12)
+
+
+# the loop reads its bare fields with magnification_db's phase and two-beam
+# law written out in math; the run stopped after k periods carries the fields
+# of reading k, so each reading is compared with the device's own readout
+@pytest.mark.parametrize(
+    "device, ctrl, mu_in, v, max_periods",
+    [
+        (DEV, PulseController(target_m_db=30.0), 1.0, WP, 2000),
+        (FROZEN_DEV, PulseController(target_m_db=30.0), 0.3, WP, 120),
+        (DEV, PulseController(target_m_db=3.0, period_s=1.0), 0.3, 0.0, 2000),
+        # at 1e-320 photons the output underflows to 0 while the phase passes
+        # the null on its way from the start to the lit state: dark readings
+        (FROZEN_DEV, PulseController(target_m_db=3.0, period_s=1.0), 1e-320, 0.0, 2000),
+    ],
+    ids=["dark", "frozen", "zero-volt", "dark-output"],
+)
+def test_pulse_readings_are_the_devices_magnification_db(device, ctrl, mu_in, v, max_periods):
+    res = pulse_inject_to_target(device, ctrl, mu_in, v, max_periods=max_periods)
+    base = device.output_mpn(mu_in, v)
+    want = [
+        pulse_inject_to_target(device, ctrl, mu_in, v, max_periods=k).device.magnification_db(
+            v, base, mu_in
+        )
+        for k in range(1, res.periods + 1)
+    ]
+    assert res.trace.m_db == pytest.approx(np.array(want), rel=1e-14, abs=1e-12)
+    dark = np.flatnonzero(np.isneginf(res.trace.m_db))
+    if mu_in == 1e-320:
+        # a dark reading is an infinite error, which rails the next duty high
+        assert res.feasible and res.settled and dark.size > 0
+        assert np.all(res.trace.error_db[dark] == math.inf)
+        assert np.all(res.trace.duty[dark + 1] == ctrl.duty_max)
+        assert np.isfinite(res.trace.m_db[-1])
+    else:
+        assert dark.size == 0
+
+
+def test_pulse_loop_refuses_a_dark_baseline():
+    with pytest.raises(ValueError, match="baseline_mu must be positive"):
+        pulse_inject_to_target(DEV, PulseController(target_m_db=3.0), 0.0, WP, 10)
+
+
+def test_final_duty_is_a_float_for_an_integer_duty_max():
+    res = pulse_inject_to_target(DEV, PulseController(target_m_db=30.0, duty_max=1), 1.0, WP, 2)
+    assert res.trace.duty[-1] == 1.0
+    assert type(res.final_duty) is float
