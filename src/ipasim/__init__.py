@@ -43,7 +43,6 @@ from .budget import (
     PowerValue,
     countermeasure_margin,
     coupling_plan_loss,
-    delivered_power,
     path_loss,
     required_eve_power,
     standard_path,
@@ -57,7 +56,6 @@ from .photorefractive import (
     buildup_time_constant,
     evolve_field,
     photoconductivity,
-    saturated_phase_shift,
     steady_state_field,
 )
 from .security import (

@@ -16,9 +16,10 @@ Three attack styles are modeled:
 
 The beam changes one thing in the device: the space-charge field of each arm,
 which ``MziDevice`` holds as ``field1_v_per_m`` and ``field2_v_per_m``.  Every
-path steps them by the exact-exponential ``relaxation_step`` of
-``ipasim.photorefractive`` (the scalar loops write out its expression), so
-``dt_s`` only sets trace resolution.  An exposure program samples each segment
+path moves them by the exact-exponential ``relaxation_step`` of
+``ipasim.photorefractive``, bit for bit (along a clock by ``relaxation_path``,
+in the scalar loops by its expression written out), so ``dt_s`` only sets
+trace resolution.  An exposure program samples each segment
 every ``dt_s``, closing with one shorter step, on a clock bit-identical to a
 sequential ``left -= dt`` loop.  Each kind of segment, a distinct (power,
 duration), takes its laws, clock and step factors once; the fields go from
@@ -109,10 +110,6 @@ class ExposureTrace:
     attenuation_db: np.ndarray
     m_db: np.ndarray
 
-    @property
-    def final_m_db(self) -> float:
-        return float(self.m_db[-1])
-
 
 @dataclass(frozen=True)
 class ExposureResult:
@@ -129,8 +126,8 @@ def _trace(
 ) -> ExposureTrace:
     """Read out a device whose arm fields are sampled arrays, one row each, from one
     phase and one transmittance pass; magnification is relative to the first row's output."""
-    if mu_in < 0.0:
-        raise ValueError("mu_in must be >= 0")
+    if not 0.0 <= mu_in < math.inf:
+        raise ValueError("mu_in must be >= 0 and finite")
     phase = sampled.total_phase(v_app_v)
     trans = sampled.phase_transmittance(phase)
     output = mu_in * trans
@@ -481,8 +478,8 @@ def pulse_inject_to_target(
     if max_periods < 1 or hold_periods < 0:
         raise ValueError("need max_periods >= 1 and hold_periods >= 0")
     check_size(max_periods, MAX_STEPS, f"max_periods must be at most {MAX_STEPS}")
-    baseline = device.output_mpn(mu_in, v_app_v)
     (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
+    baseline = device.output_mpn(mu_in, v_app_v)
     sat_m = device.with_fields(lit1, lit2).magnification_db(v_app_v, baseline, mu_in)
     if abs(ctrl.target_m_db) > sat_m:
         empty = PulseTrace(*(np.empty(0) for _ in range(5)))

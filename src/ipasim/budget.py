@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from math import isclose, log10
+from math import log10
 from typing import Mapping, Sequence, Union
 
 from ._ranges import check_ranges, ranged
@@ -108,21 +108,6 @@ class InjectionPath:
             raise ValueError(f"fiber has no loss entry at {wavelength_nm} nm") from None
         return LossValue(self.fiber_length_km * per_km)
 
-    def concat(self, other: "InjectionPath") -> "InjectionPath":
-        if other.fiber_length_km > 0.0 and self.fiber_length_km > 0.0:
-            merged = dict(self.fiber_loss_db_per_km)
-            for wl, per_km in other.fiber_loss_db_per_km.items():
-                if wl in merged and not isclose(merged[wl], per_km):
-                    raise ValueError(f"conflicting fiber loss at {wl} nm")
-                merged[wl] = per_km
-        else:
-            merged = dict(self.fiber_loss_db_per_km or other.fiber_loss_db_per_km)
-        return InjectionPath(
-            self.fiber_length_km + other.fiber_length_km,
-            merged,
-            self.components + other.components,
-        )
-
 
 def path_loss(path: InjectionPath, wavelength_nm: int) -> LossValue:
     """Additive end-to-end loss; a single bounded entry makes the total a bound."""
@@ -140,14 +125,6 @@ def required_eve_power(
         raise ValueError("target_power_w must be positive")
     loss = path_loss(path, wavelength_nm)
     return PowerValue(target_power_w * 10.0 ** (loss.db / 10.0), loss.lower_bound)
-
-
-def delivered_power(
-    path: InjectionPath, wavelength_nm: int, launch_power_w: float
-) -> float:
-    if launch_power_w < 0.0:
-        raise ValueError("launch_power_w must be >= 0")
-    return launch_power_w * 10.0 ** (-path_loss(path, wavelength_nm).db / 10.0)
 
 
 FEASIBLE = "feasible"
@@ -168,10 +145,6 @@ class MarginReport:
     margin_db: float
     lower_bound: bool
     verdict: str
-
-    @property
-    def feasible(self) -> bool:
-        return self.verdict == FEASIBLE
 
 
 def countermeasure_margin(

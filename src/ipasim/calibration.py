@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 
 from .device import MziDevice
-from .photorefractive import DecayMode, GeometryParams, MaterialParams
+from .photorefractive import VACUUM_PERMITTIVITY_F_PER_M, DecayMode, GeometryParams, MaterialParams
 
 # construction
 SIGNAL_WAVELENGTH_M = 1550e-9
@@ -123,7 +123,7 @@ def default_material() -> MaterialParams:
     """Transport constants solved from the fitted lumped products."""
     a_resp = fit_response_amplitude()
     b_resp = RESPONSE_SATURATION_PER_W
-    sigma_d = REL_PERMITTIVITY * 8.8541878128e-12 / DARK_RELAXATION_S
+    sigma_d = REL_PERMITTIVITY * VACUUM_PERMITTIVITY_F_PER_M / DARK_RELAXATION_S
     n3r = REFRACTIVE_INDEX**3 * R33_M_PER_V * MODE_OVERLAP
     prod_kappa_a = 2.0 * a_resp * sigma_d / n3r        # kappa * a
     prod_a_alpha = b_resp * sigma_d                    # a * alpha

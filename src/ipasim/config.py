@@ -9,10 +9,13 @@ for each field, the constraints that couple fields, the sizes it bounds) are
 the key's only checks.  The plans sit beside the code that runs them:
 ``[qkd]``'s grids and search in ``security.SweepPlan``, ``[voltage_curve]`` in
 ``device.CurvePlan`` and ``[pe_curve]`` in ``attack.PeCurvePlan``.  Keys no
-dataclass owns are declared here with their defaults and ranges, checked by
-the same rule (``ipasim._ranges``).  A config is accepted only if every
-section and key is known, every value parses and passes its checks, and every
-domain object builds from it; each error names the section and the key.
+dataclass owns declare their ranges here, checked by the same rule
+(``ipasim._ranges``).  A key that is an argument of a runner (the ``dt_s`` of
+``attack.pre_treat``, say) takes its default from the runner's signature;
+the others declare their defaults here too.  A config is accepted only if
+every section and key is known, every value parses and passes its checks,
+and every domain object builds from it; each error names the section and
+the key.
 Defaults reproduce the calibrated bench device, so an empty file, or no file
 at all, is already a complete scenario.
 
@@ -30,6 +33,7 @@ instrument-floor strings like ``>78``.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import re
 from configparser import ConfigParser
@@ -40,6 +44,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
+from . import attack
 from . import budget as budget_mod
 from . import calibration
 from ._ranges import MAX_STEPS, Interval, interval
@@ -162,11 +167,19 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
     return keys
 
 
+def _arguments_of(function: Callable, **allowed: str) -> dict[str, _Key]:
+    """One key per named argument of ``function``, in the order named, whose
+    default is the argument's and whose range is its entry in ``allowed``."""
+    arguments = inspect.signature(function).parameters
+    return {name: _key(arguments[name].default, spec) for name, spec in allowed.items()}
+
+
 @lru_cache(maxsize=None)
 def _schema() -> dict[str, dict[str, _Key]]:
     # Material and geometry defaults are the fitted bench calibration; any key
     # can be overridden individually without retriggering the fit.
     geo = calibration.default_geometry()
+    steps = f"[1, {MAX_STEPS}]"
     return {
         "material": _fields_of(calibration.default_material()),
         "geometry": {
@@ -186,19 +199,17 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "voltage_curve": _fields_of(CurvePlan()),
         "pre_treat": {
             **_fields_of(PreTreatmentPlan()),
-            "dt_s": _key(60.0, "(0, inf)"),
-            "max_steps": _key(100_000, f"[1, {MAX_STEPS}]"),
+            **_arguments_of(attack.pre_treat, dt_s="(0, inf)", max_steps=steps),
         },
-        "init": {
-            "power_w": _key(4.39e-6, "(0, inf)"),
-            "saturation_epsilon": _key(1e-6, "(0, 0.1)"),
-            "dt_s": _key(60.0, "(0, inf)"),
-            "max_steps": _key(200_000, f"[1, {MAX_STEPS}]"),
-        },
+        "init": _arguments_of(
+            attack.initialize_device,
+            power_w="(0, inf)", saturation_epsilon="(0, 0.1)", dt_s="(0, inf)", max_steps=steps,
+        ),
         "pulse": {
             **_fields_of(PulseController(target_m_db=30.0)),
-            "max_periods": _key(2000, f"[1, {MAX_STEPS}]"),
-            "hold_periods": _key(0, "[0, inf)"),
+            **_arguments_of(
+                attack.pulse_inject_to_target, max_periods=steps, hold_periods="[0, inf)"
+            ),
             "seed": _key(1, "[0, inf)"),
         },
         "qkd": {**_fields_of(QkdScenario(), "distance_km"), **_fields_of(SweepPlan())},
@@ -491,5 +502,5 @@ def build_path(cfg: ScenarioConfig) -> InjectionPath:
         coupler = ComponentLoss(
             f"coupling:{scheme}", {405: LossValue(loss.irradiation_loss_405_db)}
         )
-        path = path.concat(InjectionPath(components=(coupler,)))
+        path = replace(path, components=path.components + (coupler,))
     return path

@@ -140,8 +140,8 @@ class MziDevice:
 
     def output_mpn(self, mu_in: float, v_app_v: float) -> float:
         """Mean photon number leaving the device for a coherent input."""
-        if mu_in < 0.0:
-            raise ValueError("mu_in must be >= 0")
+        if not 0.0 <= mu_in < math.inf:
+            raise ValueError("mu_in must be >= 0 and finite")
         return mu_in * self.transmittance(v_app_v)
 
     def magnification_db(
@@ -198,6 +198,8 @@ class MziDevice:
 
     def arm_fields(self, v_app_v: float) -> tuple[float, float]:
         """Push-pull applied fields seen by the two arms."""
+        if not math.isfinite(v_app_v):
+            raise ValueError("v_app_v must be finite")
         e = v_app_v / self.geometry.electrode_gap_m
         return e, -e
 

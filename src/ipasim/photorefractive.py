@@ -200,18 +200,6 @@ def saturated_index_response(mat: MaterialParams, power_w: float) -> float:
     )
 
 
-def saturated_phase_shift(
-    mat: MaterialParams,
-    geo: GeometryParams,
-    power_w: float,
-    e_app_v_per_m: float = 0.0,
-) -> float:
-    """Steady-state single-arm phase shift, (D - C * e_app) * f(P), in rad."""
-    d_scale = geo.phase_scale_rad
-    c_scale = field_coupling(mat, geo)
-    return (d_scale - c_scale * e_app_v_per_m) * saturated_index_response(mat, power_w)
-
-
 def relaxation_law(
     mat: MaterialParams,
     power_w: float,
@@ -234,12 +222,14 @@ def relaxation_step(
 ) -> float | np.ndarray:
     """Field after ``x`` relaxation times of first-order relaxation toward ``target``.
 
-    The one exact-exponential step every exposure path takes.  expm1 keeps
-    full relative precision of the move when x << 1, where
-    target + gap*exp(-x) cancels; past x = ln 2 the move exceeds half the gap
-    and the exp form keeps the small remainder exact.  A scalar ``x`` takes
-    ``math``, whose expression the scalar loops of ``ipasim.attack`` write
-    out; an array ``x`` broadcasts against array fields and targets.
+    The exact-exponential step of :func:`evolve_field`.  expm1 keeps full
+    relative precision of the move when x << 1, where target + gap*exp(-x)
+    cancels; past x = ln 2 the move exceeds half the gap and the exp form
+    keeps the small remainder exact.  A scalar ``x`` takes ``math``; an array
+    ``x`` broadcasts against array fields and targets.  The attack paths give
+    the same bits without calling it: :func:`relaxation_path` along a clock,
+    and ``ipasim.attack``'s segment and pulse loops with its expression
+    written out.
     """
     gap = field_v_per_m - target
     if isinstance(x, np.ndarray):

@@ -30,12 +30,11 @@ per magnification.  ``key_rate`` takes both entropies from one
 range once per block.  The zero-key threshold costs one link evaluation and
 no search: with p = eta_AB/M the success probability is a closed form in M,
 so each distance's zero-key magnification follows from its decoy estimate
-(``zero_key_threshold``).  On the ``security_grid`` benchmark (a sweep plus
-a threshold per op), the blocks took the median op from 0.742 to 0.616 ms
-over 10 alternating pairs on a 2-vCPU Xeon with numpy 2.4
-(``BENCH_security_grid.json``), with every output bit unchanged.
-``SweepPlan`` lays out a sweep's grids and the threshold's search range, and
-a sweep of more than ``MAX_GRID_POINTS`` rows is refused before it is built.
+(``zero_key_threshold``).  The README and ``BENCH_security_grid.json`` give
+the measured costs.  ``SweepPlan`` lays out a sweep's grids and the
+threshold's search range, its default instance gives both functions their
+defaults, and a sweep of more than ``MAX_GRID_POINTS`` rows is refused
+before it is built.
 """
 
 from __future__ import annotations
@@ -119,11 +118,6 @@ class AttackParams:
     @property
     def m_db(self) -> float:
         return 10.0 * math.log10(self.m_linear)
-
-    def resolved_p(self, eta_ab: Floats) -> Floats:
-        if self.p_resend is not None:
-            return self.p_resend
-        return resend_probability(eta_ab, self.m_linear)
 
 
 # The checks reduce through the ufuncs: ndarray.all/any/min/max add a Python
@@ -516,10 +510,6 @@ def evaluate_scenario(
     return SecurityResult(**row)
 
 
-DEFAULT_M_DB_GRID = (0.0, 4.0, 5.0, 6.0, 6.5)
-DEFAULT_DISTANCES_KM = tuple(float(d) for d in range(0, 151, 2))
-
-
 @dataclass
 class SweepPlan:
     """A key-rate sweep of every magnification in ``m_db_grid`` over the
@@ -530,7 +520,7 @@ class SweepPlan:
     rows of the sweep, number at most ``MAX_GRID_POINTS``.
     """
 
-    m_db_grid: tuple[float, ...] = ranged("[0, inf)", DEFAULT_M_DB_GRID)
+    m_db_grid: tuple[float, ...] = ranged("[0, inf)", (0.0, 4.0, 5.0, 6.0, 6.5))
     distance_min_km: float = ranged("[0, inf)", 0.0)
     distance_max_km: float = ranged("[0, inf)", 150.0)
     distance_step_km: float = ranged("(0, inf)", 2.0)
@@ -559,11 +549,14 @@ class SweepPlan:
         self.distances_km = tuple(lo + i * step for i in range(int(count)))
 
 
+_PLAN = SweepPlan()  # the defaults of sweep_key_rates and zero_key_threshold
+
+
 def sweep_key_rates(
     scenario: QkdScenario,
-    m_db_list: Sequence[float] = DEFAULT_M_DB_GRID,
-    distances_km: Sequence[float] = DEFAULT_DISTANCES_KM,
-    estimator: str = "decoy",
+    m_db_list: Sequence[float] = _PLAN.m_db_grid,
+    distances_km: Sequence[float] = _PLAN.distances_km,
+    estimator: str = _PLAN.estimator,
 ) -> list[SecurityResult]:
     """Estimated vs actual key rate over a magnification and distance grid.
 
@@ -587,10 +580,10 @@ def sweep_key_rates(
 
 def zero_key_threshold(
     scenario: QkdScenario,
-    m_search_range_db: tuple[float, float] = (4.0, 9.0),
-    distances_km: Sequence[float] = DEFAULT_DISTANCES_KM,
-    estimator: str = "decoy",
-    tol_db: float = 1e-3,
+    m_search_range_db: tuple[float, float] = (_PLAN.m_search_low_db, _PLAN.m_search_high_db),
+    distances_km: Sequence[float] = _PLAN.distances_km,
+    estimator: str = _PLAN.estimator,
+    tol_db: float = _PLAN.threshold_tol_db,
 ) -> float:
     """Smallest magnification at which no distance yields any actual key.
 

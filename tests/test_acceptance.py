@@ -100,7 +100,7 @@ def test_criterion_03_distribution_oracles():
         exact = attack_success_probability(sc, attack).value
         est, stderr = success_monte_carlo(
             attack.m_linear * sc.mu,
-            attack.resolved_p(sc.eta_ab),
+            resend_probability(sc.eta_ab, attack.m_linear),
             sc.eta_bob,
             pulses=1_000_000,
             rng=np.random.default_rng(seed),
@@ -150,7 +150,7 @@ def test_criterion_05_pe_dynamics():
         assert np.all(np.diff(m[: rise_end + 1]) > 0)
         assert np.all(np.abs(m[rise_end:] - plateau) <= 0.5)
         assert np.max(m) <= plateau + 0.25
-        assert res.trace.final_m_db == pytest.approx(plateau, abs=0.01)
+        assert res.trace.m_db[-1] == pytest.approx(plateau, abs=0.01)
     # plateau height is non-monotone in power with an interior maximum
     sat = lambda p: DEV.equilibrated(p, WP).magnification_db(WP, base)
     powers = np.geomspace(1e-9, 2e-5, 200)

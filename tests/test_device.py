@@ -90,6 +90,32 @@ def test_non_finite_power_is_refused(call, power, mode):
         call(replace(DEV, decay_mode=mode), power)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, v: d.arm_fields(v),
+        lambda d, v: d.exposed(3e-6, v, 10.0),
+        lambda d, v: d.exposed(0.0, v, 10.0),
+        lambda d, v: d.arm_laws(3e-6, v),
+        lambda d, v: d.equilibrated(3e-6, v),
+    ],
+    ids=["arm_fields", "exposed", "exposed-dark", "arm_laws", "equilibrated"],
+)
+def test_non_finite_drive_voltage_is_refused(call, v):
+    with pytest.raises(ValueError, match="v_app_v must be finite"):
+        call(DEV, v)
+
+
+@pytest.mark.parametrize("mu_in", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_input_mean_photon_number_is_refused(mu_in):
+    base = DEV.output_mpn(1.0, WORKING_POINT_V)
+    with pytest.raises(ValueError, match="mu_in must be >= 0 and finite"):
+        DEV.output_mpn(mu_in, WORKING_POINT_V)
+    with pytest.raises(ValueError, match="mu_in must be >= 0 and finite"):
+        DEV.magnification_db(WORKING_POINT_V, base, mu_in)
+
+
 @pytest.mark.parametrize(
     "dt", [math.nan, np.array([1.0, math.nan]), np.array([math.nan])],
     ids=["scalar", "inside-array", "one-element-array"],

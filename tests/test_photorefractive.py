@@ -19,7 +19,6 @@ from ipasim.photorefractive import (
     relaxation_path,
     relaxation_step,
     saturated_index_response,
-    saturated_phase_shift,
     steady_state_field,
 )
 from oracles import relaxation_closed_form, saturated_index_change
@@ -121,22 +120,6 @@ def test_dark_behavior_frozen_vs_decay():
     assert evolve_field(MAT, f0, 0.0, 0.0, math.inf, DecayMode.DARK_DECAY) == 0.0
     decayed = evolve_field(MAT, f0, 0.0, 0.0, MAT.tau_dark_s, DecayMode.DARK_DECAY)
     assert decayed == pytest.approx(f0 * math.exp(-1.0), rel=1e-12)
-
-
-def test_saturated_phase_uses_drift_correction():
-    geo = GeometryParams(
-        arm_length_m=0.04,
-        electrode_length_m=0.04,
-        electrode_gap_m=10e-6,
-        signal_wavelength_m=1550e-9,
-        irradiation_wavelength_m=405e-9,
-        effective_length_m=0.0136,
-    )
-    p, e_app = 2e-6, 1e5
-    d = geo.phase_scale_rad
-    c = field_coupling(MAT, geo)
-    want = (d - c * e_app) * saturated_index_response(MAT, p)
-    assert saturated_phase_shift(MAT, geo, p, e_app) == pytest.approx(want, rel=1e-14)
 
 
 def test_validation():

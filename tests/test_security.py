@@ -23,13 +23,12 @@ from hypothesis import strategies as st
 
 from ipasim import security
 from ipasim.security import (
-    DEFAULT_DISTANCES_KM,
-    DEFAULT_M_DB_GRID,
     ESTIMATORS,
     AttackParams,
     BracketError,
     QkdScenario,
     SecurityResult,
+    SweepPlan,
     attack_success_probability,
     attacked_gain,
     binary_entropy,
@@ -58,6 +57,7 @@ from oracles import (
 )
 
 SCENARIO = QkdScenario()
+DEFAULT = SweepPlan()  # the grids of a sweep with no grids given
 
 # frozen default-scenario zero-key point, reported to the default 1e-3 dB as
 # the midpoint of a halving of the (4, 9) dB range
@@ -149,9 +149,8 @@ def test_success_probability_matches_literal_double_sum(m_db, distance_km):
     sc = replace(SCENARIO, distance_km=distance_km)
     attack = AttackParams.from_db(m_db)
     got = attack_success_probability(sc, attack)
-    want = success_double_sum(
-        attack.m_linear * sc.mu, attack.resolved_p(sc.eta_ab), sc.eta_bob, sc.n_trunc
-    )
+    p = resend_probability(sc.eta_ab, attack.m_linear)
+    want = success_double_sum(attack.m_linear * sc.mu, p, sc.eta_bob, sc.n_trunc)
     assert got.value == pytest.approx(want, rel=1e-10)
     assert 0.0 <= got.tail_bound < 1e-12
 
@@ -185,7 +184,7 @@ def test_success_probability_within_monte_carlo_error(seed, m_db, distance_km):
     exact = attack_success_probability(sc, attack).value
     est, stderr = success_monte_carlo(
         attack.m_linear * sc.mu,
-        attack.resolved_p(sc.eta_ab),
+        resend_probability(sc.eta_ab, attack.m_linear),
         sc.eta_bob,
         pulses=1_000_000,
         rng=np.random.default_rng(seed),
@@ -344,7 +343,6 @@ def test_scenario_and_attack_validation():
     with pytest.raises(ValueError):
         AttackParams(2.0, p_resend=1.5)
     assert AttackParams.from_db(6.0).m_db == pytest.approx(6.0, rel=1e-12)
-    assert AttackParams(2.0, p_resend=0.3).resolved_p(0.1) == 0.3
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -385,7 +383,7 @@ def test_no_attack_evaluation_collapses_to_the_estimate():
 
 def test_actual_key_never_exceeds_estimate_on_the_default_grid():
     rows = sweep_key_rates(SCENARIO)
-    assert len(rows) == len(DEFAULT_M_DB_GRID) * len(DEFAULT_DISTANCES_KM)
+    assert len(rows) == len(DEFAULT.m_db_grid) * len(DEFAULT.distances_km)
     for row in rows:
         assert row.r_actual <= row.r_est + 1e-15
         if row.m_db == 0.0:
@@ -418,8 +416,8 @@ def test_sweep_evaluates_the_link_once(monkeypatch):
 
     monkeypatch.setattr(security, "decoy_bounds", counted)
     rows = sweep_key_rates(SCENARIO)
-    assert len(DEFAULT_M_DB_GRID) == 5
-    assert len(rows) == 5 * len(DEFAULT_DISTANCES_KM)
+    assert len(DEFAULT.m_db_grid) == 5
+    assert len(rows) == 5 * len(DEFAULT.distances_km)
     assert len(calls) == 1
 
 
@@ -433,11 +431,11 @@ def test_sweep_evaluates_its_attack_terms_once(monkeypatch):
     success = security.attack_success_probability
     monkeypatch.setattr(security, "attack_success_probability", counted)
     rows = sweep_key_rates(SCENARIO)
-    assert len(rows) == 5 * len(DEFAULT_DISTANCES_KM)
+    assert len(rows) == 5 * len(DEFAULT.distances_km)
     # one call for the four attacked magnifications; 0 dB has no attacker
     assert len(calls) == 1
     assert [attack.m_linear for attack in calls[0]] == [
-        AttackParams.from_db(m_db).m_linear for m_db in DEFAULT_M_DB_GRID[1:]
+        AttackParams.from_db(m_db).m_linear for m_db in DEFAULT.m_db_grid[1:]
     ]
 
 
@@ -551,14 +549,14 @@ def test_zero_key_threshold_default_scenario():
     got = zero_key_threshold(SCENARIO)
     assert got == THRESHOLD_DB
     # at 1e5 km eta underflows to 0: a link without clicks adds no key
-    assert zero_key_threshold(SCENARIO, distances_km=DEFAULT_DISTANCES_KM + (1e5,)) == got
+    assert zero_key_threshold(SCENARIO, distances_km=DEFAULT.distances_km + (1e5,)) == got
     # sanity: strictly positive key just below, none just above, at any distance
     for m_db, expect_key in ((got - 0.05, True), (got + 0.05, False)):
         best = max(
             evaluate_scenario(
                 replace(SCENARIO, distance_km=d), AttackParams.from_db(m_db)
             ).r_actual
-            for d in DEFAULT_DISTANCES_KM
+            for d in DEFAULT.distances_km
         )
         assert (best > 0.0) is expect_key
 
