@@ -17,20 +17,19 @@ Three attack styles are modeled:
 The beam changes one thing in the device: the space-charge field of each arm,
 which ``MziDevice`` holds as ``field1_v_per_m`` and ``field2_v_per_m``.  Every
 path moves them by the exact-exponential ``relaxation_step`` of
-``ipasim.photorefractive``, bit for bit (along a clock by ``relaxation_path``,
-in the scalar loops by its expression written out), so ``dt_s`` only sets
-trace resolution.  An exposure program samples each segment
-every ``dt_s``, closing with one shorter step, on a clock bit-identical to a
-sequential ``left -= dt`` loop.  Each kind of segment, a distinct (power,
-duration), takes its laws, clock and step factors once; the fields go from
-segment to segment by one scalar multiply-add per arm.  A one-kind program,
-like a saturation run, is ``relaxation_path`` along its clock, with no
-gathers; otherwise each row takes its factor from its kind's clock.  The
-pulse controller must go period by period, since each duty depends on the
-last reading: a period is one lit and one dark step of the two bare fields
-(no dark one on a frozen device) and one reading, in ``math``, with noise
-drawn in blocks of 64.  Segments, plans and controllers range-check every
-parameter field (``ipasim._ranges``), arm fields are swapped unchecked
+``ipasim.photorefractive``, bit for bit, so ``dt_s`` only sets trace
+resolution.  An exposure program samples each segment every ``dt_s``, closing
+with one shorter step, on a clock bit-identical to a sequential ``left -= dt``
+loop.  Each kind of segment, a distinct (power, duration), takes its laws and
+clock once; the fields go from segment to segment by the step's scalar
+expression, one multiply-add per arm, and every row of the trace comes from
+one array ``relaxation_step`` from its segment's start.  A saturation run is
+one array ``relaxation_step`` per arm along its clock.  The pulse controller
+must go period by period, since each duty depends on the last reading: a
+period is one lit and one dark step of the two bare fields (no dark one on a
+frozen device) and one reading, in ``math``, with noise drawn in blocks of
+64.  Segments, plans and controllers range-check every parameter field
+(``ipasim._ranges``), arm fields are swapped unchecked
 (``MziDevice.with_fields``), and every run refuses, before it allocates, a
 trace of more than ``MAX_STEPS`` steps or periods.  The README and
 ``BENCH_attack_traces.json`` give the measured costs.
@@ -47,7 +46,7 @@ import numpy as np
 
 from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_ranges, check_size, ranged
 from .device import MziDevice
-from .photorefractive import _LN2, DecayMode, relaxation_path
+from .photorefractive import _LN2, DecayMode, relaxation_step
 
 
 @dataclass(frozen=True)
@@ -178,13 +177,13 @@ def run_program(
     width), otherwise the trace would alias the duty structure.  Each segment
     is sampled in ``dt_s`` steps closed by one shorter step.  A segment's kind
     is its (power, duration) (a pulse train has two); each kind takes its arm
-    laws, its clock (two numpy accumulates) and each arm's step factor,
-    exp(-x) or expm1(-x) on ``relaxation_step``'s ln 2 branch, once, and the
-    fields go from segment start to segment start by one multiply-add per
-    arm.  A one-kind program is its clock's ``relaxation_path`` from each
-    start; otherwise each row takes its factor, taken once per sample of its
-    kind's clock, by its place there.  One accumulate over the steps gives
-    ``t_s``, the sequential ``left -= dt`` clock to the last bit.
+    laws, its clock (two numpy accumulates) and each arm's step over the whole
+    segment, exp(-x) or expm1(-x) on ``relaxation_step``'s ln 2 branch, once,
+    and the fields go from segment start to segment start by one multiply-add
+    per arm.  Each row takes its elapsed time from its kind's clock by its
+    place there, and one ``relaxation_step`` from the segments' starts gives
+    every row of both arms.  One accumulate over the steps gives ``t_s``, the
+    sequential ``left -= dt`` clock to the last bit.
     """
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
@@ -210,38 +209,25 @@ def run_program(
         (t1, a1, far1), (t2, a2, far2) = moves[k]
         f1 = t1 + (f1 - t1) * a1 if far1 else f1 + (f1 - t1) * a1
         f2 = t2 + (f2 - t2) * a2 if far2 else f2 + (f2 - t2) * a2
-    if len(laws) == 1:
-        # one kind: a row of samples along its one clock per segment start
-        ((law,), (clock,), (e,)), n = (laws, steps, elapsed), len(kind_of)
-        trace1, trace2 = (
-            np.concatenate([s[:1], relaxation_path(np.array(s)[:, None], t, e / tau).ravel()])
-            for (t, tau), s in zip(law, (starts1, starts2))
-        )
-        t_s = np.add.accumulate(np.concatenate([[0.0], np.tile(clock, n)]))
-        power_w = np.full(len(t_s), program.segments[0].power_w)
-    else:
-        # a row takes its factor and branch at its place in its kind's clock,
-        # and its segment's start and target (np.take: a 2-d fancy index is slow)
-        index = np.array(kind_of)
-        lengths = np.array([len(s) for s in steps])
-        counts = lengths[index]
-        ends = np.add.accumulate(counts)
-        first = np.add.accumulate(lengths) - lengths  # each kind's offset in the joined clocks
-        row = np.arange(ends[-1]) + np.repeat(first[index] - (ends - counts), counts)
-        targets, taus = np.array(laws).T  # each (arm, kind)
-        x = np.concatenate(elapsed) / np.repeat(taus, lengths, axis=1)
-        far = x > _LN2
-        factor = np.where(far, np.exp(-x), np.expm1(-x))
-        start = np.repeat(np.array([starts1, starts2]), counts, axis=1)
-        target = np.repeat(np.take(targets, index, axis=1), counts, axis=1)
-        fields = np.empty((2, len(row) + 1))
-        fields[:, 0] = starts1[0], starts2[0]  # the t = 0 row first
-        move = (start - target) * np.take(factor, row, axis=1)
-        np.add(np.where(np.take(far, row, axis=1), target, start), move, out=fields[:, 1:])
-        trace1, trace2 = fields
-        t_s = np.add.accumulate(np.concatenate([[0.0], np.concatenate(steps)[row]]))
-        seg_power = np.array([p for p, _ in kinds])[index]
-        power_w = np.concatenate([seg_power[:1], np.repeat(seg_power, counts)])
+    # a row takes its segment's start and target, and its elapsed time by its
+    # place in its kind's clock (np.take: a 2-d fancy index is slow)
+    index = np.array(kind_of)
+    lengths = np.array([len(s) for s in steps])
+    counts = lengths[index]
+    ends = np.add.accumulate(counts)
+    first = np.add.accumulate(lengths) - lengths  # each kind's offset in the joined clocks
+    row = np.arange(ends[-1]) + np.repeat(first[index] - (ends - counts), counts)
+    targets, taus = np.array(laws).T  # each (arm, kind)
+    x = np.take(np.concatenate(elapsed) / np.repeat(taus, lengths, axis=1), row, axis=1)
+    start = np.repeat(np.array([starts1, starts2]), counts, axis=1)
+    target = np.repeat(np.take(targets, index, axis=1), counts, axis=1)
+    fields = np.empty((2, len(row) + 1))
+    fields[:, 0] = starts1[0], starts2[0]  # the t = 0 row first
+    fields[:, 1:] = relaxation_step(start, target, x)
+    trace1, trace2 = fields
+    t_s = np.add.accumulate(np.concatenate([[0.0], np.concatenate(steps)[row]]))
+    seg_power = np.array([p for p, _ in kinds])[index]
+    power_w = np.concatenate([seg_power[:1], np.repeat(seg_power, counts)])
     trace = _trace(device.with_fields(trace1, trace2), t_s, power_w, v_app_v, mu_in)
     return ExposureResult(device.with_fields(f1, f2), trace)
 
@@ -310,7 +296,7 @@ def _saturate(
     """
     if not power_w > 0.0:
         raise ValueError("saturation runs need positive power")
-    if not dt_s > 0.0:
+    if not 0.0 < dt_s < math.inf:
         raise ValueError("dt_s must be positive")
     check_size(max_steps, MAX_STEPS, f"max_steps must be at most {MAX_STEPS}")
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
@@ -329,7 +315,7 @@ def _saturate(
     steps = min(steps, max_steps)
     elapsed = np.arange(steps + 1) * dt_s
     sampled = device.with_fields(*(
-        relaxation_path(f, target, elapsed / tau)
+        relaxation_step(f, target, elapsed / tau)
         for f, target, tau in zip((device.field1_v_per_m, device.field2_v_per_m), targets, taus)
     ))
     trace = _trace(sampled, elapsed, np.full(steps + 1, power_w), v_app_v)

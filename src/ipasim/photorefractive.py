@@ -190,16 +190,6 @@ def steady_state_field(
     return (drive - sigma_ph * e_app_v_per_m) / sigma
 
 
-def saturated_index_response(mat: MaterialParams, power_w: float) -> float:
-    """f(P): steady-state index response to irradiation alone."""
-    sigma_ph = photoconductivity(mat, power_w)
-    return (
-        mat.response_amplitude
-        * power_w
-        / (1.0 + sigma_ph / mat.dark_conductivity_s_per_m)
-    )
-
-
 def relaxation_law(
     mat: MaterialParams,
     power_w: float,
@@ -226,26 +216,17 @@ def relaxation_step(
     relative precision of the move when x << 1, where target + gap*exp(-x)
     cancels; past x = ln 2 the move exceeds half the gap and the exp form
     keeps the small remainder exact.  A scalar ``x`` takes ``math``; an array
-    ``x`` broadcasts against array fields and targets.  The attack paths give
-    the same bits without calling it: :func:`relaxation_path` along a clock,
-    and ``ipasim.attack``'s segment and pulse loops with its expression
-    written out.
+    ``x`` broadcasts against array fields and targets and takes both forms,
+    keeping each where it holds.  It is the one array form of the step:
+    :func:`evolve_field` (so ``MziDevice.exposed``), every exposure program
+    and every saturation run of ``ipasim.attack`` call it.  The attack
+    module's per-segment and per-period loops write its scalar expression
+    out, with the same bits.
     """
     gap = field_v_per_m - target
     if isinstance(x, np.ndarray):
         return np.where(x > _LN2, target + gap * np.exp(-x), field_v_per_m + gap * np.expm1(-x))
     return target + gap * math.exp(-x) if x > _LN2 else field_v_per_m + gap * math.expm1(-x)
-
-
-def relaxation_path(field_v_per_m: float | np.ndarray, target: float, x: np.ndarray) -> np.ndarray:
-    """:func:`relaxation_step` from ``field_v_per_m`` at each of the rising ``x``,
-    bit for bit: the ln 2 switch is one split index, expm1 is taken before it
-    and exp after it.  A column of fields, shape (n, 1), gives a row per field.
-    """
-    split = int(x.searchsorted(_LN2, "right"))  # x[:split] <= ln 2 < x[split:]
-    gap = field_v_per_m - target
-    near = field_v_per_m + gap * np.expm1(-x[:split])
-    return np.concatenate([near, target + gap * np.exp(-x[split:])], axis=-1)
 
 
 def evolve_field(

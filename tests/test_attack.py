@@ -95,6 +95,14 @@ def test_nan_dt_is_refused():
         initialize_device(DEV, dt_s=math.nan)
 
 
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+def test_saturation_refuses_a_step_outside_zero_to_inf(dt):
+    with pytest.raises(ValueError, match="dt_s must be positive"):
+        pre_treat(DEV, PreTreatmentPlan(), dt_s=dt)
+    with pytest.raises(ValueError, match="dt_s must be positive"):
+        initialize_device(DEV, dt_s=dt)
+
+
 def test_zero_power_program_on_frozen_device_is_flat():
     frozen = replace(DEV.exposed(6e-6, WP, 5e3), decay_mode=DecayMode.FROZEN)
     res = run_program(frozen, IrradiationProgram.cw(0.0, 100.0), 1.0, WP, dt_s=10.0)
@@ -485,9 +493,9 @@ def test_run_program_keys_segments_by_power_and_duration(program, device, mu_in)
     ],
     ids=["cw", "float-residue", "short", "repeated", "dark"],
 )
-def test_one_kind_program_rows_are_the_general_paths_rows(device, segment, repeats, dt):
-    """A program of one kind takes no gathers; followed by a second kind, its
-    segments go through the general path and give the same first rows."""
+def test_program_rows_do_not_depend_on_later_segments(device, segment, repeats, dt):
+    """A program's rows are a prefix of the rows of the same program followed
+    by a segment of another kind, bit for bit."""
     one = run_program(device, IrradiationProgram.steps([segment] * repeats), 0.7, WP, dt).trace
     other = (segment[0] + 1e-6, segment[1] / 2.0)
     two = run_program(device, IrradiationProgram.steps([segment] * repeats + [other]), 0.7, WP, dt)
@@ -495,6 +503,41 @@ def test_one_kind_program_rows_are_the_general_paths_rows(device, segment, repea
     assert len(two.trace.t_s) > n
     for name in ("t_s", "power_w", "delta_theta_rad", "transmittance", "attenuation_db", "m_db"):
         assert np.array_equal(getattr(one, name), getattr(two.trace, name)[:n]), name
+
+
+@pytest.mark.parametrize(
+    "run, kind",
+    [
+        (lambda: run_program(DEV, IrradiationProgram.cw(3e-6, 2000.0), 1.0, WP, 7.0), "program"),
+        (
+            lambda: run_program(
+                DEV,
+                IrradiationProgram.steps([(6e-6, 700.0), (0.0, 900.0), (2e-6, 450.0), (1e-6, 300.0)]),
+                1.0, WP, 60.0,
+            ),
+            "program",
+        ),
+        (
+            lambda: run_program(DEV, IrradiationProgram.pulse_train(12e-6, 10.0, 2.0, 60), 1.0, WP, 0.5),
+            "program",
+        ),
+        (lambda: pre_treat(DEV, PreTreatmentPlan(-15.0, 12e-6, 1e-4)), "saturation"),
+        (lambda: initialize_device(DEV), "saturation"),
+    ],
+    ids=["cw", "four-step", "pulse-train", "pre-treat", "init"],
+)
+def test_every_trace_row_comes_from_one_relaxation_step_call(monkeypatch, run, kind):
+    """A program steps both arms' rows, all but the t = 0 one, in one array
+    call; a saturation run steps each arm along its clock in one call."""
+    shapes = []
+
+    def spy(field, target, x):
+        shapes.append(np.shape(x))
+        return relaxation_step(field, target, x)
+
+    monkeypatch.setattr(attack_module, "relaxation_step", spy)
+    n = len(run().trace.t_s)
+    assert shapes == ([(2, n - 1)] if kind == "program" else [(n,), (n,)])
 
 
 @pytest.mark.parametrize("device", [DEV, FROZEN_DEV], ids=["dark", "frozen"])
@@ -541,8 +584,8 @@ def test_long_segment_keeps_the_sequential_step_count():
     "device", [DEV, FROZEN_DEV, PRE_EXPOSED], ids=["dark", "frozen", "pre-exposed"]
 )
 def test_saturation_trace_is_the_exposed_device_readout(device):
-    """A saturation run evaluates each arm along its clock split at ln 2;
-    ``exposed`` at the same elapsed times takes both branches and picks."""
+    """A saturation run's trace is ``exposed`` at the same elapsed times,
+    bit for bit."""
     for res, power, v_app in (
         (pre_treat(device, PreTreatmentPlan(-15.0, 12e-6, 1e-4)), 12e-6, -15.0),
         (initialize_device(device, dt_s=7.5), INIT_POWER_W, 0.0),

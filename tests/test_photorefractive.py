@@ -16,9 +16,6 @@ from ipasim.photorefractive import (
     evolve_field,
     field_coupling,
     photoconductivity,
-    relaxation_path,
-    relaxation_step,
-    saturated_index_response,
     steady_state_field,
 )
 from oracles import relaxation_closed_form, saturated_index_change
@@ -83,9 +80,9 @@ def test_photoconductivity_stitching():
 
 @given(p=st.floats(min_value=1e-12, max_value=7e-6))
 def test_linear_regime_response_closed_form(p):
-    # below the crossover the saturated response is A*P / (1 + B*P)
+    # below the crossover the saturated response f(P) = G * e_inf(P) is A*P / (1 + B*P)
     a, b = MAT.response_amplitude, MAT.response_saturation
-    assert saturated_index_response(MAT, p) == pytest.approx(
+    assert MAT.field_response * steady_state_field(MAT, p) == pytest.approx(
         a * p / (1.0 + b * p), rel=1e-12
     )
 
@@ -96,7 +93,7 @@ def test_microscopic_and_lumped_routes_agree():
     l_eff = length * MAT.photocond_per_w / MAT.absorption_per_m
     for p in (1e-9, 1e-7, 3e-6, 6.9e-6):
         micro = saturated_index_change(MAT, p)
-        lumped = saturated_index_response(MAT, p) * length / l_eff
+        lumped = MAT.field_response * steady_state_field(MAT, p) * length / l_eff
         assert micro == pytest.approx(lumped, rel=1e-12)
 
 
@@ -179,30 +176,3 @@ def test_nan_step_is_refused(dt, mode):
         evolve_field(MAT, 1e5, 1e-6, 0.0, dt, mode)
     with pytest.raises(ValueError, match="dt_s must be >= 0"):
         evolve_field(MAT, 1e5, 0.0, 0.0, dt, mode)  # a frozen arm in the dark too
-
-
-@pytest.mark.parametrize(
-    "x",
-    [
-        np.linspace(0.0, 3.0, 301),
-        np.linspace(0.0, 0.5, 17),  # every row before the switch
-        np.linspace(0.8, 40.0, 33),  # every row after it
-        np.array([0.0, 0.3, math.log(2.0), math.log(2.0), np.nextafter(math.log(2.0), 1.0), 5.0]),
-        np.zeros(4),  # a held arm: x = elapsed / inf
-    ],
-    ids=["across", "near", "far", "at-the-switch", "held"],
-)
-# the last pair rounds differently in the two forms at x = ln 2 itself
-@pytest.mark.parametrize(
-    "field, target",
-    [(0.0, 3.7e6), (-2.5e6, 1.1e5), (4e5, 4e5), (-731271.5117751976, 694867.4738744653)],
-)
-def test_relaxation_path_is_the_stepwise_relaxation(x, field, target):
-    want = relaxation_step(np.full(len(x), field), target, x)
-    assert np.array_equal(relaxation_path(field, target, x), want)
-    # a column of starts gives one row of samples each
-    starts = np.array([[field], [target], [-1e6]])
-    rows = relaxation_path(starts, target, x)
-    assert rows.shape == (3, len(x))
-    for start, got in zip(starts[:, 0], rows):
-        assert np.array_equal(got, relaxation_step(np.full(len(x), start), target, x))
