@@ -16,6 +16,7 @@ from ipasim.photorefractive import (
     evolve_field,
     field_coupling,
     photoconductivity,
+    relaxation_step,
     steady_state_field,
 )
 from oracles import relaxation_closed_form, saturated_index_change
@@ -176,3 +177,36 @@ def test_nan_step_is_refused(dt, mode):
         evolve_field(MAT, 1e5, 1e-6, 0.0, dt, mode)
     with pytest.raises(ValueError, match="dt_s must be >= 0"):
         evolve_field(MAT, 1e5, 0.0, 0.0, dt, mode)  # a frozen arm in the dark too
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.linspace(0.0, 3.0, 301),
+        np.linspace(0.0, 0.5, 17),  # every row before the switch
+        np.linspace(0.8, 40.0, 33),  # every row after it
+        np.array([0.0, 0.3, math.log(2.0), math.log(2.0), np.nextafter(math.log(2.0), 1.0), 5.0]),
+        np.zeros(4),  # a held arm: x = elapsed / inf
+    ],
+    ids=["across", "near", "far", "at-the-switch", "held"],
+)
+# the last pair rounds differently in the two forms at x = ln 2 itself
+@pytest.mark.parametrize(
+    "field, target",
+    [(0.0, 3.7e6), (-2.5e6, 1.1e5), (4e5, 4e5), (-731271.5117751976, 694867.4738744653)],
+)
+def test_array_relaxation_step_takes_each_form_on_its_side_of_ln2(x, field, target):
+    """The array step along a clock is expm1 up to and at x = ln 2 and exp past
+    it, each sample as if stepped alone; a column of starts, as in a program's
+    (2, N) block of both arms, gives one row of samples each."""
+    got = relaxation_step(field, target, x)
+    near, gap = x <= math.log(2.0), field - target
+    assert np.array_equal(got[near], (field + gap * np.expm1(-x))[near])
+    assert np.array_equal(got[~near], (target + gap * np.exp(-x))[~near])
+    alone = [relaxation_step(np.array([field]), target, x[i : i + 1]) for i in range(len(x))]
+    assert np.array_equal(got, np.concatenate(alone))
+    starts = np.array([[field], [target], [-1e6]])
+    rows = relaxation_step(starts, target, x)
+    assert rows.shape == (3, len(x))
+    for start, row in zip(starts[:, 0], rows):
+        assert np.array_equal(row, relaxation_step(np.full(len(x), start), target, x))
