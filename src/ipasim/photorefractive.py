@@ -216,8 +216,8 @@ def relaxation_step(
     relative precision of the move when x << 1, where target + gap*exp(-x)
     cancels; past x = ln 2 the move exceeds half the gap and the exp form
     keeps the small remainder exact.  A scalar ``x`` takes ``math``; an array
-    ``x`` broadcasts against array fields and targets and takes both forms,
-    keeping each where it holds.  It is the one array form of the step:
+    ``x`` broadcasts against array fields and targets and takes each form
+    only where it holds.  It is the one array form of the step:
     :func:`evolve_field` (so ``MziDevice.exposed``), every exposure program
     and every saturation run of ``ipasim.attack`` call it.  The attack
     module's per-segment and per-period loops write its scalar expression
@@ -225,7 +225,10 @@ def relaxation_step(
     """
     gap = field_v_per_m - target
     if isinstance(x, np.ndarray):
-        return np.where(x > _LN2, target + gap * np.exp(-x), field_v_per_m + gap * np.expm1(-x))
+        far, minus_x = x > _LN2, -x
+        factor = np.exp(minus_x, where=far, out=np.empty(x.shape))
+        np.expm1(minus_x, where=~far, out=factor)
+        return np.where(far, target, field_v_per_m) + gap * factor
     return target + gap * math.exp(-x) if x > _LN2 else field_v_per_m + gap * math.expm1(-x)
 
 
