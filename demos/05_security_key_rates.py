@@ -17,17 +17,18 @@ from ipasim.security import (
 )
 
 scenario = QkdScenario()
+distance_km = 50.0
 
 print(f"scenario: mu {scenario.mu}, decoy nu {scenario.nu}, "
       f"{scenario.alpha_db_per_km} dB/km, Bob efficiency {scenario.eta_bob}")
 print()
-print(f"at {scenario.distance_km:.0f} km:")
+print(f"at {distance_km:.0f} km:")
 print(f"{'M (dB)':>7}  {'R estimated':>12}  {'R actual':>12}  {'p_success':>10}")
-quiet = evaluate_scenario(scenario)  # no attack: both rates coincide
+quiet = evaluate_scenario(scenario, distances_km=distance_km)  # no attack: both rates coincide
 print(f"{'none':>7}  {quiet.r_est:12.3e}  {quiet.r_actual:12.3e}  "
       f"{quiet.p_s:10.3e}")
 for m_db in (4.0, 5.0, 6.0, 6.5):
-    res = evaluate_scenario(scenario, AttackParams.from_db(m_db))
+    res = evaluate_scenario(scenario, AttackParams.from_db(m_db), distances_km=distance_km)
     print(f"{m_db:7.1f}  {res.r_est:12.3e}  {res.r_actual:12.3e}  "
           f"{res.p_s:10.3e}")
 

@@ -131,7 +131,7 @@ def _trace(
     trans = sampled.phase_transmittance(phase)
     output = mu_in * trans
     baseline = float(output[0])
-    if baseline <= 0.0:
+    if not 0.0 < baseline < math.inf:
         raise ValueError("baseline_mu must be positive")
     with np.errstate(divide="ignore"):
         att_db, m_db = -10.0 * np.log10(trans), 10.0 * np.log10(output / baseline)
@@ -277,6 +277,13 @@ class InitResult:
     trace: ExposureTrace
 
 
+def _check_clock(dt_s: float, max_steps: int) -> None:
+    """Refuse a ``dt_s`` not positive and finite, or a ``max_steps`` past ``MAX_STEPS``."""
+    if not 0.0 < dt_s < math.inf:
+        raise ValueError("dt_s must be positive")
+    check_size(max_steps, MAX_STEPS, f"max_steps must be at most {MAX_STEPS}")
+
+
 def _saturate(
     device: MziDevice,
     power_w: float,
@@ -296,9 +303,7 @@ def _saturate(
     """
     if not power_w > 0.0:
         raise ValueError("saturation runs need positive power")
-    if not 0.0 < dt_s < math.inf:
-        raise ValueError("dt_s must be positive")
-    check_size(max_steps, MAX_STEPS, f"max_steps must be at most {MAX_STEPS}")
+    _check_clock(dt_s, max_steps)
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 
     def moves(e1: float, e2: float) -> list[float]:
@@ -349,6 +354,7 @@ def pre_treat(
     phase relative to the starting state.
     """
     if plan.i_ir_w == 0.0:
+        _check_clock(dt_s, max_steps)  # refused as a powered run would refuse them
         as_row = device.exposed(0.0, plan.v_app_v, np.zeros(1))  # fields as 1-element arrays
         trace = _trace(as_row, [0.0], [0.0], plan.v_app_v)
         return PreTreatResult(device, True, 0, 0.0, 0.0, trace)

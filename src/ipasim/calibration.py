@@ -43,7 +43,6 @@ from .photorefractive import VACUUM_PERMITTIVITY_F_PER_M, DecayMode, GeometryPar
 
 # construction
 SIGNAL_WAVELENGTH_M = 1550e-9
-IRRADIATION_WAVELENGTH_M = 405e-9
 ARM_LENGTH_M = 0.04
 ELECTRODE_LENGTH_M = 0.04
 ELECTRODE_GAP_M = 10e-6
@@ -145,31 +144,26 @@ def default_material() -> MaterialParams:
 
 @lru_cache(maxsize=None)
 def default_geometry() -> GeometryParams:
-    """Geometry with the effective interaction length tied to the transport
-    split so the microscopic and lumped phase routes agree."""
-    mat = default_material()
-    l_eff = ARM_LENGTH_M * mat.photocond_per_w / mat.absorption_per_m
+    """Arm, electrode and signal geometry of the bench device."""
     return GeometryParams(
         arm_length_m=ARM_LENGTH_M,
         electrode_length_m=ELECTRODE_LENGTH_M,
         electrode_gap_m=ELECTRODE_GAP_M,
         signal_wavelength_m=SIGNAL_WAVELENGTH_M,
-        irradiation_wavelength_m=IRRADIATION_WAVELENGTH_M,
-        effective_length_m=l_eff,
     )
+
+
+def parking_bias_rad(working_point_v: float, residual_bias_rad: float, v_pi_v: float) -> float:
+    """theta0 that parks a pristine device at pi + ``residual_bias_rad`` at ``working_point_v``."""
+    return math.pi + residual_bias_rad - 2.0 * math.pi * working_point_v / v_pi_v
 
 
 def default_device(decay_mode: DecayMode = DecayMode.DARK_DECAY) -> MziDevice:
     """Pristine VOA parked so delta_theta(working point) = pi + eps0."""
-    bias = (
-        math.pi
-        + RESIDUAL_BIAS_RAD
-        - 2.0 * math.pi * WORKING_POINT_V / V_PI_V
-    )
     return MziDevice(
         material=default_material(),
         geometry=default_geometry(),
-        bias_phase_rad=bias,
+        bias_phase_rad=parking_bias_rad(WORKING_POINT_V, RESIDUAL_BIAS_RAD, V_PI_V),
         v_pi_v=V_PI_V,
         signal_split=SIGNAL_SPLIT,
         irradiation_split=IRRADIATION_SPLIT,

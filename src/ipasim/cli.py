@@ -132,7 +132,7 @@ def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
     series = [("pristine", pristine.v_app_v, pristine.transmittance)]
     shifts, converged = [], []
     for v_treat in grid.pretreat_voltages_v:
-        plan = replace(base_plan, v_app_v=v_treat, i_ir_w=grid.pretreat_power_w)
+        plan = replace(base_plan, v_app_v=v_treat)
         result = pre_treat(device, plan, plan_keys["dt_s"], plan_keys["max_steps"])
         curve = result.device.voltage_curve(*grid_args)
         tables.append(_curve_table(curve, pristine))

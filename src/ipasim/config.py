@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import math
 import re
 from configparser import ConfigParser
 from configparser import Error as IniError
@@ -143,6 +142,14 @@ def _key(default: object, allowed: Optional[str] = None, options: tuple[str, ...
 
 # -- schema ---------------------------------------------------------------------
 
+# keys earlier schemas had, refused with what became of each one's quantity
+# rather than as unknown keys
+_RETIRED = {
+    "geometry.effective_length_m": "retired key, nothing read it",
+    "geometry.irradiation_wavelength_nm": "retired key, budget.wavelength_nm prices the injection",
+    "voltage_curve.pretreat_power_w": "retired key, pre_treat.i_ir_w sets the pre-treatment power",
+}
+
 _COMPONENT_SECTION = re.compile(r"component:([a-z][a-z0-9_]*)")
 _COMPONENT_KEY = re.compile(r"(\d+)_nm_db")
 
@@ -183,9 +190,8 @@ def _schema() -> dict[str, dict[str, _Key]]:
     return {
         "material": _fields_of(calibration.default_material()),
         "geometry": {
-            **_fields_of(geo, "signal_wavelength_m", "irradiation_wavelength_m"),
+            **_fields_of(geo, "signal_wavelength_m"),
             "signal_wavelength_nm": _key(geo.signal_wavelength_m * 1e9, "(0, inf)"),
-            "irradiation_wavelength_nm": _key(geo.irradiation_wavelength_m * 1e9, "(0, inf)"),
         },
         "device": {
             **_fields_of(
@@ -212,7 +218,7 @@ def _schema() -> dict[str, dict[str, _Key]]:
             ),
             "seed": _key(1, "[0, inf)"),
         },
-        "qkd": {**_fields_of(QkdScenario(), "distance_km"), **_fields_of(SweepPlan())},
+        "qkd": {**_fields_of(QkdScenario()), **_fields_of(SweepPlan())},
         "budget": {
             "wavelength_nm": _key(405, "(0, inf)"),
             "fiber_length_km": _key(1.0, "[0, inf)"),
@@ -244,11 +250,11 @@ class ScenarioConfig:
     def with_value(self, section: str, key: str, value: object) -> "ScenarioConfig":
         """Copy with one override, validated like a parsed config (used for
         CLI flag merging)."""
-        spec = _schema().get(section, {}).get(key)
+        spec, path = _schema().get(section, {}).get(key), f"{section}.{key}"
         if spec is None:
-            raise ConfigError(f"{section}.{key}: unknown key")
+            raise ConfigError(f"{path}: {_RETIRED.get(path, 'unknown key')}")
         values = {s: dict(kv) for s, kv in self.values.items()}
-        values[section][key] = _typed(spec.default, value, f"{section}.{key}")
+        values[section][key] = _typed(spec.default, value, path)
         return _validate(ScenarioConfig(values, self.components))
 
 
@@ -298,10 +304,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if section not in schema:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            spec = schema[section].get(key)
+            spec, path = schema[section].get(key), f"{section}.{key}"
             if spec is None:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            values[section][key] = spec.parse(raw, f"{section}.{key}")
+                raise ConfigError(f"{path}: {_RETIRED.get(path, 'unknown key')}")
+            values[section][key] = spec.parse(raw, path)
 
     return _validate(ScenarioConfig(values, components))
 
@@ -433,7 +439,6 @@ def build_geometry(cfg: ScenarioConfig) -> GeometryParams:
         "geometry",
         cfg,
         signal_wavelength_m=g["signal_wavelength_nm"] / 1e9,
-        irradiation_wavelength_m=g["irradiation_wavelength_nm"] / 1e9,
     )
 
 
@@ -450,8 +455,8 @@ def build_device(cfg: ScenarioConfig) -> MziDevice:
         bias_phase_rad=0.0,
         decay_mode=DecayMode(d["decay_mode"]),
     )
-    wp_phase = 2.0 * math.pi * d["working_point_v"] / device.v_pi_v
-    return replace(device, bias_phase_rad=math.pi + d["residual_bias_rad"] - wp_phase)
+    bias = calibration.parking_bias_rad(d["working_point_v"], d["residual_bias_rad"], device.v_pi_v)
+    return replace(device, bias_phase_rad=bias)
 
 
 def working_point_v(cfg: ScenarioConfig) -> float:

@@ -54,16 +54,15 @@ class VoltageCurve:
 @dataclass
 class CurvePlan:
     """A drive-voltage grid of ``points`` from ``v_min_v`` up to ``v_max_v``, and
-    the voltages (at ``pretreat_power_w``) of the pre-treated curves drawn beside
-    the pristine one, ``MAX_GRID_POINTS`` rows at most in all.  Its checks are
-    the grid's: ``MziDevice.voltage_curve`` checks a plan of no pre-treatments.
+    the voltages at which the run's pre-treatment plan draws curves beside the
+    pristine one, ``MAX_GRID_POINTS`` rows at most in all.  Its checks are the
+    grid's: ``MziDevice.voltage_curve`` checks a plan of no pre-treatments.
     """
 
     v_min_v: float = ranged("(-inf, inf)", -12.0)
     v_max_v: float = ranged("(-inf, inf)", 12.0)
     points: int = ranged(f"[2, {MAX_GRID_POINTS}]", 481)
     pretreat_voltages_v: tuple[float, ...] = ranged("(-inf, inf)", (-20.0, -15.0, 0.0, 15.0, 20.0))
-    pretreat_power_w: float = ranged("[0, inf)", 12e-6)
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -152,7 +151,7 @@ class MziDevice:
         Zero for a device measured against its own unattacked output, -inf
         for a dark output.
         """
-        if baseline_mu <= 0.0:
+        if not 0.0 < baseline_mu < math.inf:
             raise ValueError("baseline_mu must be positive")
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)

@@ -132,8 +132,6 @@ class GeometryParams:
     electrode_length_m: float = ranged("(0, inf)")
     electrode_gap_m: float = ranged("(0, inf)")
     signal_wavelength_m: float = ranged("(0, inf)")
-    irradiation_wavelength_m: float = ranged("(0, inf)")
-    effective_length_m: float = ranged("(0, inf)")  # interaction length weighting the index change
 
     def __post_init__(self) -> None:
         check_ranges(self)

@@ -11,10 +11,12 @@ computes both views and the resulting estimated vs actual key rates.
 
 Conventions: gains and yields are probabilities per pulse; magnification is
 linear here (callers convert from dB); every scenario and attack field is
-range-checked.  Photon-number statistics use closed forms, nothing truncated.
-``n_trunc`` remains a validity guard on attacked evaluations: the Poisson mass
-above it is reported as ``tail_bound``, and a magnified mean whose tail
-reaches ``TAIL_LIMIT`` is refused.
+range-checked.  A scenario holds no distance: the evaluations take a grid,
+by default ``SweepPlan``'s, and the per-link terms its transmittance.
+Photon-number statistics use closed forms, nothing truncated.  ``n_trunc``
+remains a validity guard on attacked evaluations: the Poisson mass above it
+is reported as ``tail_bound``, and a magnified mean whose tail reaches
+``TAIL_LIMIT`` is refused.
 
 Every per-link formula is a numpy expression over a whole distance grid, and
 evaluations run in stacked blocks, since on grids of tens of points numpy's
@@ -76,7 +78,6 @@ class QkdScenario:
     mu: float = ranged("(0, inf)", 0.8)
     nu: float = ranged("(0, inf)", 0.1)
     alpha_db_per_km: float = ranged("[0, inf)", 0.2)
-    distance_km: float = ranged("[0, inf)", 50.0)
     eta_bob: float = ranged("(0, 1]", 0.1)
     y0: float = ranged("[0, 1)", 6e-7)
     e_det: float = ranged("[0, 0.5]", 0.005)
@@ -89,31 +90,19 @@ class QkdScenario:
         if not self.nu < self.mu:
             raise ValueError("need 0 < nu < mu")
 
-    @property
-    def eta_ab(self) -> float:
-        return channel_transmittance(self.alpha_db_per_km, self.distance_km)
-
-    @property
-    def eta(self) -> float:
-        return self.eta_ab * self.eta_bob
-
 
 @dataclass(frozen=True)
 class AttackParams:
-    """Magnification plus Eve's per-photon resend probability.
-
-    When ``p_resend`` is omitted it is derived as eta_AB / m_linear, the
-    value that leaves the receiver's count rates unchanged.
-    """
+    """The output magnification; Eve resends each photon with probability
+    eta_AB / m_linear, which leaves the receiver's count rates unchanged."""
 
     m_linear: float = ranged("[1, inf)")
-    p_resend: Optional[float] = ranged("[0, 1]", None)
 
     __post_init__ = check_ranges
 
     @classmethod
-    def from_db(cls, m_db: float, p_resend: Optional[float] = None) -> "AttackParams":
-        return cls(10.0 ** (m_db / 10.0), p_resend)
+    def from_db(cls, m_db: float) -> "AttackParams":
+        return cls(10.0 ** (m_db / 10.0))
 
     @property
     def m_db(self) -> float:
@@ -217,13 +206,10 @@ def decoy_bounds(
     return DecoyBounds(y1[()], e1[()], clamped[()])
 
 
-def single_photon_truth(scenario: QkdScenario, eta: Optional[Floats] = None) -> DecoyBounds:
-    """True single-photon yield and error, for the oracle estimator mode.
-
-    ``eta`` replaces the scenario's overall transmittance, e.g. with one
-    entry per distance of a grid.
+def single_photon_truth(scenario: QkdScenario, eta: Floats) -> DecoyBounds:
+    """True single-photon yield and error, for the oracle estimator mode, at
+    overall transmittance ``eta`` (a float, or one entry per distance of a grid).
     """
-    eta = scenario.eta if eta is None else eta
     y1 = scenario.y0 + eta
     e1 = (scenario.e0 * scenario.y0 + scenario.e_det * eta) / y1
     return DecoyBounds(y1, e1, np.zeros(np.shape(y1), dtype=bool)[()])
@@ -297,7 +283,7 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
 def attack_success_probability(
     scenario: QkdScenario,
     attack: Union[AttackParams, Sequence[AttackParams]],
-    eta_ab: Optional[Floats] = None,
+    eta_ab: Floats,
 ) -> TailBounded:
     """Probability a pulse both leaves Eve a stored photon and clicks at Bob.
 
@@ -316,9 +302,8 @@ def attack_success_probability(
     The literal double sum is kept in the test suite as the oracle.  The
     returned tail bound is the Poisson mass above ``n_trunc``; a scenario
     whose tail reaches ``TAIL_LIMIT`` is refused with a ValueError.  The tail
-    depends on the magnified mean only, so ``eta_ab``, which replaces the
-    scenario's channel transmittance (e.g. with one entry per distance of a
-    grid), leaves it a float.
+    depends on the magnified mean only, so the channel transmittance
+    ``eta_ab``, a float or one entry per distance of a grid, leaves it a float.
 
     ``attack`` may also be a sequence of n attacks.  Then both fields gain a
     leading axis, row i for ``attack[i]``: the success probabilities of all
@@ -328,14 +313,11 @@ def attack_success_probability(
     """
     single = isinstance(attack, AttackParams)
     attacks = (attack,) if single else attack
-    eta_ab = scenario.eta_ab if eta_ab is None else eta_ab
     column = (len(attacks),) + (1,) * np.asarray(eta_ab).ndim
     m_linear = np.array([a.m_linear for a in attacks]).reshape(column)
     p = resend_probability(eta_ab, m_linear)
     tails = []
-    for i, a in enumerate(attacks):
-        if a.p_resend is not None:
-            p[i] = a.p_resend
+    for a in attacks:
         mu_e = a.m_linear * scenario.mu
         tails.append(poisson_tail(mu_e, scenario.n_trunc))
         if tails[-1] >= TAIL_LIMIT:
@@ -483,33 +465,6 @@ def _evaluate(
     return link, block[:, rows]
 
 
-def evaluate_scenario(
-    scenario: QkdScenario,
-    attack: Optional[AttackParams] = None,
-    estimator: str = "decoy",
-    distances_km: Optional[Sequence[float]] = None,
-) -> SecurityResult:
-    """Full per-link security bookkeeping for one magnification setting.
-
-    The users' observables (gains, error rates, decoy bounds, estimated key)
-    are those of the unattacked channel: the resend probability is chosen so
-    the attack leaves them identical.  ``attack=None`` means no attacker, and
-    then the actual key equals the estimate by definition.
-
-    Without ``distances_km`` the link is evaluated at ``scenario.distance_km``
-    and every field is a float (or bool).  With a grid every field is an
-    array with one entry per distance, from one pass of the array formulas;
-    the attack's Poisson tail, which does not depend on distance, is
-    computed once.  It is one row of the sweep's evaluation.
-    """
-    grid = [scenario.distance_km] if distances_km is None else distances_km
-    link, block = _evaluate(scenario, [attack], estimator, grid)
-    row = dict(link, **dict(zip(_ATTACK_FIELDS, block[:, 0])))
-    if distances_km is None:
-        row = {name: value.item() for name, value in row.items()}
-    return SecurityResult(**row)
-
-
 @dataclass
 class SweepPlan:
     """A key-rate sweep of every magnification in ``m_db_grid`` over the
@@ -549,7 +504,35 @@ class SweepPlan:
         self.distances_km = tuple(lo + i * step for i in range(int(count)))
 
 
-_PLAN = SweepPlan()  # the defaults of sweep_key_rates and zero_key_threshold
+_PLAN = SweepPlan()  # the defaults of evaluate_scenario, sweep_key_rates and zero_key_threshold
+
+
+def evaluate_scenario(
+    scenario: QkdScenario,
+    attack: Optional[AttackParams] = None,
+    estimator: str = _PLAN.estimator,
+    distances_km: Union[float, Sequence[float]] = _PLAN.distances_km,
+) -> SecurityResult:
+    """Full per-link security bookkeeping for one magnification setting.
+
+    The users' observables (gains, error rates, decoy bounds, estimated key)
+    are those of the unattacked channel: the resend probability is chosen so
+    the attack leaves them identical.  ``attack=None`` means no attacker, and
+    then the actual key equals the estimate by definition.
+
+    Over a grid of distances every field is an array with one entry per
+    distance, from one pass of the array formulas; the attack's Poisson tail,
+    which does not depend on distance, is computed once.  A single float
+    distance is a grid of one whose fields come back as floats (or a bool).
+    It is one row of the sweep's evaluation.
+    """
+    single = np.ndim(distances_km) == 0
+    grid = [distances_km] if single else distances_km
+    link, block = _evaluate(scenario, [attack], estimator, grid)
+    row = dict(link, **dict(zip(_ATTACK_FIELDS, block[:, 0])))
+    if single:
+        row = {name: value.item() for name, value in row.items()}
+    return SecurityResult(**row)
 
 
 def sweep_key_rates(

@@ -24,6 +24,7 @@ from ipasim.security import (
     QkdScenario,
     attack_success_probability,
     attacked_gain,
+    channel_transmittance,
     gain,
     pns_photon_distribution,
     resend_probability,
@@ -69,18 +70,17 @@ def test_criterion_02_undetectability():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(1000):
-        sc = QkdScenario(
-            mu=float(rng.uniform(0.2, 1.0)),
-            nu=float(rng.uniform(0.01, 0.15)),
-            alpha_db_per_km=float(rng.uniform(0.15, 0.3)),
-            distance_km=float(rng.uniform(0.0, 150.0)),
-            eta_bob=float(rng.uniform(0.05, 0.5)),
-            y0=float(rng.uniform(0.0, 1e-5)),
+        mu, nu, alpha_db_per_km, distance_km, eta_bob, y0 = (
+            float(rng.uniform(lo, hi)) for lo, hi in
+            ((0.2, 1.0), (0.01, 0.15), (0.15, 0.3), (0.0, 150.0), (0.05, 0.5), (0.0, 1e-5))
         )
+        sc = QkdScenario(mu=mu, nu=nu, alpha_db_per_km=alpha_db_per_km, eta_bob=eta_bob, y0=y0)
+        eta_ab = channel_transmittance(alpha_db_per_km, distance_km)
         m = float(rng.uniform(1.0, 10.0))
-        p = resend_probability(sc.eta_ab, m)
+        p = resend_probability(eta_ab, m)
         for mpn in (sc.mu, sc.nu):
-            diff = abs(attacked_gain(mpn, m, p, sc.eta_bob, sc.y0) - gain(mpn, sc.eta, sc.y0))
+            honest = gain(mpn, eta_ab * sc.eta_bob, sc.y0)
+            diff = abs(attacked_gain(mpn, m, p, sc.eta_bob, sc.y0) - honest)
             worst = max(worst, diff)
     assert worst < 1e-12
 
@@ -95,12 +95,13 @@ def test_criterion_03_distribution_oracles():
                 assert got == pytest.approx(want, rel=1e-9)
     cases = [(1, 4.0, 25.0), (2, 5.0, 50.0), (3, 6.0, 75.0), (4, 6.5, 100.0), (5, 8.0, 30.0)]
     for seed, m_db, dist in cases:
-        sc = QkdScenario(distance_km=dist)
+        sc = QkdScenario()
+        eta_ab = channel_transmittance(sc.alpha_db_per_km, dist)
         attack = AttackParams.from_db(m_db)
-        exact = attack_success_probability(sc, attack).value
+        exact = attack_success_probability(sc, attack, eta_ab).value
         est, stderr = success_monte_carlo(
             attack.m_linear * sc.mu,
-            resend_probability(sc.eta_ab, attack.m_linear),
+            resend_probability(eta_ab, attack.m_linear),
             sc.eta_bob,
             pulses=1_000_000,
             rng=np.random.default_rng(seed),

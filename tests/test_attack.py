@@ -88,8 +88,10 @@ def test_run_program_rejects_coarse_sampling_of_pulse_trains():
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
 def test_a_step_outside_zero_to_inf_is_refused(dt):
-    with pytest.raises(ValueError, match="dt_s must be positive"):
-        pre_treat(DEV, PreTreatmentPlan(), dt_s=dt)
+    # a zero-power plan takes no step, and its step is refused all the same
+    for plan in (PreTreatmentPlan(), PreTreatmentPlan(i_ir_w=0.0)):
+        with pytest.raises(ValueError, match="dt_s must be positive"):
+            pre_treat(DEV, plan, dt_s=dt)
     with pytest.raises(ValueError, match="dt_s must be positive"):
         initialize_device(DEV, dt_s=dt)
     if dt != math.inf:  # a program takes an infinite step as one sample per segment
@@ -728,6 +730,14 @@ def test_pulse_readings_are_the_devices_magnification_db(device, ctrl, mu_in, v,
 def test_pulse_loop_refuses_a_dark_baseline():
     with pytest.raises(ValueError, match="baseline_mu must be positive"):
         pulse_inject_to_target(DEV, PulseController(target_m_db=3.0), 0.0, WP, 10)
+
+
+def test_trace_refuses_a_dark_or_nan_baseline():
+    # arm fields are swapped unchecked, so a NaN field reaches the first reading
+    cw = IrradiationProgram.cw(3e-6, 100.0)
+    for device, mu_in in ((DEV, 0.0), (DEV.with_fields(math.nan, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="baseline_mu must be positive"):
+            run_program(device, cw, mu_in, WP, 10.0)
 
 
 # each runner with a drive voltage and an input mean photon number

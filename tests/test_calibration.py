@@ -49,14 +49,6 @@ def test_baseline_attenuation_set_by_residual_bias():
     )
 
 
-def test_effective_length_consistent_with_transport_split():
-    mat = cal.default_material()
-    geo = cal.default_geometry()
-    assert geo.effective_length_m == pytest.approx(
-        cal.ARM_LENGTH_M * mat.photocond_per_w / mat.absorption_per_m, rel=1e-12
-    )
-
-
 def test_fitted_products_recoverable_from_material():
     mat = cal.default_material()
     assert mat.response_amplitude == pytest.approx(cal.fit_response_amplitude(), rel=1e-9)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ipasim.calibration import default_device
+from ipasim.cli import EXIT_CONFIG, main
 from ipasim._ranges import MAX_GRID_POINTS, MAX_STEPS
 from ipasim.config import (
     ConfigError,
@@ -43,8 +44,7 @@ OUT_OF_RANGE = [
     )),
     ("material", "sublinear_exponent", "0"),
     *(("geometry", key, "-1") for key in (
-        "arm_length_m", "electrode_length_m", "electrode_gap_m", "effective_length_m",
-        "signal_wavelength_nm", "irradiation_wavelength_nm",
+        "arm_length_m", "electrode_length_m", "electrode_gap_m", "signal_wavelength_nm",
     )),
     ("device", "v_pi_v", "0"),
     ("device", "signal_split", "1"),
@@ -91,7 +91,6 @@ OUT_OF_RANGE = [
     ("voltage_curve", "v_max_v", "inf"),
     ("voltage_curve", "points", "1"),
     ("voltage_curve", "pretreat_voltages_v", "1, nan"),
-    ("voltage_curve", "pretreat_power_w", "-1"),
 ]
 UNCHECKED = {("device", "working_point_v"), ("pulse", "target_m_db"), ("pre_treat", "v_app_v")}
 # each value is in range alone and out of range against another key's default
@@ -220,6 +219,29 @@ def test_with_value_rejects_what_parse_config_rejects(section, key, raw):
         parse_config(f"[{section}]\n{key} = {raw}\n")
     with pytest.raises(ConfigError, match=section):
         default_config().with_value(section, key, _typed(section, key, raw))
+
+
+# each retired key, a value it took, and what its refusal names in its place
+RETIRED = [
+    ("voltage_curve", "pretreat_power_w", "1.2e-05", "pre_treat.i_ir_w"),
+    ("geometry", "irradiation_wavelength_nm", "405.0", "budget.wavelength_nm"),
+    ("geometry", "effective_length_m", "0.0136", "nothing read it"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, raw, replacement", RETIRED, ids=[f"{s}.{k}" for s, k, *_ in RETIRED]
+)
+def test_a_retired_key_names_what_became_of_it(tmp_path, capsys, section, key, raw, replacement):
+    message = rf"^{section}\.{key}: retired key, .*{re.escape(replacement)}"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=message):
+        default_config().with_value(section, key, float(raw))
+    path = tmp_path / "retired.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert main(["--dry-run", "voltage-curve", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: {section}.{key}: retired key, " in capsys.readouterr().err
 
 
 def test_with_value_checks_and_copies():
@@ -430,7 +452,7 @@ def test_default_ini_lists_every_key_at_its_default():
     assert significant(shipped) == significant(to_ini_text(default_config()))
 
 
-DEFAULT_SHA256 = "f9f17e46dfb0642d6999a9648ea028617026ccf517df238ae93dd3ea49b7ab0a"
+DEFAULT_SHA256 = "c83d2ef9f6d1e1a2aaa29f2796322e2690b3c6bbcce4426663ba8cad7a5c021f"
 
 
 @pytest.mark.parametrize(
@@ -438,7 +460,7 @@ DEFAULT_SHA256 = "f9f17e46dfb0642d6999a9648ea028617026ccf517df238ae93dd3ea49b7ab
     [
         (None, DEFAULT_SHA256),
         ("default.ini", DEFAULT_SHA256),
-        ("pulse_hold_40db.ini", "bbd9201376672cb462f1d189c669ff38df4b36a87e617ec226287a06472c1edf"),
+        ("pulse_hold_40db.ini", "af42ba580bdf959b58b740e5f28d259cf07c8cf04237bac9e46748316af77010"),
     ],
 )
 def test_config_hashes_are_pinned(name, digest):
@@ -468,9 +490,9 @@ def test_builders_translate_failures_to_config_errors():
     "build, section, elsewhere",
     [
         (build_material, "material", ()),
-        (build_geometry, "geometry", ("signal_wavelength_m", "irradiation_wavelength_m")),
+        (build_geometry, "geometry", ("signal_wavelength_m",)),
         (build_controller, "pulse", ()),
-        (build_scenario, "qkd", ("distance_km",)),
+        (build_scenario, "qkd", ()),
         (build_pretreat_plan, "pre_treat", ()),
     ],
     ids=["material", "geometry", "pulse", "qkd", "pre_treat"],
@@ -498,7 +520,6 @@ def test_builders_feed_every_field_from_its_section(build, section, elsewhere):
             pytest.fail(f"{section}.{field.name}: no nudged value is valid")
     geo = build_geometry(base)
     assert geo.signal_wavelength_m == base.get("geometry", "signal_wavelength_nm") / 1e9
-    assert geo.irradiation_wavelength_m == 405e-9
 
 
 def test_pretreat_plan_builder():

@@ -2,6 +2,8 @@
 are pinned."""
 
 import ast
+import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -78,3 +80,32 @@ def test_every_export_has_a_caller():
         if not any(len(word.findall(t)) > len(definition.findall(t)) for t in texts):
             uncalled.add(name)
     assert uncalled == set(UNCALLED_EXPORTS)
+
+
+def test_every_parameter_field_is_read():
+    """A field that package code never reads is a setting that changes no output.
+
+    Covers every field of each dataclass of the parameter modules that declares
+    a range.  ``config._schema`` reads every default to build the keys, so its
+    reads do not count.
+    """
+    package = Path(ipasim.__file__).parent
+    loads = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "config.py" and getattr(top, "name", None) == "_schema":
+                continue
+            loads.update(
+                node.attr for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    unread = set()
+    for name in ("photorefractive", "device", "attack", "security", "budget"):
+        module = importlib.import_module(f"ipasim.{name}")
+        for cls in vars(module).values():
+            if not (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+                continue
+            declared = dataclasses.fields(cls)
+            if any("range" in f.metadata for f in declared):
+                unread.update(f"{cls.__name__}.{f.name}" for f in declared if f.name not in loads)
+    assert unread == set()

@@ -66,8 +66,10 @@ def test_magnification_matches_phase_deviation_law():
 def test_magnification_zero_against_own_baseline():
     base = DEV.output_mpn(1.0, WORKING_POINT_V)
     assert DEV.magnification_db(WORKING_POINT_V, base) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        DEV.magnification_db(WORKING_POINT_V, 0.0)
+    # a NaN baseline would read out as NaN dB, an infinite one as -inf dB
+    for baseline in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="baseline_mu must be positive"):
+            DEV.magnification_db(WORKING_POINT_V, baseline)
     with pytest.raises(ValueError):
         DEV.output_mpn(-1.0, 0.0)
 

@@ -144,8 +144,6 @@ def test_validation():
             electrode_length_m=0.02,
             electrode_gap_m=10e-6,
             signal_wavelength_m=1550e-9,
-            irradiation_wavelength_m=405e-9,
-            effective_length_m=0.01,
         )
 
 

@@ -101,9 +101,10 @@ def test_only_the_arm_fields_declare_no_range():
 
 
 def test_an_optional_field_may_be_none():
-    assert AttackParams(2.0, p_resend=None).p_resend is None
-    assert AttackParams(2.0, p_resend=0.0).p_resend == 0.0
-    assert IrradiationProgram((Segment(1e-6, 1.0),)).pulse_width_s is None
+    segments = (Segment(1e-6, 1.0),)
+    assert IrradiationProgram(segments, pulse_width_s=None).pulse_width_s is None
+    assert IrradiationProgram(segments, pulse_width_s=0.5).pulse_width_s == 0.5
+    assert IrradiationProgram(segments).pulse_width_s is None
 
 
 class _Allocating(Exception):
@@ -131,6 +132,10 @@ BOUNDED_CALLS = {
     ),
     "pre_treat": (
         lambda n: pre_treat(DEV, PreTreatmentPlan(), 60.0, n), MAX_STEPS, "max_steps must be", None
+    ),
+    "pre_treat_zero_power": (
+        lambda n: pre_treat(DEV, PreTreatmentPlan(i_ir_w=0.0), 60.0, n),
+        MAX_STEPS, "max_steps must be", None,
     ),
     "initialize_device": (
         lambda n: initialize_device(DEV, max_steps=n), MAX_STEPS, "max_steps must be", None

@@ -71,6 +71,11 @@ ORACLE_M_DB = (0.0, 4.0, 6.5)  # 0 dB: no attacker
 NEAR_DECOY = QkdScenario(mu=1.0, nu=0.9)
 
 
+def transmittance(distance_km):
+    """The default scenario's fiber transmittance over ``distance_km``."""
+    return channel_transmittance(SCENARIO.alpha_db_per_km, distance_km)
+
+
 @contextmanager
 def time_bound(seconds=5.0):
     """Fail the body with TimeoutError instead of letting it hang."""
@@ -94,19 +99,17 @@ def test_undetectability_over_randomized_scenarios():
     rng = np.random.default_rng(20260814)
     worst = 0.0
     for _ in range(1000):
-        sc = QkdScenario(
-            mu=float(rng.uniform(0.2, 1.0)),
-            nu=float(rng.uniform(0.01, 0.15)),
-            alpha_db_per_km=float(rng.uniform(0.15, 0.3)),
-            distance_km=float(rng.uniform(0.0, 150.0)),
-            eta_bob=float(rng.uniform(0.05, 0.5)),
-            y0=float(rng.uniform(0.0, 1e-5)),
+        mu, nu, alpha_db_per_km, distance_km, eta_bob, y0 = (
+            float(rng.uniform(lo, hi)) for lo, hi in
+            ((0.2, 1.0), (0.01, 0.15), (0.15, 0.3), (0.0, 150.0), (0.05, 0.5), (0.0, 1e-5))
         )
+        sc = QkdScenario(mu=mu, nu=nu, alpha_db_per_km=alpha_db_per_km, eta_bob=eta_bob, y0=y0)
+        eta_ab = channel_transmittance(alpha_db_per_km, distance_km)
         m_linear = float(rng.uniform(1.0, 10.0))
-        p = resend_probability(sc.eta_ab, m_linear)
+        p = resend_probability(eta_ab, m_linear)
         for mpn in (sc.mu, sc.nu):
             q_attacked = attacked_gain(mpn, m_linear, p, sc.eta_bob, sc.y0)
-            q_honest = gain(mpn, sc.eta, sc.y0)
+            q_honest = gain(mpn, eta_ab * sc.eta_bob, sc.y0)
             worst = max(worst, abs(q_attacked - q_honest))
     assert worst < 1e-12
 
@@ -146,32 +149,31 @@ def test_resent_pulse_distribution_normalizes():
     [(4.0, 25.0), (5.0, 50.0), (6.0, 75.0), (6.5, 100.0), (8.0, 140.0)],
 )
 def test_success_probability_matches_literal_double_sum(m_db, distance_km):
-    sc = replace(SCENARIO, distance_km=distance_km)
+    sc, eta_ab = SCENARIO, transmittance(distance_km)
     attack = AttackParams.from_db(m_db)
-    got = attack_success_probability(sc, attack)
-    p = resend_probability(sc.eta_ab, attack.m_linear)
+    got = attack_success_probability(sc, attack, eta_ab)
+    p = resend_probability(eta_ab, attack.m_linear)
     want = success_double_sum(attack.m_linear * sc.mu, p, sc.eta_bob, sc.n_trunc)
     assert got.value == pytest.approx(want, rel=1e-10)
     assert 0.0 <= got.tail_bound < 1e-12
 
 
-def test_explicit_resend_probability_on_a_grid_matches_literal_double_sum():
-    # a fixed p_resend replaces the rate-preserving eta_AB/M in its row of
-    # the attack broadcast; the sweep never sets one
+def test_attack_sequence_on_a_grid_matches_literal_double_sum():
+    # each attack of a sequence is one row of the broadcast, with the bits of
+    # its own grid evaluation
     distances = [0.0, 25.0, 60.0, 140.0]
-    fixed, derived = AttackParams.from_db(5.0, p_resend=0.3), AttackParams.from_db(5.0)
-    grid = evaluate_scenario(SCENARIO, fixed, distances_km=distances)
-    mu_e = fixed.m_linear * SCENARIO.mu
-    want = success_double_sum(mu_e, 0.3, SCENARIO.eta_bob, SCENARIO.n_trunc)
-    for k in range(len(distances)):
-        assert grid.p_s[k] == pytest.approx(want, rel=1e-10)
-    eta_ab = channel_transmittance(SCENARIO.alpha_db_per_km, np.array(distances))
-    both = attack_success_probability(SCENARIO, [fixed, derived], eta_ab)
+    attacks = [AttackParams.from_db(5.0), AttackParams.from_db(6.5)]
+    eta_ab = transmittance(np.array(distances))
+    both = attack_success_probability(SCENARIO, attacks, eta_ab)
     assert both.value.shape == (2, len(distances))
-    assert both.value[0].tolist() == grid.p_s.tolist()
-    for k, eta in enumerate(eta_ab):
-        want = success_double_sum(mu_e, eta / derived.m_linear, SCENARIO.eta_bob, SCENARIO.n_trunc)
-        assert both.value[1, k] == pytest.approx(want, rel=1e-10)
+    for row, attack in zip(both.value, attacks):
+        grid = evaluate_scenario(SCENARIO, attack, distances_km=distances)
+        assert row.tolist() == grid.p_s.tolist()
+        mu_e = attack.m_linear * SCENARIO.mu
+        for k, eta in enumerate(eta_ab):
+            p = eta / attack.m_linear
+            want = success_double_sum(mu_e, p, SCENARIO.eta_bob, SCENARIO.n_trunc)
+            assert row[k] == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -179,12 +181,12 @@ def test_explicit_resend_probability_on_a_grid_matches_literal_double_sum():
     [(1, 4.0, 25.0), (2, 5.0, 50.0), (3, 6.0, 75.0), (4, 6.5, 100.0), (5, 8.0, 30.0)],
 )
 def test_success_probability_within_monte_carlo_error(seed, m_db, distance_km):
-    sc = replace(SCENARIO, distance_km=distance_km)
+    sc, eta_ab = SCENARIO, transmittance(distance_km)
     attack = AttackParams.from_db(m_db)
-    exact = attack_success_probability(sc, attack).value
+    exact = attack_success_probability(sc, attack, eta_ab).value
     est, stderr = success_monte_carlo(
         attack.m_linear * sc.mu,
-        resend_probability(sc.eta_ab, attack.m_linear),
+        resend_probability(eta_ab, attack.m_linear),
         sc.eta_bob,
         pulses=1_000_000,
         rng=np.random.default_rng(seed),
@@ -212,7 +214,7 @@ def test_poisson_tail_refuses_a_non_finite_mean():
 def test_truncation_tail_guard():
     # mean 0.8 * 10^2 = 80 leaves a huge tail past n_trunc = 80
     with pytest.raises(ValueError, match="increase n_trunc"):
-        attack_success_probability(SCENARIO, AttackParams.from_db(20.0))
+        attack_success_probability(SCENARIO, AttackParams.from_db(20.0), transmittance(50.0))
     with pytest.raises(ValueError, match="increase n_trunc"):
         sweep_key_rates(SCENARIO, m_db_list=[0.0, 20.0])
 
@@ -222,13 +224,13 @@ def test_truncation_tail_guard():
 
 @pytest.mark.parametrize("distance_km", [0.0, 25.0, 50.0, 100.0, 150.0])
 def test_decoy_bounds_bracket_the_single_photon_truth(distance_km):
-    sc = replace(SCENARIO, distance_km=distance_km)
-    q_mu = gain(sc.mu, sc.eta, sc.y0)
-    e_mu = qber(sc.mu, sc.eta, sc.y0, sc.e0, sc.e_det)
-    q_nu = gain(sc.nu, sc.eta, sc.y0)
-    e_nu = qber(sc.nu, sc.eta, sc.y0, sc.e0, sc.e_det)
+    sc, eta = SCENARIO, transmittance(distance_km) * SCENARIO.eta_bob
+    q_mu = gain(sc.mu, eta, sc.y0)
+    e_mu = qber(sc.mu, eta, sc.y0, sc.e0, sc.e_det)
+    q_nu = gain(sc.nu, eta, sc.y0)
+    e_nu = qber(sc.nu, eta, sc.y0, sc.e0, sc.e_det)
     bounds = decoy_bounds(sc, q_mu, e_mu, q_nu, e_nu)
-    truth = single_photon_truth(sc)
+    truth = single_photon_truth(sc, eta)
     assert not bounds.clamped
     assert 0.0 < bounds.y1_lower <= truth.y1_lower
     assert truth.e1_upper <= bounds.e1_upper <= 1.0
@@ -340,8 +342,6 @@ def test_scenario_and_attack_validation():
         QkdScenario(n_trunc=10)
     with pytest.raises(ValueError):
         AttackParams(0.5)
-    with pytest.raises(ValueError):
-        AttackParams(2.0, p_resend=1.5)
     assert AttackParams.from_db(6.0).m_db == pytest.approx(6.0, rel=1e-12)
 
 
@@ -350,7 +350,6 @@ def test_scenario_and_attack_validation():
     "field, message",
     [
         ("alpha_db_per_km", "alpha_db_per_km must be >= 0"),
-        ("distance_km", "distance_km must be >= 0"),
         ("f_ec", "f_ec must be >= 1"),
     ],
 )
@@ -372,7 +371,7 @@ def test_attack_refuses_a_non_finite_magnification():
 
 
 def test_no_attack_evaluation_collapses_to_the_estimate():
-    res = evaluate_scenario(SCENARIO, attack=None)
+    res = evaluate_scenario(SCENARIO, attack=None, distances_km=50.0)
     assert res.m_db == 0.0
     assert res.p_s == 0.0 and res.tail_bound == 0.0
     assert res.r_actual == res.r_est
@@ -424,7 +423,7 @@ def test_sweep_evaluates_the_link_once(monkeypatch):
 def test_sweep_evaluates_its_attack_terms_once(monkeypatch):
     calls = []
 
-    def counted(scenario, attack, eta_ab=None):
+    def counted(scenario, attack, eta_ab):
         calls.append(attack)
         return success(scenario, attack, eta_ab)
 
@@ -479,8 +478,7 @@ def test_sweep_rows_hold_python_floats_and_bools(estimator):
 def test_estimated_key_survives_while_actual_key_dies():
     # past the threshold the users still believe they have key at short range
     attack = AttackParams.from_db(THRESHOLD_DB + 0.3)
-    sc = replace(SCENARIO, distance_km=20.0)
-    res = evaluate_scenario(sc, attack)
+    res = evaluate_scenario(SCENARIO, attack, distances_km=20.0)
     assert res.r_est > 0.0
     assert res.r_actual == 0.0
 
@@ -511,8 +509,7 @@ def test_single_distance_evaluation_equals_its_sweep_row(scenario, estimator):
     rows = iter(sweep_key_rates(scenario, ORACLE_M_DB, LONG_DISTANCES_KM, estimator))
     for m_db, distance_km in product(ORACLE_M_DB, LONG_DISTANCES_KM):
         attack = None if m_db == 0.0 else AttackParams.from_db(m_db)
-        sc = replace(scenario, distance_km=distance_km)
-        assert evaluate_scenario(sc, attack, estimator) == next(rows)
+        assert evaluate_scenario(scenario, attack, estimator, distance_km) == next(rows)
 
 
 def test_grid_evaluation_returns_arrays_and_checks_every_distance():
@@ -553,9 +550,7 @@ def test_zero_key_threshold_default_scenario():
     # sanity: strictly positive key just below, none just above, at any distance
     for m_db, expect_key in ((got - 0.05, True), (got + 0.05, False)):
         best = max(
-            evaluate_scenario(
-                replace(SCENARIO, distance_km=d), AttackParams.from_db(m_db)
-            ).r_actual
+            evaluate_scenario(SCENARIO, AttackParams.from_db(m_db), distances_km=d).r_actual
             for d in DEFAULT.distances_km
         )
         assert (best > 0.0) is expect_key
@@ -644,7 +639,7 @@ def test_zero_key_threshold_refuses_an_error_rate_past_one_half():
 def test_zero_key_threshold_range_may_reach_past_the_truncation_guard():
     # at 20 dB the magnified mean is 80, which the attacked evaluations refuse
     with pytest.raises(ValueError, match="increase n_trunc"):
-        evaluate_scenario(SCENARIO, AttackParams.from_db(20.0))
+        evaluate_scenario(SCENARIO, AttackParams.from_db(20.0), distances_km=50.0)
     wide = zero_key_threshold(SCENARIO, m_search_range_db=(4.0, 20.0))
     assert abs(wide - THRESHOLD_DB) <= 1e-3
 
@@ -668,8 +663,9 @@ def test_zero_key_threshold_bracket_errors():
 
 
 def test_single_photon_estimator_mode():
-    res = evaluate_scenario(SCENARIO, AttackParams.from_db(5.0), estimator="single_photon_true")
-    truth = single_photon_truth(SCENARIO)
+    attack = AttackParams.from_db(5.0)
+    res = evaluate_scenario(SCENARIO, attack, "single_photon_true", distances_km=50.0)
+    truth = single_photon_truth(SCENARIO, transmittance(50.0) * SCENARIO.eta_bob)
     assert res.y1_lower == pytest.approx(truth.y1_lower, rel=1e-12)
     assert res.e1_upper == pytest.approx(truth.e1_upper, rel=1e-12)
 
@@ -680,7 +676,7 @@ def test_single_photon_estimator_mode():
     distance_km=st.floats(min_value=0.0, max_value=150.0),
 )
 def test_success_probability_is_a_probability(m_db, distance_km):
-    sc = replace(SCENARIO, distance_km=distance_km)
-    res = attack_success_probability(sc, AttackParams.from_db(m_db))
+    attack = AttackParams.from_db(m_db)
+    res = attack_success_probability(SCENARIO, attack, transmittance(distance_km))
     assert 0.0 <= res.value <= 1.0
     assert 0.0 <= res.tail_bound < 1e-12
