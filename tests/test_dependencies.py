@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ipasim
 
 
@@ -82,16 +84,14 @@ def test_every_export_has_a_caller():
     assert uncalled == set(UNCALLED_EXPORTS)
 
 
-def test_every_parameter_field_is_read():
-    """A field that package code never reads is a setting that changes no output.
+def _attribute_loads():
+    """Every attribute name package code loads, outside ``config._schema``.
 
-    Covers every field of each dataclass of the parameter modules that declares
-    a range.  ``config._schema`` reads every default to build the keys, so its
-    reads do not count.
+    ``config._schema`` reads every default to build the keys, so its reads do
+    not count.
     """
-    package = Path(ipasim.__file__).parent
     loads = set()
-    for path in package.glob("*.py"):
+    for path in Path(ipasim.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             if path.name == "config.py" and getattr(top, "name", None) == "_schema":
                 continue
@@ -99,13 +99,35 @@ def test_every_parameter_field_is_read():
                 node.attr for node in ast.walk(top)
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             )
-    unread = set()
+    return loads
+
+
+def _parameter_fields():
+    """(class, field) for every field of each dataclass of the parameter
+    modules that declares a range."""
+    found = []
     for name in ("photorefractive", "device", "attack", "security", "budget"):
         module = importlib.import_module(f"ipasim.{name}")
         for cls in vars(module).values():
-            if not (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+            if not (
+                isinstance(cls, type)
+                and dataclasses.is_dataclass(cls)
+                and cls.__module__ == module.__name__
+            ):
                 continue
             declared = dataclasses.fields(cls)
             if any("range" in f.metadata for f in declared):
-                unread.update(f"{cls.__name__}.{f.name}" for f in declared if f.name not in loads)
-    assert unread == set()
+                found.extend((cls.__name__, f.name) for f in declared)
+    return found
+
+
+LOADS = _attribute_loads()
+PARAMETER_FIELDS = _parameter_fields()
+
+
+@pytest.mark.parametrize(
+    "cls_name, field", PARAMETER_FIELDS, ids=[f"{c}.{f}" for c, f in PARAMETER_FIELDS]
+)
+def test_every_parameter_field_is_read(cls_name, field):
+    """A field that package code never reads is a setting that changes no output."""
+    assert field in LOADS, f"{cls_name}.{field} is never read"
