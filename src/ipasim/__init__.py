@@ -71,7 +71,6 @@ from .security import (
     decoy_bounds,
     evaluate_scenario,
     key_rate,
-    pns_photon_distribution,
     single_photon_truth,
     sweep_key_rates,
     tagged_fraction_estimated,

@@ -40,11 +40,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_ranges, check_size, ranged
+from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_ranges, check_size, interval, ranged
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
 
@@ -98,8 +98,7 @@ class IrradiationProgram:
         return sum(s.duration_s for s in self.segments)
 
 
-@dataclass(frozen=True)
-class ExposureTrace:
+class ExposureTrace(NamedTuple):
     """Sampled observables during an exposure, measured at the run voltage."""
 
     t_s: np.ndarray
@@ -110,8 +109,7 @@ class ExposureTrace:
     m_db: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExposureResult:
+class ExposureResult(NamedTuple):
     device: MziDevice
     trace: ExposureTrace
 
@@ -256,6 +254,10 @@ class PeCurvePlan:
 
 # -- pre-treatment and initialization ----------------------------------------
 
+# the settling tolerances a saturation run takes, relative to steady state
+SATURATION_EPSILON_RANGE = "(0, 0.1)"
+_SATURATION_EPSILON = interval(SATURATION_EPSILON_RANGE)
+
 
 @dataclass(frozen=True)
 class PreTreatmentPlan:
@@ -263,7 +265,7 @@ class PreTreatmentPlan:
 
     v_app_v: float = ranged("(-inf, inf)", 0.0)
     i_ir_w: float = ranged("[0, inf)", 12e-6)
-    saturation_epsilon: float = ranged("(0, 0.1)", 1e-4)
+    saturation_epsilon: float = ranged(SATURATION_EPSILON_RANGE, 1e-4)
 
     __post_init__ = check_ranges
 
@@ -301,6 +303,8 @@ def _saturate(
     of the step budget reports converged = False with the partial state, it
     does not raise.  The end state is the trace's last sample.
     """
+    if not _SATURATION_EPSILON.holds(saturation_epsilon):
+        raise ValueError(f"saturation_epsilon {_SATURATION_EPSILON.message}")
     if not power_w > 0.0:
         raise ValueError("saturation runs need positive power")
     _check_clock(dt_s, max_steps)
@@ -420,8 +424,7 @@ class PulseController:
             raise ValueError("need duty_min < duty_max")
 
 
-@dataclass(frozen=True)
-class PulseTrace:
+class PulseTrace(NamedTuple):
     t_s: np.ndarray
     duty: np.ndarray
     power_w: np.ndarray

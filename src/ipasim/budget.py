@@ -12,8 +12,8 @@ Entries measured only down to an instrument floor, recorded as ">78" style
 strings, are carried through every computation as sticky lower bounds: the
 true loss can only be higher, so an infeasibility verdict derived from a
 bound stays valid while a feasibility one is best-case.  A loss, a floor
-included, a coupling scheme's losses, a fiber length and a power must be
-finite and >= 0.
+included, a coupling scheme's losses, a fiber length and a launch power must
+be finite and >= 0; a target or attacker power must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from math import log10
-from typing import Mapping, Sequence, Union
+from math import inf, log10
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from ._ranges import check_ranges, ranged
 
@@ -64,8 +64,7 @@ def parse_loss_entry(raw: RawEntry) -> LossValue:
     return LossValue(float(raw))
 
 
-@dataclass(frozen=True)
-class ComponentLoss:
+class ComponentLoss(NamedTuple):
     name: str
     loss_db: Mapping[int, LossValue]
 
@@ -117,12 +116,16 @@ def path_loss(path: InjectionPath, wavelength_nm: int) -> LossValue:
     return total
 
 
+def _check_power(name: str, watts: float) -> None:
+    if not 0.0 < watts < inf:
+        raise ValueError(f"{name} must be positive")
+
+
 def required_eve_power(
     path: InjectionPath, wavelength_nm: int, target_power_w: float
 ) -> PowerValue:
     """Launch power needed so the target power arrives at the device."""
-    if target_power_w <= 0.0:
-        raise ValueError("target_power_w must be positive")
+    _check_power("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
     return PowerValue(target_power_w * 10.0 ** (loss.db / 10.0), loss.lower_bound)
 
@@ -132,8 +135,7 @@ BOUNDARY_INFEASIBLE = "boundary-infeasible"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(NamedTuple):
     """Countermeasure margin: path loss minus the attacker's power headroom.
 
     Negative margin means the attacker can land the target power with power
@@ -153,8 +155,8 @@ def countermeasure_margin(
     eve_max_power_w: float,
     target_power_w: float,
 ) -> MarginReport:
-    if eve_max_power_w <= 0.0 or target_power_w <= 0.0:
-        raise ValueError("powers must be positive")
+    _check_power("eve_max_power_w", eve_max_power_w)
+    _check_power("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
     headroom_db = 10.0 * log10(eve_max_power_w / target_power_w)
     margin = loss.db - headroom_db

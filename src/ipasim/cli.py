@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -300,8 +300,7 @@ def run_budget(cfg: ScenarioConfig) -> RunResult:
 # -- the verb table ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verb:
+class Verb(NamedTuple):
     """One CLI verb: its help text, the files it writes and its runner."""
 
     help: str

@@ -37,7 +37,7 @@ import inspect
 import re
 from configparser import ConfigParser
 from configparser import Error as IniError
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -209,7 +209,8 @@ def _schema() -> dict[str, dict[str, _Key]]:
         },
         "init": _arguments_of(
             attack.initialize_device,
-            power_w="(0, inf)", saturation_epsilon="(0, 0.1)", dt_s="(0, inf)", max_steps=steps,
+            power_w="(0, inf)", saturation_epsilon=attack.SATURATION_EPSILON_RANGE,
+            dt_s="(0, inf)", max_steps=steps,
         ),
         "pulse": {
             **_fields_of(PulseController(target_m_db=30.0)),
@@ -237,8 +238,7 @@ def _schema() -> dict[str, dict[str, _Key]]:
 # -- config object ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Validated scenario: schema values plus user-defined budget components."""
 
     values: Mapping[str, Mapping[str, object]]

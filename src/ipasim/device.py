@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,7 @@ from .photorefractive import (
 )
 
 
-@dataclass(frozen=True)
-class VoltageCurve:
+class VoltageCurve(NamedTuple):
     """Transmission vs drive voltage at fixed photorefractive state."""
 
     v_app_v: np.ndarray
@@ -179,6 +179,9 @@ class MziDevice:
         once exposure has flattened the slope enough to stretch the fringe
         period past the range.
         """
+        for name, end in (("v_min_v", v_min_v), ("v_max_v", v_max_v)):
+            if not math.isfinite(end):
+                raise ValueError(f"{name} must be finite")
         if v_max_v - v_min_v < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
         theta_lo = self.total_phase(v_min_v)

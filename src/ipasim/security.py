@@ -45,7 +45,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -176,8 +176,7 @@ def binary_entropy(x: Floats) -> Floats:
     return np.where(inside, -y * np.log2(y) - z * np.log2(z), 0.0)[()]
 
 
-@dataclass(frozen=True)
-class DecoyBounds:
+class DecoyBounds(NamedTuple):
     y1_lower: Floats
     e1_upper: Floats
     clamped: Union[bool, np.ndarray]
@@ -225,32 +224,13 @@ def resend_probability(eta_ab: Floats, m_linear: Floats) -> Floats:
     return eta_ab / m_linear
 
 
-def attacked_gain(
-    mpn: float, m_linear: float, p: Floats, eta_bob: float, y0: float
-) -> Floats:
-    """Receiver gain seen during the attack: magnified, thinned, detected."""
-    return gain(mpn, m_linear * p * eta_bob, y0)
-
-
 def _poisson_pmf(n: int, mean: float) -> float:
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
 
 
-def pns_photon_distribution(n: int, m_linear: float, p: float, mu: float) -> float:
-    """Photon-number law of resent pulses.
-
-    Magnifying a Poissonian source by M and thinning each photon with
-    probability p is again Poissonian with mean M*p*mu.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _poisson_pmf(n, m_linear * p * mu)
-
-
-@dataclass(frozen=True)
-class TailBounded:
+class TailBounded(NamedTuple):
     value: Floats
     tail_bound: float
 
@@ -343,8 +323,7 @@ def tagged_fraction_estimated(
     return np.minimum(np.maximum(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class KeyRate:
+class KeyRate(NamedTuple):
     bits_per_pulse: Floats
     raw: Floats
 
@@ -583,6 +562,8 @@ def zero_key_threshold(
     A ``tol_db`` below the float spacing near m* stops the halving once lo
     and hi are adjacent floats, so the result is within one ulp of m*.
     """
+    if not 0.0 < tol_db < math.inf:  # nan or inf would return the midpoint as m*
+        raise ValueError("tol_db must be positive")
     lo, hi = m_search_range_db
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= low < high in m_search_range_db")

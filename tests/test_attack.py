@@ -179,6 +179,16 @@ def test_pretreat_plan_validation():
         PreTreatmentPlan(saturation_epsilon=0.5)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0, 0.5])
+def test_a_saturation_epsilon_outside_its_range_is_refused(eps):
+    # the plan and a bare saturation run read the one declared interval
+    message = r"saturation_epsilon must be in \(0, 0.1\)"
+    with pytest.raises(ValueError, match=message):
+        PreTreatmentPlan(saturation_epsilon=eps)
+    with pytest.raises(ValueError, match=message):
+        initialize_device(DEV, saturation_epsilon=eps)
+
+
 def test_pretreat_plan_refuses_a_nan_power():
     with pytest.raises(ValueError, match="i_ir_w must be >= 0"):
         PreTreatmentPlan(i_ir_w=math.nan)

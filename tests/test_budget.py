@@ -1,5 +1,7 @@
 """Loss budgets: bookkeeping, sticky bounds, margins, built-in database."""
 
+import math
+
 import pytest
 
 from ipasim.budget import (
@@ -94,6 +96,17 @@ def test_margin_verdicts():
     assert rep.lower_bound
     with pytest.raises(ValueError):
         countermeasure_margin(path, 405, 0.0, 3e-9)
+
+
+@pytest.mark.parametrize("watts", [0.0, -1.0, math.nan, math.inf])
+def test_each_power_must_be_positive_and_finite(watts):
+    path = standard_path(1.0, ["dwdm_c33"])
+    with pytest.raises(ValueError, match="target_power_w must be positive"):
+        required_eve_power(path, 405, watts)
+    with pytest.raises(ValueError, match="eve_max_power_w must be positive"):
+        countermeasure_margin(path, 405, watts, 3e-9)
+    with pytest.raises(ValueError, match="target_power_w must be positive"):
+        countermeasure_margin(path, 405, 1.0, watts)
 
 
 def test_empty_path_is_lossless():

@@ -39,7 +39,7 @@ EXPORTS = {
     "calibration_summary", "countermeasure_margin", "coupling_plan_loss", "curve_rms_db",
     "decoy_bounds", "default_device", "default_geometry", "default_material",
     "evaluate_scenario", "evolve_field", "initialize_device", "key_rate",
-    "path_loss", "photoconductivity", "pns_photon_distribution", "pre_treat",
+    "path_loss", "photoconductivity", "pre_treat",
     "pulse_inject_to_target", "required_eve_power", "run_program", "single_photon_truth",
     "standard_path", "steady_state_field", "sweep_key_rates", "tagged_fraction_estimated",
     "zero_key_threshold",
@@ -55,8 +55,6 @@ def test_exported_names_are_pinned():
 # exported names and public definitions no package module, demo, benchmark or
 # README line calls, each with the reason it stays
 UNCALLED_EXPORTS = {
-    "pns_photon_distribution": "criterion 3",
-    "attacked_gain": "criterion 2",
     "to_ini_text": "the config round-trip test; ROADMAP item 7 puts it in the run manifest",
 }
 
@@ -82,6 +80,32 @@ def test_every_export_has_a_caller():
         if not any(len(word.findall(t)) > len(definition.findall(t)) for t in texts):
             uncalled.add(name)
     assert uncalled == set(UNCALLED_EXPORTS)
+
+
+# dataclasses that declare no range, each with the reason it stays one
+UNRANGED_DATACLASSES = {
+    "InitResult": "bench/ops.py reads its fields with dataclasses.fields (ROADMAP item 9)",
+    "PreTreatResult": "bench/ops.py reads its fields with dataclasses.fields (ROADMAP item 9)",
+    "PulseResult": "bench/ops.py reads its fields with dataclasses.fields (ROADMAP item 9)",
+    "SecurityResult": "bench/ops.py reads its fields with dataclasses.fields (ROADMAP item 9)",
+    "RunWriter": "mutable: it collects a run's files as they are written",
+}
+
+
+def test_a_dataclass_is_a_ranged_parameter_set():
+    """A result no config fills and no range checks is a NamedTuple, not a dataclass."""
+    unranged = set()
+    for path in Path(ipasim.__file__).parent.glob("[!_]*.py"):
+        module = importlib.import_module(f"ipasim.{path.stem}")
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and dataclasses.is_dataclass(cls)
+                and cls.__module__ == module.__name__
+                and not any("range" in f.metadata for f in dataclasses.fields(cls))
+            ):
+                unranged.add(cls.__name__)
+    assert unranged == set(UNRANGED_DATACLASSES)
 
 
 def _attribute_loads():

@@ -179,6 +179,15 @@ def test_find_extinction_requires_two_periods():
         DEV.find_extinction_voltage(0.0, 9.9)
 
 
+@pytest.mark.parametrize(
+    "v_min_v, v_max_v, name",
+    [(math.nan, 20.0, "v_min_v"), (0.0, math.inf, "v_max_v"), (-math.inf, 12.0, "v_min_v")],
+)
+def test_find_extinction_refuses_a_non_finite_end(v_min_v, v_max_v, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DEV.find_extinction_voltage(v_min_v, v_max_v)
+
+
 def test_find_extinction_value_and_grid_stability():
     assert DEV.find_extinction_voltage(-12.0, 12.0) == pytest.approx(
         PRISTINE_EXTINCTION_V, abs=1e-6

@@ -30,14 +30,12 @@ from ipasim.security import (
     SecurityResult,
     SweepPlan,
     attack_success_probability,
-    attacked_gain,
     binary_entropy,
     channel_transmittance,
     decoy_bounds,
     evaluate_scenario,
     gain,
     key_rate,
-    pns_photon_distribution,
     poisson_tail,
     qber,
     resend_probability,
@@ -108,7 +106,7 @@ def test_undetectability_over_randomized_scenarios():
         m_linear = float(rng.uniform(1.0, 10.0))
         p = resend_probability(eta_ab, m_linear)
         for mpn in (sc.mu, sc.nu):
-            q_attacked = attacked_gain(mpn, m_linear, p, sc.eta_bob, sc.y0)
+            q_attacked = gain(mpn, m_linear * p * sc.eta_bob, sc.y0)
             q_honest = gain(mpn, eta_ab * sc.eta_bob, sc.y0)
             worst = max(worst, abs(q_attacked - q_honest))
     assert worst < 1e-12
@@ -126,19 +124,17 @@ def test_resend_probability_validation():
 @pytest.mark.parametrize("mu_e", [0.2, 0.8, 2.0, 5.0])
 @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 1.0])
 def test_resent_pulse_distribution_matches_thinning_convolution(mu_e, p):
-    # the package computes Poisson(M*p*mu); the oracle thins photon by photon
+    # the package's pmf at the resent mean M*p*mu; the oracle thins photon by photon
     mu, m_linear = 0.8, mu_e / 0.8
     for n in range(11):
         want = thinned_pmf_bruteforce(n, mu_e, p)
-        got = pns_photon_distribution(n, m_linear, p, mu)
+        got = security._poisson_pmf(n, m_linear * p * mu)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_resent_pulse_distribution_normalizes():
-    total = sum(pns_photon_distribution(n, 4.0, 0.03, 0.8) for n in range(60))
+    total = sum(security._poisson_pmf(n, 4.0 * 0.03 * 0.8) for n in range(60))
     assert total == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        pns_photon_distribution(-1, 4.0, 0.03, 0.8)
 
 
 # -- success probability ----------------------------------------------------------
@@ -603,6 +599,13 @@ def test_zero_key_threshold_returns_below_the_float_spacing():
     assert zero_key_threshold(SCENARIO, tol_db=1e-3) == THRESHOLD_DB
     with pytest.raises(ValueError, match="high must be finite"):
         zero_key_threshold(SCENARIO, m_search_range_db=(4.0, math.inf))
+
+
+@pytest.mark.parametrize("tol_db", [math.nan, math.inf, 0.0, -1.0])
+def test_zero_key_threshold_refuses_a_tolerance_it_cannot_meet(tol_db):
+    # nan and inf once stopped the halving at once and returned the midpoint of the range
+    with pytest.raises(ValueError, match="tol_db must be positive"):
+        zero_key_threshold(SCENARIO, tol_db=tol_db)
 
 
 def test_link_refuses_a_nan_distance():
