@@ -1,7 +1,7 @@
 """Declared ranges of numeric parameters, the size bounds, and the one check of each.
 
 A parameter declares its interval once, spelled like ``"[0, 0.93]"``: a
-dataclass field through :func:`ranged`, a config key through :func:`interval`.
+dataclass field through :func:`ranged`, a runner argument or a config key in a table.
 The test is ``lo <= x <= hi``, each end open or closed as spelled, so NaN fails
 it; an infinite end is always open, so ``"(0, inf)"`` means positive and
 finite.  A field whose default is None may be None; a field whose default is a
@@ -16,7 +16,8 @@ Every call that allocates a grid or a trace checks its size against
 import math
 from dataclasses import MISSING, field, fields
 from functools import lru_cache
-from typing import NamedTuple
+from numbers import Integral
+from typing import Collection, Mapping, NamedTuple
 
 # Most points a grid may have (distances, voltage-curve points, trace points,
 # and the rows of a sweep or of all the traces or curves a curve verb makes):
@@ -39,6 +40,7 @@ class Interval(NamedTuple):
         return (lo < x if self.lo_open else lo <= x) and (x < hi if self.hi_open else x <= hi)
 
 
+@lru_cache(maxsize=None)
 def interval(spelling: str) -> Interval:
     """The interval spelled ``spelling``, e.g. ``"[1, inf)"``; an end may be ``pi``."""
     ends = [end.strip() for end in spelling[1:-1].split(",")]
@@ -79,6 +81,16 @@ def check_ranges(obj: object) -> None:
     for name, allowed in tuples:
         if not all(map(allowed.holds, getattr(obj, name))):
             raise ValueError(f"{name}: every entry {allowed.message}")
+
+
+def check_arguments(declared: Mapping[str, str], counts: Collection[str], **arguments) -> None:
+    """:func:`check_ranges` for keyword ``arguments`` by ``declared`` spellings; a count is an int."""
+    for name, x in arguments.items():
+        if name in counts and not isinstance(x, Integral):
+            raise ValueError(f"{name}: expected an integer, got {str(x)!r}")
+        allowed = interval(declared[name])
+        if not allowed.holds(x):
+            raise ValueError(f"{name} {allowed.message}")
 
 
 def check_size(count: float, limit: int, message: str) -> None:

@@ -29,10 +29,10 @@ must go period by period, since each duty depends on the last reading: a
 period is one lit and one dark step of the two bare fields (no dark one on a
 frozen device) and one reading, in ``math``, with noise drawn in blocks of
 64.  Segments, plans and controllers range-check every parameter field
-(``ipasim._ranges``), arm fields are swapped unchecked
-(``MziDevice.with_fields``), and every run refuses, before it allocates, a
-trace of more than ``MAX_STEPS`` steps or periods.  The README and
-``BENCH_attack_traces.json`` give the measured costs.
+(``ipasim._ranges``), each runner checks at entry every argument a config key
+sets against ``RUN_ARGUMENTS``, the one declaration of its range, arm fields
+are swapped unchecked (``MziDevice.with_fields``), and every run refuses,
+before it allocates, a trace of more than ``MAX_STEPS`` steps or periods.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_ranges, check_size, interval, ranged
+from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_arguments, check_ranges, check_size, ranged
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
 
@@ -254,9 +254,15 @@ class PeCurvePlan:
 
 # -- pre-treatment and initialization ----------------------------------------
 
-# the settling tolerances a saturation run takes, relative to steady state
-SATURATION_EPSILON_RANGE = "(0, 0.1)"
-_SATURATION_EPSILON = interval(SATURATION_EPSILON_RANGE)
+# The range of each runner argument a config key sets, declared once: its
+# runner checks it at entry, and config.py reads it.  A count is an integer.
+RUN_ARGUMENTS = {
+    "dt_s": "(0, inf)", "power_w": "(0, inf)",
+    "saturation_epsilon": "(0, 0.1)",  # a settling tolerance, relative to steady state
+    "max_steps": f"[1, {MAX_STEPS}]", "max_periods": f"[1, {MAX_STEPS}]",
+    "hold_periods": "[0, inf)",
+}
+_COUNTS = ("max_steps", "max_periods", "hold_periods")
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,7 @@ class PreTreatmentPlan:
 
     v_app_v: float = ranged("(-inf, inf)", 0.0)
     i_ir_w: float = ranged("[0, inf)", 12e-6)
-    saturation_epsilon: float = ranged(SATURATION_EPSILON_RANGE, 1e-4)
+    saturation_epsilon: float = ranged(RUN_ARGUMENTS["saturation_epsilon"], 1e-4)
 
     __post_init__ = check_ranges
 
@@ -277,13 +283,6 @@ class InitResult:
     steps: int
     elapsed_s: float
     trace: ExposureTrace
-
-
-def _check_clock(dt_s: float, max_steps: int) -> None:
-    """Refuse a ``dt_s`` not positive and finite, or a ``max_steps`` past ``MAX_STEPS``."""
-    if not 0.0 < dt_s < math.inf:
-        raise ValueError("dt_s must be positive")
-    check_size(max_steps, MAX_STEPS, f"max_steps must be at most {MAX_STEPS}")
 
 
 def _saturate(
@@ -300,14 +299,9 @@ def _saturate(
     The criterion is the projected relative field move over one relaxation
     time, so it is insensitive to ``dt_s``.  Each step shrinks an arm's move
     by exp(-dt/tau), which fixes the step count in closed form.  Running out
-    of the step budget reports converged = False with the partial state, it
-    does not raise.  The end state is the trace's last sample.
+    of the step budget reports converged = False with the partial state.  The
+    end state is the trace's last sample; the runners check the arguments.
     """
-    if not _SATURATION_EPSILON.holds(saturation_epsilon):
-        raise ValueError(f"saturation_epsilon {_SATURATION_EPSILON.message}")
-    if not power_w > 0.0:
-        raise ValueError("saturation runs need positive power")
-    _check_clock(dt_s, max_steps)
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 
     def moves(e1: float, e2: float) -> list[float]:
@@ -355,14 +349,14 @@ def pre_treat(
     Beam and field are removed together, which traps the stored charge, so
     the returned device is in frozen decay mode regardless of how the input
     was configured.  The reported shift is the change of the zero-volt bias
-    phase relative to the starting state.
+    phase relative to the starting state.  A zero-power plan takes no step.
     """
+    check_arguments(RUN_ARGUMENTS, _COUNTS, dt_s=dt_s, max_steps=max_steps)
     if plan.i_ir_w == 0.0:
-        _check_clock(dt_s, max_steps)  # refused as a powered run would refuse them
         as_row = device.exposed(0.0, plan.v_app_v, np.zeros(1))  # fields as 1-element arrays
-        trace = _trace(as_row, [0.0], [0.0], plan.v_app_v)
-        return PreTreatResult(device, True, 0, 0.0, 0.0, trace)
-    run = _saturate(device, plan.i_ir_w, plan.v_app_v, dt_s, plan.saturation_epsilon, max_steps)
+        run = InitResult(device, True, 0, 0.0, _trace(as_row, [0.0], [0.0], plan.v_app_v))
+    else:
+        run = _saturate(device, plan.i_ir_w, plan.v_app_v, dt_s, plan.saturation_epsilon, max_steps)
     treated = replace(run.device, decay_mode=DecayMode.FROZEN)
     shift = treated.total_phase(0.0) - device.total_phase(0.0)
     return PreTreatResult(treated, run.converged, run.steps, run.elapsed_s, shift, run.trace)
@@ -386,6 +380,8 @@ def initialize_device(
     pre-treatment: near a deep working point the dB curve is steeply
     sensitive to residual phase, and the restore tolerance budget is small.
     """
+    check_arguments(RUN_ARGUMENTS, _COUNTS, dt_s=dt_s, power_w=power_w,
+                    saturation_epsilon=saturation_epsilon, max_steps=max_steps)
     return _saturate(device, power_w, 0.0, dt_s, saturation_epsilon, max_steps)
 
 
@@ -470,9 +466,9 @@ def pulse_inject_to_target(
     scalar ``standard_normal()`` per period, and the generator is left
     exactly one such draw per period on; a noise-free run leaves it untouched.
     """
-    if max_periods < 1 or hold_periods < 0:
-        raise ValueError("need max_periods >= 1 and hold_periods >= 0")
-    check_size(max_periods, MAX_STEPS, f"max_periods must be at most {MAX_STEPS}")
+    check_arguments(RUN_ARGUMENTS, _COUNTS, max_periods=max_periods, hold_periods=hold_periods)
+    if ctrl.noise_db > 0.0 and rng is None:
+        raise ValueError("noise_db > 0 needs an rng")
     (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
     baseline = device.output_mpn(mu_in, v_app_v)
     sat_m = device.with_fields(lit1, lit2).magnification_db(v_app_v, baseline, mu_in)
@@ -481,8 +477,6 @@ def pulse_inject_to_target(
         return PulseResult(
             device, False, False, 0, sat_m, math.nan, math.nan, math.nan, math.nan, empty
         )
-    if ctrl.noise_db > 0.0 and rng is None:
-        raise ValueError("noise_db > 0 needs an rng")
 
     # a period steps the bare arm fields by relaxation_step's math branch, lit
     # then dark (a frozen arm's dark step is a zero move: skipped), and reads

@@ -8,14 +8,13 @@ the type of that value, and the dataclass's own checks (the range it declares
 for each field, the constraints that couple fields, the sizes it bounds) are
 the key's only checks.  The plans sit beside the code that runs them:
 ``[qkd]``'s grids and search in ``security.SweepPlan``, ``[voltage_curve]`` in
-``device.CurvePlan`` and ``[pe_curve]`` in ``attack.PeCurvePlan``.  Keys no
-dataclass owns declare their ranges here, checked by the same rule
-(``ipasim._ranges``).  A key that is an argument of a runner (the ``dt_s`` of
-``attack.pre_treat``, say) takes its default from the runner's signature;
-the others declare their defaults here too.  A config is accepted only if
-every section and key is known, every value parses and passes its checks,
-and every domain object builds from it; each error names the section and
-the key.
+``device.CurvePlan`` and ``[pe_curve]`` in ``attack.PeCurvePlan``.  A key that
+is an argument of a runner (the ``dt_s`` of ``attack.pre_treat``, say) takes
+its default from the runner's signature and its range from the runner's
+declaration, ``attack.RUN_ARGUMENTS``.  Other keys declare both here, checked by
+the same rule (``ipasim._ranges``).  A config is accepted only if every section
+and key is known, every value parses and passes its checks, and every domain
+object builds from it; each error names the section and the key.
 Defaults reproduce the calibrated bench device, so an empty file, or no file
 at all, is already a complete scenario.
 
@@ -46,7 +45,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 from . import attack
 from . import budget as budget_mod
 from . import calibration
-from ._ranges import MAX_STEPS, Interval, interval
+from ._ranges import Interval, interval
 from .attack import PeCurvePlan, PreTreatmentPlan, PulseController
 from .budget import ComponentLoss, InjectionPath, LossValue, parse_loss_entry
 from .device import CurvePlan, MziDevice
@@ -174,11 +173,11 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
     return keys
 
 
-def _arguments_of(function: Callable, **allowed: str) -> dict[str, _Key]:
-    """One key per named argument of ``function``, in the order named, whose
-    default is the argument's and whose range is its entry in ``allowed``."""
+def _arguments_of(function: Callable, *names: str) -> dict[str, _Key]:
+    """One key per named argument of ``function``, in the order named: its default is
+    the argument's, its range the one ``attack.RUN_ARGUMENTS`` declares and it checks."""
     arguments = inspect.signature(function).parameters
-    return {name: _key(arguments[name].default, spec) for name, spec in allowed.items()}
+    return {name: _key(arguments[name].default, attack.RUN_ARGUMENTS[name]) for name in names}
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +185,6 @@ def _schema() -> dict[str, dict[str, _Key]]:
     # Material and geometry defaults are the fitted bench calibration; any key
     # can be overridden individually without retriggering the fit.
     geo = calibration.default_geometry()
-    steps = f"[1, {MAX_STEPS}]"
     return {
         "material": _fields_of(calibration.default_material()),
         "geometry": {
@@ -205,18 +203,14 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "voltage_curve": _fields_of(CurvePlan()),
         "pre_treat": {
             **_fields_of(PreTreatmentPlan()),
-            **_arguments_of(attack.pre_treat, dt_s="(0, inf)", max_steps=steps),
+            **_arguments_of(attack.pre_treat, "dt_s", "max_steps"),
         },
         "init": _arguments_of(
-            attack.initialize_device,
-            power_w="(0, inf)", saturation_epsilon=attack.SATURATION_EPSILON_RANGE,
-            dt_s="(0, inf)", max_steps=steps,
+            attack.initialize_device, "power_w", "saturation_epsilon", "dt_s", "max_steps"
         ),
         "pulse": {
             **_fields_of(PulseController(target_m_db=30.0)),
-            **_arguments_of(
-                attack.pulse_inject_to_target, max_periods=steps, hold_periods="[0, inf)"
-            ),
+            **_arguments_of(attack.pulse_inject_to_target, "max_periods", "hold_periods"),
             "seed": _key(1, "[0, inf)"),
         },
         "qkd": {**_fields_of(QkdScenario()), **_fields_of(SweepPlan())},

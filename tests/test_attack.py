@@ -161,8 +161,16 @@ def test_pretreat_zero_power_is_a_no_op():
     res = pre_treat(DEV, PreTreatmentPlan(v_app_v=5.0, i_ir_w=0.0))
     assert res.converged and res.steps == 0
     assert res.bias_shift_rad == 0.0
-    assert res.device == DEV
+    assert replace(res.device, decay_mode=DEV.decay_mode) == DEV
     assert len(res.trace.t_s) == 1
+
+
+@pytest.mark.parametrize("power_w", [0.0, 12e-6], ids=["zero-power", "powered"])
+@pytest.mark.parametrize("mode", list(DecayMode), ids=lambda m: m.value)
+def test_pretreat_hands_back_a_frozen_device_at_any_power(power_w, mode):
+    device = replace(DEV, decay_mode=mode)
+    res = pre_treat(device, PreTreatmentPlan(v_app_v=5.0, i_ir_w=power_w))
+    assert res.device.decay_mode is DecayMode.FROZEN
 
 
 def test_pretreat_step_budget_reports_not_converged():
@@ -195,7 +203,7 @@ def test_pretreat_plan_refuses_a_nan_power():
 
 
 def test_saturation_refuses_a_nan_power():
-    with pytest.raises(ValueError, match="saturation runs need positive power"):
+    with pytest.raises(ValueError, match="power_w must be positive"):
         initialize_device(DEV, power_w=math.nan)
 
 
@@ -336,6 +344,14 @@ def test_noise_free_loop_leaves_the_generator_untouched():
     assert rng.bit_generator.state == before
 
 
+def test_a_noisy_loop_without_an_rng_is_refused_even_for_an_infeasible_target():
+    # the arguments are checked before the feasibility test, which returns early
+    ctrl = PulseController(target_m_db=100.0, noise_db=0.1)
+    with pytest.raises(ValueError, match="noise_db > 0 needs an rng"):
+        pulse_inject_to_target(DEV, ctrl, 1.0, WP)
+    assert not pulse_inject_to_target(DEV, ctrl, 1.0, WP, rng=np.random.default_rng(1)).feasible
+
+
 def test_max_periods_reports_unsettled():
     res = pulse_inject_to_target(DEV, PulseController(target_m_db=45.0), 1.0, WP, max_periods=10)
     assert res.feasible and not res.settled
@@ -345,7 +361,7 @@ def test_max_periods_reports_unsettled():
 
 @pytest.mark.parametrize("periods", [{"max_periods": 0}, {"hold_periods": -5}])
 def test_pulse_loop_refuses_an_invalid_period_count(periods):
-    with pytest.raises(ValueError, match="need max_periods >= 1 and hold_periods >= 0"):
+    with pytest.raises(ValueError, match=r"^(max|hold)_periods must be (in \[1, |>= 0)"):
         pulse_inject_to_target(DEV, PulseController(target_m_db=45.0), 1.0, WP, **periods)
 
 

@@ -1,8 +1,10 @@
 """The range contract of the parameter dataclasses and plans: every numeric
 field declares its interval, and NaN, +-inf and values just outside a finite
 end are refused.  Every library call that allocates a grid or a trace refuses
-one past its size bound."""
+one past its size bound.  A runner argument that a config key sets is
+refused by the runner as the config refuses the key."""
 
+import inspect
 import math
 import typing
 from dataclasses import fields, replace
@@ -34,6 +36,7 @@ from ipasim import (
 from ipasim._ranges import MAX_GRID_POINTS, MAX_STEPS, interval
 from ipasim.attack import PeCurvePlan
 from ipasim.calibration import WORKING_POINT_V, default_device, default_geometry, default_material
+from ipasim.config import ConfigError, parse_config
 from ipasim.device import CurvePlan
 from ipasim.security import SweepPlan
 
@@ -158,6 +161,59 @@ def test_library_calls_refuse_one_past_their_size_bound(name, monkeypatch):
             call(bound)
     with pytest.raises(ValueError, match=message):
         call(bound + 1)
+
+
+# each config section whose run-argument keys take their ranges from
+# attack.RUN_ARGUMENTS: the runner, and a call of it with valid other arguments
+RUNNERS = {
+    "pre_treat": (pre_treat, lambda **kw: pre_treat(DEV, PreTreatmentPlan(), **kw)),
+    "init": (initialize_device, lambda **kw: initialize_device(DEV, **kw)),
+    "pulse": (
+        pulse_inject_to_target,
+        lambda **kw: pulse_inject_to_target(DEV, PulseController(10.0), 1.0, WORKING_POINT_V, **kw),
+    ),
+}
+
+
+def _run_argument_outside(default, allowed):
+    """``_outside`` of a float argument; for a count (an int default, an int
+    key), nan, +-inf, 1.5 and the integer past each finite end."""
+    if type(default) is not int:
+        return _outside(allowed)
+    values = [math.nan, math.inf, -math.inf, 1.5, int(allowed.lo) - 1]
+    if math.isfinite(allowed.hi):
+        values.append(int(allowed.hi) + 1)
+    return values
+
+
+RUN_CASES = [
+    (section, name, value)
+    for section, (runner, _) in RUNNERS.items()
+    for name, argument in inspect.signature(runner).parameters.items()
+    if name in attack_module.RUN_ARGUMENTS
+    for value in _run_argument_outside(
+        argument.default, interval(attack_module.RUN_ARGUMENTS[name])
+    )
+]
+
+
+def test_every_declared_run_argument_is_a_key_of_a_listed_runner():
+    assert {name for _, name, _ in RUN_CASES} == set(attack_module.RUN_ARGUMENTS)
+
+
+@pytest.mark.parametrize(
+    "section, name, value", RUN_CASES, ids=[f"{s}.{n}={v!r}" for s, n, v in RUN_CASES]
+)
+def test_a_run_argument_out_of_range_is_refused_by_config_and_runner_alike(section, name, value):
+    with pytest.raises(ConfigError) as refused_key:
+        parse_config(f"[{section}]\n{name} = {value!r}\n")
+    path, _, key_message = str(refused_key.value).partition(": ")
+    assert path == f"{section}.{name}"
+    with pytest.raises(ValueError) as refused_argument:
+        RUNNERS[section][1](**{name: value})
+    head, _, message = str(refused_argument.value).partition(" ")
+    assert head.rstrip(":") == name
+    assert message == key_message
 
 
 @pytest.mark.parametrize(
