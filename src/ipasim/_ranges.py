@@ -1,7 +1,7 @@
 """Declared ranges of numeric parameters, the size bounds, and the one check of each.
 
 A parameter declares its interval once, spelled like ``"[0, 0.93]"``: a
-dataclass field through :func:`ranged`, a runner argument or a config key in a table.
+dataclass field through :func:`ranged`, a config key or a runner argument through :func:`interval`.
 The test is ``lo <= x <= hi``, each end open or closed as spelled, so NaN fails
 it; an infinite end is always open, so ``"(0, inf)"`` means positive and
 finite.  A field whose default is None may be None; a field whose default is a
@@ -84,7 +84,8 @@ def check_ranges(obj: object) -> None:
 
 
 def check_arguments(declared: Mapping[str, str], counts: Collection[str], **arguments) -> None:
-    """:func:`check_ranges` for keyword ``arguments`` by ``declared`` spellings; a count is an int."""
+    """:func:`check_ranges` for keyword ``arguments`` by ``declared`` spellings; one in
+    ``counts`` must be an integer, refused in the words a config count's parse uses."""
     for name, x in arguments.items():
         if name in counts and not isinstance(x, Integral):
             raise ValueError(f"{name}: expected an integer, got {str(x)!r}")

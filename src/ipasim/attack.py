@@ -254,8 +254,7 @@ class PeCurvePlan:
 
 # -- pre-treatment and initialization ----------------------------------------
 
-# The range of each runner argument a config key sets, declared once: its
-# runner checks it at entry, and config.py reads it.  A count is an integer.
+# the range of each runner argument a config key sets, which config.py reads
 RUN_ARGUMENTS = {
     "dt_s": "(0, inf)", "power_w": "(0, inf)",
     "saturation_epsilon": "(0, 0.1)",  # a settling tolerance, relative to steady state

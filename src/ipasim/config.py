@@ -175,7 +175,7 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
 
 def _arguments_of(function: Callable, *names: str) -> dict[str, _Key]:
     """One key per named argument of ``function``, in the order named: its default is
-    the argument's, its range the one ``attack.RUN_ARGUMENTS`` declares and it checks."""
+    the argument's, its range the one ``attack.RUN_ARGUMENTS`` declares, which it checks."""
     arguments = inspect.signature(function).parameters
     return {name: _key(arguments[name].default, attack.RUN_ARGUMENTS[name]) for name in names}
 
