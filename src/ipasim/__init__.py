@@ -56,7 +56,6 @@ from .photorefractive import (
     buildup_time_constant,
     evolve_field,
     photoconductivity,
-    steady_state_field,
 )
 from .security import (
     AttackParams,
@@ -68,12 +67,9 @@ from .security import (
     TailBounded,
     attack_success_probability,
     binary_entropy,
-    decoy_bounds,
     evaluate_scenario,
     key_rate,
-    single_photon_truth,
     sweep_key_rates,
-    tagged_fraction_estimated,
     zero_key_threshold,
 )
 

@@ -1,13 +1,17 @@
 """Declared ranges of numeric parameters, the size bounds, and the one check of each.
 
 A parameter declares its interval once, spelled like ``"[0, 0.93]"``: a
-dataclass field through :func:`ranged`, a config key or a runner argument through :func:`interval`.
-The test is ``lo <= x <= hi``, each end open or closed as spelled, so NaN fails
-it; an infinite end is always open, so ``"(0, inf)"`` means positive and
-finite.  A field whose default is None may be None; a field whose default is a
-tuple holds the range for every entry.  A refusal reads ``must be finite`` for
-(-inf, inf), ``must be positive`` for (0, inf), ``must be >= lo`` (or ``> lo``)
-for another range open above, else ``must be in`` the spelling.
+dataclass field through :func:`ranged`, a config key through :func:`interval`,
+a function argument in its module's table, which :func:`check_arguments` reads
+at the function's entry.  The test is ``lo <= x <= hi``, each end open or
+closed as spelled, so NaN fails it; an infinite end is always open, so
+``"(0, inf)"`` means positive and finite.  An array holds if every entry does.
+A count is spelled ``"int [1, 1000000]"``: a non-integer is refused first, in
+the words of a config count's parse (``n: expected an integer, got '1.5'``).
+A field whose default is None may be None; one whose default is a tuple holds
+the range for every entry.  A refusal names the parameter and reads ``must be
+finite`` for (-inf, inf), ``must be positive`` for (0, inf), ``must be >= lo``
+(or ``> lo``) for another range open above, else ``must be in`` the spelling.
 
 Every call that allocates a grid or a trace checks its size against
 ``MAX_GRID_POINTS`` or ``MAX_STEPS`` with :func:`check_size` before it does.
@@ -17,7 +21,9 @@ import math
 from dataclasses import MISSING, field, fields
 from functools import lru_cache
 from numbers import Integral
-from typing import Collection, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 # Most points a grid may have (distances, voltage-curve points, trace points,
 # and the rows of a sweep or of all the traces or curves a curve verb makes):
@@ -33,16 +39,37 @@ class Interval(NamedTuple):
     hi: float
     lo_open: bool
     hi_open: bool
+    integer: bool
     message: str
 
-    def holds(self, x: float) -> bool:
+    def holds(self, x) -> bool:
+        """``x``, a number or every entry of an array, lies in the interval; NaN does not."""
+        low, high = (x, x) if isinstance(x, (int, float)) else extremes(x)
         lo, hi = self.lo, self.hi
-        return (lo < x if self.lo_open else lo <= x) and (x < hi if self.hi_open else x <= hi)
+        return bool((lo < low if self.lo_open else lo <= low)
+                    and (high < hi if self.hi_open else high <= hi))
+
+    def check(self, name: str, x) -> None:
+        """Raise ``ValueError`` naming ``name`` unless ``x`` holds, a count an integer."""
+        if self.integer and not isinstance(x, Integral):
+            raise ValueError(f"{name}: expected an integer, got {str(x)!r}")
+        if not self.holds(x):
+            raise ValueError(f"{name} {self.message}")
+
+
+def extremes(x) -> tuple[float, float]:
+    """The least and the greatest entry of ``x``, a number or an array, NaN if any is;
+    (inf, -inf) if none.  The ufuncs reduce: ndarray.min/max cost a method call more."""
+    x = np.asarray(x, dtype=float)
+    return (np.minimum.reduce(x, axis=None, initial=math.inf),
+            np.maximum.reduce(x, axis=None, initial=-math.inf))
 
 
 @lru_cache(maxsize=None)
 def interval(spelling: str) -> Interval:
     """The interval spelled ``spelling``, e.g. ``"[1, inf)"``; an end may be ``pi``."""
+    integer = spelling.startswith("int ")
+    spelling = spelling.removeprefix("int ")
     ends = [end.strip() for end in spelling[1:-1].split(",")]
     lo, hi = (math.pi if end == "pi" else float(end) for end in ends)
     lo_open, hi_open = spelling[0] == "(" or lo == -math.inf, spelling[-1] == ")" or hi == math.inf
@@ -52,7 +79,7 @@ def interval(spelling: str) -> Interval:
         else "must be positive" if lo == 0.0 and lo_open
         else f"must be {'>' if lo_open else '>='} {ends[0]}"
     )
-    return Interval(lo, hi, lo_open, hi_open, message)
+    return Interval(lo, hi, lo_open, hi_open, integer, message)
 
 
 def ranged(spelling: str, default: object = MISSING):
@@ -64,34 +91,30 @@ def ranged(spelling: str, default: object = MISSING):
 def _declared(cls: type) -> tuple[list[tuple], list[tuple]]:
     """The declared scalar fields of ``cls``, and its declared tuple fields."""
     declared = [(f, f.metadata["range"]) for f in fields(cls) if f.metadata]
-    scalars = [(f.name, f.default is None, *r) for f, r in declared if type(f.default) is not tuple]
+    scalars = [(f.name, f.default is None, r) for f, r in declared if type(f.default) is not tuple]
     return scalars, [(f.name, r) for f, r in declared if type(f.default) is tuple]
 
 
 def check_ranges(obj: object) -> None:
     """Raise ``ValueError`` at the first declared field of dataclass ``obj`` out of range."""
     scalars, tuples = _declared(type(obj))
-    for name, optional, lo, hi, lo_open, hi_open, message in scalars:
+    for name, optional, allowed in scalars:
         x = getattr(obj, name)
         if optional and x is None:
             continue
-        # Interval.holds written out: a call per field would double the cost
-        if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
-            raise ValueError(f"{name} {message}")
+        lo, hi, lo_open, hi_open, integer, message = allowed
+        # Interval.holds written out for a float: a call per field would double the cost
+        if integer or not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+            allowed.check(name, x)
     for name, allowed in tuples:
         if not all(map(allowed.holds, getattr(obj, name))):
             raise ValueError(f"{name}: every entry {allowed.message}")
 
 
-def check_arguments(declared: Mapping[str, str], counts: Collection[str], **arguments) -> None:
-    """:func:`check_ranges` for keyword ``arguments`` by ``declared`` spellings; one in
-    ``counts`` must be an integer, refused in the words a config count's parse uses."""
+def check_arguments(declared: Mapping[str, str], **arguments) -> None:
+    """:meth:`Interval.check` each keyword argument by the interval ``declared`` spells for it."""
     for name, x in arguments.items():
-        if name in counts and not isinstance(x, Integral):
-            raise ValueError(f"{name}: expected an integer, got {str(x)!r}")
-        allowed = interval(declared[name])
-        if not allowed.holds(x):
-            raise ValueError(f"{name} {allowed.message}")
+        interval(declared[name]).check(name, x)
 
 
 def check_size(count: float, limit: int, message: str) -> None:

@@ -14,10 +14,12 @@ usual two-beam interference law with the signal split ratio setting the
 extinction contrast.
 
 Devices are immutable, their construction range-checked on every build and
-their arm fields not; exposure helpers return a new device with updated arm
-fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
-sampled along an exposure, read out in one call.  ``attenuation_db`` is
-insertion loss relative to unit input (positive numbers, bigger means darker);
+their arm fields not; each method checks its arguments at entry against the
+range ``_ARGUMENTS`` declares, a voltage array in every entry.  Exposure
+helpers return a new device with updated arm fields.  The readouts are numpy
+expressions, so a voltage grid, or arm fields sampled along an exposure, read
+out in one call.  ``attenuation_db`` is insertion loss relative to unit input
+(positive numbers, bigger means darker);
 ``magnification_db`` compares transmittance against a stored baseline, the
 figure of merit for attacks on a VOA parked at deep attenuation.
 """
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, check_ranges, check_size, ranged
+from ._ranges import MAX_GRID_POINTS, check_arguments, check_ranges, check_size, ranged
 from .photorefractive import (
     DecayMode,
     GeometryParams,
@@ -40,6 +42,12 @@ from .photorefractive import (
     field_coupling,
     relaxation_law,
 )
+
+# the range of each argument a method of this module checks at entry
+_ARGUMENTS = {
+    "power_w": "[0, inf)", "mu_in": "[0, inf)", "baseline_mu": "(0, inf)",
+    "v_app_v": "(-inf, inf)", "v_min_v": "(-inf, inf)", "v_max_v": "(-inf, inf)",
+}
 
 
 class VoltageCurve(NamedTuple):
@@ -61,7 +69,7 @@ class CurvePlan:
 
     v_min_v: float = ranged("(-inf, inf)", -12.0)
     v_max_v: float = ranged("(-inf, inf)", 12.0)
-    points: int = ranged(f"[2, {MAX_GRID_POINTS}]", 481)
+    points: int = ranged(f"int [2, {MAX_GRID_POINTS}]", 481)
     pretreat_voltages_v: tuple[float, ...] = ranged("(-inf, inf)", (-20.0, -15.0, 0.0, 15.0, 20.0))
 
     def __post_init__(self) -> None:
@@ -97,8 +105,7 @@ class MziDevice:
 
     def split_irradiation(self, power_w: float) -> tuple[float, float]:
         """Per-arm powers for a given injected power at the device input."""
-        if not 0.0 <= power_w < math.inf:
-            raise ValueError("power_w must be >= 0 and finite")
+        check_arguments(_ARGUMENTS, power_w=power_w)
         loss_db = self.irradiation_coupling_db + self.polarization_loss_db
         delivered = power_w * 10.0 ** (-loss_db / 10.0)
         return delivered * self.irradiation_split, delivered * (1.0 - self.irradiation_split)
@@ -112,8 +119,10 @@ class MziDevice:
         fields, and a loop that carries bare fields reads the phase from the
         same coefficients without building a device.  The differential term
         is taken on the field difference, which stays exact when the two arms
-        sit near the same large field.
+        sit near the same large field.  The readouts built on it check
+        ``v_app_v`` here.
         """
+        check_arguments(_ARGUMENTS, v_app_v=v_app_v)
         g = self.material.field_response
         c_over_d = field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
         theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
@@ -125,9 +134,9 @@ class MziDevice:
         return theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
 
     def transmittance(self, v_app_v: float) -> float:
-        return self.phase_transmittance(self.total_phase(v_app_v))
+        return self._phase_transmittance(self.total_phase(v_app_v))
 
-    def phase_transmittance(self, phase: float) -> float:
+    def _phase_transmittance(self, phase: float) -> float:
         """The two-beam interference law at interferometer phase ``phase``."""
         r = self.signal_split
         return 4.0 * r * (1.0 - r) * np.cos(0.5 * phase) ** 2
@@ -139,8 +148,7 @@ class MziDevice:
 
     def output_mpn(self, mu_in: float, v_app_v: float) -> float:
         """Mean photon number leaving the device for a coherent input."""
-        if not 0.0 <= mu_in < math.inf:
-            raise ValueError("mu_in must be >= 0 and finite")
+        check_arguments(_ARGUMENTS, mu_in=mu_in)
         return mu_in * self.transmittance(v_app_v)
 
     def magnification_db(
@@ -151,8 +159,7 @@ class MziDevice:
         Zero for a device measured against its own unattacked output, -inf
         for a dark output.
         """
-        if not 0.0 < baseline_mu < math.inf:
-            raise ValueError("baseline_mu must be positive")
+        check_arguments(_ARGUMENTS, baseline_mu=baseline_mu)
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)
 
@@ -179,9 +186,7 @@ class MziDevice:
         once exposure has flattened the slope enough to stretch the fringe
         period past the range.
         """
-        for name, end in (("v_min_v", v_min_v), ("v_max_v", v_max_v)):
-            if not math.isfinite(end):
-                raise ValueError(f"{name} must be finite")
+        check_arguments(_ARGUMENTS, v_min_v=v_min_v, v_max_v=v_max_v)
         if v_max_v - v_min_v < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
         theta_lo = self.total_phase(v_min_v)
@@ -200,13 +205,13 @@ class MziDevice:
 
     def arm_fields(self, v_app_v: float) -> tuple[float, float]:
         """Push-pull applied fields seen by the two arms."""
-        if not math.isfinite(v_app_v):
-            raise ValueError("v_app_v must be finite")
+        check_arguments(_ARGUMENTS, v_app_v=v_app_v)
         e = v_app_v / self.geometry.electrode_gap_m
         return e, -e
 
     def exposed(self, power_w: float, v_app_v: float, dt_s: float) -> "MziDevice":
-        """New device after ``dt_s`` of constant injected power under bias."""
+        """New device after ``dt_s`` of constant injected power under bias; a
+        ``dt_s`` of inf means to the steady state, as for :func:`evolve_field`."""
         p1, p2 = self.split_irradiation(power_w)
         e1, e2 = self.arm_fields(v_app_v)
         mat, mode = self.material, self.decay_mode
@@ -242,7 +247,8 @@ class MziDevice:
 
     def with_fields(self, field1_v_per_m, field2_v_per_m) -> "MziDevice":
         """This device with other arm fields, floats or sampled arrays; unlike
-        ``replace``, which any other change goes through, it re-checks nothing."""
+        ``replace``, which any other change goes through, it checks nothing, on
+        purpose: every exposure and every trace row block swaps the fields."""
         new = object.__new__(type(self))
         vars(new).update(vars(self), field1_v_per_m=field1_v_per_m, field2_v_per_m=field2_v_per_m)
         return new

@@ -26,8 +26,9 @@ crossover.
 Unit conventions: ``P`` is the per-arm optical power in watts delivered to the
 waveguide (beam geometry is absorbed into the transport constants, so the
 photovoltaic and photoconductive coefficients are lumped per-watt quantities).
-Fields are V/m, conductivities S/m, times seconds.  Every parameter field
-declares its range (``ipasim._ranges``), which refuses NaN and +-inf.
+Fields are V/m, conductivities S/m, times seconds.  Every parameter field,
+and every argument in ``_ARGUMENTS``, declares its range (``ipasim._ranges``),
+which refuses NaN and +-inf; an elapsed time may be inf.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ from enum import Enum
 
 import numpy as np
 
-from ._ranges import check_ranges, ranged
+from ._ranges import check_arguments, check_ranges, ranged
 
 VACUUM_PERMITTIVITY_F_PER_M = 8.8541878128e-12
 _LN2 = math.log(2.0)
+
+# the range of each argument a function of this module checks at entry
+_ARGUMENTS = {"power_w": "[0, inf)", "e_app_v_per_m": "(-inf, inf)", "field_v_per_m": "(-inf, inf)"}
 
 
 class DecayMode(str, Enum):
@@ -70,13 +74,10 @@ class MaterialParams:
     photocond_per_w: float = ranged("(0, inf)")   # a, photoconductivity per absorbed watt
     dark_conductivity_s_per_m: float = ranged("(0, inf)")
     rel_permittivity: float = ranged("(0, inf)")
-    sublinear_exponent: int = ranged("[1, inf)", 2)  # m in sigma_ph ~ P**(1/m) above crossover
+    sublinear_exponent: int = ranged("int [1, inf)", 2)  # m in sigma_ph ~ P**(1/m) above crossover
     crossover_power_w: float = ranged("(0, inf)", 7e-6)
 
-    def __post_init__(self) -> None:
-        check_ranges(self)
-        if self.sublinear_exponent != int(self.sublinear_exponent):
-            raise ValueError("sublinear_exponent must be an integer")
+    __post_init__ = check_ranges
 
     @property
     def response_amplitude(self) -> float:
@@ -161,8 +162,7 @@ def field_coupling(mat: MaterialParams, geo: GeometryParams) -> float:
 
 def photoconductivity(mat: MaterialParams, power_w: float) -> float:
     """sigma_ph(P): linear below the crossover, ~P**(1/m) above it."""
-    if not 0.0 <= power_w < math.inf:
-        raise ValueError("power_w must be >= 0 and finite")
+    check_arguments(_ARGUMENTS, power_w=power_w)
     if power_w <= mat.crossover_power_w:
         return mat.photocond_per_w * mat.absorption_per_m * power_w
     return mat.high_regime_coeff * power_w ** (1.0 / mat.sublinear_exponent)
@@ -174,9 +174,7 @@ def buildup_time_constant(mat: MaterialParams, power_w: float) -> float:
     return mat.rel_permittivity * VACUUM_PERMITTIVITY_F_PER_M / sigma
 
 
-def steady_state_field(
-    mat: MaterialParams, power_w: float, e_app_v_per_m: float = 0.0
-) -> float:
+def _steady_state_field(mat: MaterialParams, power_w: float, e_app_v_per_m: float = 0.0) -> float:
     """Space-charge field the arm relaxes toward under constant conditions.
 
     The photovoltaic term drives the field up with intensity; the drift term
@@ -200,9 +198,10 @@ def relaxation_law(
     ``FROZEN`` arm holds its field there, which ``tau = inf`` expresses: it
     makes every :func:`relaxation_step` a zero move.
     """
+    check_arguments(_ARGUMENTS, e_app_v_per_m=e_app_v_per_m)
     if power_w == 0.0 and decay_mode is DecayMode.FROZEN:
         return 0.0, math.inf
-    return steady_state_field(mat, power_w, e_app_v_per_m), buildup_time_constant(mat, power_w)
+    return _steady_state_field(mat, power_w, e_app_v_per_m), buildup_time_constant(mat, power_w)
 
 
 def relaxation_step(
@@ -219,7 +218,8 @@ def relaxation_step(
     :func:`evolve_field` (so ``MziDevice.exposed``), every exposure program
     and every saturation run of ``ipasim.attack`` call it.  The attack
     module's per-segment and per-period loops write its scalar expression
-    out, with the same bits.
+    out, with the same bits.  It checks nothing, on purpose: it runs on
+    every block of rows, whose inputs its callers have checked once.
     """
     gap = field_v_per_m - target
     if isinstance(x, np.ndarray):
@@ -244,10 +244,12 @@ def evolve_field(
     composing two steps of dt/2 matches one step of dt to machine precision
     and dt may be chosen for trace resolution only.  ``dt_s`` may also be an
     array of elapsed times, which gives the field at each of them from the
-    same start (a float for a scalar ``dt_s``).  With the irradiation off the
-    field either holds (``FROZEN``) or relaxes to zero with the dark time
-    constant (``DARK_DECAY``).
+    same start (a float for a scalar ``dt_s``).  A ``dt_s`` of inf means to
+    the steady state, so it is checked by hand, not declared.  With the
+    irradiation off the field either holds (``FROZEN``) or relaxes to zero
+    with the dark time constant (``DARK_DECAY``).
     """
+    check_arguments(_ARGUMENTS, field_v_per_m=field_v_per_m)
     if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
         raise ValueError("dt_s must be >= 0")
     target, tau = relaxation_law(mat, power_w, e_app_v_per_m, decay_mode)

@@ -11,8 +11,9 @@ computes both views and the resulting estimated vs actual key rates.
 
 Conventions: gains and yields are probabilities per pulse; magnification is
 linear here (callers convert from dB); every scenario and attack field is
-range-checked.  A scenario holds no distance: the evaluations take a grid,
-by default ``SweepPlan``'s, and the per-link terms its transmittance.
+range-checked, and each argument in ``_ARGUMENTS`` at entry, in every entry of
+an array.  A scenario holds no distance: the evaluations take a grid, by
+default ``SweepPlan``'s, and the per-link terms its transmittance.
 Photon-number statistics use closed forms, nothing truncated.  ``n_trunc``
 remains a validity guard on attacked evaluations: the Poisson mass above it
 is reported as ``tail_bound``, and a magnified mean whose tail reaches
@@ -43,13 +44,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, check_ranges, check_size, ranged
+from ._ranges import MAX_GRID_POINTS, check_arguments, check_ranges, check_size, extremes, ranged
 
 # A float, or an array with one entry per distance of a grid.  The per-link
 # functions take and return either; each range check covers every entry.
@@ -59,6 +59,13 @@ Floats = Union[float, np.ndarray]
 DARK_COUNT_ERROR = 0.5
 
 TAIL_LIMIT = 1e-12
+
+# the range of each argument a call of this module checks at entry
+_ARGUMENTS = {
+    "alpha_db_per_km": "[0, inf)", "m_db": "[0, inf)", "m_search_range_db": "[0, inf)",
+    "tol_db": "(0, inf)", "mean": "[0, inf)", "n_trunc": "int [0, inf)", "x": "[0, 1]",
+    "eta_ab": "[0, 1]", "delta": "[0, 1]", "q_mu": "[0, 1]", "e1": "[0, 0.5]", "e_mu": "[0, 0.5]",
+}
 
 
 class BracketError(ValueError):
@@ -83,7 +90,7 @@ class QkdScenario:
     e_det: float = ranged("[0, 0.5]", 0.005)
     e0: float = ranged("[0, 1]", DARK_COUNT_ERROR)
     f_ec: float = ranged("[1, inf)", 1.16)
-    n_trunc: int = ranged("[20, inf)", 80)
+    n_trunc: int = ranged("int [20, inf)", 80)
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -102,6 +109,7 @@ class AttackParams:
 
     @classmethod
     def from_db(cls, m_db: float) -> "AttackParams":
+        check_arguments(_ARGUMENTS, m_db=m_db)
         return cls(10.0 ** (m_db / 10.0))
 
     @property
@@ -109,66 +117,40 @@ class AttackParams:
         return 10.0 * math.log10(self.m_linear)
 
 
-# The checks reduce through the ufuncs: ndarray.all/any/min/max add a Python
-# call to numpy's method wrappers, which costs more than the check itself.
-def _within(x: Floats, low: float, high: float) -> bool:
-    """Every entry in [low, high]; NaN is outside, as min and max propagate it."""
-    x = np.asarray(x, dtype=float)
-    return bool(low <= np.minimum.reduce(x, axis=None, initial=math.inf)
-                and np.maximum.reduce(x, axis=None, initial=-math.inf) <= high)
-
-
-def _any(mask: Union[bool, np.ndarray]) -> bool:
-    return bool(np.logical_or.reduce(mask, axis=None))
-
-
-def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats:
-    """Fiber transmittance.  A distance may be inf (no light) except on a
-    lossless fiber, where its loss 0 * inf would be NaN."""
-    longest = math.inf if alpha_db_per_km > 0.0 else sys.float_info.max
-    if not (0.0 <= alpha_db_per_km < math.inf and _within(distance_km, 0.0, longest)):
-        raise ValueError("fiber attenuation and distance must be >= 0")
-    return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
+def channel_transmittance(alpha_db_per_km: float, distances_km: Floats) -> Floats:
+    """Fiber transmittance at a distance, or at each of a grid.  A distance may be
+    inf (no light) except on a lossless fiber, where its loss 0 * inf would be NaN."""
+    check_arguments(_ARGUMENTS, alpha_db_per_km=alpha_db_per_km)
+    shortest, longest = extremes(distances_km)
+    if not (shortest >= 0.0 and (longest < math.inf or alpha_db_per_km > 0.0)):
+        raise ValueError("distances_km must be >= 0, and finite on a lossless fiber")
+    return 10.0 ** (-alpha_db_per_km * distances_km / 10.0)
 
 
 def _clicks(mpn: Floats, eta: Floats, y0: float) -> tuple[Floats, Floats]:
-    """The gain and exp(-eta*mpn) - 1, the one expm1 that gain and qber share."""
-    if _any(np.asarray(mpn) < 0.0):
-        raise ValueError("mpn must be >= 0")
-    missed = np.expm1(-eta * mpn)
-    return np.minimum(y0 - missed, 1.0), missed
-
-
-def gain(mpn: Floats, eta: Floats, y0: float) -> Floats:
-    """Detection probability per pulse; clamped at 1 for pathological inputs.
+    """The gain (detection probability per pulse, clamped at 1) and
+    exp(-eta*mpn) - 1, the one expm1 that the gain and the error rate share.
 
     1 - exp(-eta*mpn) is formed with expm1: next to 1 it keeps only ~1e-16
     absolute accuracy, which on a long link is a ~1e-10 relative error in
     the gain that the decoy bounds amplify further.  ``mpn`` may be a column,
     e.g. (mu, nu) as shape (2, 1), giving one row per mean photon number.
     """
-    return _clicks(mpn, eta, y0)[0]
+    missed = np.expm1(-eta * mpn)
+    return np.minimum(y0 - missed, 1.0), missed
 
 
 def _error_rate(q: Floats, missed: Floats, y0: float, e0: float, e_det: float) -> Floats:
+    """Error rate per detected pulse: dark-count noise diluted by real signal."""
     detected = q > 0.0
     # a link that never clicks has only the dark-count error
     errors = e0 * y0 - e_det * missed
     return np.where(detected, errors / np.where(detected, q, 1.0), e0)[()]
 
 
-def qber(mpn: Floats, eta: Floats, y0: float, e0: float, e_det: float) -> Floats:
-    """Error rate per detected pulse: dark-count noise diluted by real signal.
-
-    ``mpn`` may be a column, as for :func:`gain`.
-    """
-    return _error_rate(*_clicks(mpn, eta, y0), y0, e0, e_det)
-
-
 def binary_entropy(x: Floats) -> Floats:
+    check_arguments(_ARGUMENTS, x=x)
     x = np.asarray(x, dtype=float)
-    if not _within(x, 0.0, 1.0):
-        raise ValueError("binary entropy needs x in [0, 1]")
     inside = (x > 0.0) & (x < 1.0)
     # the end points carry no entropy; 1/2 stands in there so no log sees 0
     y = np.where(inside, x, 0.5)
@@ -182,7 +164,7 @@ class DecoyBounds(NamedTuple):
     clamped: Union[bool, np.ndarray]
 
 
-def decoy_bounds(
+def _decoy_bounds(
     scenario: QkdScenario, q_mu: Floats, e_mu: Floats, q_nu: Floats, e_nu: Floats
 ) -> DecoyBounds:
     """Vacuum+weak analytic bounds on single-photon yield and error.
@@ -205,7 +187,7 @@ def decoy_bounds(
     return DecoyBounds(y1[()], e1[()], clamped[()])
 
 
-def single_photon_truth(scenario: QkdScenario, eta: Floats) -> DecoyBounds:
+def _single_photon_truth(scenario: QkdScenario, eta: Floats) -> DecoyBounds:
     """True single-photon yield and error, for the oracle estimator mode, at
     overall transmittance ``eta`` (a float, or one entry per distance of a grid).
     """
@@ -214,13 +196,11 @@ def single_photon_truth(scenario: QkdScenario, eta: Floats) -> DecoyBounds:
     return DecoyBounds(y1, e1, np.zeros(np.shape(y1), dtype=bool)[()])
 
 
-def resend_probability(eta_ab: Floats, m_linear: Floats) -> Floats:
+def _resend_probability(eta_ab: Floats, m_linear: Floats) -> Floats:
     """Per-photon forwarding probability that hides the attack in the rates.
 
     ``m_linear`` may be a column of magnifications, one row each.
     """
-    if not _within(m_linear, 1.0, math.inf):
-        raise ValueError("m_linear must be >= 1")
     return eta_ab / m_linear
 
 
@@ -243,8 +223,7 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
     mean above the cut puts most of the mass in the tail, which is then one
     minus the short sum of the first ``n_trunc + 1`` terms.
     """
-    if not math.isfinite(mean):
-        raise ValueError("Poisson mean must be finite")
+    check_arguments(_ARGUMENTS, mean=mean, n_trunc=n_trunc)
     if mean > n_trunc:
         return 1.0 - math.fsum(_poisson_pmf(n, mean) for n in range(n_trunc + 1))
     if mean == 0.0:
@@ -291,11 +270,12 @@ def attack_success_probability(
     column against the grid, and only the tails, checked in order, are
     summed one attack at a time.
     """
+    check_arguments(_ARGUMENTS, eta_ab=eta_ab)
     single = isinstance(attack, AttackParams)
     attacks = (attack,) if single else attack
     column = (len(attacks),) + (1,) * np.asarray(eta_ab).ndim
     m_linear = np.array([a.m_linear for a in attacks]).reshape(column)
-    p = resend_probability(eta_ab, m_linear)
+    p = _resend_probability(eta_ab, m_linear)
     tails = []
     for a in attacks:
         mu_e = a.m_linear * scenario.mu
@@ -313,12 +293,8 @@ def attack_success_probability(
     return TailBounded(value, np.array(tails).reshape(column))
 
 
-def tagged_fraction_estimated(
-    scenario: QkdScenario, y1_lower: Floats, q_mu: Floats
-) -> Floats:
-    """Multiphoton fraction the users infer from their decoy bound."""
-    if _any(np.asarray(q_mu) <= 0.0):
-        raise ValueError("q_mu must be positive")
+def _tagged_fraction_estimated(scenario: QkdScenario, y1_lower: Floats, q_mu: Floats) -> Floats:
+    """Multiphoton fraction the users infer from their decoy bound; ``q_mu`` > 0."""
     p1 = scenario.mu * math.exp(-scenario.mu)
     return np.minimum(np.maximum(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
 
@@ -335,12 +311,9 @@ def key_rate(
 
     Both entropies come from one call on the stacked (e1, e_mu) block.
     """
-    if not _within(delta, 0.0, 1.0):
-        raise ValueError("delta must be in [0, 1]")
+    check_arguments(_ARGUMENTS, delta=delta, e1=e1, q_mu=q_mu, e_mu=e_mu)
     errors = np.empty((2, *np.broadcast(e1, e_mu).shape))
     errors[0], errors[1] = e1, e_mu
-    if not _within(errors, 0.0, 0.5):
-        raise ValueError("e1 and e_mu must be in [0, 0.5]")
     h1, h_mu = binary_entropy(errors)
     raw = q_mu * ((1.0 - delta) * (1.0 - h1) - scenario.f_ec * h_mu)
     return KeyRate(np.maximum(raw, 0.0), raw)
@@ -375,6 +348,11 @@ _FIELDS = tuple(f.name for f in fields(SecurityResult))
 ESTIMATORS = ("decoy", "single_photon_true")
 
 
+def _check_estimator(estimator: str) -> None:
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of: {', '.join(ESTIMATORS)}")
+
+
 def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) -> tuple:
     """The users' side of a link over a distance grid, the same under any attack.
 
@@ -383,20 +361,19 @@ def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) 
     exp(-eta*mpn) - 1 they share (``missed``) are (2, d) blocks, row 0 the
     signal's and row 1 the decoy's.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    _check_estimator(estimator)
     distance = np.asarray(distances_km, dtype=float)
     eta_ab = channel_transmittance(scenario.alpha_db_per_km, distance)
     eta = eta_ab * scenario.eta_bob
     q, missed = _clicks(np.array([[scenario.mu], [scenario.nu]]), eta, scenario.y0)
     e = _error_rate(q, missed, scenario.y0, scenario.e0, scenario.e_det)
     # a dark signal leaves nothing to estimate from, and 0/0 in the true yield
-    if _any(q[0] <= 0.0):
+    if not extremes(q[0])[0] > 0.0:
         raise ValueError("q_mu must be positive")
     if estimator == "decoy":
-        bounds = decoy_bounds(scenario, q[0], e[0], q[1], e[1])
+        bounds = _decoy_bounds(scenario, q[0], e[0], q[1], e[1])
     else:
-        bounds = single_photon_truth(scenario, eta)
+        bounds = _single_photon_truth(scenario, eta)
     return distance, eta_ab, q, e, missed, bounds
 
 
@@ -419,7 +396,7 @@ def _evaluate(
     distance, eta_ab, (q_mu, q_nu), (e_mu, e_nu), _, bounds = _link(
         scenario, estimator, distances_km
     )
-    delta_est = tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
+    delta_est = _tagged_fraction_estimated(scenario, bounds.y1_lower, q_mu)
     attacked = [attack for attack in attacks if attack is not None]
     # row 0 is the link without an attacker, row j the j-th attack
     block = np.zeros((len(_ATTACK_FIELDS), len(attacked) + 1, distance.size))
@@ -478,8 +455,7 @@ class SweepPlan:
                    f"over the distance grid exceeds {MAX_GRID_POINTS} rows")
         if not self.m_search_high_db > self.m_search_low_db:
             raise ValueError("m_search_high_db must exceed m_search_low_db")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of: {', '.join(ESTIMATORS)}")
+        _check_estimator(self.estimator)
         self.distances_km = tuple(lo + i * step for i in range(int(count)))
 
 
@@ -502,8 +478,8 @@ def evaluate_scenario(
     Over a grid of distances every field is an array with one entry per
     distance, from one pass of the array formulas; the attack's Poisson tail,
     which does not depend on distance, is computed once.  A single float
-    distance is a grid of one whose fields come back as floats (or a bool).
-    It is one row of the sweep's evaluation.
+    distance is a grid of one whose fields come back as floats (or a bool),
+    one row of the sweep's; an infinite one transmits no light.
     """
     single = np.ndim(distances_km) == 0
     grid = [distances_km] if single else distances_km
@@ -530,8 +506,6 @@ def sweep_key_rates(
     n, count = len(m_db_list), len(distances_km)
     check_size(n * count, MAX_GRID_POINTS, f"a sweep of {n} magnifications over {count} "
                f"distances exceeds {MAX_GRID_POINTS} rows")
-    if not all(m_db >= 0.0 for m_db in m_db_list):
-        raise ValueError("m_db must be >= 0")
     attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]
     link, block = _evaluate(scenario, attacks, estimator, distances_km)
     # a link column is the same under every magnification
@@ -562,16 +536,13 @@ def zero_key_threshold(
     A ``tol_db`` below the float spacing near m* stops the halving once lo
     and hi are adjacent floats, so the result is within one ulp of m*.
     """
-    if not 0.0 < tol_db < math.inf:  # nan or inf would return the midpoint as m*
-        raise ValueError("tol_db must be positive")
+    # a nan or inf tol_db would return the midpoint as m*, and an inf high every midpoint as inf
+    check_arguments(_ARGUMENTS, tol_db=tol_db, m_search_range_db=m_search_range_db)
     lo, hi = m_search_range_db
-    if not 0.0 <= lo < hi:
+    if not lo < hi:
         raise ValueError("need 0 <= low < high in m_search_range_db")
-    if hi == math.inf:  # every midpoint would be inf
-        raise ValueError("m_search_range_db: high must be finite")
     _, eta_ab, q, (e_mu, _), missed, bounds = _link(scenario, estimator, distances_km)
-    if not _within(e_mu, 0.0, 0.5):
-        raise ValueError("e1 and e_mu must be in [0, 0.5]")
+    check_arguments(_ARGUMENTS, e_mu=e_mu)  # as key_rate refuses it
     h1, h_mu = binary_entropy((np.minimum(bounds.e1_upper, 0.5), e_mu))
     # masked below: H(e1) = 1 and a dark link divide by zero, ratios >= 1 leave ln
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -19,16 +19,16 @@ from ipasim.budget import path_loss, required_eve_power, standard_path
 from ipasim.calibration import PEAK_POWER_W, WORKING_POINT_V, default_device
 from ipasim.cli import EXIT_OK, main
 from ipasim.device import curve_rms_db
-from ipasim.photorefractive import buildup_time_constant, evolve_field, steady_state_field
+from ipasim.photorefractive import _steady_state_field as steady_state_field
+from ipasim.photorefractive import buildup_time_constant, evolve_field
 from ipasim.security import (
     AttackParams,
     QkdScenario,
     attack_success_probability,
     channel_transmittance,
-    gain,
-    resend_probability,
     sweep_key_rates,
 )
+from ipasim.security import _resend_probability as resend_probability
 from oracles import success_monte_carlo, thinned_pmf_bruteforce
 
 DEV = default_device()
@@ -78,8 +78,8 @@ def test_criterion_02_undetectability():
         m = float(rng.uniform(1.0, 10.0))
         p = resend_probability(eta_ab, m)
         for mpn in (sc.mu, sc.nu):
-            honest = gain(mpn, eta_ab * sc.eta_bob, sc.y0)
-            diff = abs(gain(mpn, m * p * sc.eta_bob, sc.y0) - honest)
+            honest = security._clicks(mpn, eta_ab * sc.eta_bob, sc.y0)[0]
+            diff = abs(security._clicks(mpn, m * p * sc.eta_bob, sc.y0)[0] - honest)
             worst = max(worst, diff)
     assert worst < 1e-12
 

@@ -1,6 +1,7 @@
 """Exposure programs, pre-treatment, initialization, pulse control loop."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ipasim.attack as attack_module
+from ipasim._ranges import MAX_STEPS
 from ipasim.attack import (
     INIT_POWER_W,
     SETTLE_PERIODS,
@@ -56,6 +58,21 @@ def test_program_validation():
     train = IrradiationProgram.pulse_train(1e-6, 10.0, 1.0, 3)
     assert train.total_duration_s == pytest.approx(30.0)
     assert train.pulse_width_s == 1.0
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (1.5, "count: expected an integer, got '1.5'"),
+        (0, re.escape("count must be in [1, 1000000]")),
+        # refused before (on, off) * count allocates the segments
+        (MAX_STEPS + 1, re.escape("count must be in [1, 1000000]")),
+    ],
+    ids=["1.5", "0", "MAX_STEPS+1"],
+)
+def test_pulse_train_refuses_a_count_that_is_no_count_of_periods(count, message):
+    with pytest.raises(ValueError, match=message):
+        IrradiationProgram.pulse_train(1e-6, 10.0, 1.0, count)
 
 
 @pytest.mark.parametrize(
@@ -788,7 +805,7 @@ def test_non_finite_drive_voltage_is_refused(runner, v):
 @pytest.mark.parametrize("mu_in", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("runner", ["cw", "steps", "pulse"])
 def test_non_finite_input_mean_photon_number_is_refused(runner, mu_in):
-    with pytest.raises(ValueError, match="mu_in must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="mu_in must be >= 0"):
         RUNNERS[runner](WP, mu_in)
 
 

@@ -1,13 +1,15 @@
-"""The package surface: the runtime needs numpy only, and the exported names
-are pinned."""
+"""The package surface: the runtime needs numpy only, the exported names are
+pinned, and every library name the benchmark wraps or calls resolves."""
 
 import ast
 import dataclasses
 import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -37,12 +39,10 @@ EXPORTS = {
     "QkdScenario", "SecurityResult", "Segment", "TailBounded", "VoltageCurve",
     "attack_success_probability", "binary_entropy", "buildup_time_constant",
     "calibration_summary", "countermeasure_margin", "coupling_plan_loss", "curve_rms_db",
-    "decoy_bounds", "default_device", "default_geometry", "default_material",
-    "evaluate_scenario", "evolve_field", "initialize_device", "key_rate",
-    "path_loss", "photoconductivity", "pre_treat",
-    "pulse_inject_to_target", "required_eve_power", "run_program", "single_photon_truth",
-    "standard_path", "steady_state_field", "sweep_key_rates", "tagged_fraction_estimated",
-    "zero_key_threshold",
+    "default_device", "default_geometry", "default_material", "evaluate_scenario",
+    "evolve_field", "initialize_device", "key_rate", "path_loss", "photoconductivity",
+    "pre_treat", "pulse_inject_to_target", "required_eve_power", "run_program",
+    "standard_path", "sweep_key_rates", "zero_key_threshold",
 }
 
 
@@ -155,3 +155,81 @@ PARAMETER_FIELDS = _parameter_fields()
 def test_every_parameter_field_is_read(cls_name, field):
     """A field that package code never reads is a setting that changes no output."""
     assert field in LOADS, f"{cls_name}.{field} is never read"
+
+
+BENCH = Path(ipasim.__file__).parents[2] / "bench"
+
+
+def _resolve(obj, attributes):
+    """``obj.a.b...`` one attribute at a time; an attribute a class only annotates
+    (a field, say) resolves to its annotated type."""
+    for attribute in attributes:
+        hints = typing.get_type_hints(obj) if isinstance(obj, type) else {}
+        obj = hints[attribute] if attribute in hints else getattr(obj, attribute)
+    return obj
+
+
+def _dotted(node):
+    """``['a', 'b', 'c']`` for the expression ``a.b.c``, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.insert(0, node.attr)
+        node = node.value
+    return [node.id, *names] if isinstance(node, ast.Name) else None
+
+
+def _ops_library_names():
+    """Each dotted library name ``bench/ops.py`` uses, as (where, text, object
+    path): a chain on ``self.lib`` or on a local bound to one of its modules,
+    and a method called on a local bound to what a library call returns."""
+    tree = ast.parse((BENCH / "ops.py").read_text())
+    roots = {"lib": (), "self": ()}  # local name -> its path from the ipasim package
+    for node in ast.walk(tree):  # in source order, so a binding precedes its uses
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target, value = node.targets[0], node.value
+        pairs = (
+            zip(target.elts, value.elts)
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+            else [(target, value)]
+        )
+        for name, expression in pairs:
+            call = isinstance(expression, ast.Call)
+            chain = _dotted(expression.func if call else expression)
+            if isinstance(name, ast.Name) and chain and chain[0] in roots:
+                path = [*roots[chain[0]], *(a for a in chain[1:] if a != "lib")]
+                roots[name.id] = (*path, "()") if call else tuple(path)
+    found = []
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in roots and chain[1:] != ["lib"] and chain[0] != "self":
+            found.append((node.lineno, ".".join(chain), [*roots[chain[0]], *chain[1:]]))
+    return found
+
+
+def _library_object(path):
+    """The object at ``path`` from the ipasim package; ``()`` takes a callable's
+    annotated return type."""
+    obj = ipasim
+    for step in path:
+        obj = typing.get_type_hints(obj)["return"] if step == "()" else _resolve(obj, [step])
+        if isinstance(obj, type(ipasim)):
+            obj = importlib.import_module(obj.__name__)
+    return obj
+
+
+def test_benchmark_entry_points_resolve():
+    """A rename of a name ``bench/tracer.py`` wraps or ``bench/ops.py`` calls
+    fails here, not only in the benchmark's traced run."""
+    targets = runpy.run_path(str(BENCH / "tracer.py"))["TARGETS"]
+    sites = [site for sites in targets.values() for site in sites]
+    assert sites
+    for module_name, attribute, _ in sites:
+        _resolve(importlib.import_module(module_name), attribute.split("."))
+    used = _ops_library_names()
+    assert {text for _, text, _ in used} >= {"attack.run_program", "dev.slowest_time_constant"}
+    for line, text, path in used:
+        try:
+            _library_object(path)
+        except (AttributeError, KeyError) as exc:
+            raise AssertionError(f"bench/ops.py:{line}: {text} does not resolve ({exc})") from None

@@ -88,7 +88,7 @@ def test_magnification_zero_against_own_baseline():
 )
 @pytest.mark.parametrize("mode", list(DecayMode))
 def test_non_finite_power_is_refused(call, power, mode):
-    with pytest.raises(ValueError, match="power_w must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="power_w must be >= 0"):
         call(replace(DEV, decay_mode=mode), power)
 
 
@@ -112,9 +112,9 @@ def test_non_finite_drive_voltage_is_refused(call, v):
 @pytest.mark.parametrize("mu_in", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_input_mean_photon_number_is_refused(mu_in):
     base = DEV.output_mpn(1.0, WORKING_POINT_V)
-    with pytest.raises(ValueError, match="mu_in must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="mu_in must be >= 0"):
         DEV.output_mpn(mu_in, WORKING_POINT_V)
-    with pytest.raises(ValueError, match="mu_in must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="mu_in must be >= 0"):
         DEV.magnification_db(WORKING_POINT_V, base, mu_in)
 
 

@@ -1,8 +1,8 @@
 """The range contract of the parameter dataclasses and plans: every numeric
-field declares its interval, and NaN, +-inf and values just outside a finite
-end are refused.  Every library call that allocates a grid or a trace refuses
-one past its size bound.  A runner argument that a config key sets is
-refused by the runner as the config refuses the key."""
+field declares its interval, and NaN, +-inf, values just outside a finite end
+and a count's non-integers are refused.  Every library call that allocates a
+grid or a trace refuses one past its size bound.  A runner argument that a
+config key sets is refused by the runner as the config refuses the key."""
 
 import inspect
 import math
@@ -63,13 +63,29 @@ NUMERIC = (float, int, typing.Optional[float], typing.Optional[int])
 
 
 def _outside(allowed):
-    """nan, +-inf, and the nearest value past each finite end."""
+    """nan, +-inf, and the nearest value past each finite end; for a count,
+    also non-integers in range (1.5, lo + 0.5 and the float lo), and the
+    integer past each finite end."""
+    def past(end, direction):  # the nearest integer, or float, beyond ``end``
+        if allowed.integer:
+            return int(end) + direction
+        return math.nextafter(end, direction * math.inf)
+
     values = [math.nan, math.inf, -math.inf]
+    if allowed.integer:
+        values += sorted({1.5, allowed.lo + 0.5}) + [float(allowed.lo)]
     if math.isfinite(allowed.lo):
-        values.append(allowed.lo if allowed.lo_open else math.nextafter(allowed.lo, -math.inf))
+        values.append(allowed.lo if allowed.lo_open else past(allowed.lo, -1))
     if math.isfinite(allowed.hi):
-        values.append(allowed.hi if allowed.hi_open else math.nextafter(allowed.hi, math.inf))
+        values.append(allowed.hi if allowed.hi_open else past(allowed.hi, 1))
     return values
+
+
+def _refusal(name, allowed, value):
+    """The start of the refusal of ``value`` for a parameter ``name`` declared in ``allowed``."""
+    if allowed.integer and not isinstance(value, int):
+        return rf"^{name}: expected an integer, got "
+    return rf"^{name} must be "
 
 
 CASES = [
@@ -89,7 +105,8 @@ def test_every_declared_field_refuses_values_outside_its_range(cls, name, value)
         with pytest.raises(ValueError, match=rf"^{name}: every entry must be "):
             replace(INSTANCES[cls], **{name: (*getattr(INSTANCES[cls], name), value)})
         return
-    with pytest.raises(ValueError, match=rf"^{name} must be "):
+    allowed = next(f.metadata["range"] for f in fields(cls) if f.name == name)
+    with pytest.raises(ValueError, match=_refusal(name, allowed, value)):
         replace(INSTANCES[cls], **{name: value})
 
 
@@ -175,25 +192,12 @@ RUNNERS = {
 }
 
 
-def _run_argument_outside(default, allowed):
-    """``_outside`` of a float argument; for a count (an int default, an int
-    key), nan, +-inf, 1.5 and the integer past each finite end."""
-    if type(default) is not int:
-        return _outside(allowed)
-    values = [math.nan, math.inf, -math.inf, 1.5, int(allowed.lo) - 1]
-    if math.isfinite(allowed.hi):
-        values.append(int(allowed.hi) + 1)
-    return values
-
-
 RUN_CASES = [
     (section, name, value)
     for section, (runner, _) in RUNNERS.items()
-    for name, argument in inspect.signature(runner).parameters.items()
+    for name in inspect.signature(runner).parameters
     if name in attack_module.RUN_ARGUMENTS
-    for value in _run_argument_outside(
-        argument.default, interval(attack_module.RUN_ARGUMENTS[name])
-    )
+    for value in _outside(interval(attack_module.RUN_ARGUMENTS[name]))
 ]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ipasim
+from ipasim.security import QkdScenario, zero_key_threshold
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
@@ -44,3 +45,9 @@ def test_library_use_block_prints_its_stated_facts(tmp_path):
     assert 0.0 <= r_actual < r_est
     assert 0.0 < p_s < 1.0
     assert float(grid_max) >= r_actual
+
+
+def test_the_stated_zero_key_point_is_the_default_threshold():
+    # "the ~6.6 dB zero-key point" of the Library-use block, to its one decimal
+    (stated,) = re.findall(r"~(\d+\.\d) dB zero-key point", README.read_text())
+    assert zero_key_threshold(QkdScenario()) == pytest.approx(float(stated), abs=0.05)

@@ -32,18 +32,16 @@ from ipasim.security import (
     attack_success_probability,
     binary_entropy,
     channel_transmittance,
-    decoy_bounds,
     evaluate_scenario,
-    gain,
     key_rate,
     poisson_tail,
-    qber,
-    resend_probability,
-    single_photon_truth,
     sweep_key_rates,
-    tagged_fraction_estimated,
     zero_key_threshold,
 )
+from ipasim.security import _decoy_bounds as decoy_bounds
+from ipasim.security import _resend_probability as resend_probability
+from ipasim.security import _single_photon_truth as single_photon_truth
+from ipasim.security import _tagged_fraction_estimated as tagged_fraction_estimated
 from oracles import (
     binary_entropy_reference,
     poisson_pmf,
@@ -55,6 +53,17 @@ from oracles import (
 )
 
 SCENARIO = QkdScenario()
+
+
+def gain(mpn, eta, y0):
+    """Detection probability per pulse, the link's first kernel."""
+    return security._clicks(mpn, eta, y0)[0]
+
+
+def qber(mpn, eta, y0, e0, e_det):
+    """Error rate per detected pulse, the link's second kernel."""
+    return security._error_rate(*security._clicks(mpn, eta, y0), y0, e0, e_det)
+
 DEFAULT = SweepPlan()  # the grids of a sweep with no grids given
 
 # frozen default-scenario zero-key point, reported to the default 1e-3 dB as
@@ -114,8 +123,9 @@ def test_undetectability_over_randomized_scenarios():
 
 def test_resend_probability_validation():
     assert resend_probability(0.1, 4.0) == pytest.approx(0.025)
-    with pytest.raises(ValueError):
-        resend_probability(0.1, 0.5)
+    # the private kernel trusts its magnification: AttackParams refuses one below 1
+    with pytest.raises(ValueError, match="m_linear must be >= 1"):
+        AttackParams(0.5)
 
 
 # -- photon-number distribution ------------------------------------------------------
@@ -203,7 +213,7 @@ def test_poisson_tail_refuses_a_non_finite_mean():
     # the upward sum never meets its stopping test on NaN
     with time_bound():
         for mean in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="mean must be >= 0"):
                 poisson_tail(mean, 80)
 
 
@@ -243,10 +253,8 @@ def test_decoy_bounds_clamp_pathological_statistics():
 def test_tagged_fraction_estimated_clamps_to_unit_interval():
     assert tagged_fraction_estimated(SCENARIO, 0.0, 0.1) == 1.0
     assert tagged_fraction_estimated(SCENARIO, 1.0, 1e-12) == 0.0
-    with pytest.raises(ValueError):
-        tagged_fraction_estimated(SCENARIO, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        tagged_fraction_estimated(SCENARIO, 0.5, np.array([0.1, 0.0]))
+    # the private kernel trusts q_mu > 0: the link refuses a dark signal first
+    # (test_link_refuses_a_dark_signal_under_either_estimator)
 
 
 # -- elementary pieces -------------------------------------------------------------
@@ -275,8 +283,9 @@ def test_gain_and_qber_limits():
     assert qber(0.0, 0.01, 0.0, 0.5, 0.005) == 0.5  # dark-count only
     # deep in the linear regime the error tends to e_det
     assert qber(1e4, 1e-4, 0.0, 0.5, 0.005) == pytest.approx(0.005, rel=1e-2)
-    with pytest.raises(ValueError):
-        gain(-0.1, 0.01, 0.0)
+    # the kernel trusts its mean photon numbers: QkdScenario refuses a negative one
+    with pytest.raises(ValueError, match="mu must be positive"):
+        QkdScenario(mu=-0.1)
 
 
 def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
@@ -290,8 +299,6 @@ def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
     for row, mpn in enumerate((0.8, 0.1)):
         assert q[row].tobytes() == gain(mpn, eta, 6e-7).tobytes()
         assert e[row].tobytes() == qber(mpn, eta, 6e-7, 0.5, 0.005).tobytes()
-    with pytest.raises(ValueError, match="mpn must be >= 0"):
-        gain(np.array([[0.8], [-0.1]]), eta, 6e-7)
 
 
 def test_channel_transmittance():
@@ -304,10 +311,12 @@ def test_channel_transmittance():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lossless_fiber_of_infinite_length_is_refused():
     # 0 dB/km times an infinite distance is a NaN loss, not a transmittance
-    message = "fiber attenuation and distance must be >= 0"
-    for alpha, distance in [(math.inf, 0.0), (0.0, math.inf), (0.0, np.array([5.0, math.inf]))]:
+    message = "distances_km must be >= 0, and finite on a lossless fiber"
+    with pytest.raises(ValueError, match="alpha_db_per_km must be >= 0"):
+        channel_transmittance(math.inf, 0.0)
+    for distance in [math.inf, np.array([5.0, math.inf])]:
         with pytest.raises(ValueError, match=message):
-            channel_transmittance(alpha, distance)
+            channel_transmittance(0.0, distance)
     lossless = QkdScenario(alpha_db_per_km=0.0)
     with pytest.raises(ValueError, match=message):
         sweep_key_rates(lossless, [0.0, 5.0], [0.0, math.inf])
@@ -359,7 +368,7 @@ def test_attack_refuses_a_non_finite_magnification():
         for m_linear in (math.nan, math.inf):
             with pytest.raises(ValueError, match="m_linear must be >= 1"):
                 AttackParams(m_linear)
-        with pytest.raises(ValueError, match="m_linear must be >= 1"):
+        with pytest.raises(ValueError, match="m_db must be >= 0"):
             sweep_key_rates(SCENARIO, [math.inf], [10.0])
 
 
@@ -374,6 +383,21 @@ def test_no_attack_evaluation_collapses_to_the_estimate():
     assert res.delta_pns == res.delta_est
     with pytest.raises(ValueError):
         evaluate_scenario(SCENARIO, estimator="nonsense")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evaluate_scenario(SCENARIO, estimator="magic"),
+        lambda: sweep_key_rates(SCENARIO, estimator="magic"),
+        lambda: zero_key_threshold(SCENARIO, estimator="magic"),
+    ],
+    ids=["evaluate_scenario", "sweep_key_rates", "zero_key_threshold"],
+)
+def test_an_unknown_estimator_is_refused_in_the_words_of_sweep_plan(call):
+    # tests/test_config.py pins SweepPlan's own refusal
+    with pytest.raises(ValueError, match="^estimator must be one of: decoy, single_photon_true$"):
+        call()
 
 
 def test_actual_key_never_exceeds_estimate_on_the_default_grid():
@@ -409,7 +433,7 @@ def test_sweep_evaluates_the_link_once(monkeypatch):
         calls.append(args)
         return decoy_bounds(*args)
 
-    monkeypatch.setattr(security, "decoy_bounds", counted)
+    monkeypatch.setattr(security, "_decoy_bounds", counted)
     rows = sweep_key_rates(SCENARIO)
     assert len(DEFAULT.m_db_grid) == 5
     assert len(rows) == 5 * len(DEFAULT.distances_km)
@@ -512,17 +536,18 @@ def test_grid_evaluation_returns_arrays_and_checks_every_distance():
     grid = evaluate_scenario(NEAR_DECOY, AttackParams.from_db(5.0), distances_km=[0.0, 50.0, 300.0])
     assert grid.r_actual.shape == grid.m_db.shape == (3,)
     assert grid.bounds_clamped.tolist() == [False, False, True]
-    with pytest.raises(ValueError, match="distance must be >= 0"):
+    with pytest.raises(ValueError, match="distances_km must be >= 0"):
         evaluate_scenario(SCENARIO, distances_km=[10.0, -1.0])
-    with pytest.raises(ValueError, match="distance must be >= 0"):
+    with pytest.raises(ValueError, match="distances_km must be >= 0"):
         sweep_key_rates(SCENARIO, distances_km=[10.0, -1.0])
 
 
 def test_channel_transmittance_refuses_nan_attenuation_and_distance():
-    message = "fiber attenuation and distance must be >= 0"
-    for alpha, distance in [(math.nan, 10.0), (0.2, math.nan), (0.2, np.array([10.0, math.nan]))]:
-        with pytest.raises(ValueError, match=message):
-            channel_transmittance(alpha, distance)
+    with pytest.raises(ValueError, match="alpha_db_per_km must be >= 0"):
+        channel_transmittance(math.nan, 10.0)
+    for distance in [math.nan, np.array([10.0, math.nan])]:
+        with pytest.raises(ValueError, match="distances_km must be >= 0"):
+            channel_transmittance(0.2, distance)
 
 
 def test_sweeps_and_threshold_raise_no_numpy_warnings():
@@ -597,7 +622,7 @@ def test_zero_key_threshold_returns_below_the_float_spacing():
     zero_key_threshold(SCENARIO, (math.nextafter(got, 0.0), math.nextafter(got, math.inf)))
     # a tolerance the halving reaches still gives the same bits as before
     assert zero_key_threshold(SCENARIO, tol_db=1e-3) == THRESHOLD_DB
-    with pytest.raises(ValueError, match="high must be finite"):
+    with pytest.raises(ValueError, match="m_search_range_db must be >= 0"):
         zero_key_threshold(SCENARIO, m_search_range_db=(4.0, math.inf))
 
 
@@ -609,7 +634,7 @@ def test_zero_key_threshold_refuses_a_tolerance_it_cannot_meet(tol_db):
 
 
 def test_link_refuses_a_nan_distance():
-    message = "fiber attenuation and distance must be >= 0"
+    message = "distances_km must be >= 0"
     with pytest.raises(ValueError, match=message):
         sweep_key_rates(SCENARIO, [0.0, 5.0], [10.0, math.nan])
     with pytest.raises(ValueError, match=message):
@@ -635,7 +660,7 @@ def test_link_refuses_a_dark_signal_under_either_estimator(estimator):
 def test_zero_key_threshold_refuses_an_error_rate_past_one_half():
     # dark counts that are always wrong push e_mu toward 1 at 400 km, which
     # the key rate, and so the threshold, refuse
-    with pytest.raises(ValueError, match="e1 and e_mu must be in"):
+    with pytest.raises(ValueError, match="e_mu must be in"):
         zero_key_threshold(QkdScenario(e0=1.0), distances_km=[0.0, 50.0, 400.0])
 
 
