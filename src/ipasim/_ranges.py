@@ -2,16 +2,16 @@
 
 A parameter declares its interval once, spelled like ``"[0, 0.93]"``: a
 dataclass field through :func:`ranged`, a config key through :func:`interval`,
-a function argument in its module's table, which :func:`check_arguments` reads
-at the function's entry.  The test is ``lo <= x <= hi``, each end open or
-closed as spelled, so NaN fails it; an infinite end is always open, so
-``"(0, inf)"`` means positive and finite.  An array holds if every entry does.
-A count is spelled ``"int [1, 1000000]"``: a non-integer is refused first, in
-the words of a config count's parse (``n: expected an integer, got '1.5'``).
-A field whose default is None may be None; one whose default is a tuple holds
-the range for every entry.  A refusal names the parameter and reads ``must be
-finite`` for (-inf, inf), ``must be positive`` for (0, inf), ``must be >= lo``
-(or ``> lo``) for another range open above, else ``must be in`` the spelling.
+a function argument as an :class:`Interval` it checks at entry (most often
+``FINITE``, ``POSITIVE`` or ``NON_NEGATIVE``), and a runner argument a config
+key sets in ``attack.RUN_ARGUMENTS``.  The test is ``lo <= x <= hi``, each end
+open or closed as spelled, so NaN fails it; an infinite end is always open, so
+``"(0, inf)"`` means positive and finite.  An array or a tuple field holds if
+every entry does; a field may be None if its default is.  A refusal names the
+parameter: ``must be finite`` for (-inf, inf), ``must be positive`` for
+(0, inf), ``must be >= lo`` (or ``> lo``) for another range open above, else
+``must be in`` the spelling; a count (``"int [1, 10]"``) that is no integer is
+refused as a config count's parse is: ``n: expected an integer, got '1.5'``.
 
 Every call that allocates a grid or a trace checks its size against
 ``MAX_GRID_POINTS`` or ``MAX_STEPS`` with :func:`check_size` before it does.
@@ -20,7 +20,6 @@ Every call that allocates a grid or a trace checks its size against
 import math
 from dataclasses import MISSING, field, fields
 from functools import lru_cache
-from numbers import Integral
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -37,21 +36,19 @@ MAX_STEPS = 1_000_000
 class Interval(NamedTuple):
     lo: float
     hi: float
-    lo_open: bool
-    hi_open: bool
+    least: float  # the least and the most float that hold: the interval, both ends closed
+    most: float
     integer: bool
     message: str
 
     def holds(self, x) -> bool:
         """``x``, a number or every entry of an array, lies in the interval; NaN does not."""
         low, high = (x, x) if isinstance(x, (int, float)) else extremes(x)
-        lo, hi = self.lo, self.hi
-        return bool((lo < low if self.lo_open else lo <= low)
-                    and (high < hi if self.hi_open else high <= hi))
+        return bool(self.least <= low and high <= self.most)
 
     def check(self, name: str, x) -> None:
         """Raise ``ValueError`` naming ``name`` unless ``x`` holds, a count an integer."""
-        if self.integer and not isinstance(x, Integral):
+        if self.integer and not isinstance(x, (int, np.integer)):
             raise ValueError(f"{name}: expected an integer, got {str(x)!r}")
         if not self.holds(x):
             raise ValueError(f"{name} {self.message}")
@@ -79,7 +76,12 @@ def interval(spelling: str) -> Interval:
         else "must be positive" if lo == 0.0 and lo_open
         else f"must be {'>' if lo_open else '>='} {ends[0]}"
     )
-    return Interval(lo, hi, lo_open, hi_open, integer, message)
+    least = math.nextafter(lo, math.inf) if lo_open else lo
+    most = math.nextafter(hi, -math.inf) if hi_open else hi
+    return Interval(lo, hi, least, most, integer, message)
+
+
+FINITE, POSITIVE, NON_NEGATIVE = map(interval, ("(-inf, inf)", "(0, inf)", "[0, inf)"))
 
 
 def ranged(spelling: str, default: object = MISSING):
@@ -102,9 +104,8 @@ def check_ranges(obj: object) -> None:
         x = getattr(obj, name)
         if optional and x is None:
             continue
-        lo, hi, lo_open, hi_open, integer, message = allowed
         # Interval.holds written out for a float: a call per field would double the cost
-        if integer or not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+        if allowed.integer or not allowed.least <= x <= allowed.most:
             allowed.check(name, x)
     for name, allowed in tuples:
         if not all(map(allowed.holds, getattr(obj, name))):

@@ -29,8 +29,8 @@ must go period by period, since each duty depends on the last reading: a
 period is one lit and one dark step of the two bare fields (no dark one on a
 frozen device) and one reading, in ``math``, with noise drawn in blocks of
 64.  Segments, plans and controllers range-check every parameter field
-(``ipasim._ranges``), each call its arguments at entry against ``_ARGUMENTS``
-(``RUN_ARGUMENTS`` those a config key sets), arm fields are swapped unchecked
+(``ipasim._ranges``), each call its arguments at entry (against
+``RUN_ARGUMENTS`` those a config key sets), arm fields are swapped unchecked
 (``MziDevice.with_fields``), and every run refuses, before it allocates, a
 trace of more than ``MAX_STEPS`` steps or periods.
 """
@@ -44,20 +44,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, MAX_STEPS, check_arguments, check_ranges, check_size, ranged
+from ._ranges import (
+    MAX_GRID_POINTS, MAX_STEPS, NON_NEGATIVE, POSITIVE, check_arguments, check_ranges, check_size,
+    interval, ranged,
+)
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
 
-# the range of each runner argument a config key sets, which config.py reads
-RUN_ARGUMENTS = {
-    "dt_s": "(0, inf)", "power_w": "(0, inf)",
-    "saturation_epsilon": "(0, 0.1)",  # a settling tolerance, relative to steady state
-    "max_steps": f"int [1, {MAX_STEPS}]", "max_periods": f"int [1, {MAX_STEPS}]",
-    "hold_periods": "int [0, inf)",
-}
-# and of every other argument a call of this module checks at entry
-_ARGUMENTS = {**RUN_ARGUMENTS, "mu_in": "[0, inf)", "count": f"int [1, {MAX_STEPS}]",
-              "peak_power_w": "[0, inf)", "period_s": "(0, inf)"}
+_PERIOD_COUNT = interval(f"int [1, {MAX_STEPS}]")
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,9 @@ class IrradiationProgram:
         cls, peak_power_w: float, period_s: float, pulse_width_s: float, count: int
     ) -> "IrradiationProgram":
         """``count`` periods of a ``pulse_width_s`` pulse, at most ``MAX_STEPS``."""
-        check_arguments(_ARGUMENTS, count=count, peak_power_w=peak_power_w, period_s=period_s)
+        _PERIOD_COUNT.check("count", count)
+        NON_NEGATIVE.check("peak_power_w", peak_power_w)
+        POSITIVE.check("period_s", period_s)
         if not 0.0 < pulse_width_s <= period_s:
             raise ValueError("need 0 < pulse_width_s <= period_s")
         on = Segment(peak_power_w, pulse_width_s)
@@ -140,8 +136,7 @@ def _trace(
     trans = sampled._phase_transmittance(phase)
     output = mu_in * trans
     baseline = float(output[0])
-    if not 0.0 < baseline < math.inf:
-        raise ValueError("baseline_mu must be positive")
+    POSITIVE.check("baseline_mu", baseline)
     with np.errstate(divide="ignore"):
         att_db, m_db = -10.0 * np.log10(trans), 10.0 * np.log10(output / baseline)
     t_s, power_w = np.asarray(t_s, dtype=float), np.asarray(power_w, dtype=float)
@@ -195,7 +190,7 @@ def run_program(
     sequential ``left -= dt`` clock to the last bit.  A ``dt_s`` of inf
     means one sample per segment, so it is checked by hand, not declared.
     """
-    check_arguments(_ARGUMENTS, mu_in=mu_in)
+    NON_NEGATIVE.check("mu_in", mu_in)
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
@@ -266,6 +261,14 @@ class PeCurvePlan:
 
 
 # -- pre-treatment and initialization ----------------------------------------
+
+# the range of each runner argument a config key sets, which config.py reads
+RUN_ARGUMENTS = {
+    "dt_s": "(0, inf)", "power_w": "(0, inf)",
+    "saturation_epsilon": "(0, 0.1)",  # a settling tolerance, relative to steady state
+    "max_steps": f"int [1, {MAX_STEPS}]", "max_periods": f"int [1, {MAX_STEPS}]",
+    "hold_periods": "int [0, inf)",
+}
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,7 @@ def pre_treat(
     was configured.  The reported shift is the change of the zero-volt bias
     phase relative to the starting state.  A zero-power plan takes no step.
     """
-    check_arguments(_ARGUMENTS, dt_s=dt_s, max_steps=max_steps)
+    check_arguments(RUN_ARGUMENTS, dt_s=dt_s, max_steps=max_steps)
     if plan.i_ir_w == 0.0:
         as_row = device.exposed(0.0, plan.v_app_v, np.zeros(1))  # fields as 1-element arrays
         run = InitResult(device, True, 0, 0.0, _trace(as_row, [0.0], [0.0], plan.v_app_v))
@@ -383,7 +386,7 @@ def initialize_device(
     pre-treatment: near a deep working point the dB curve is steeply
     sensitive to residual phase, and the restore tolerance budget is small.
     """
-    check_arguments(_ARGUMENTS, dt_s=dt_s, power_w=power_w,
+    check_arguments(RUN_ARGUMENTS, dt_s=dt_s, power_w=power_w,
                     saturation_epsilon=saturation_epsilon, max_steps=max_steps)
     return _saturate(device, power_w, 0.0, dt_s, saturation_epsilon, max_steps)
 
@@ -469,7 +472,7 @@ def pulse_inject_to_target(
     scalar ``standard_normal()`` per period, and the generator is left
     exactly one such draw per period on; a noise-free run leaves it untouched.
     """
-    check_arguments(_ARGUMENTS, max_periods=max_periods, hold_periods=hold_periods)
+    check_arguments(RUN_ARGUMENTS, max_periods=max_periods, hold_periods=hold_periods)
     if ctrl.noise_db > 0.0 and rng is None:
         raise ValueError("noise_db > 0 needs an rng")
     (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)

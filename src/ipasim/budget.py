@@ -13,8 +13,7 @@ strings, are carried through every computation as sticky lower bounds: the
 true loss can only be higher, so an infeasibility verdict derived from a
 bound stays valid while a feasibility one is best-case.  A loss, a floor
 included, a coupling scheme's losses, a fiber length and a launch power must
-be finite and >= 0; a target or attacker power, declared in ``_ARGUMENTS``,
-must be finite and > 0.
+be finite and >= 0; a target or attacker power must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ from importlib import resources
 from math import log10
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from ._ranges import check_arguments, check_ranges, ranged
-
-# the range of each argument a function of this module checks at entry
-_ARGUMENTS = {"target_power_w": "(0, inf)", "eve_max_power_w": "(0, inf)"}
+from ._ranges import POSITIVE, check_ranges, ranged
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def required_eve_power(
     path: InjectionPath, wavelength_nm: int, target_power_w: float
 ) -> PowerValue:
     """Launch power needed so the target power arrives at the device."""
-    check_arguments(_ARGUMENTS, target_power_w=target_power_w)
+    POSITIVE.check("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
     return PowerValue(target_power_w * 10.0 ** (loss.db / 10.0), loss.lower_bound)
 
@@ -154,7 +150,8 @@ def countermeasure_margin(
     eve_max_power_w: float,
     target_power_w: float,
 ) -> MarginReport:
-    check_arguments(_ARGUMENTS, eve_max_power_w=eve_max_power_w, target_power_w=target_power_w)
+    POSITIVE.check("eve_max_power_w", eve_max_power_w)
+    POSITIVE.check("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
     headroom_db = 10.0 * log10(eve_max_power_w / target_power_w)
     margin = loss.db - headroom_db

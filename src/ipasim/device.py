@@ -14,12 +14,11 @@ usual two-beam interference law with the signal split ratio setting the
 extinction contrast.
 
 Devices are immutable, their construction range-checked on every build and
-their arm fields not; each method checks its arguments at entry against the
-range ``_ARGUMENTS`` declares, a voltage array in every entry.  Exposure
-helpers return a new device with updated arm fields.  The readouts are numpy
-expressions, so a voltage grid, or arm fields sampled along an exposure, read
-out in one call.  ``attenuation_db`` is insertion loss relative to unit input
-(positive numbers, bigger means darker);
+their arm fields not; each method checks its arguments at entry, a voltage
+array in every entry.  Exposure helpers return a new device with updated arm
+fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
+sampled along an exposure, read out in one call.  ``attenuation_db`` is
+insertion loss relative to unit input (positive numbers, bigger means darker);
 ``magnification_db`` compares transmittance against a stored baseline, the
 figure of merit for attacks on a VOA parked at deep attenuation.
 """
@@ -32,7 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, check_arguments, check_ranges, check_size, ranged
+from ._ranges import (
+    FINITE, MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, check_ranges, check_size, ranged,
+)
 from .photorefractive import (
     DecayMode,
     GeometryParams,
@@ -42,12 +43,6 @@ from .photorefractive import (
     field_coupling,
     relaxation_law,
 )
-
-# the range of each argument a method of this module checks at entry
-_ARGUMENTS = {
-    "power_w": "[0, inf)", "mu_in": "[0, inf)", "baseline_mu": "(0, inf)",
-    "v_app_v": "(-inf, inf)", "v_min_v": "(-inf, inf)", "v_max_v": "(-inf, inf)",
-}
 
 
 class VoltageCurve(NamedTuple):
@@ -105,7 +100,7 @@ class MziDevice:
 
     def split_irradiation(self, power_w: float) -> tuple[float, float]:
         """Per-arm powers for a given injected power at the device input."""
-        check_arguments(_ARGUMENTS, power_w=power_w)
+        NON_NEGATIVE.check("power_w", power_w)
         loss_db = self.irradiation_coupling_db + self.polarization_loss_db
         delivered = power_w * 10.0 ** (-loss_db / 10.0)
         return delivered * self.irradiation_split, delivered * (1.0 - self.irradiation_split)
@@ -122,7 +117,7 @@ class MziDevice:
         sit near the same large field.  The readouts built on it check
         ``v_app_v`` here.
         """
-        check_arguments(_ARGUMENTS, v_app_v=v_app_v)
+        FINITE.check("v_app_v", v_app_v)
         g = self.material.field_response
         c_over_d = field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
         theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
@@ -148,7 +143,7 @@ class MziDevice:
 
     def output_mpn(self, mu_in: float, v_app_v: float) -> float:
         """Mean photon number leaving the device for a coherent input."""
-        check_arguments(_ARGUMENTS, mu_in=mu_in)
+        NON_NEGATIVE.check("mu_in", mu_in)
         return mu_in * self.transmittance(v_app_v)
 
     def magnification_db(
@@ -159,7 +154,7 @@ class MziDevice:
         Zero for a device measured against its own unattacked output, -inf
         for a dark output.
         """
-        check_arguments(_ARGUMENTS, baseline_mu=baseline_mu)
+        POSITIVE.check("baseline_mu", baseline_mu)
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.output_mpn(mu_in, v_app_v) / baseline_mu)
 
@@ -186,7 +181,8 @@ class MziDevice:
         once exposure has flattened the slope enough to stretch the fringe
         period past the range.
         """
-        check_arguments(_ARGUMENTS, v_min_v=v_min_v, v_max_v=v_max_v)
+        FINITE.check("v_min_v", v_min_v)
+        FINITE.check("v_max_v", v_max_v)
         if v_max_v - v_min_v < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
         theta_lo = self.total_phase(v_min_v)
@@ -205,7 +201,7 @@ class MziDevice:
 
     def arm_fields(self, v_app_v: float) -> tuple[float, float]:
         """Push-pull applied fields seen by the two arms."""
-        check_arguments(_ARGUMENTS, v_app_v=v_app_v)
+        FINITE.check("v_app_v", v_app_v)
         e = v_app_v / self.geometry.electrode_gap_m
         return e, -e
 

@@ -27,8 +27,8 @@ Unit conventions: ``P`` is the per-arm optical power in watts delivered to the
 waveguide (beam geometry is absorbed into the transport constants, so the
 photovoltaic and photoconductive coefficients are lumped per-watt quantities).
 Fields are V/m, conductivities S/m, times seconds.  Every parameter field,
-and every argument in ``_ARGUMENTS``, declares its range (``ipasim._ranges``),
-which refuses NaN and +-inf; an elapsed time may be inf.
+and every argument a function checks at entry, declares its range
+(``ipasim._ranges``), which refuses NaN and +-inf; an elapsed time may be inf.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ from enum import Enum
 
 import numpy as np
 
-from ._ranges import check_arguments, check_ranges, ranged
+from ._ranges import FINITE, NON_NEGATIVE, check_ranges, ranged
 
 VACUUM_PERMITTIVITY_F_PER_M = 8.8541878128e-12
 _LN2 = math.log(2.0)
-
-# the range of each argument a function of this module checks at entry
-_ARGUMENTS = {"power_w": "[0, inf)", "e_app_v_per_m": "(-inf, inf)", "field_v_per_m": "(-inf, inf)"}
 
 
 class DecayMode(str, Enum):
@@ -162,7 +159,7 @@ def field_coupling(mat: MaterialParams, geo: GeometryParams) -> float:
 
 def photoconductivity(mat: MaterialParams, power_w: float) -> float:
     """sigma_ph(P): linear below the crossover, ~P**(1/m) above it."""
-    check_arguments(_ARGUMENTS, power_w=power_w)
+    NON_NEGATIVE.check("power_w", power_w)
     if power_w <= mat.crossover_power_w:
         return mat.photocond_per_w * mat.absorption_per_m * power_w
     return mat.high_regime_coeff * power_w ** (1.0 / mat.sublinear_exponent)
@@ -174,18 +171,6 @@ def buildup_time_constant(mat: MaterialParams, power_w: float) -> float:
     return mat.rel_permittivity * VACUUM_PERMITTIVITY_F_PER_M / sigma
 
 
-def _steady_state_field(mat: MaterialParams, power_w: float, e_app_v_per_m: float = 0.0) -> float:
-    """Space-charge field the arm relaxes toward under constant conditions.
-
-    The photovoltaic term drives the field up with intensity; the drift term
-    screens a fraction sigma_ph/sigma of the applied field.
-    """
-    sigma_ph = photoconductivity(mat, power_w)
-    sigma = mat.dark_conductivity_s_per_m + sigma_ph
-    drive = mat.photovoltaic_const * mat.absorption_per_m * power_w
-    return (drive - sigma_ph * e_app_v_per_m) / sigma
-
-
 def relaxation_law(
     mat: MaterialParams,
     power_w: float,
@@ -194,14 +179,20 @@ def relaxation_law(
 ) -> tuple[float, float]:
     """Target field and relaxation time of one arm under constant conditions.
 
-    In the dark the target is zero and tau the dark time constant; a
-    ``FROZEN`` arm holds its field there, which ``tau = inf`` expresses: it
-    makes every :func:`relaxation_step` a zero move.
+    The photovoltaic term drives the field up with intensity; the drift term
+    screens a fraction sigma_ph/sigma of the applied field; tau is the
+    dielectric relaxation time eps/sigma.  In the dark the target is zero and
+    tau the dark time constant; a ``FROZEN`` arm holds its field there, which
+    ``tau = inf`` expresses: it makes every :func:`relaxation_step` a zero move.
     """
-    check_arguments(_ARGUMENTS, e_app_v_per_m=e_app_v_per_m)
+    FINITE.check("e_app_v_per_m", e_app_v_per_m)
     if power_w == 0.0 and decay_mode is DecayMode.FROZEN:
         return 0.0, math.inf
-    return _steady_state_field(mat, power_w, e_app_v_per_m), buildup_time_constant(mat, power_w)
+    sigma_ph = photoconductivity(mat, power_w)
+    sigma = mat.dark_conductivity_s_per_m + sigma_ph
+    drive = mat.photovoltaic_const * mat.absorption_per_m * power_w
+    tau = mat.rel_permittivity * VACUUM_PERMITTIVITY_F_PER_M / sigma
+    return (drive - sigma_ph * e_app_v_per_m) / sigma, tau
 
 
 def relaxation_step(
@@ -249,7 +240,7 @@ def evolve_field(
     irradiation off the field either holds (``FROZEN``) or relaxes to zero
     with the dark time constant (``DARK_DECAY``).
     """
-    check_arguments(_ARGUMENTS, field_v_per_m=field_v_per_m)
+    FINITE.check("field_v_per_m", field_v_per_m)
     if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
         raise ValueError("dt_s must be >= 0")
     target, tau = relaxation_law(mat, power_w, e_app_v_per_m, decay_mode)

@@ -11,8 +11,8 @@ computes both views and the resulting estimated vs actual key rates.
 
 Conventions: gains and yields are probabilities per pulse; magnification is
 linear here (callers convert from dB); every scenario and attack field is
-range-checked, and each argument in ``_ARGUMENTS`` at entry, in every entry of
-an array.  A scenario holds no distance: the evaluations take a grid, by
+range-checked, and each argument a call checks at entry, in every entry of an
+array.  A scenario holds no distance: the evaluations take a grid, by
 default ``SweepPlan``'s, and the per-link terms its transmittance.
 Photon-number statistics use closed forms, nothing truncated.  ``n_trunc``
 remains a validity guard on attacked evaluations: the Poisson mass above it
@@ -28,16 +28,15 @@ grid, so one expm1 serves both gains and both error rates.  A sweep
 evaluates it once, then the resend and success probabilities of every
 attacked magnification as one (n, d) broadcast in a single
 ``attack_success_probability`` call; only the scalar Poisson tail is summed
-per magnification.  ``key_rate`` takes both entropies from one
-``binary_entropy`` call on the stacked (e1, e_mu) block and checks each
-range once per block.  The zero-key threshold costs one link evaluation and
-no search: with p = eta_AB/M the success probability is a closed form in M,
-so each distance's zero-key magnification follows from its decoy estimate
-(``zero_key_threshold``).  The README and ``BENCH_security_grid.json`` give
-the measured costs.  ``SweepPlan`` lays out a sweep's grids and the
-threshold's search range, its default instance gives both functions their
-defaults, and a sweep of more than ``MAX_GRID_POINTS`` rows is refused
-before it is built.
+per magnification.  The key rate checks the stacked (e1, e_mu) block once
+and takes both entropies from it in one call.  The zero-key threshold costs
+one link evaluation and no search: with p = eta_AB/M the success
+probability is a closed form in M, so each distance's zero-key
+magnification follows from its decoy estimate (``zero_key_threshold``).
+``BENCH_security_grid.json`` gives the measured costs.  ``SweepPlan`` lays
+out a sweep's grids and the threshold's search range, its default instance
+gives both functions their defaults, and a sweep of more than
+``MAX_GRID_POINTS`` rows is refused before it is built.
 """
 
 from __future__ import annotations
@@ -49,7 +48,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._ranges import MAX_GRID_POINTS, check_arguments, check_ranges, check_size, extremes, ranged
+from ._ranges import (
+    MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, check_ranges, check_size, extremes, interval, ranged,
+)
 
 # A float, or an array with one entry per distance of a grid.  The per-link
 # functions take and return either; each range check covers every entry.
@@ -60,12 +61,9 @@ DARK_COUNT_ERROR = 0.5
 
 TAIL_LIMIT = 1e-12
 
-# the range of each argument a call of this module checks at entry
-_ARGUMENTS = {
-    "alpha_db_per_km": "[0, inf)", "m_db": "[0, inf)", "m_search_range_db": "[0, inf)",
-    "tol_db": "(0, inf)", "mean": "[0, inf)", "n_trunc": "int [0, inf)", "x": "[0, 1]",
-    "eta_ab": "[0, 1]", "delta": "[0, 1]", "q_mu": "[0, 1]", "e1": "[0, 0.5]", "e_mu": "[0, 0.5]",
-}
+# a probability, an error rate the key rate admits, a magnification, a photon-number cut
+_UNIT, _ERROR_RATE, _MAGNIFICATION = map(interval, ("[0, 1]", "[0, 0.5]", "[1, inf)"))
+_CUT = interval("int [0, inf)")
 
 
 class BracketError(ValueError):
@@ -109,7 +107,7 @@ class AttackParams:
 
     @classmethod
     def from_db(cls, m_db: float) -> "AttackParams":
-        check_arguments(_ARGUMENTS, m_db=m_db)
+        NON_NEGATIVE.check("m_db", m_db)
         return cls(10.0 ** (m_db / 10.0))
 
     @property
@@ -117,14 +115,14 @@ class AttackParams:
         return 10.0 * math.log10(self.m_linear)
 
 
-def channel_transmittance(alpha_db_per_km: float, distances_km: Floats) -> Floats:
+def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats:
     """Fiber transmittance at a distance, or at each of a grid.  A distance may be
     inf (no light) except on a lossless fiber, where its loss 0 * inf would be NaN."""
-    check_arguments(_ARGUMENTS, alpha_db_per_km=alpha_db_per_km)
-    shortest, longest = extremes(distances_km)
+    NON_NEGATIVE.check("alpha_db_per_km", alpha_db_per_km)
+    shortest, longest = extremes(distance_km)
     if not (shortest >= 0.0 and (longest < math.inf or alpha_db_per_km > 0.0)):
-        raise ValueError("distances_km must be >= 0, and finite on a lossless fiber")
-    return 10.0 ** (-alpha_db_per_km * distances_km / 10.0)
+        raise ValueError("distance_km must be >= 0, and finite on a lossless fiber")
+    return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
 def _clicks(mpn: Floats, eta: Floats, y0: float) -> tuple[Floats, Floats]:
@@ -136,6 +134,7 @@ def _clicks(mpn: Floats, eta: Floats, y0: float) -> tuple[Floats, Floats]:
     the gain that the decoy bounds amplify further.  ``mpn`` may be a column,
     e.g. (mu, nu) as shape (2, 1), giving one row per mean photon number.
     """
+    NON_NEGATIVE.check("mpn", mpn)
     missed = np.expm1(-eta * mpn)
     return np.minimum(y0 - missed, 1.0), missed
 
@@ -149,7 +148,11 @@ def _error_rate(q: Floats, missed: Floats, y0: float, e0: float, e_det: float) -
 
 
 def binary_entropy(x: Floats) -> Floats:
-    check_arguments(_ARGUMENTS, x=x)
+    _UNIT.check("x", x)
+    return _entropy(x)
+
+
+def _entropy(x: Floats) -> Floats:
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
     # the end points carry no entropy; 1/2 stands in there so no log sees 0
@@ -201,6 +204,7 @@ def _resend_probability(eta_ab: Floats, m_linear: Floats) -> Floats:
 
     ``m_linear`` may be a column of magnifications, one row each.
     """
+    _MAGNIFICATION.check("m_linear", m_linear)
     return eta_ab / m_linear
 
 
@@ -223,7 +227,8 @@ def poisson_tail(mean: float, n_trunc: int) -> float:
     mean above the cut puts most of the mass in the tail, which is then one
     minus the short sum of the first ``n_trunc + 1`` terms.
     """
-    check_arguments(_ARGUMENTS, mean=mean, n_trunc=n_trunc)
+    NON_NEGATIVE.check("mean", mean)
+    _CUT.check("n_trunc", n_trunc)
     if mean > n_trunc:
         return 1.0 - math.fsum(_poisson_pmf(n, mean) for n in range(n_trunc + 1))
     if mean == 0.0:
@@ -270,7 +275,7 @@ def attack_success_probability(
     column against the grid, and only the tails, checked in order, are
     summed one attack at a time.
     """
-    check_arguments(_ARGUMENTS, eta_ab=eta_ab)
+    _UNIT.check("eta_ab", eta_ab)
     single = isinstance(attack, AttackParams)
     attacks = (attack,) if single else attack
     column = (len(attacks),) + (1,) * np.asarray(eta_ab).ndim
@@ -294,7 +299,8 @@ def attack_success_probability(
 
 
 def _tagged_fraction_estimated(scenario: QkdScenario, y1_lower: Floats, q_mu: Floats) -> Floats:
-    """Multiphoton fraction the users infer from their decoy bound; ``q_mu`` > 0."""
+    """Multiphoton fraction the users infer from their decoy bound."""
+    POSITIVE.check("q_mu", q_mu)
     p1 = scenario.mu * math.exp(-scenario.mu)
     return np.minimum(np.maximum(1.0 - p1 * y1_lower / q_mu, 0.0), 1.0)
 
@@ -307,14 +313,20 @@ class KeyRate(NamedTuple):
 def key_rate(
     scenario: QkdScenario, delta: Floats, e1: Floats, q_mu: Floats, e_mu: Floats
 ) -> KeyRate:
-    """Secret key per pulse; clamped at zero, the signed raw value kept.
+    """Secret key per pulse; clamped at zero, the signed raw value kept."""
+    _UNIT.check("delta", delta)
+    _UNIT.check("q_mu", q_mu)
+    return _key_rate(scenario, delta, e1, q_mu, e_mu)
 
-    Both entropies come from one call on the stacked (e1, e_mu) block.
-    """
-    check_arguments(_ARGUMENTS, delta=delta, e1=e1, q_mu=q_mu, e_mu=e_mu)
+
+def _key_rate(
+    scenario: QkdScenario, delta: Floats, e1: Floats, q_mu: Floats, e_mu: Floats
+) -> KeyRate:
+    """:func:`key_rate` of a checked delta and q_mu: one check, one entropy call, of (e1, e_mu)."""
     errors = np.empty((2, *np.broadcast(e1, e_mu).shape))
     errors[0], errors[1] = e1, e_mu
-    h1, h_mu = binary_entropy(errors)
+    _ERROR_RATE.check("e1 and e_mu", errors)
+    h1, h_mu = _entropy(errors)
     raw = q_mu * ((1.0 - delta) * (1.0 - h1) - scenario.f_ec * h_mu)
     return KeyRate(np.maximum(raw, 0.0), raw)
 
@@ -368,8 +380,7 @@ def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) 
     q, missed = _clicks(np.array([[scenario.mu], [scenario.nu]]), eta, scenario.y0)
     e = _error_rate(q, missed, scenario.y0, scenario.e0, scenario.e_det)
     # a dark signal leaves nothing to estimate from, and 0/0 in the true yield
-    if not extremes(q[0])[0] > 0.0:
-        raise ValueError("q_mu must be positive")
+    POSITIVE.check("q_mu", q[0])
     if estimator == "decoy":
         bounds = _decoy_bounds(scenario, q[0], e[0], q[1], e[1])
     else:
@@ -409,7 +420,7 @@ def _evaluate(
     np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0, out=delta)
     # no attacker: the actual key is the estimate by definition
     delta[0] = delta_est
-    rates = key_rate(scenario, delta, np.minimum(bounds.e1_upper, 0.5), q_mu, e_mu)
+    rates = _key_rate(scenario, delta, np.minimum(bounds.e1_upper, 0.5), q_mu, e_mu)
     r_actual[:], r_actual_raw[:] = rates.bits_per_pulse, rates.raw
     count = itertools.count(1)
     rows = np.array([0 if attack is None else next(count) for attack in attacks], dtype=int)
@@ -537,13 +548,14 @@ def zero_key_threshold(
     and hi are adjacent floats, so the result is within one ulp of m*.
     """
     # a nan or inf tol_db would return the midpoint as m*, and an inf high every midpoint as inf
-    check_arguments(_ARGUMENTS, tol_db=tol_db, m_search_range_db=m_search_range_db)
+    POSITIVE.check("tol_db", tol_db)
+    NON_NEGATIVE.check("m_search_range_db", m_search_range_db)
     lo, hi = m_search_range_db
     if not lo < hi:
         raise ValueError("need 0 <= low < high in m_search_range_db")
     _, eta_ab, q, (e_mu, _), missed, bounds = _link(scenario, estimator, distances_km)
-    check_arguments(_ARGUMENTS, e_mu=e_mu)  # as key_rate refuses it
-    h1, h_mu = binary_entropy((np.minimum(bounds.e1_upper, 0.5), e_mu))
+    _ERROR_RATE.check("e_mu", e_mu)  # as key_rate refuses it; e1_upper is in [0, 1]
+    h1, h_mu = _entropy((np.minimum(bounds.e1_upper, 0.5), e_mu))
     # masked below: H(e1) = 1 and a dark link divide by zero, ratios >= 1 leave ln
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 1.0 - scenario.f_ec * h_mu / (1.0 - h1)

@@ -19,8 +19,7 @@ from ipasim.budget import path_loss, required_eve_power, standard_path
 from ipasim.calibration import PEAK_POWER_W, WORKING_POINT_V, default_device
 from ipasim.cli import EXIT_OK, main
 from ipasim.device import curve_rms_db
-from ipasim.photorefractive import _steady_state_field as steady_state_field
-from ipasim.photorefractive import buildup_time_constant, evolve_field
+from ipasim.photorefractive import DecayMode, buildup_time_constant, evolve_field, relaxation_law
 from ipasim.security import (
     AttackParams,
     QkdScenario,
@@ -34,6 +33,11 @@ from oracles import success_monte_carlo, thinned_pmf_bruteforce
 DEV = default_device()
 WP = WORKING_POINT_V
 MAT = DEV.material
+
+
+def steady_state_field(mat, power_w, e_app_v_per_m=0.0):
+    """The field an arm relaxes toward under constant conditions: the target of its law."""
+    return relaxation_law(mat, power_w, e_app_v_per_m, DecayMode.DARK_DECAY)[0]
 
 
 def criterion(number, label):

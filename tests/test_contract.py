@@ -130,7 +130,7 @@ BASELINE = {
     ),
     "security.AttackParams.from_db": (AttackParams.from_db, dict(m_db=5.0)),
     "security.channel_transmittance": (
-        channel_transmittance, dict(alpha_db_per_km=0.2, distances_km=50.0)
+        channel_transmittance, dict(alpha_db_per_km=0.2, distance_km=50.0)
     ),
     "security.binary_entropy": (binary_entropy, dict(x=0.2)),
     "security.poisson_tail": (poisson_tail, dict(mean=2.0, n_trunc=80)),
@@ -189,7 +189,7 @@ UNCHECKED = {
     ("photorefractive.evolve_field", "dt_s"): ((math.inf,), "inf steps to the steady state"),
     ("device.MziDevice.exposed", "dt_s"): ((math.inf,), "inf steps to the steady state"),
     ("attack.run_program", "dt_s"): ((math.inf,), "inf takes one sample per segment"),
-    ("security.channel_transmittance", "distances_km"): (
+    ("security.channel_transmittance", "distance_km"): (
         (math.inf,), "an infinite fiber transmits no light"
     ),
     ("security.evaluate_scenario", "distances_km"): (
@@ -199,6 +199,8 @@ UNCHECKED = {
 # (callable, argument) -> the name its refusal gives it instead, and why
 REFUSED_AS = {
     ("budget.parse_loss_entry", "raw"): "db",  # the entry is the LossValue it parses
+    # each distance of the grid is channel_transmittance's
+    ("security.evaluate_scenario", "distances_km"): "distance_km",
 }
 
 

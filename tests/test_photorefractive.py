@@ -16,12 +16,18 @@ from ipasim.photorefractive import (
     evolve_field,
     field_coupling,
     photoconductivity,
+    relaxation_law,
     relaxation_step,
 )
-from ipasim.photorefractive import _steady_state_field as steady_state_field
 from oracles import relaxation_closed_form, saturated_index_change
 
 MAT = default_material()
+
+
+def steady_state_field(mat, power_w, e_app_v_per_m=0.0):
+    """The field an arm relaxes toward under constant conditions: the target of its law."""
+    return relaxation_law(mat, power_w, e_app_v_per_m, DecayMode.DARK_DECAY)[0]
+
 
 # fraction of the way to saturation after exactly three time constants
 THREE_TAU_FRACTION = 0.950212931632136

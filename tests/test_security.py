@@ -123,9 +123,8 @@ def test_undetectability_over_randomized_scenarios():
 
 def test_resend_probability_validation():
     assert resend_probability(0.1, 4.0) == pytest.approx(0.025)
-    # the private kernel trusts its magnification: AttackParams refuses one below 1
     with pytest.raises(ValueError, match="m_linear must be >= 1"):
-        AttackParams(0.5)
+        resend_probability(0.1, 0.5)
 
 
 # -- photon-number distribution ------------------------------------------------------
@@ -253,8 +252,10 @@ def test_decoy_bounds_clamp_pathological_statistics():
 def test_tagged_fraction_estimated_clamps_to_unit_interval():
     assert tagged_fraction_estimated(SCENARIO, 0.0, 0.1) == 1.0
     assert tagged_fraction_estimated(SCENARIO, 1.0, 1e-12) == 0.0
-    # the private kernel trusts q_mu > 0: the link refuses a dark signal first
-    # (test_link_refuses_a_dark_signal_under_either_estimator)
+    with pytest.raises(ValueError, match="q_mu must be positive"):
+        tagged_fraction_estimated(SCENARIO, 0.5, 0.0)
+    with pytest.raises(ValueError, match="q_mu must be positive"):
+        tagged_fraction_estimated(SCENARIO, 0.5, np.array([0.1, 0.0]))
 
 
 # -- elementary pieces -------------------------------------------------------------
@@ -283,9 +284,8 @@ def test_gain_and_qber_limits():
     assert qber(0.0, 0.01, 0.0, 0.5, 0.005) == 0.5  # dark-count only
     # deep in the linear regime the error tends to e_det
     assert qber(1e4, 1e-4, 0.0, 0.5, 0.005) == pytest.approx(0.005, rel=1e-2)
-    # the kernel trusts its mean photon numbers: QkdScenario refuses a negative one
-    with pytest.raises(ValueError, match="mu must be positive"):
-        QkdScenario(mu=-0.1)
+    with pytest.raises(ValueError, match="mpn must be >= 0"):
+        gain(-0.1, 0.01, 0.0)
 
 
 def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
@@ -299,6 +299,8 @@ def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
     for row, mpn in enumerate((0.8, 0.1)):
         assert q[row].tobytes() == gain(mpn, eta, 6e-7).tobytes()
         assert e[row].tobytes() == qber(mpn, eta, 6e-7, 0.5, 0.005).tobytes()
+    with pytest.raises(ValueError, match="mpn must be >= 0"):
+        gain(np.array([[0.8], [-0.1]]), eta, 6e-7)
 
 
 def test_channel_transmittance():
@@ -311,7 +313,7 @@ def test_channel_transmittance():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lossless_fiber_of_infinite_length_is_refused():
     # 0 dB/km times an infinite distance is a NaN loss, not a transmittance
-    message = "distances_km must be >= 0, and finite on a lossless fiber"
+    message = "distance_km must be >= 0, and finite on a lossless fiber"
     with pytest.raises(ValueError, match="alpha_db_per_km must be >= 0"):
         channel_transmittance(math.inf, 0.0)
     for distance in [math.inf, np.array([5.0, math.inf])]:
@@ -536,9 +538,9 @@ def test_grid_evaluation_returns_arrays_and_checks_every_distance():
     grid = evaluate_scenario(NEAR_DECOY, AttackParams.from_db(5.0), distances_km=[0.0, 50.0, 300.0])
     assert grid.r_actual.shape == grid.m_db.shape == (3,)
     assert grid.bounds_clamped.tolist() == [False, False, True]
-    with pytest.raises(ValueError, match="distances_km must be >= 0"):
+    with pytest.raises(ValueError, match="distance_km must be >= 0"):
         evaluate_scenario(SCENARIO, distances_km=[10.0, -1.0])
-    with pytest.raises(ValueError, match="distances_km must be >= 0"):
+    with pytest.raises(ValueError, match="distance_km must be >= 0"):
         sweep_key_rates(SCENARIO, distances_km=[10.0, -1.0])
 
 
@@ -546,7 +548,7 @@ def test_channel_transmittance_refuses_nan_attenuation_and_distance():
     with pytest.raises(ValueError, match="alpha_db_per_km must be >= 0"):
         channel_transmittance(math.nan, 10.0)
     for distance in [math.nan, np.array([10.0, math.nan])]:
-        with pytest.raises(ValueError, match="distances_km must be >= 0"):
+        with pytest.raises(ValueError, match="distance_km must be >= 0"):
             channel_transmittance(0.2, distance)
 
 
@@ -634,7 +636,7 @@ def test_zero_key_threshold_refuses_a_tolerance_it_cannot_meet(tol_db):
 
 
 def test_link_refuses_a_nan_distance():
-    message = "distances_km must be >= 0"
+    message = "distance_km must be >= 0"
     with pytest.raises(ValueError, match=message):
         sweep_key_rates(SCENARIO, [0.0, 5.0], [10.0, math.nan])
     with pytest.raises(ValueError, match=message):
