@@ -49,14 +49,7 @@ from .budget import (
 )
 from .calibration import calibration_summary, default_device, default_geometry, default_material
 from .device import MziDevice, VoltageCurve, curve_rms_db
-from .photorefractive import (
-    DecayMode,
-    GeometryParams,
-    MaterialParams,
-    buildup_time_constant,
-    evolve_field,
-    photoconductivity,
-)
+from .photorefractive import DecayMode, GeometryParams, MaterialParams, evolve_field
 from .security import (
     AttackParams,
     BracketError,

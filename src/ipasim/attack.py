@@ -190,7 +190,7 @@ def run_program(
     sequential ``left -= dt`` clock to the last bit.  A ``dt_s`` of inf
     means one sample per segment, so it is checked by hand, not declared.
     """
-    NON_NEGATIVE.check("mu_in", mu_in)
+    POSITIVE.check("mu_in", mu_in)
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
@@ -472,6 +472,7 @@ def pulse_inject_to_target(
     scalar ``standard_normal()`` per period, and the generator is left
     exactly one such draw per period on; a noise-free run leaves it untouched.
     """
+    POSITIVE.check("mu_in", mu_in)
     check_arguments(RUN_ARGUMENTS, max_periods=max_periods, hold_periods=hold_periods)
     if ctrl.noise_db > 0.0 and rng is None:
         raise ValueError("noise_db > 0 needs an rng")

@@ -14,9 +14,13 @@ usual two-beam interference law with the signal split ratio setting the
 extinction contrast.
 
 Devices are immutable, their construction range-checked on every build and
-their arm fields not; each method checks its arguments at entry, a voltage
-array in every entry.  Exposure helpers return a new device with updated arm
-fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
+their arm fields, state, not.  Each method checks each of its arguments once,
+at entry and by its own name, a voltage array in every entry; the arm laws it
+steps along (``ipasim.photorefractive``'s private kernels) check nothing.  A
+value it derives is refused only where it overflows, under the name of the
+argument it came from: a ``v_app_v`` whose field ``v_app_v / electrode_gap_m``
+is inf, a voltage range whose width is.  Exposure helpers return a new device
+with updated arm fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
 sampled along an exposure, read out in one call.  ``attenuation_db`` is
 insertion loss relative to unit input (positive numbers, bigger means darker);
 ``magnification_db`` compares transmittance against a stored baseline, the
@@ -35,13 +39,7 @@ from ._ranges import (
     FINITE, MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, check_ranges, check_size, ranged,
 )
 from .photorefractive import (
-    DecayMode,
-    GeometryParams,
-    MaterialParams,
-    buildup_time_constant,
-    evolve_field,
-    field_coupling,
-    relaxation_law,
+    DecayMode, GeometryParams, MaterialParams, _evolve, _field_coupling, _relaxation_law,
 )
 
 
@@ -69,8 +67,8 @@ class CurvePlan:
 
     def __post_init__(self) -> None:
         check_ranges(self)
-        if not self.v_max_v > self.v_min_v:
-            raise ValueError("v_max_v must exceed v_min_v")
+        if not 0.0 < self.v_max_v - self.v_min_v < math.inf:
+            raise ValueError("v_max_v must exceed v_min_v by a finite width")
         curves = len(self.pretreat_voltages_v) + 1
         check_size(curves * self.points, MAX_GRID_POINTS, f"pretreat_voltages_v: {curves} "
                    f"curves of points {self.points} exceed {MAX_GRID_POINTS} rows")
@@ -119,7 +117,7 @@ class MziDevice:
         """
         FINITE.check("v_app_v", v_app_v)
         g = self.material.field_response
-        c_over_d = field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
+        c_over_d = _field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
         theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
         return theta, g * self.geometry.phase_scale_rad, -g * c_over_d * v_app_v
 
@@ -163,12 +161,10 @@ class MziDevice:
     def voltage_curve(self, v_min_v: float, v_max_v: float, points: int) -> VoltageCurve:
         CurvePlan(v_min_v, v_max_v, points, ())  # refuses a grid its plan would refuse
         volts = np.linspace(v_min_v, v_max_v, points)
-        return VoltageCurve(
-            volts,
-            self.transmittance(volts),
-            self.attenuation_db(volts),
-            self.total_phase(volts),
-        )
+        phase = self.total_phase(volts)
+        trans = self._phase_transmittance(phase)
+        with np.errstate(divide="ignore"):  # attenuation_db of the one phase reading
+            return VoltageCurve(volts, trans, -10.0 * np.log10(trans), phase)
 
     def find_extinction_voltage(self, v_min_v: float, v_max_v: float) -> float:
         """Drive voltage of the extinction null nearest the range center.
@@ -183,11 +179,14 @@ class MziDevice:
         """
         FINITE.check("v_min_v", v_min_v)
         FINITE.check("v_max_v", v_max_v)
-        if v_max_v - v_min_v < 2.0 * self.v_pi_v:
+        width = v_max_v - v_min_v
+        if width == math.inf:
+            raise ValueError("v_max_v must exceed v_min_v by a finite width")
+        if width < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
-        theta_lo = self.total_phase(v_min_v)
-        slope = (self.total_phase(v_max_v) - theta_lo) / (v_max_v - v_min_v)
-        theta_center = theta_lo + slope * 0.5 * (v_max_v - v_min_v)
+        theta_lo, theta_hi = self.total_phase(np.array([v_min_v, v_max_v])).tolist()
+        slope = (theta_hi - theta_lo) / width
+        theta_center = theta_lo + slope * 0.5 * width
         k = round((theta_center - math.pi) / (2.0 * math.pi))
         v_null = v_min_v + ((2 * k + 1) * math.pi - theta_lo) / slope
         if not v_min_v <= v_null <= v_max_v:
@@ -203,24 +202,25 @@ class MziDevice:
         """Push-pull applied fields seen by the two arms."""
         FINITE.check("v_app_v", v_app_v)
         e = v_app_v / self.geometry.electrode_gap_m
+        if math.isinf(e):
+            raise ValueError(f"v_app_v {v_app_v!r} overflows its field v_app_v / electrode_gap_m")
         return e, -e
 
     def exposed(self, power_w: float, v_app_v: float, dt_s: float) -> "MziDevice":
         """New device after ``dt_s`` of constant injected power under bias; a
         ``dt_s`` of inf means to the steady state, as for :func:`evolve_field`."""
-        p1, p2 = self.split_irradiation(power_w)
-        e1, e2 = self.arm_fields(v_app_v)
-        mat, mode = self.material, self.decay_mode
+        law1, law2 = self.arm_laws(power_w, v_app_v)
+        if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
+            raise ValueError("dt_s must be >= 0")
         return self.with_fields(
-            evolve_field(mat, self.field1_v_per_m, p1, e1, dt_s, mode),
-            evolve_field(mat, self.field2_v_per_m, p2, e2, dt_s, mode),
+            _evolve(self.field1_v_per_m, law1, dt_s), _evolve(self.field2_v_per_m, law2, dt_s)
         )
 
     def arm_laws(self, power_w: float, v_app_v: float) -> tuple[tuple[float, float], ...]:
         """Each arm's (target field, relaxation time) under constant power and
-        bias: the :func:`relaxation_law` that ``exposed`` steps along."""
+        bias, the law ``exposed`` steps along: the one place a law is taken."""
         return tuple(
-            relaxation_law(self.material, p, e, self.decay_mode)
+            _relaxation_law(self.material, p, e, self.decay_mode)
             for p, e in zip(self.split_irradiation(power_w), self.arm_fields(v_app_v))
         )
 
@@ -230,12 +230,10 @@ class MziDevice:
         return self.with_fields(target1, target2)
 
     def slowest_time_constant(self, power_w: float) -> float:
-        """Relaxation time of the weaker-lit arm; bounds settling time."""
-        p1, p2 = self.split_irradiation(power_w)
-        return max(
-            buildup_time_constant(self.material, p1),
-            buildup_time_constant(self.material, p2),
-        )
+        """Build-up time of the weaker-lit arm, its law's tau under ``DARK_DECAY``;
+        bounds settling time."""
+        mat, dark = self.material, DecayMode.DARK_DECAY
+        return max(_relaxation_law(mat, p, 0.0, dark)[1] for p in self.split_irradiation(power_w))
 
     def pristine(self) -> "MziDevice":
         """Same construction with both arms discharged."""

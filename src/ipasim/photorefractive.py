@@ -27,8 +27,11 @@ Unit conventions: ``P`` is the per-arm optical power in watts delivered to the
 waveguide (beam geometry is absorbed into the transport constants, so the
 photovoltaic and photoconductive coefficients are lumped per-watt quantities).
 Fields are V/m, conductivities S/m, times seconds.  Every parameter field,
-and every argument a function checks at entry, declares its range
+and every argument a public function checks at entry, declares its range
 (``ipasim._ranges``), which refuses NaN and +-inf; an elapsed time may be inf.
+The public functions are :func:`evolve_field`, which checks each argument
+once, and :func:`relaxation_step`; the laws they step along are private
+kernels that check nothing, their callers having checked what they hand in.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ class GeometryParams:
         return 2.0 * math.pi * self.arm_length_m / self.signal_wavelength_m
 
 
-def field_coupling(mat: MaterialParams, geo: GeometryParams) -> float:
+def _field_coupling(mat: MaterialParams, geo: GeometryParams) -> float:
     """C: drift correction to the per-arm phase, rad per (V/m) of applied field.
 
     The saturated per-arm phase is ``(D - C * e_app) * f(P)``; C/D sets the
@@ -157,21 +160,14 @@ def field_coupling(mat: MaterialParams, geo: GeometryParams) -> float:
     )
 
 
-def photoconductivity(mat: MaterialParams, power_w: float) -> float:
+def _photoconductivity(mat: MaterialParams, power_w: float) -> float:
     """sigma_ph(P): linear below the crossover, ~P**(1/m) above it."""
-    NON_NEGATIVE.check("power_w", power_w)
     if power_w <= mat.crossover_power_w:
         return mat.photocond_per_w * mat.absorption_per_m * power_w
     return mat.high_regime_coeff * power_w ** (1.0 / mat.sublinear_exponent)
 
 
-def buildup_time_constant(mat: MaterialParams, power_w: float) -> float:
-    """Dielectric relaxation time under irradiation, strictly decreasing in P."""
-    sigma = mat.dark_conductivity_s_per_m + photoconductivity(mat, power_w)
-    return mat.rel_permittivity * VACUUM_PERMITTIVITY_F_PER_M / sigma
-
-
-def relaxation_law(
+def _relaxation_law(
     mat: MaterialParams,
     power_w: float,
     e_app_v_per_m: float,
@@ -181,14 +177,14 @@ def relaxation_law(
 
     The photovoltaic term drives the field up with intensity; the drift term
     screens a fraction sigma_ph/sigma of the applied field; tau is the
-    dielectric relaxation time eps/sigma.  In the dark the target is zero and
-    tau the dark time constant; a ``FROZEN`` arm holds its field there, which
+    dielectric relaxation time eps/sigma, under ``DARK_DECAY`` the build-up
+    time, strictly decreasing in P.  In the dark the target is zero and tau
+    the dark time constant; a ``FROZEN`` arm holds its field there, which
     ``tau = inf`` expresses: it makes every :func:`relaxation_step` a zero move.
     """
-    FINITE.check("e_app_v_per_m", e_app_v_per_m)
     if power_w == 0.0 and decay_mode is DecayMode.FROZEN:
         return 0.0, math.inf
-    sigma_ph = photoconductivity(mat, power_w)
+    sigma_ph = _photoconductivity(mat, power_w)
     sigma = mat.dark_conductivity_s_per_m + sigma_ph
     drive = mat.photovoltaic_const * mat.absorption_per_m * power_w
     tau = mat.rel_permittivity * VACUUM_PERMITTIVITY_F_PER_M / sigma
@@ -206,7 +202,7 @@ def relaxation_step(
     keeps the small remainder exact.  A scalar ``x`` takes ``math``; an array
     ``x`` broadcasts against array fields and targets and takes each form
     only where it holds.  It is the one array form of the step:
-    :func:`evolve_field` (so ``MziDevice.exposed``), every exposure program
+    :func:`evolve_field`, ``MziDevice.exposed``, every exposure program
     and every saturation run of ``ipasim.attack`` call it.  The attack
     module's per-segment and per-period loops write its scalar expression
     out, with the same bits.  It checks nothing, on purpose: it runs on
@@ -221,6 +217,18 @@ def relaxation_step(
     return target + gap * math.exp(-x) if x > _LN2 else field_v_per_m + gap * math.expm1(-x)
 
 
+def _evolve(
+    field_v_per_m: float, law: tuple[float, float], dt_s: float | np.ndarray
+) -> float | np.ndarray:
+    """The field after ``dt_s`` along ``law``, a (target, tau) pair: the step of
+    :func:`evolve_field` and ``MziDevice.exposed``, which check its inputs."""
+    target, tau = law
+    # a held arm makes no move however long the step, an infinite one included
+    x = np.divide(dt_s, tau) if tau < math.inf else np.zeros(np.shape(dt_s))
+    field = relaxation_step(field_v_per_m, target, x)
+    return float(field) if np.ndim(field) == 0 else field
+
+
 def evolve_field(
     mat: MaterialParams,
     field_v_per_m: float,
@@ -231,21 +239,20 @@ def evolve_field(
 ) -> float | np.ndarray:
     """Advance the space-charge field by ``dt_s`` under constant conditions.
 
-    One :func:`relaxation_step` toward the :func:`relaxation_law` target, so
-    composing two steps of dt/2 matches one step of dt to machine precision
-    and dt may be chosen for trace resolution only.  ``dt_s`` may also be an
-    array of elapsed times, which gives the field at each of them from the
-    same start (a float for a scalar ``dt_s``).  A ``dt_s`` of inf means to
-    the steady state, so it is checked by hand, not declared.  With the
-    irradiation off the field either holds (``FROZEN``) or relaxes to zero
-    with the dark time constant (``DARK_DECAY``).
+    One :func:`relaxation_step` toward the target of the arm's relaxation
+    law, so composing two steps of dt/2 matches one step of dt to machine
+    precision and dt may be chosen for trace resolution only.  ``dt_s`` may
+    also be an array of elapsed times, which gives the field at each of them
+    from the same start (a float for a scalar ``dt_s``).  A ``dt_s`` of inf
+    means to the steady state, so it is checked by hand, not declared:
+    ``evolve_field(mat, 0.0, p, e, math.inf, DecayMode.DARK_DECAY)`` is the
+    steady-state field, exactly.  With the irradiation off the field either
+    holds (``FROZEN``) or relaxes to zero with the dark time constant
+    (``DARK_DECAY``).
     """
     FINITE.check("field_v_per_m", field_v_per_m)
+    NON_NEGATIVE.check("power_w", power_w)
+    FINITE.check("e_app_v_per_m", e_app_v_per_m)
     if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
         raise ValueError("dt_s must be >= 0")
-    target, tau = relaxation_law(mat, power_w, e_app_v_per_m, decay_mode)
-    # a held arm makes no move however long the step, an infinite one included
-    x = np.divide(dt_s, tau) if tau < math.inf else np.zeros(np.shape(dt_s))
-    field = relaxation_step(field_v_per_m, target, x)
-    return float(field) if np.ndim(field) == 0 else field
-
+    return _evolve(field_v_per_m, _relaxation_law(mat, power_w, e_app_v_per_m, decay_mode), dt_s)

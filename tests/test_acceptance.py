@@ -6,6 +6,7 @@ without silencing the rest.
 """
 
 import functools
+import math
 import time
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from ipasim.budget import path_loss, required_eve_power, standard_path
 from ipasim.calibration import PEAK_POWER_W, WORKING_POINT_V, default_device
 from ipasim.cli import EXIT_OK, main
 from ipasim.device import curve_rms_db
-from ipasim.photorefractive import DecayMode, buildup_time_constant, evolve_field, relaxation_law
+from ipasim.photorefractive import DecayMode, _relaxation_law, evolve_field
 from ipasim.security import (
     AttackParams,
     QkdScenario,
@@ -36,8 +37,13 @@ MAT = DEV.material
 
 
 def steady_state_field(mat, power_w, e_app_v_per_m=0.0):
-    """The field an arm relaxes toward under constant conditions: the target of its law."""
-    return relaxation_law(mat, power_w, e_app_v_per_m, DecayMode.DARK_DECAY)[0]
+    """The field an arm relaxes toward under constant conditions: an endless step, exactly."""
+    return evolve_field(mat, 0.0, power_w, e_app_v_per_m, math.inf, DecayMode.DARK_DECAY)
+
+
+def buildup_time_constant(mat, power_w):
+    """The dielectric relaxation time under irradiation: the arm law's tau in the dark mode."""
+    return _relaxation_law(mat, power_w, 0.0, DecayMode.DARK_DECAY)[1]
 
 
 def criterion(number, label):

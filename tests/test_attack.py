@@ -771,16 +771,21 @@ def test_pulse_readings_are_the_devices_magnification_db(device, ctrl, mu_in, v,
 
 
 def test_pulse_loop_refuses_a_dark_baseline():
+    # a dark input is refused by its own name, a NaN device by its baseline reading
+    ctrl = PulseController(target_m_db=3.0)
+    with pytest.raises(ValueError, match="mu_in must be positive"):
+        pulse_inject_to_target(DEV, ctrl, 0.0, WP, 10)
     with pytest.raises(ValueError, match="baseline_mu must be positive"):
-        pulse_inject_to_target(DEV, PulseController(target_m_db=3.0), 0.0, WP, 10)
+        pulse_inject_to_target(DEV.with_fields(math.nan, 0.0), ctrl, 1.0, WP, 10)
 
 
 def test_trace_refuses_a_dark_or_nan_baseline():
     # arm fields are swapped unchecked, so a NaN field reaches the first reading
     cw = IrradiationProgram.cw(3e-6, 100.0)
-    for device, mu_in in ((DEV, 0.0), (DEV.with_fields(math.nan, 0.0), 1.0)):
-        with pytest.raises(ValueError, match="baseline_mu must be positive"):
-            run_program(device, cw, mu_in, WP, 10.0)
+    with pytest.raises(ValueError, match="mu_in must be positive"):
+        run_program(DEV, cw, 0.0, WP, 10.0)
+    with pytest.raises(ValueError, match="baseline_mu must be positive"):
+        run_program(DEV.with_fields(math.nan, 0.0), cw, 1.0, WP, 10.0)
 
 
 # each runner with a drive voltage and an input mean photon number
@@ -805,7 +810,7 @@ def test_non_finite_drive_voltage_is_refused(runner, v):
 @pytest.mark.parametrize("mu_in", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("runner", ["cw", "steps", "pulse"])
 def test_non_finite_input_mean_photon_number_is_refused(runner, mu_in):
-    with pytest.raises(ValueError, match="mu_in must be >= 0"):
+    with pytest.raises(ValueError, match="mu_in must be positive"):
         RUNNERS[runner](WP, mu_in)
 
 

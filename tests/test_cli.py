@@ -407,10 +407,10 @@ def test_threshold_tolerance_below_the_float_spacing_exits_0(tmp_path):
 @pytest.mark.parametrize(
     "argv, ini",
     [
-        (["security", "sweep"], "[qkd]\nm_db_grid = 0, 4000\n"),
+        (["budget"], "[budget]\nfiber_length_km = 1e30\n"),
         (["attack", "pre-treat"], "[pre_treat]\ndt_s = 1e-320\n"),
     ],
-    ids=["m_db_grid", "dt_s"],
+    ids=["fiber_length_km", "dt_s"],
 )
 def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys, argv, ini):
     cfg = tmp_path / "overflow.ini"
@@ -418,6 +418,28 @@ def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys
     out = tmp_path / "overflow-out"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith(f"error: {' '.join(argv)}: OverflowError: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, ini, key",
+    [
+        (["security", "sweep"], "[qkd]\nm_db_grid = 0, 4000\n", "qkd.m_db_grid"),
+        (
+            ["voltage-curve"],
+            "[voltage_curve]\nv_min_v = -1e308\nv_max_v = 1e308\n",
+            "voltage_curve.v_max_v",
+        ),
+    ],
+    ids=["m_db_grid", "voltage-range"],
+)
+def test_a_config_whose_value_overflows_exits_2_on_a_dry_run(tmp_path, capsys, argv, ini, key):
+    # 10 ** (4000 / 10) and the width 1e308 - -1e308 are beyond the largest float
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "overflow-out"
+    assert main(["--dry-run", *argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists()
 
 

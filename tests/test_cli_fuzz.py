@@ -81,6 +81,10 @@ def _ini(overrides: dict) -> str:
 @settings(max_examples=30, deadline=None)
 @given(command=st.sampled_from(sorted(VERBS)), overrides=OVERRIDES)
 @example(command="security sweep", overrides={("qkd", "m_db_grid"): "0, 4000"})
+@example(
+    command="voltage-curve",
+    overrides={("voltage_curve", "v_min_v"): "-1e308", ("voltage_curve", "v_max_v"): "1e308"},
+)
 @example(command="attack pre-treat", overrides={("pre_treat", "dt_s"): "1e-320"})
 @example(command="budget", overrides={("device", "v_pi_v"): "0"})
 def test_cli_contract_holds_on_random_configs(command, overrides):

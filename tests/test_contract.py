@@ -6,11 +6,14 @@ modules, so a new public ``def`` without an entry fails.  Each float argument
 of a baseline call, swapped for nan, inf or -inf, must be refused by a
 ``ValueError`` that names the argument, with warnings raised as errors, unless
 ``UNCHECKED`` gives the reason it is taken: a documented meaning of the value,
-or a hot kernel whose callers check what it is handed.
+or a hot kernel whose callers check what it is handed.  A physics call checks
+each argument once, at entry: the kernels it calls inside check nothing.  A
+value it derives is refused where it overflows, by the caller's argument.
 """
 
 import ast
 import math
+from collections import Counter
 import re
 import warnings
 from pathlib import Path
@@ -36,16 +39,10 @@ from ipasim.budget import (
     required_eve_power,
     standard_path,
 )
-from ipasim.calibration import WORKING_POINT_V, default_device, default_geometry, default_material
+from ipasim.calibration import WORKING_POINT_V, default_device, default_material
 from ipasim.device import curve_rms_db
-from ipasim.photorefractive import (
-    buildup_time_constant,
-    evolve_field,
-    field_coupling,
-    photoconductivity,
-    relaxation_law,
-    relaxation_step,
-)
+from ipasim._ranges import Interval
+from ipasim.photorefractive import evolve_field, relaxation_step
 from ipasim.security import (
     AttackParams,
     QkdScenario,
@@ -60,19 +57,13 @@ from ipasim.security import (
 )
 
 MODULES = ("photorefractive", "device", "attack", "security", "budget")
-MAT, GEO, DEV, WP = default_material(), default_geometry(), default_device(), WORKING_POINT_V
+MAT, DEV, WP = default_material(), default_device(), WORKING_POINT_V
 SCENARIO = QkdScenario()
 PATH = standard_path(1.0, ("dwdm_c33",))
 CURVE = DEV.voltage_curve(0.0, 1.0, 5)
 
 # one valid call of each public callable: (callable, its keyword arguments)
 BASELINE = {
-    "photorefractive.field_coupling": (field_coupling, dict(mat=MAT, geo=GEO)),
-    "photorefractive.photoconductivity": (photoconductivity, dict(mat=MAT, power_w=1e-6)),
-    "photorefractive.buildup_time_constant": (buildup_time_constant, dict(mat=MAT, power_w=1e-6)),
-    "photorefractive.relaxation_law": (
-        relaxation_law, dict(mat=MAT, power_w=1e-6, e_app_v_per_m=1e5)
-    ),
     "photorefractive.relaxation_step": (
         relaxation_step, dict(field_v_per_m=1e5, target=2e5, x=0.5)
     ),
@@ -266,3 +257,55 @@ def test_a_non_finite_float_argument_is_refused_by_name(key, name, value):
 
 def test_every_listed_exception_names_a_float_argument_of_a_baseline_call():
     assert set(UNCHECKED) | set(REFUSED_AS) <= {(key, name) for key, name, _ in CASES}
+
+
+PHYSICS = [key for key in BASELINE if key.startswith(("photorefractive.", "device."))]
+
+
+@pytest.mark.parametrize("key", PHYSICS)
+def test_a_physics_call_checks_each_argument_once(key, monkeypatch):
+    checked = []
+    check = Interval.check
+
+    def counted(self, name, x):
+        checked.append(name)
+        check(self, name, x)
+
+    monkeypatch.setattr(Interval, "check", counted)
+    call, arguments = BASELINE[key]
+    call(**arguments)
+    assert [name for name, count in Counter(checked).items() if count > 1] == []
+
+
+RUN = dict(device=DEV, v_app_v=WP)
+# a call whose arguments are finite but whose derived value is out of range
+# (an overflow, or a dark baseline from a dark input), and the argument its
+# refusal must name
+DERIVED = {
+    "arm_fields": (lambda: DEV.arm_fields(1e308), "v_app_v"),
+    "arm_laws": (lambda: DEV.arm_laws(1e-6, 1e308), "v_app_v"),
+    "equilibrated": (lambda: DEV.equilibrated(1e-6, 1e308), "v_app_v"),
+    "exposed": (lambda: DEV.exposed(1e-6, 1e308, 10.0), "v_app_v"),
+    "voltage_curve": (lambda: DEV.voltage_curve(-1e308, 1e308, 5), "v_max_v"),
+    "find_extinction_voltage": (lambda: DEV.find_extinction_voltage(-1e308, 1e308), "v_max_v"),
+    "from_db": (lambda: AttackParams.from_db(4000.0), "m_db"),
+    # a dark input is the caller's mu_in, not a dark baseline reading
+    "run_program-mu_in": (
+        lambda: run_program(program=IrradiationProgram.cw(1e-6, 10.0), mu_in=0.0, dt_s=1.0,
+                            **RUN),
+        "mu_in",
+    ),
+    "pulse_inject_to_target-mu_in": (
+        lambda: pulse_inject_to_target(ctrl=PulseController(10.0), mu_in=0.0, **RUN), "mu_in"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DERIVED)
+def test_a_refusal_names_the_argument_the_caller_passed(case):
+    call, name = DERIVED[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call()
+    assert re.search(rf"\b{name}\b", str(refused.value)), str(refused.value)

@@ -37,12 +37,12 @@ EXPORTS = {
     "LossValue", "MarginReport", "MaterialParams", "MziDevice", "PowerValue",
     "PreTreatResult", "PreTreatmentPlan", "PulseController", "PulseResult", "PulseTrace",
     "QkdScenario", "SecurityResult", "Segment", "TailBounded", "VoltageCurve",
-    "attack_success_probability", "binary_entropy", "buildup_time_constant",
-    "calibration_summary", "countermeasure_margin", "coupling_plan_loss", "curve_rms_db",
-    "default_device", "default_geometry", "default_material", "evaluate_scenario",
-    "evolve_field", "initialize_device", "key_rate", "path_loss", "photoconductivity",
-    "pre_treat", "pulse_inject_to_target", "required_eve_power", "run_program",
-    "standard_path", "sweep_key_rates", "zero_key_threshold",
+    "attack_success_probability", "binary_entropy", "calibration_summary",
+    "countermeasure_margin", "coupling_plan_loss", "curve_rms_db", "default_device",
+    "default_geometry", "default_material", "evaluate_scenario", "evolve_field",
+    "initialize_device", "key_rate", "path_loss", "pre_treat", "pulse_inject_to_target",
+    "required_eve_power", "run_program", "standard_path", "sweep_key_rates",
+    "zero_key_threshold",
 }
 
 

@@ -12,11 +12,9 @@ from ipasim.photorefractive import (
     DecayMode,
     GeometryParams,
     MaterialParams,
-    buildup_time_constant,
+    _photoconductivity as photoconductivity,
+    _relaxation_law,
     evolve_field,
-    field_coupling,
-    photoconductivity,
-    relaxation_law,
     relaxation_step,
 )
 from oracles import relaxation_closed_form, saturated_index_change
@@ -25,8 +23,20 @@ MAT = default_material()
 
 
 def steady_state_field(mat, power_w, e_app_v_per_m=0.0):
-    """The field an arm relaxes toward under constant conditions: the target of its law."""
-    return relaxation_law(mat, power_w, e_app_v_per_m, DecayMode.DARK_DECAY)[0]
+    """The field an arm relaxes toward under constant conditions: an endless step, exactly."""
+    return evolve_field(mat, 0.0, power_w, e_app_v_per_m, math.inf, DecayMode.DARK_DECAY)
+
+
+def buildup_time_constant(mat, power_w):
+    """The dielectric relaxation time under irradiation: the arm law's tau in the dark mode."""
+    return _relaxation_law(mat, power_w, 0.0, DecayMode.DARK_DECAY)[1]
+
+
+def test_the_steady_state_field_is_the_target_of_the_law():
+    for p in (0.0, 1e-9, 3e-6, 7e-6, 2e-5):
+        for e_app in (-2e6, 0.0, 1e5):
+            target, _ = _relaxation_law(MAT, p, e_app, DecayMode.DARK_DECAY)
+            assert steady_state_field(MAT, p, e_app) == target
 
 
 # fraction of the way to saturation after exactly three time constants
@@ -128,8 +138,6 @@ def test_dark_behavior_frozen_vs_decay():
 
 def test_validation():
     with pytest.raises(ValueError):
-        photoconductivity(MAT, -1e-9)
-    with pytest.raises(ValueError):
         evolve_field(MAT, 0.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         evolve_field(MAT, 0.0, 1e-6, 0.0, -1.0)
@@ -157,14 +165,11 @@ def test_validation():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p: photoconductivity(MAT, p),
-        lambda p: buildup_time_constant(MAT, p),
         lambda p: steady_state_field(MAT, p, 1e5),
         lambda p: evolve_field(MAT, 1e5, p, 0.0, 1.0),
         lambda p: evolve_field(MAT, 1e5, p, 0.0, 1.0, DecayMode.DARK_DECAY),
     ],
-    ids=["photoconductivity", "buildup_time_constant", "steady_state_field", "evolve_field",
-         "evolve_field-dark"],
+    ids=["steady_state_field", "evolve_field", "evolve_field-dark"],
 )
 def test_non_finite_power_is_refused(call, power):
     with pytest.raises(ValueError, match="power_w must be >= 0"):

@@ -123,8 +123,6 @@ def test_undetectability_over_randomized_scenarios():
 
 def test_resend_probability_validation():
     assert resend_probability(0.1, 4.0) == pytest.approx(0.025)
-    with pytest.raises(ValueError, match="m_linear must be >= 1"):
-        resend_probability(0.1, 0.5)
 
 
 # -- photon-number distribution ------------------------------------------------------
@@ -252,10 +250,6 @@ def test_decoy_bounds_clamp_pathological_statistics():
 def test_tagged_fraction_estimated_clamps_to_unit_interval():
     assert tagged_fraction_estimated(SCENARIO, 0.0, 0.1) == 1.0
     assert tagged_fraction_estimated(SCENARIO, 1.0, 1e-12) == 0.0
-    with pytest.raises(ValueError, match="q_mu must be positive"):
-        tagged_fraction_estimated(SCENARIO, 0.5, 0.0)
-    with pytest.raises(ValueError, match="q_mu must be positive"):
-        tagged_fraction_estimated(SCENARIO, 0.5, np.array([0.1, 0.0]))
 
 
 # -- elementary pieces -------------------------------------------------------------
@@ -284,8 +278,6 @@ def test_gain_and_qber_limits():
     assert qber(0.0, 0.01, 0.0, 0.5, 0.005) == 0.5  # dark-count only
     # deep in the linear regime the error tends to e_det
     assert qber(1e4, 1e-4, 0.0, 0.5, 0.005) == pytest.approx(0.005, rel=1e-2)
-    with pytest.raises(ValueError, match="mpn must be >= 0"):
-        gain(-0.1, 0.01, 0.0)
 
 
 def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
@@ -299,8 +291,6 @@ def test_gain_and_qber_take_a_column_of_mean_photon_numbers():
     for row, mpn in enumerate((0.8, 0.1)):
         assert q[row].tobytes() == gain(mpn, eta, 6e-7).tobytes()
         assert e[row].tobytes() == qber(mpn, eta, 6e-7, 0.5, 0.005).tobytes()
-    with pytest.raises(ValueError, match="mpn must be >= 0"):
-        gain(np.array([[0.8], [-0.1]]), eta, 6e-7)
 
 
 def test_channel_transmittance():
@@ -370,7 +360,7 @@ def test_attack_refuses_a_non_finite_magnification():
         for m_linear in (math.nan, math.inf):
             with pytest.raises(ValueError, match="m_linear must be >= 1"):
                 AttackParams(m_linear)
-        with pytest.raises(ValueError, match="m_db must be >= 0"):
+        with pytest.raises(ValueError, match=r"m_db must be in \[0, 3082\]"):
             sweep_key_rates(SCENARIO, [math.inf], [10.0])
 
 
@@ -417,9 +407,9 @@ def test_actual_key_never_exceeds_estimate_on_the_default_grid():
 
 def test_sweep_refuses_a_nan_magnification_without_hanging():
     with time_bound():
-        with pytest.raises(ValueError, match="m_db must be >= 0"):
+        with pytest.raises(ValueError, match=r"m_db must be in \[0, 3082\]"):
             sweep_key_rates(SCENARIO, [float("nan")], [10.0])
-        with pytest.raises(ValueError, match="m_db must be >= 0"):
+        with pytest.raises(ValueError, match=r"m_db must be in \[0, 3082\]"):
             sweep_key_rates(SCENARIO, [4.0, 0.0, float("nan")], [10.0])
 
 
