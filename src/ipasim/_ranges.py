@@ -7,11 +7,13 @@ a function argument as an :class:`Interval` it checks at entry (most often
 key sets in ``attack.RUN_ARGUMENTS``.  The test is ``lo <= x <= hi``, each end
 open or closed as spelled, so NaN fails it; an infinite end is always open, so
 ``"(0, inf)"`` means positive and finite.  An array or a tuple field holds if
-every entry does; a field may be None if its default is.  A refusal names the
-parameter: ``must be finite`` for (-inf, inf), ``must be positive`` for
-(0, inf), ``must be >= lo`` (or ``> lo``) for another range open above, else
+every entry does; a field may be None if its default is.  A refusal of one
+argument is a :class:`Refusal`: its ``name`` says which argument, and its message
+leads with that name: ``must be finite`` for (-inf, inf), ``must be positive``
+for (0, inf), ``must be >= lo`` (or ``> lo``) for another range open above, else
 ``must be in`` the spelling; a count (``"int [1, 10]"``) that is no integer is
-refused as a config count's parse is: ``n: expected an integer, got '1.5'``.
+refused as a config count's parse is: ``n: expected an integer, got '1.5'``.  A
+refusal of a relation between arguments, or of a state, is a plain ValueError.
 
 Every call that allocates a grid or a trace checks its size against
 ``MAX_GRID_POINTS`` or ``MAX_STEPS`` with :func:`check_size` before it does.
@@ -33,6 +35,19 @@ MAX_GRID_POINTS = 100_000
 MAX_STEPS = 1_000_000
 
 
+class Refusal(ValueError):
+    """The refusal of the one argument or field ``name``, which a caller reads to know
+    which one, never the message; ``str()`` is ``message``, and ``reason`` is what
+    follows its leading name and colon (all of it if it leads with neither)."""
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(message)
+        self.name, self.reason = name, message.removeprefix(name).removeprefix(":").lstrip()
+
+    def __reduce__(self):  # a process pool pickles it back as it was raised
+        return type(self), (self.name, str(self))
+
+
 class Interval(NamedTuple):
     lo: float
     hi: float
@@ -47,11 +62,11 @@ class Interval(NamedTuple):
         return bool(self.least <= low and high <= self.most)
 
     def check(self, name: str, x) -> None:
-        """Raise ``ValueError`` naming ``name`` unless ``x`` holds, a count an integer."""
+        """Raise a :class:`Refusal` of ``name`` unless ``x`` holds, a count an integer."""
         if self.integer and not isinstance(x, (int, np.integer)):
-            raise ValueError(f"{name}: expected an integer, got {str(x)!r}")
+            raise Refusal(name, f"{name}: expected an integer, got {str(x)!r}")
         if not self.holds(x):
-            raise ValueError(f"{name} {self.message}")
+            raise Refusal(name, f"{name} {self.message}")
 
 
 def extremes(x) -> tuple[float, float]:
@@ -98,7 +113,7 @@ def _declared(cls: type) -> tuple[list[tuple], list[tuple]]:
 
 
 def check_ranges(obj: object) -> None:
-    """Raise ``ValueError`` at the first declared field of dataclass ``obj`` out of range."""
+    """Raise a :class:`Refusal` of the first declared field of dataclass ``obj`` out of range."""
     scalars, tuples = _declared(type(obj))
     for name, optional, allowed in scalars:
         x = getattr(obj, name)
@@ -109,7 +124,7 @@ def check_ranges(obj: object) -> None:
             allowed.check(name, x)
     for name, allowed in tuples:
         if not all(map(allowed.holds, getattr(obj, name))):
-            raise ValueError(f"{name}: every entry {allowed.message}")
+            raise Refusal(name, f"{name}: every entry {allowed.message}")
 
 
 def check_arguments(declared: Mapping[str, str], **arguments) -> None:
@@ -118,7 +133,8 @@ def check_arguments(declared: Mapping[str, str], **arguments) -> None:
         interval(declared[name]).check(name, x)
 
 
-def check_size(count: float, limit: int, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``count`` is at most ``limit``; NaN is not."""
+def check_size(count: float, limit: int, message: str, name: str | None = None) -> None:
+    """Raise ``ValueError(message)``, a :class:`Refusal` of ``name`` if given, unless
+    ``count`` is at most ``limit``; NaN is not."""
     if not count <= limit:
-        raise ValueError(message)
+        raise ValueError(message) if name is None else Refusal(name, message)

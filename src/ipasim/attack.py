@@ -45,8 +45,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._ranges import (
-    MAX_GRID_POINTS, MAX_STEPS, NON_NEGATIVE, POSITIVE, check_arguments, check_ranges, check_size,
-    interval, ranged,
+    MAX_GRID_POINTS, MAX_STEPS, NON_NEGATIVE, POSITIVE, Refusal, check_arguments, check_ranges,
+    check_size, interval, ranged,
 )
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
@@ -95,7 +95,7 @@ class IrradiationProgram:
         NON_NEGATIVE.check("peak_power_w", peak_power_w)
         POSITIVE.check("period_s", period_s)
         if not 0.0 < pulse_width_s <= period_s:
-            raise ValueError("need 0 < pulse_width_s <= period_s")
+            raise Refusal("pulse_width_s", "need 0 < pulse_width_s <= period_s")
         on = Segment(peak_power_w, pulse_width_s)
         if pulse_width_s == period_s:
             return cls((on,) * count, pulse_width_s=pulse_width_s)
@@ -192,10 +192,10 @@ def run_program(
     """
     POSITIVE.check("mu_in", mu_in)
     if not dt_s > 0.0:
-        raise ValueError("dt_s must be positive")
+        raise Refusal("dt_s", "dt_s must be positive")
     check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
     if program.pulse_width_s is not None and dt_s > program.pulse_width_s / 4.0:
-        raise ValueError("dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
+        raise Refusal("dt_s", "dt_s too coarse for pulse train: need dt_s <= pulse_width_s / 4")
     kinds: dict[tuple[float, float], int] = {}  # (power, duration) -> kind
     kind_of = [kinds.setdefault((s.power_w, s.duration_s), len(kinds)) for s in program.segments]
     laws = [device.arm_laws(power_w, v_app_v) for power_w, _ in kinds]
@@ -255,9 +255,9 @@ class PeCurvePlan:
         check_ranges(self)
         n = len(self.powers_w)
         if not n:
-            raise ValueError("powers_w: needs at least one power")
+            raise Refusal("powers_w", "powers_w: needs at least one power")
         check_size(n * self.trace_points, MAX_GRID_POINTS, f"powers_w: {n} traces of "
-                   f"trace_points {self.trace_points} exceed {MAX_GRID_POINTS} rows")
+                   f"trace_points {self.trace_points} exceed {MAX_GRID_POINTS} rows", "powers_w")
 
 
 # -- pre-treatment and initialization ----------------------------------------
@@ -304,9 +304,11 @@ def _saturate(
 
     The criterion is the projected relative field move over one relaxation
     time, so it is insensitive to ``dt_s``.  Each step shrinks an arm's move
-    by exp(-dt/tau), which fixes the step count in closed form.  Running out
-    of the step budget reports converged = False with the partial state.  The
-    end state is the trace's last sample; the runners check the arguments.
+    by exp(-dt/tau), which fixes the step count in closed form, capped at
+    ``max_steps`` before it is rounded up, so a count too large for an integer
+    is the budget too.  Running out of the step budget reports converged =
+    False with the partial state.  The end state is the trace's last sample;
+    the runners check the arguments.
     """
     targets, taus = zip(*device.arm_laws(power_w, v_app_v))
 
@@ -320,8 +322,8 @@ def _saturate(
     steps = 0
     for move, tau in zip(moves(device.field1_v_per_m, device.field2_v_per_m), taus):
         if move > saturation_epsilon:
-            steps = max(steps, math.ceil(tau / dt_s * math.log(move / saturation_epsilon)))
-    steps = min(steps, max_steps)
+            count = min(max_steps, tau / dt_s * math.log(move / saturation_epsilon))
+            steps = max(steps, math.ceil(count))
     elapsed = np.arange(steps + 1) * dt_s
     sampled = device.with_fields(*(
         relaxation_step(f, target, elapsed / tau)

@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from math import log10
+from math import inf, log10
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from ._ranges import POSITIVE, check_ranges, ranged
+from ._ranges import POSITIVE, Refusal, check_ranges, ranged
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def parse_loss_entry(raw: RawEntry) -> LossValue:
         try:
             db = float(text[1:] if bound else text)
         except ValueError:
-            raise ValueError(f"loss entry {raw!r} is neither a number nor '>NN'") from None
+            raise Refusal("raw", f"loss entry {raw!r} is neither a number nor '>NN'") from None
         return LossValue(db, lower_bound=bound)
     return LossValue(float(raw))
 
@@ -119,10 +119,15 @@ def path_loss(path: InjectionPath, wavelength_nm: int) -> LossValue:
 def required_eve_power(
     path: InjectionPath, wavelength_nm: int, target_power_w: float
 ) -> PowerValue:
-    """Launch power needed so the target power arrives at the device."""
+    """Launch power needed so the target power arrives at the device; a launch power
+    that overflows is refused as ``target_power_w``."""
     POSITIVE.check("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
-    return PowerValue(target_power_w * 10.0 ** (loss.db / 10.0), loss.lower_bound)
+    watts = target_power_w * 10.0 ** (loss.db / 10.0)
+    if watts == inf:
+        raise Refusal("target_power_w", f"target_power_w {target_power_w!r} overflows its launch "
+                      "power target_power_w * 10 ** (loss_db / 10)")
+    return PowerValue(watts, loss.lower_bound)
 
 
 FEASIBLE = "feasible"
@@ -195,7 +200,7 @@ def coupling_plan_loss(scheme: str) -> CouplingScheme:
         return COUPLING_SCHEMES[scheme]
     except KeyError:
         known = ", ".join(sorted(COUPLING_SCHEMES))
-        raise ValueError(f"unknown coupling scheme '{scheme}' (known: {known})") from None
+        raise Refusal("scheme", f"unknown coupling scheme '{scheme}' (known: {known})") from None
 
 
 def standard_path(

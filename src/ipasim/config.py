@@ -45,7 +45,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 from . import attack
 from . import budget as budget_mod
 from . import calibration
-from ._ranges import Interval, interval
+from ._ranges import Interval, Refusal, interval
 from .attack import PeCurvePlan, PreTreatmentPlan, PulseController
 from .budget import ComponentLoss, InjectionPath, LossValue, parse_loss_entry
 from .device import CurvePlan, MziDevice
@@ -401,23 +401,27 @@ def to_ini_text(cfg: ScenarioConfig) -> str:
 # -- domain object builders --------------------------------------------------------
 
 
+def _config_error(section: str, keys: Mapping[str, object], exc: ValueError) -> ConfigError:
+    """``exc`` under the key it refuses if ``keys`` holds its name, else under ``section``:
+    ``v_pi_v must be positive`` becomes ``device.v_pi_v: must be positive``."""
+    if isinstance(exc, Refusal) and exc.name in keys:
+        return ConfigError(f"{section}.{exc.name}: {exc.reason}")
+    return ConfigError(f"{section}: {exc}")
+
+
 def _build(cls, section: str, cfg: ScenarioConfig, **explicit: object):
     """``cls`` from the ``section`` values whose keys name its fields.
 
     ``explicit`` supplies fields the section spells differently or not at all.
-    A refusal led by the name of one of the section's keys names that key
-    (``v_pi_v must be positive`` becomes ``device.v_pi_v: must be positive``);
-    any other names the section.
+    A :class:`~ipasim._ranges.Refusal` whose ``name`` is one of those keys is
+    reported under that key; any other refusal under the section.
     """
     names = {f.name for f in fields(cls)}
     matched = {k: v for k, v in cfg.values[section].items() if k in names}
     try:
         return cls(**{**matched, **explicit})
     except ValueError as exc:
-        head, _, rest = str(exc).partition(" ")
-        key = head.rstrip(":")
-        where = f"{section}.{key}: {rest}" if key in matched else f"{section}: {exc}"
-        raise ConfigError(where) from None
+        raise _config_error(section, matched, exc) from None
 
 
 def build_material(cfg: ScenarioConfig) -> MaterialParams:
@@ -439,7 +443,7 @@ def build_geometry(cfg: ScenarioConfig) -> GeometryParams:
 def build_device(cfg: ScenarioConfig) -> MziDevice:
     d = cfg.values["device"]
     # built at zero bias first: the working-point bias divides by v_pi_v,
-    # which this build range-checks
+    # which this build range-checks, and refuses the key it overflows by
     device = _build(
         MziDevice,
         "device",
@@ -449,7 +453,10 @@ def build_device(cfg: ScenarioConfig) -> MziDevice:
         bias_phase_rad=0.0,
         decay_mode=DecayMode(d["decay_mode"]),
     )
-    bias = calibration.parking_bias_rad(d["working_point_v"], d["residual_bias_rad"], device.v_pi_v)
+    try:
+        bias = calibration.parking_bias_rad(d["working_point_v"], d["residual_bias_rad"], device.v_pi_v)
+    except ValueError as exc:
+        raise _config_error("device", d, exc) from None
     return replace(device, bias_phase_rad=bias)
 
 

@@ -19,7 +19,8 @@ at entry and by its own name, a voltage array in every entry; the arm laws it
 steps along (``ipasim.photorefractive``'s private kernels) check nothing.  A
 value it derives is refused only where it overflows, under the name of the
 argument it came from: a ``v_app_v`` whose field ``v_app_v / electrode_gap_m``
-is inf, a voltage range whose width is.  Exposure helpers return a new device
+or phase ``v_app_v * 2*pi / v_pi_v`` is inf, a voltage range whose width is,
+or the phase across it.  Exposure helpers return a new device
 with updated arm fields.  The readouts are numpy expressions, so a voltage grid, or arm fields
 sampled along an exposure, read out in one call.  ``attenuation_db`` is
 insertion loss relative to unit input (positive numbers, bigger means darker);
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._ranges import (
-    FINITE, MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, check_ranges, check_size, ranged,
+    FINITE, MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, Refusal, check_ranges, check_size, ranged,
 )
 from .photorefractive import (
     DecayMode, GeometryParams, MaterialParams, _evolve, _field_coupling, _relaxation_law,
@@ -68,10 +69,11 @@ class CurvePlan:
     def __post_init__(self) -> None:
         check_ranges(self)
         if not 0.0 < self.v_max_v - self.v_min_v < math.inf:
-            raise ValueError("v_max_v must exceed v_min_v by a finite width")
+            raise Refusal("v_max_v", "v_max_v must exceed v_min_v by a finite width")
         curves = len(self.pretreat_voltages_v) + 1
         check_size(curves * self.points, MAX_GRID_POINTS, f"pretreat_voltages_v: {curves} "
-                   f"curves of points {self.points} exceed {MAX_GRID_POINTS} rows")
+                   f"curves of points {self.points} exceed {MAX_GRID_POINTS} rows",
+                   "pretreat_voltages_v")
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,20 @@ class MziDevice:
         same coefficients without building a device.  The differential term
         is taken on the field difference, which stays exact when the two arms
         sit near the same large field.  The readouts built on it check
-        ``v_app_v`` here.
+        ``v_app_v`` here, and refuse it where its phase overflows.
         """
         FINITE.check("v_app_v", v_app_v)
         g = self.material.field_response
         c_over_d = _field_coupling(self.material, self.geometry) / self.geometry.electrode_gap_m
-        theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
+        theta = self._drive_phase("v_app_v", v_app_v)
         return theta, g * self.geometry.phase_scale_rad, -g * c_over_d * v_app_v
+
+    def _drive_phase(self, name: str, v_app_v: float) -> float:
+        """theta0 + ``v_app_v`` * 2*pi / v_pi_v, refused as ``name`` where it overflows."""
+        theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
+        if not FINITE.holds(theta):
+            raise Refusal(name, f"{name} {v_app_v!r} overflows its phase {name} * 2*pi / v_pi_v")
+        return theta
 
     def total_phase(self, v_app_v: float) -> float:
         theta, k_diff, k_common = self.phase_coefficients(v_app_v)
@@ -160,6 +169,9 @@ class MziDevice:
 
     def voltage_curve(self, v_min_v: float, v_max_v: float, points: int) -> VoltageCurve:
         CurvePlan(v_min_v, v_max_v, points, ())  # refuses a grid its plan would refuse
+        # the phase is affine in the voltage: finite at both ends, finite on the grid
+        self._drive_phase("v_min_v", v_min_v)
+        self._drive_phase("v_max_v", v_max_v)
         volts = np.linspace(v_min_v, v_max_v, points)
         phase = self.total_phase(volts)
         trans = self._phase_transmittance(phase)
@@ -181,10 +193,15 @@ class MziDevice:
         FINITE.check("v_max_v", v_max_v)
         width = v_max_v - v_min_v
         if width == math.inf:
-            raise ValueError("v_max_v must exceed v_min_v by a finite width")
+            raise Refusal("v_max_v", "v_max_v must exceed v_min_v by a finite width")
         if width < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
+        self._drive_phase("v_min_v", v_min_v)
+        self._drive_phase("v_max_v", v_max_v)
         theta_lo, theta_hi = self.total_phase(np.array([v_min_v, v_max_v])).tolist()
+        if math.isinf(theta_hi - theta_lo):
+            raise Refusal("v_max_v", f"v_max_v {v_max_v!r} overflows the phase across "
+                          "v_max_v - v_min_v")
         slope = (theta_hi - theta_lo) / width
         theta_center = theta_lo + slope * 0.5 * width
         k = round((theta_center - math.pi) / (2.0 * math.pi))
@@ -203,7 +220,7 @@ class MziDevice:
         FINITE.check("v_app_v", v_app_v)
         e = v_app_v / self.geometry.electrode_gap_m
         if math.isinf(e):
-            raise ValueError(f"v_app_v {v_app_v!r} overflows its field v_app_v / electrode_gap_m")
+            raise Refusal("v_app_v", f"v_app_v {v_app_v!r} overflows its field v_app_v / electrode_gap_m")
         return e, -e
 
     def exposed(self, power_w: float, v_app_v: float, dt_s: float) -> "MziDevice":
@@ -211,7 +228,7 @@ class MziDevice:
         ``dt_s`` of inf means to the steady state, as for :func:`evolve_field`."""
         law1, law2 = self.arm_laws(power_w, v_app_v)
         if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
-            raise ValueError("dt_s must be >= 0")
+            raise Refusal("dt_s", "dt_s must be >= 0")
         return self.with_fields(
             _evolve(self.field1_v_per_m, law1, dt_s), _evolve(self.field2_v_per_m, law2, dt_s)
         )

@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._ranges import FINITE, NON_NEGATIVE, check_ranges, ranged
+from ._ranges import FINITE, NON_NEGATIVE, Refusal, check_ranges, ranged
 
 VACUUM_PERMITTIVITY_F_PER_M = 8.8541878128e-12
 _LN2 = math.log(2.0)
@@ -137,7 +137,7 @@ class GeometryParams:
     def __post_init__(self) -> None:
         check_ranges(self)
         if self.electrode_length_m > self.arm_length_m:
-            raise ValueError("electrode_length_m cannot exceed arm_length_m")
+            raise Refusal("electrode_length_m", "electrode_length_m cannot exceed arm_length_m")
 
     @property
     def phase_scale_rad(self) -> float:
@@ -254,5 +254,5 @@ def evolve_field(
     NON_NEGATIVE.check("power_w", power_w)
     FINITE.check("e_app_v_per_m", e_app_v_per_m)
     if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
-        raise ValueError("dt_s must be >= 0")
+        raise Refusal("dt_s", "dt_s must be >= 0")
     return _evolve(field_v_per_m, _relaxation_law(mat, power_w, e_app_v_per_m, decay_mode), dt_s)

@@ -50,7 +50,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._ranges import (
-    MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, check_ranges, check_size, extremes, interval, ranged,
+    MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, Refusal, check_ranges, check_size, extremes, interval,
+    ranged,
 )
 
 # A float, or an array with one entry per distance of a grid.  The per-link
@@ -123,7 +124,7 @@ def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats
     NON_NEGATIVE.check("alpha_db_per_km", alpha_db_per_km)
     shortest, longest = extremes(distance_km)
     if not (shortest >= 0.0 and (longest < math.inf or alpha_db_per_km > 0.0)):
-        raise ValueError("distance_km must be >= 0, and finite on a lossless fiber")
+        raise Refusal("distance_km", "distance_km must be >= 0, and finite on a lossless fiber")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -324,7 +325,9 @@ def _key_rate(
     """:func:`key_rate` of a checked delta and q_mu: one check, one entropy call, of (e1, e_mu)."""
     errors = np.empty((2, *np.broadcast(e1, e_mu).shape))
     errors[0], errors[1] = e1, e_mu
-    _ERROR_RATE.check("e1 and e_mu", errors)
+    if not _ERROR_RATE.holds(errors):  # one test of both, the refusal naming the one out of range
+        name = "e_mu" if _ERROR_RATE.holds(errors[0]) else "e1"
+        raise Refusal(name, f"e1 and e_mu {_ERROR_RATE.message}")
     h1, h_mu = _entropy(errors)
     raw = q_mu * ((1.0 - delta) * (1.0 - h1) - scenario.f_ec * h_mu)
     return KeyRate(np.maximum(raw, 0.0), raw)
@@ -361,7 +364,7 @@ ESTIMATORS = ("decoy", "single_photon_true")
 
 def _check_estimator(estimator: str) -> None:
     if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of: {', '.join(ESTIMATORS)}")
+        raise Refusal("estimator", f"estimator must be one of: {', '.join(ESTIMATORS)}")
 
 
 def _link(scenario: QkdScenario, estimator: str, distances_km: Sequence[float]) -> tuple:
@@ -455,16 +458,17 @@ class SweepPlan:
         lo, hi, step = self.distance_min_km, self.distance_max_km, self.distance_step_km
         n = len(self.m_db_grid)
         if not n:
-            raise ValueError("m_db_grid: needs at least one magnification")
+            raise Refusal("m_db_grid", "m_db_grid: needs at least one magnification")
         if not hi >= lo:
-            raise ValueError("distance_max_km must be >= distance_min_km")
+            raise Refusal("distance_max_km", "distance_max_km must be >= distance_min_km")
         count = ((hi - lo) / step + 1e-9) // 1 + 1  # a float: too fine a grid is inf // 1, nan
         check_size(count, MAX_GRID_POINTS, "distance_max_km: the distance grid from "
-                   f"distance_min_km in distance_step_km steps exceeds {MAX_GRID_POINTS} points")
+                   f"distance_min_km in distance_step_km steps exceeds {MAX_GRID_POINTS} points",
+                   "distance_max_km")
         check_size(n * count, MAX_GRID_POINTS, f"m_db_grid: a sweep of {n} magnifications "
-                   f"over the distance grid exceeds {MAX_GRID_POINTS} rows")
+                   f"over the distance grid exceeds {MAX_GRID_POINTS} rows", "m_db_grid")
         if not self.m_search_high_db > self.m_search_low_db:
-            raise ValueError("m_search_high_db must exceed m_search_low_db")
+            raise Refusal("m_search_high_db", "m_search_high_db must exceed m_search_low_db")
         _check_estimator(self.estimator)
         self.distances_km = tuple(lo + i * step for i in range(int(count)))
 
@@ -551,7 +555,7 @@ def zero_key_threshold(
     NON_NEGATIVE.check("m_search_range_db", m_search_range_db)
     lo, hi = m_search_range_db
     if not lo < hi:
-        raise ValueError("need 0 <= low < high in m_search_range_db")
+        raise Refusal("m_search_range_db", "need 0 <= low < high in m_search_range_db")
     _, eta_ab, q, (e_mu, _), missed, bounds = _link(scenario, estimator, distances_km)
     _ERROR_RATE.check("e_mu", e_mu)  # as key_rate refuses it; e1_upper is in [0, 1]
     h1, h_mu = _entropy((np.minimum(bounds.e1_upper, 0.5), e_mu))

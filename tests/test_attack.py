@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,24 @@ def test_pretreat_step_budget_reports_not_converged():
     res = pre_treat(DEV, plan, dt_s=60.0, max_steps=3)
     assert not res.converged
     assert res.steps == 3
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: pre_treat(DEV, PreTreatmentPlan(), dt_s=5e-324, max_steps=10),
+        lambda: initialize_device(DEV, dt_s=5e-324, max_steps=10),
+        lambda: initialize_device(DEV, saturation_epsilon=5e-324, max_steps=10),
+    ],
+    ids=["pre_treat-dt_s", "initialize_device-dt_s", "initialize_device-saturation_epsilon"],
+)
+def test_a_step_count_too_large_for_an_integer_runs_to_the_budget(run):
+    # the count that settles the arms is inf; capped in float before it is rounded up
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run()
+    assert res.steps == 10
+    assert res.converged is False
 
 
 def test_pretreat_plan_validation():

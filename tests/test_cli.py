@@ -408,9 +408,8 @@ def test_threshold_tolerance_below_the_float_spacing_exits_0(tmp_path):
     "argv, ini",
     [
         (["budget"], "[budget]\nfiber_length_km = 1e30\n"),
-        (["attack", "pre-treat"], "[pre_treat]\ndt_s = 1e-320\n"),
     ],
-    ids=["fiber_length_km", "dt_s"],
+    ids=["fiber_length_km"],
 )
 def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys, argv, ini):
     cfg = tmp_path / "overflow.ini"
@@ -419,6 +418,24 @@ def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith(f"error: {' '.join(argv)}: OverflowError: ")
     assert not out.exists()
+
+
+def test_a_launch_power_that_overflows_exits_3_naming_target_power_w(tmp_path, capsys):
+    cfg = tmp_path / "launch.ini"
+    cfg.write_text("[budget]\ntarget_power_w = 1e308\n")
+    out = tmp_path / "launch-out"
+    assert main(["budget", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: target_power_w 1e+308 overflows ")
+    assert not out.exists()
+
+
+def test_a_saturation_run_past_its_step_budget_exits_0_unconverged(tmp_path, capsys):
+    # steps of 5e-324 s: the count that settles the arms is inf, and the budget caps it
+    cfg = tmp_path / "tiny-step.ini"
+    cfg.write_text("[pre_treat]\ndt_s = 5e-324\nmax_steps = 10\n")
+    out = tmp_path / "tiny-step-out"
+    assert main(["attack", "pre-treat", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "converged=false after 10 steps" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

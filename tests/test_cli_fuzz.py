@@ -56,7 +56,8 @@ KEYS = {
     # keys whose default and range check come from a domain dataclass
     ("material", "sublinear_exponent"): st.sampled_from(["-1", "0", "1", "2", "3", "1.5"]),
     ("geometry", "electrode_length_m"): st.sampled_from(["0.02", "0.04", "0.05", "0", "-1e-3"]),
-    ("device", "v_pi_v"): st.sampled_from(["5.0", "4", "0", "-5"]),
+    ("device", "v_pi_v"): st.sampled_from(["5.0", "4", "0", "-5", "5e-324"]),
+    ("device", "working_point_v"): _numbers(-30.0, 30.0, "1e308", "-1e308"),
     ("device", "decay_mode"): st.sampled_from(["frozen", "dark_decay", "DARK_DECAY", ""]),
     ("pulse", "duty_min"): _numbers(0.0, 1.0, "0", "1", "-0.1"),
     ("pre_treat", "saturation_epsilon"): _numbers(0.0, 0.2, "0", "0.1"),
@@ -87,6 +88,9 @@ def _ini(overrides: dict) -> str:
 )
 @example(command="attack pre-treat", overrides={("pre_treat", "dt_s"): "1e-320"})
 @example(command="budget", overrides={("device", "v_pi_v"): "0"})
+@example(command="budget", overrides={("device", "v_pi_v"): "5e-324"})
+@example(command="budget", overrides={("device", "working_point_v"): "1e308"})
+@example(command="attack pulse", overrides={("device", "working_point_v"): "-1e308"})
 def test_cli_contract_holds_on_random_configs(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -12,6 +12,7 @@ from ipasim.cli import EXIT_CONFIG, main
 from ipasim._ranges import MAX_GRID_POINTS, MAX_STEPS
 from ipasim.config import (
     ConfigError,
+    _schema,
     build_controller,
     build_device,
     build_distances_km,
@@ -533,3 +534,36 @@ def test_distance_grid_matches_the_default_sweep():
     assert len(grid) == 76
     assert grid[0] == 0.0 and grid[-1] == 150.0
     assert grid[1] - grid[0] == pytest.approx(2.0)
+
+
+# extreme finite values, and both zeros, for the walk over every float key
+EXTREMES = ("1e308", "-1e308", "1e300", "-1e300", "1e-300", "5e-324", "0", "-0.0")
+
+
+def test_an_extreme_float_value_is_accepted_or_is_a_config_error():
+    """Every float key, a float list a one-entry list, at each of ``EXTREMES``."""
+    escaped = []
+    for section, keys in _schema().items():
+        for key, spec in keys.items():
+            if type(spec.default) is not float and not (
+                type(spec.default) is tuple and type(spec.default[0]) is float
+            ):
+                continue
+            for raw in EXTREMES:
+                try:
+                    parse_config(f"[{section}]\n{key} = {raw}\n")
+                except ConfigError:
+                    pass
+                except Exception as exc:  # any other escape is the failure
+                    escaped.append(f"{section}.{key} = {raw}: {exc!r}")
+    assert escaped == []
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("working_point_v", "1e308"), ("working_point_v", "-1e308"), ("v_pi_v", "5e-324")]
+)
+def test_a_working_point_bias_that_overflows_is_refused_by_its_key(tmp_path, capsys, key, raw):
+    path = tmp_path / "bias.ini"
+    path.write_text(f"[device]\n{key} = {raw}\n")
+    assert main(["--dry-run", "budget", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: device.{key}: ")

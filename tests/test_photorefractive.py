@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ipasim._ranges import Refusal
 from ipasim.calibration import default_material
 from ipasim.photorefractive import (
     DecayMode,
@@ -152,13 +153,14 @@ def test_validation():
             dark_conductivity_s_per_m=1e-16,
             rel_permittivity=28.0,
         )
-    with pytest.raises(ValueError, match="electrode_length_m"):
+    with pytest.raises(Refusal) as refused:
         GeometryParams(
             arm_length_m=0.01,
             electrode_length_m=0.02,
             electrode_gap_m=10e-6,
             signal_wavelength_m=1550e-9,
         )
+    assert refused.value.name == "electrode_length_m"
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
