@@ -11,8 +11,9 @@ that table.  Global flags work before or after the verb: ``--config PATH``
 
 Exit codes: 0 success; 2 config, schema or usage errors; 3 runs that cannot
 proceed (unbracketed threshold search, infeasible pulse target, a library
-``ValueError`` such as a too-short Poisson truncation, arithmetic overflow,
-unusable output path).
+``ValueError``, an arithmetic error, unusable output path).  A runner runs
+with numpy's overflow, invalid and divide errors raised, so a numpy overflow
+ends as a ``FloatingPointError`` with exit 3, never as a warning.
 
 A run computes all its outputs before it touches the output directory, so a
 run that fails while computing leaves the directory as it was.  It then
@@ -430,7 +431,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     started = utc_now()
     try:
-        tables, lines = verb.run(cfg)
+        # a numpy overflow, invalid or divide is a FloatingPointError here, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tables, lines = verb.run(cfg)
     except (RunFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -146,6 +146,7 @@ def _key(default: object, allowed: Optional[str] = None, options: tuple[str, ...
 _RETIRED = {
     "geometry.effective_length_m": "retired key, nothing read it",
     "geometry.irradiation_wavelength_nm": "retired key, budget.wavelength_nm prices the injection",
+    "qkd.n_trunc": "retired key, nothing is truncated: the photon statistics are closed forms",
     "voltage_curve.pretreat_power_w": "retired key, pre_treat.i_ir_w sets the pre-treatment power",
 }
 
@@ -320,7 +321,8 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     Each key's options and the range this module declares for it come first.
     Then every object a runner builds is built: the dataclasses and the plans
     check the keys they own, the constraints that couple them and the sizes
-    they bound.  Last, the budget path is priced at its wavelength, which
+    they bound, and the device refuses a voltage-curve end whose drive phase
+    overflows.  Last, the budget path is priced at its wavelength, which
     names an unknown component or a missing loss entry.
     """
     for section, keys in _schema().items():
@@ -331,12 +333,17 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
             if spec.allowed is not None and not spec.allowed.holds(value):
                 raise ConfigError(f"{section}.{key}: {spec.allowed.message}")
 
-    build_device(cfg)
+    device = build_device(cfg)
     build_controller(cfg)
     build_scenario(cfg)
     build_pretreat_plan(cfg)
     build_sweep_plan(cfg)
-    build_curve_plan(cfg)
+    curve = build_curve_plan(cfg)
+    try:  # the curve verbs read the device's drive phase at the plan's ends
+        device._drive_phase("v_min_v", curve.v_min_v)
+        device._drive_phase("v_max_v", curve.v_max_v)
+    except ValueError as exc:
+        raise _config_error("voltage_curve", cfg.values["voltage_curve"], exc) from None
     build_pe_curve_plan(cfg)
     path = build_path(cfg)
     try:

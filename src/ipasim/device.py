@@ -124,8 +124,14 @@ class MziDevice:
         return theta, g * self.geometry.phase_scale_rad, -g * c_over_d * v_app_v
 
     def _drive_phase(self, name: str, v_app_v: float) -> float:
-        """theta0 + ``v_app_v`` * 2*pi / v_pi_v, refused as ``name`` where it overflows."""
-        theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
+        """theta0 + ``v_app_v`` * 2*pi / v_pi_v, refused as ``name`` where it overflows.
+        A float product overflows to inf silently, and numpy's is kept as silent."""
+        scale = 2.0 * math.pi / self.v_pi_v
+        if type(v_app_v) is float:
+            theta = self.bias_phase_rad + v_app_v * scale
+        else:
+            with np.errstate(over="ignore"):
+                theta = self.bias_phase_rad + v_app_v * scale
         if not FINITE.holds(theta):
             raise Refusal(name, f"{name} {v_app_v!r} overflows its phase {name} * 2*pi / v_pi_v")
         return theta

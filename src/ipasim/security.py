@@ -13,12 +13,12 @@ Conventions: gains and yields are probabilities per pulse; magnification is
 linear here (callers convert from dB); every scenario and attack field is
 range-checked, and each argument a call checks at entry, in every entry of an
 array; the private kernels (gains, resend probability, tagged fraction) are
-handed checked values and check nothing.  A scenario holds no distance: the evaluations take a grid, by
+handed checked values and check nothing.  A derived value that overflows is
+refused by the argument it came from: exp(mu) as ``mu``, m_linear * mu as
+``attack``.  A scenario holds no distance: the evaluations take a grid, by
 default ``SweepPlan``'s, and the per-link terms its transmittance.
-Photon-number statistics use closed forms, nothing truncated.  ``n_trunc``
-remains a validity guard on attacked evaluations: the Poisson mass above it
-is reported as ``tail_bound``, and a magnified mean whose tail reaches
-``TAIL_LIMIT`` is refused.
+Photon-number statistics use closed forms, nothing truncated; ``tail_bound``
+is a diagnostic, the magnified mean's Poisson mass above ``_TAIL_CUT``.
 
 Every per-link formula is a numpy expression over a whole distance grid, and
 evaluations run in stacked blocks, since on grids of tens of points numpy's
@@ -61,7 +61,7 @@ Floats = Union[float, np.ndarray]
 # dark-count clicks carry no bit information, so they are wrong half the time
 DARK_COUNT_ERROR = 0.5
 
-TAIL_LIMIT = 1e-12
+_TAIL_CUT = 80  # the photon number past which ``tail_bound`` sums the Poisson mass
 
 # a probability, an error rate the key rate admits, a photon-number cut
 _UNIT, _ERROR_RATE, _CUT = map(interval, ("[0, 1]", "[0, 0.5]", "int [0, inf)"))
@@ -91,12 +91,15 @@ class QkdScenario:
     e_det: float = ranged("[0, 0.5]", 0.005)
     e0: float = ranged("[0, 1]", DARK_COUNT_ERROR)
     f_ec: float = ranged("[1, inf)", 1.16)
-    n_trunc: int = ranged("int [20, inf)", 80)
 
     def __post_init__(self) -> None:
         check_ranges(self)
         if not self.nu < self.mu:
             raise ValueError("need 0 < nu < mu")
+        try:  # the decoy bounds weigh the signal gain by exp(mu), the decoy's by exp(nu) < exp(mu)
+            math.exp(self.mu)
+        except OverflowError:
+            raise Refusal("mu", f"mu {self.mu!r} overflows its decoy weight exp(mu)") from None
 
 
 @dataclass(frozen=True)
@@ -264,17 +267,17 @@ def attack_success_probability(
 
         (1 - exp(-mu_E*p*eta_B)) * (1 - exp(-mu_E*(1-p)))
 
-    The literal double sum is kept in the test suite as the oracle.  The
-    returned tail bound is the Poisson mass above ``n_trunc``; a scenario
-    whose tail reaches ``TAIL_LIMIT`` is refused with a ValueError.  The tail
-    depends on the magnified mean only, so the channel transmittance
-    ``eta_ab``, a float or one entry per distance of a grid, leaves it a float.
+    The literal double sum is kept in the test suite as the oracle.  A
+    magnified mean m_linear * mu that overflows is refused as ``attack``.
+    The returned tail bound is that mean's Poisson mass above ``_TAIL_CUT``,
+    so the channel transmittance ``eta_ab``, a float or one entry per
+    distance of a grid, leaves it a float.
 
     ``attack`` may also be a sequence of n attacks.  Then both fields gain a
     leading axis, row i for ``attack[i]``: the success probabilities of all
     of them come from one broadcast of the magnifications as an (n, 1)
-    column against the grid, and only the tails, checked in order, are
-    summed one attack at a time.
+    column against the grid, and only the tails are summed one attack at a
+    time.
     """
     _UNIT.check("eta_ab", eta_ab)
     single = isinstance(attack, AttackParams)
@@ -284,13 +287,11 @@ def attack_success_probability(
     p = _resend_probability(eta_ab, m_linear)
     tails = []
     for a in attacks:
-        mu_e = a.m_linear * scenario.mu
-        tails.append(poisson_tail(mu_e, scenario.n_trunc))
-        if tails[-1] >= TAIL_LIMIT:
-            raise ValueError(
-                f"n_trunc={scenario.n_trunc} leaves Poisson tail {tails[-1]:.3e} at mean "
-                f"{mu_e:.3f}; increase n_trunc"
-            )
+        mu_e = a.m_linear * scenario.mu  # a float product: an overflow is inf, with no warning
+        if mu_e == math.inf:
+            raise Refusal("attack", f"attack: m_linear {a.m_linear!r} overflows its magnified "
+                          f"mean m_linear * mu at mu {scenario.mu!r}")
+        tails.append(poisson_tail(mu_e, _TAIL_CUT))
     # both factors are exp(-x) - 1, not 1 - exp(-x): the signs cancel in the product
     minus_mu_e = m_linear * -scenario.mu
     value = np.expm1(minus_mu_e * p * scenario.eta_bob) * np.expm1(minus_mu_e * (1.0 - p))
@@ -521,7 +522,12 @@ def sweep_key_rates(
     check_size(n * count, MAX_GRID_POINTS, f"a sweep of {n} magnifications over {count} "
                f"distances exceeds {MAX_GRID_POINTS} rows")
     attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]
-    link, block = _evaluate(scenario, attacks, estimator, distances_km)
+    try:
+        link, block = _evaluate(scenario, attacks, estimator, distances_km)
+    except Refusal as exc:  # the sweep's attacks are its magnifications
+        if exc.name != "attack":
+            raise
+        raise Refusal("m_db_list", f"m_db_list: {exc.reason}") from None
     # a link column is the same under every magnification
     columns = {name: value.tolist() * n for name, value in link.items()}
     columns.update(zip(_ATTACK_FIELDS, block.reshape(len(_ATTACK_FIELDS), -1).tolist()))

@@ -41,6 +41,10 @@ def thinned_pmf_bruteforce(n: int, mu_e: float, p: float, m_trunc: int = 60) -> 
     return total
 
 
+# the photon number the literal sums stop at: 80, the cut ``tail_bound`` reports past
+PHOTON_CUT = 80
+
+
 def success_double_sum(mu_e: float, p: float, eta_b: float, n_trunc: int) -> float:
     """Literal double sum for the keep-one-forward-some success probability.
 
@@ -358,8 +362,8 @@ def security_row(scenario, m_db: float, distance_km: float, estimator: str) -> d
         m_linear = 10.0 ** (m_db / 10.0)
         mu_e = m_linear * mu
         m_out = 10.0 * math.log10(m_linear)
-        p_s = success_double_sum(mu_e, eta_ab / m_linear, sc.eta_bob, sc.n_trunc)
-        above = math.fsum(poisson_pmf(n, mu_e) for n in range(sc.n_trunc + 1, 400))
+        p_s = success_double_sum(mu_e, eta_ab / m_linear, sc.eta_bob, PHOTON_CUT)
+        above = math.fsum(poisson_pmf(n, mu_e) for n in range(PHOTON_CUT + 1, 400))
         tail = above / q_mu
         delta_pns = unit(p_s / q_mu)
     r_est_raw, r_actual_raw = raw_key(delta_est), raw_key(delta_pns)

@@ -17,7 +17,7 @@ from ipasim import security
 from ipasim.attack import IrradiationProgram, PreTreatmentPlan, PulseController, \
     initialize_device, pre_treat, pulse_inject_to_target, run_program
 from ipasim.budget import path_loss, required_eve_power, standard_path
-from ipasim.calibration import PEAK_POWER_W, WORKING_POINT_V, default_device
+from ipasim.calibration import PEAK_POWER_W, WORKING_POINT_V, calibration_summary, default_device
 from ipasim.cli import EXIT_OK, main
 from ipasim.device import curve_rms_db
 from ipasim.photorefractive import DecayMode, _relaxation_law, evolve_field
@@ -126,6 +126,23 @@ def test_criterion_04_dominance():
         assert row.r_actual <= row.r_est + 1e-15
         if row.m_db == 0.0:
             assert row.r_actual == row.r_est
+
+
+def test_the_attack_takes_all_key_unseen_at_the_device_peak():
+    """The paper's headline at the attacked VOA's largest magnification (57.84 dB):
+    over the 76 default distances the actual key is gone while the users, whose
+    observables are the honest ones, estimate key wherever the honest link yields it."""
+    peak_db = calibration_summary()["peak_magnification_db"]
+    rows = sweep_key_rates(QkdScenario(), [0.0, peak_db])
+    honest, attacked = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+    assert len(attacked) == 76
+    assert all(row.m_db == pytest.approx(peak_db, rel=1e-12) for row in attacked)
+    assert any(row.r_est > 0.0 for row in honest)
+    for clean, row in zip(honest, attacked):
+        assert row.distance_km == clean.distance_km
+        assert row.r_actual == 0.0
+        assert (row.r_est > 0.0) == (clean.r_actual > 0.0)
+        assert (row.q_mu, row.e_mu) == (clean.q_mu, clean.e_mu)
 
 
 @criterion(5, "exponential dynamics: semigroup, 3-tau point, tau ordering, plateau shape")

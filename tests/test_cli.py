@@ -372,19 +372,19 @@ def test_infeasible_pulse_target_exits_3(tmp_path, capsys):
 
 
 def test_library_value_error_exits_3_without_traceback(tmp_path):
-    # a 20 dB magnification outgrows the shortest allowed Poisson truncation
-    cfg = tmp_path / "short.ini"
-    cfg.write_text("[qkd]\nm_db_grid = 0, 20\nn_trunc = 20\n")
-    out = tmp_path / "short-out"
+    # the zero-key threshold, 6.64 dB, lies below the search range: a BracketError
+    cfg = tmp_path / "unbracketed.ini"
+    cfg.write_text("[qkd]\nm_search_low_db = 8\nm_search_high_db = 8.5\n")
+    out = tmp_path / "unbracketed-out"
     env = dict(os.environ, PYTHONPATH=str(Path(ipasim.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "ipasim.cli", "security", "sweep",
+        [sys.executable, "-m", "ipasim.cli", "security", "threshold",
          "--config", str(cfg), "--out", str(out)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == EXIT_RUNTIME
     assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr and "increase n_trunc" in proc.stderr
+    assert "error:" in proc.stderr and "does not bracket" in proc.stderr
     assert not out.exists()
 
 
@@ -447,17 +447,39 @@ def test_a_saturation_run_past_its_step_budget_exits_0_unconverged(tmp_path, cap
             "[voltage_curve]\nv_min_v = -1e308\nv_max_v = 1e308\n",
             "voltage_curve.v_max_v",
         ),
+        (["voltage-curve"], "[voltage_curve]\nv_min_v = -1.5e308\n", "voltage_curve.v_min_v"),
+        (["attack", "init"], "[voltage_curve]\nv_min_v = -1.5e308\n", "voltage_curve.v_min_v"),
+        (
+            ["attack", "init"],
+            "[voltage_curve]\nv_min_v = 1e308\nv_max_v = 1.5e308\n",
+            "voltage_curve.v_max_v",
+        ),
+        (["security", "sweep"], "[qkd]\nmu = 1e300\n", "qkd.mu"),
     ],
-    ids=["m_db_grid", "voltage-range"],
+    ids=["m_db_grid", "voltage-range", "v_min_v-phase", "v_min_v-phase-init", "v_max_v-phase",
+         "mu"],
 )
 def test_a_config_whose_value_overflows_exits_2_on_a_dry_run(tmp_path, capsys, argv, ini, key):
-    # 10 ** (4000 / 10) and the width 1e308 - -1e308 are beyond the largest float
+    # 10 ** (4000 / 10), the width 1e308 - -1e308, the drive phase 1.5e308 * 2*pi / v_pi_v
+    # and exp(1e300) are beyond the largest float
     cfg = tmp_path / "overflow.ini"
     cfg.write_text(ini)
     out = tmp_path / "overflow-out"
     assert main(["--dry-run", *argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_sweep_past_the_tail_cut_and_at_the_device_peak_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "peak.ini"
+    cfg.write_text("[qkd]\nm_db_grid = 0, 17, 57.84\n")
+    out = tmp_path / "peak-out"
+    assert main(["security", "sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out / "security_sweep.csv")
+    header, body = rows[0], rows[1:]
+    m_db, r_actual = header.index("m_db"), header.index("r_actual")
+    assert len(body) == 3 * 76
+    assert all(float(row[r_actual]) == 0.0 for row in body if float(row[m_db]) > 0.0)
 
 
 def test_output_path_under_a_regular_file_exits_3(tmp_path, capsys):

@@ -3,15 +3,18 @@
 Whatever the config, ``main`` returns 0, 2 or 3 and never raises; a failed
 run leaves no output directory behind, and a successful one leaves exactly
 the files its manifest lists.  Every array-sizing key stays small so each
-example runs in milliseconds.
+example runs in milliseconds.  A table of extreme values whose numpy
+arithmetic overflows holds ``main`` to the same contract, run by run.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, VERBS, main
@@ -62,7 +65,6 @@ KEYS = {
     ("pulse", "duty_min"): _numbers(0.0, 1.0, "0", "1", "-0.1"),
     ("pre_treat", "saturation_epsilon"): _numbers(0.0, 0.2, "0", "0.1"),
     ("qkd", "alpha_db_per_km"): _numbers(-0.5, 1.0),
-    ("qkd", "n_trunc"): st.sampled_from(["10", "20", "80", "80.0"]),
 }
 OVERRIDES = st.lists(st.sampled_from(sorted(KEYS)), max_size=4, unique=True).flatmap(
     lambda keys: st.fixed_dictionaries({key: KEYS[key] for key in keys})
@@ -107,3 +109,58 @@ def test_cli_contract_holds_on_random_configs(command, overrides):
         manifest = json.loads((out / MANIFEST_NAME).read_text())
         listed = {entry["name"] for entry in manifest["outputs"]}
         assert {p.name for p in out.iterdir()} == listed | {MANIFEST_NAME}
+
+
+# one extreme value of a key, and each verb whose numpy arithmetic it overflows
+# or makes invalid (as a multiply, a cos, a divide, an add or a subtract)
+NUMPY_FAILURES = [
+    ("material", "r33_m_per_v", "1e308", ("attack init", "attack pre-treat", "voltage-curve")),
+    ("material", "r33_m_per_v", "1e300",
+     ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
+    ("material", "mode_overlap", "1e308",
+     ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
+    ("material", "photovoltaic_const", "1e308",
+     ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
+    ("material", "absorption_per_m", "1e308",
+     ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
+    ("material", "absorption_per_m", "5e-324", ("attack init", "attack pre-treat", "voltage-curve")),
+    ("material", "photocond_per_w", "1e308", ("voltage-curve",)),
+    ("material", "photocond_per_w", "1e300", ("voltage-curve",)),
+    ("material", "rel_permittivity", "5e-324", ("attack init", "attack pre-treat", "voltage-curve")),
+    ("geometry", "arm_length_m", "1e308", ("attack init", "attack pre-treat", "voltage-curve")),
+    ("geometry", "electrode_gap_m", "1e-300", ("attack pulse", "pe-curve", "voltage-curve")),
+    ("geometry", "electrode_gap_m", "5e-324", ("voltage-curve",)),
+    ("geometry", "signal_wavelength_nm", "1e-300",
+     ("attack init", "attack pre-treat", "voltage-curve")),
+    ("device", "signal_split", "5e-324", ("voltage-curve",)),
+    ("device", "working_point_v", "1e300", ("attack pulse", "pe-curve")),
+    ("voltage_curve", "pretreat_voltages_v", "1e300", ("voltage-curve",)),
+    ("pre_treat", "v_app_v", "1e300", ("attack init", "attack pre-treat")),
+    ("pulse", "period_s", "1e308", ("attack pulse",)),
+    ("qkd", "nu", "5e-324", ("security sweep", "security threshold")),
+    ("qkd", "alpha_db_per_km", "1e308", ("security sweep", "security threshold")),
+]
+NUMPY_FAILURE_RUNS = [
+    (section, key, raw, command)
+    for section, key, raw, commands in NUMPY_FAILURES for command in commands
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, raw, command", NUMPY_FAILURE_RUNS,
+    ids=[f"{s}.{k}={r}-{c.replace(' ', '-')}" for s, k, r, c in NUMPY_FAILURE_RUNS],
+)
+def test_a_numpy_overflow_exits_without_a_warning(section, key, raw, command):
+    """Under warnings raised as errors, as CI runs the console script: ``main``
+    exits 2 or 3, raises nothing and leaves no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "extreme.ini"
+        config.write_text(_ini({(section, key): raw}))
+        argv = [*command.split(), "--config", str(config), "--out", str(root / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (EXIT_CONFIG, EXIT_RUNTIME)
+        assert [p.name for p in root.iterdir()] == [config.name]

@@ -76,7 +76,6 @@ OUT_OF_RANGE = [
     ("qkd", "e_det", "0.6"),
     ("qkd", "e0", "2"),
     ("qkd", "f_ec", "0.5"),
-    ("qkd", "n_trunc", "10"),
     ("qkd", "m_db_grid", "-1"),
     ("qkd", "distance_min_km", "-1"),
     ("qkd", "distance_max_km", "-1"),
@@ -227,6 +226,7 @@ RETIRED = [
     ("voltage_curve", "pretreat_power_w", "1.2e-05", "pre_treat.i_ir_w"),
     ("geometry", "irradiation_wavelength_nm", "405.0", "budget.wavelength_nm"),
     ("geometry", "effective_length_m", "0.0136", "nothing read it"),
+    ("qkd", "n_trunc", "80", "nothing is truncated"),
 ]
 
 
@@ -453,7 +453,7 @@ def test_default_ini_lists_every_key_at_its_default():
     assert significant(shipped) == significant(to_ini_text(default_config()))
 
 
-DEFAULT_SHA256 = "c83d2ef9f6d1e1a2aaa29f2796322e2690b3c6bbcce4426663ba8cad7a5c021f"
+DEFAULT_SHA256 = "bcf6fab187452ed3d1ad0f0fd4ef5d2e08ab3d4c74648c9286748cd04ee5a119"
 
 
 @pytest.mark.parametrize(
@@ -461,7 +461,7 @@ DEFAULT_SHA256 = "c83d2ef9f6d1e1a2aaa29f2796322e2690b3c6bbcce4426663ba8cad7a5c02
     [
         (None, DEFAULT_SHA256),
         ("default.ini", DEFAULT_SHA256),
-        ("pulse_hold_40db.ini", "af42ba580bdf959b58b740e5f28d259cf07c8cf04237bac9e46748316af77010"),
+        ("pulse_hold_40db.ini", "721b3711d51c6098aa15f3465c961ad438a433b0262424e05b1639f67e265d49"),
     ],
 )
 def test_config_hashes_are_pinned(name, digest):

@@ -18,6 +18,7 @@ from collections import Counter
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ipasim
@@ -287,6 +288,7 @@ DERIVED = {
         readout: (lambda readout=readout: getattr(DEV, readout)(1.5e308), "v_app_v")
         for readout in ("phase_coefficients", "total_phase", "transmittance", "attenuation_db")
     },
+    "transmittance-array": (lambda: DEV.transmittance(np.array([0.0, 1.5e308])), "v_app_v"),
     "output_mpn": (lambda: DEV.output_mpn(1.0, 1.5e308), "v_app_v"),
     "magnification_db": (lambda: DEV.magnification_db(1.5e308, 1e-6), "v_app_v"),
     "voltage_curve-phase": (lambda: DEV.voltage_curve(-1.5e308, 0.0, 5), "v_min_v"),
@@ -302,6 +304,20 @@ DERIVED = {
     "voltage_curve": (lambda: DEV.voltage_curve(-1e308, 1e308, 5), "v_max_v"),
     "find_extinction_voltage": (lambda: DEV.find_extinction_voltage(-1e308, 1e308), "v_max_v"),
     "from_db": (lambda: AttackParams.from_db(4000.0), "m_db"),
+    # the decoy bounds' weight exp(mu), and a magnified mean m_linear * mu
+    "QkdScenario-mu": (lambda: QkdScenario(mu=1e300), "mu"),
+    "attack_success_probability-mean": (
+        lambda: attack_success_probability(QkdScenario(mu=2.0), AttackParams.from_db(3082.0), 0.5),
+        "attack",
+    ),
+    "evaluate_scenario-mean": (
+        lambda: evaluate_scenario(QkdScenario(mu=2.0), AttackParams.from_db(3082.0),
+                                  distances_km=50.0),
+        "attack",
+    ),
+    "sweep_key_rates-mean": (
+        lambda: sweep_key_rates(QkdScenario(mu=2.0), [0.0, 3082.0], [50.0]), "m_db_list"
+    ),
     # a dark input is the caller's mu_in, not a dark baseline reading
     "run_program-mu_in": (
         lambda: run_program(program=IrradiationProgram.cw(1e-6, 10.0), mu_in=0.0, dt_s=1.0,

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipasim import security
+from ipasim.calibration import calibration_summary
 from ipasim.security import (
     ESTIMATORS,
     AttackParams,
@@ -43,6 +44,7 @@ from ipasim.security import _resend_probability as resend_probability
 from ipasim.security import _single_photon_truth as single_photon_truth
 from ipasim.security import _tagged_fraction_estimated as tagged_fraction_estimated
 from oracles import (
+    PHOTON_CUT,
     binary_entropy_reference,
     poisson_pmf,
     security_row,
@@ -53,6 +55,7 @@ from oracles import (
 )
 
 SCENARIO = QkdScenario()
+PEAK_DB = calibration_summary()["peak_magnification_db"]  # the attacked VOA's largest, 57.84 dB
 
 
 def gain(mpn, eta, y0):
@@ -156,7 +159,7 @@ def test_success_probability_matches_literal_double_sum(m_db, distance_km):
     attack = AttackParams.from_db(m_db)
     got = attack_success_probability(sc, attack, eta_ab)
     p = resend_probability(eta_ab, attack.m_linear)
-    want = success_double_sum(attack.m_linear * sc.mu, p, sc.eta_bob, sc.n_trunc)
+    want = success_double_sum(attack.m_linear * sc.mu, p, sc.eta_bob, PHOTON_CUT)
     assert got.value == pytest.approx(want, rel=1e-10)
     assert 0.0 <= got.tail_bound < 1e-12
 
@@ -175,7 +178,7 @@ def test_attack_sequence_on_a_grid_matches_literal_double_sum():
         mu_e = attack.m_linear * SCENARIO.mu
         for k, eta in enumerate(eta_ab):
             p = eta / attack.m_linear
-            want = success_double_sum(mu_e, p, SCENARIO.eta_bob, SCENARIO.n_trunc)
+            want = success_double_sum(mu_e, p, SCENARIO.eta_bob, PHOTON_CUT)
             assert row[k] == pytest.approx(want, rel=1e-10)
 
 
@@ -214,12 +217,26 @@ def test_poisson_tail_refuses_a_non_finite_mean():
                 poisson_tail(mean, 80)
 
 
-def test_truncation_tail_guard():
-    # mean 0.8 * 10^2 = 80 leaves a huge tail past n_trunc = 80
-    with pytest.raises(ValueError, match="increase n_trunc"):
-        attack_success_probability(SCENARIO, AttackParams.from_db(20.0), transmittance(50.0))
-    with pytest.raises(ValueError, match="increase n_trunc"):
-        sweep_key_rates(SCENARIO, m_db_list=[0.0, 20.0])
+def test_magnifications_past_the_tail_cut_evaluate():
+    # nothing is truncated: at 17 dB the magnified mean is 40.1, with a Poisson
+    # tail of 9.1e-09 past the cut of 80, and at the device's 57.84 dB peak it
+    # is 4.9e5, all of it past the cut
+    eta_ab, attack = transmittance(50.0), AttackParams.from_db(17.0)
+    p = resend_probability(eta_ab, attack.m_linear)
+    want = success_double_sum(attack.m_linear * SCENARIO.mu, p, SCENARIO.eta_bob, 200)
+    got = attack_success_probability(SCENARIO, attack, eta_ab)
+    assert got.value == pytest.approx(want, rel=1e-10)
+    assert got.tail_bound == pytest.approx(9.144e-09, rel=1e-3)
+    # at the peak Eve keeps a photon of every pulse, so she succeeds whenever the
+    # forwarded stream, mean mu * eta_AB, clicks at Bob
+    peak = attack_success_probability(SCENARIO, AttackParams.from_db(PEAK_DB), eta_ab)
+    clicks = -math.expm1(-SCENARIO.mu * eta_ab * SCENARIO.eta_bob)
+    assert peak.value == pytest.approx(clicks, rel=1e-12)
+    assert peak.tail_bound == 1.0
+    rows = sweep_key_rates(SCENARIO, m_db_list=[0.0, 17.0, PEAK_DB])
+    for name in (f.name for f in fields(SecurityResult)):
+        assert all(math.isfinite(getattr(row, name)) for row in rows), name
+    assert all(row.r_actual == 0.0 for row in rows if row.m_db > 0.0)
 
 
 # -- decoy estimation ---------------------------------------------------------------
@@ -336,7 +353,7 @@ def test_scenario_and_attack_validation():
     with pytest.raises(ValueError):
         QkdScenario(eta_bob=0.0)
     with pytest.raises(ValueError):
-        QkdScenario(n_trunc=10)
+        QkdScenario(mu=1e300, nu=0.1)
     with pytest.raises(ValueError):
         AttackParams(0.5)
     assert AttackParams.from_db(6.0).m_db == pytest.approx(6.0, rel=1e-12)
@@ -656,10 +673,9 @@ def test_zero_key_threshold_refuses_an_error_rate_past_one_half():
         zero_key_threshold(QkdScenario(e0=1.0), distances_km=[0.0, 50.0, 400.0])
 
 
-def test_zero_key_threshold_range_may_reach_past_the_truncation_guard():
-    # at 20 dB the magnified mean is 80, which the attacked evaluations refuse
-    with pytest.raises(ValueError, match="increase n_trunc"):
-        evaluate_scenario(SCENARIO, AttackParams.from_db(20.0), distances_km=50.0)
+def test_zero_key_threshold_range_may_reach_a_magnification_without_key():
+    # at 20 dB, far past the threshold, the attack takes all the key
+    assert evaluate_scenario(SCENARIO, AttackParams.from_db(20.0), distances_km=50.0).r_actual == 0.0
     wide = zero_key_threshold(SCENARIO, m_search_range_db=(4.0, 20.0))
     assert abs(wide - THRESHOLD_DB) <= 1e-3
 
