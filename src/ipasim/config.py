@@ -339,9 +339,8 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     build_pretreat_plan(cfg)
     build_sweep_plan(cfg)
     curve = build_curve_plan(cfg)
-    try:  # the curve verbs read the device's drive phase at the plan's ends
-        device._drive_phase("v_min_v", curve.v_min_v)
-        device._drive_phase("v_max_v", curve.v_max_v)
+    try:
+        device.check_drive_range(curve.v_min_v, curve.v_max_v)
     except ValueError as exc:
         raise _config_error("voltage_curve", cfg.values["voltage_curve"], exc) from None
     build_pe_curve_plan(cfg)

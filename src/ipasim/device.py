@@ -125,16 +125,19 @@ class MziDevice:
 
     def _drive_phase(self, name: str, v_app_v: float) -> float:
         """theta0 + ``v_app_v`` * 2*pi / v_pi_v, refused as ``name`` where it overflows.
-        A float product overflows to inf silently, and numpy's is kept as silent."""
-        scale = 2.0 * math.pi / self.v_pi_v
-        if type(v_app_v) is float:
-            theta = self.bias_phase_rad + v_app_v * scale
-        else:
-            with np.errstate(over="ignore"):
-                theta = self.bias_phase_rad + v_app_v * scale
+        An overflow is inf, silently: the test below refuses it."""
+        with np.errstate(over="ignore"):
+            theta = self.bias_phase_rad + v_app_v * (2.0 * math.pi / self.v_pi_v)
         if not FINITE.holds(theta):
             raise Refusal(name, f"{name} {v_app_v!r} overflows its phase {name} * 2*pi / v_pi_v")
         return theta
+
+    def check_drive_range(self, v_min_v: float, v_max_v: float) -> None:
+        """Refuse, as ``v_min_v`` or ``v_max_v``, a range end whose drive phase
+        overflows.  The phase is affine in the voltage: finite at both ends,
+        finite across the range."""
+        self._drive_phase("v_min_v", v_min_v)
+        self._drive_phase("v_max_v", v_max_v)
 
     def total_phase(self, v_app_v: float) -> float:
         theta, k_diff, k_common = self.phase_coefficients(v_app_v)
@@ -175,9 +178,7 @@ class MziDevice:
 
     def voltage_curve(self, v_min_v: float, v_max_v: float, points: int) -> VoltageCurve:
         CurvePlan(v_min_v, v_max_v, points, ())  # refuses a grid its plan would refuse
-        # the phase is affine in the voltage: finite at both ends, finite on the grid
-        self._drive_phase("v_min_v", v_min_v)
-        self._drive_phase("v_max_v", v_max_v)
+        self.check_drive_range(v_min_v, v_max_v)
         volts = np.linspace(v_min_v, v_max_v, points)
         phase = self.total_phase(volts)
         trans = self._phase_transmittance(phase)
@@ -202,8 +203,7 @@ class MziDevice:
             raise Refusal("v_max_v", "v_max_v must exceed v_min_v by a finite width")
         if width < 2.0 * self.v_pi_v:
             raise ValueError("search range must span at least 2 * v_pi_v")
-        self._drive_phase("v_min_v", v_min_v)
-        self._drive_phase("v_max_v", v_max_v)
+        self.check_drive_range(v_min_v, v_max_v)
         theta_lo, theta_hi = self.total_phase(np.array([v_min_v, v_max_v])).tolist()
         if math.isinf(theta_hi - theta_lo):
             raise Refusal("v_max_v", f"v_max_v {v_max_v!r} overflows the phase across "

@@ -18,7 +18,8 @@ refused by the argument it came from: exp(mu) as ``mu``, m_linear * mu as
 ``attack``.  A scenario holds no distance: the evaluations take a grid, by
 default ``SweepPlan``'s, and the per-link terms its transmittance.
 Photon-number statistics use closed forms, nothing truncated; ``tail_bound``
-is a diagnostic, the magnified mean's Poisson mass above ``_TAIL_CUT``.
+is a diagnostic, the magnified mean's Poisson mass above ``_TAIL_CUT``, and
+a result row's is that mass over q_mu, no bound once it passes 1.
 
 Every per-link formula is a numpy expression over a whole distance grid, and
 evaluations run in stacked blocks, since on grids of tens of points numpy's
@@ -419,7 +420,9 @@ def _evaluate(
         success = attack_success_probability(scenario, attacked, eta_ab)
         m_db[1:] = [[attack.m_db] for attack in attacked]
         p_s[1:] = success.value
-        np.divide(success.tail_bound, q_mu, out=tail[1:])
+        # a diagnostic, not a bound past the cut: a link whose gain is subnormal reads inf
+        with np.errstate(over="ignore"):
+            np.divide(success.tail_bound, q_mu, out=tail[1:])
     np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0, out=delta)
     # no attacker: the actual key is the estimate by definition
     delta[0] = delta_est

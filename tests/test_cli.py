@@ -3,6 +3,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import re
 import subprocess
@@ -480,6 +481,20 @@ def test_a_sweep_past_the_tail_cut_and_at_the_device_peak_exits_0(tmp_path, caps
     m_db, r_actual = header.index("m_db"), header.index("r_actual")
     assert len(body) == 3 * 76
     assert all(float(row[r_actual]) == 0.0 for row in body if float(row[m_db]) > 0.0)
+
+
+def test_a_sweep_at_the_peak_on_a_link_whose_gain_is_subnormal_exits_0(tmp_path, capsys):
+    # at 30 dB/km the far link's gain is the dark count alone, 1e-320: the
+    # row's tail_bound, the tail over q_mu, overflows, and reads inf
+    cfg = tmp_path / "dark.ini"
+    cfg.write_text("[qkd]\ny0 = 1e-320\nalpha_db_per_km = 30\nm_db_grid = 0, 57.84\n")
+    out = tmp_path / "dark-out"
+    assert main(["security", "sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out / "security_sweep.csv")
+    header, last = rows[0], rows[-1]
+    assert float(last[header.index("q_mu")]) == 1e-320
+    assert float(last[header.index("tail_bound")]) == math.inf
+    assert float(last[header.index("r_actual")]) == 0.0
 
 
 def test_output_path_under_a_regular_file_exits_3(tmp_path, capsys):

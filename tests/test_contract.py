@@ -87,6 +87,9 @@ BASELINE = {
     "device.MziDevice.find_extinction_voltage": (
         DEV.find_extinction_voltage, dict(v_min_v=0.0, v_max_v=12.0)
     ),
+    "device.MziDevice.check_drive_range": (
+        DEV.check_drive_range, dict(v_min_v=-12.0, v_max_v=12.0)
+    ),
     "device.MziDevice.arm_fields": (DEV.arm_fields, dict(v_app_v=WP)),
     "device.MziDevice.exposed": (DEV.exposed, dict(power_w=1e-6, v_app_v=WP, dt_s=10.0)),
     "device.MziDevice.arm_laws": (DEV.arm_laws, dict(power_w=1e-6, v_app_v=WP)),
@@ -292,6 +295,7 @@ DERIVED = {
     "output_mpn": (lambda: DEV.output_mpn(1.0, 1.5e308), "v_app_v"),
     "magnification_db": (lambda: DEV.magnification_db(1.5e308, 1e-6), "v_app_v"),
     "voltage_curve-phase": (lambda: DEV.voltage_curve(-1.5e308, 0.0, 5), "v_min_v"),
+    "check_drive_range": (lambda: DEV.check_drive_range(0.0, 1.5e308), "v_max_v"),
     # a finite width whose phase overflows
     "find_extinction_voltage-phase": (
         lambda: DEV.find_extinction_voltage(-8e307, 8e307), "v_max_v"
