@@ -53,11 +53,9 @@ from .photorefractive import DecayMode, GeometryParams, MaterialParams, evolve_f
 from .security import (
     AttackParams,
     BracketError,
-    DecoyBounds,
     KeyRate,
     QkdScenario,
     SecurityResult,
-    TailBounded,
     attack_success_probability,
     binary_entropy,
     evaluate_scenario,

@@ -13,13 +13,14 @@ Conventions: gains and yields are probabilities per pulse; magnification is
 linear here (callers convert from dB); every scenario and attack field is
 range-checked, and each argument a call checks at entry, in every entry of an
 array; the private kernels (gains, resend probability, tagged fraction) are
-handed checked values and check nothing.  A derived value that overflows is
-refused by the argument it came from: exp(mu) as ``mu``, m_linear * mu as
-``attack``.  A scenario holds no distance: the evaluations take a grid, by
-default ``SweepPlan``'s, and the per-link terms its transmittance.
-Photon-number statistics use closed forms, nothing truncated; ``tail_bound``
-is a diagnostic, the magnified mean's Poisson mass above ``_TAIL_CUT``, and
-a result row's is that mass over q_mu, no bound once it passes 1.
+handed checked values and check nothing.  The declared ranges keep every
+derived value a finite float: mu is at most 709, so exp(mu) is, and m_linear
+at most 1e300, so the magnified mean m_linear * mu is.  A scenario holds no
+distance: the evaluations take a grid, by default ``SweepPlan``'s, and the
+per-link terms its transmittance.  Photon-number statistics use closed forms,
+nothing truncated; a result row's ``tail_bound`` is a diagnostic, the
+magnified mean's Poisson mass above ``_TAIL_CUT`` over q_mu, no bound once it
+passes 1.
 
 Every per-link formula is a numpy expression over a whole distance grid, and
 evaluations run in stacked blocks, since on grids of tens of points numpy's
@@ -29,12 +30,13 @@ takes the signal and decoy intensities as one (2, 1) column against the
 grid, so one expm1 serves both gains and both error rates.  A sweep
 evaluates it once, then the resend and success probabilities of every
 attacked magnification as one (n, d) broadcast in a single
-``attack_success_probability`` call; only the scalar Poisson tail is summed
-per magnification.  The key rate checks the stacked (e1, e_mu) block once
-and takes both entropies from it in one call.  The zero-key threshold costs
-one link evaluation and no search: with p = eta_AB/M the success
-probability is a closed form in M, so each distance's zero-key
-magnification follows from its decoy estimate (``zero_key_threshold``).
+``attack_success_probability`` call; only the scalar Poisson tail of a
+row's ``tail_bound`` is summed per magnification.  The key rate checks the
+stacked (e1, e_mu) block once and takes both entropies from it in one
+call.  The zero-key threshold costs one link evaluation and no search: with
+p = eta_AB/M the success probability is a closed form in M, so each
+distance's zero-key magnification follows from its decoy estimate
+(``zero_key_threshold``).
 ``BENCH_security_grid.json`` gives the measured costs.  ``SweepPlan`` lays
 out a sweep's grids and the threshold's search range, its default instance
 gives both functions their defaults, and a sweep of more than
@@ -64,10 +66,10 @@ DARK_COUNT_ERROR = 0.5
 
 _TAIL_CUT = 80  # the photon number past which ``tail_bound`` sums the Poisson mass
 
-# a probability, an error rate the key rate admits, a photon-number cut
-_UNIT, _ERROR_RATE, _CUT = map(interval, ("[0, 1]", "[0, 0.5]", "int [0, inf)"))
-# a magnification in dB: up to 3082 dB its linear value 10 ** (m_db / 10) is a finite float
-_M_DB = "[0, 3082]"
+# a probability, and an error rate the key rate admits
+_UNIT, _ERROR_RATE = map(interval, ("[0, 1]", "[0, 0.5]"))
+# a magnification in dB, whose linear value 10 ** (m_db / 10) is at most AttackParams' 1e300
+_M_DB = "[0, 3000]"
 
 
 class BracketError(ValueError):
@@ -84,7 +86,8 @@ class QkdScenario:
     1.16 times the Shannon limit.
     """
 
-    mu: float = ranged("(0, inf)", 0.8)
+    # the decoy bounds weigh the signal gain by exp(mu), a finite float up to 709
+    mu: float = ranged("(0, 709]", 0.8)
     nu: float = ranged("(0, inf)", 0.1)
     alpha_db_per_km: float = ranged("[0, inf)", 0.2)
     eta_bob: float = ranged("(0, 1]", 0.1)
@@ -97,18 +100,15 @@ class QkdScenario:
         check_ranges(self)
         if not self.nu < self.mu:
             raise ValueError("need 0 < nu < mu")
-        try:  # the decoy bounds weigh the signal gain by exp(mu), the decoy's by exp(nu) < exp(mu)
-            math.exp(self.mu)
-        except OverflowError:
-            raise Refusal("mu", f"mu {self.mu!r} overflows its decoy weight exp(mu)") from None
 
 
 @dataclass(frozen=True)
 class AttackParams:
     """The output magnification; Eve resends each photon with probability
-    eta_AB / m_linear, which leaves the receiver's count rates unchanged."""
+    eta_AB / m_linear, which leaves the receiver's count rates unchanged.
+    Up to 1e300, the magnified mean m_linear * mu of any scenario is a finite float."""
 
-    m_linear: float = ranged("[1, inf)")
+    m_linear: float = ranged("[1, 1e300]")
 
     __post_init__ = check_ranges
 
@@ -146,11 +146,14 @@ def _clicks(mpn: Floats, eta: Floats, y0: float) -> tuple[Floats, Floats]:
 
 
 def _error_rate(q: Floats, missed: Floats, y0: float, e0: float, e_det: float) -> Floats:
-    """Error rate per detected pulse: dark-count noise diluted by real signal."""
+    """Error rate per detected pulse: dark-count noise diluted by real signal,
+    a mean of e0 and e_det held between the two where the quotient rounds past
+    them (0.5 * 1e-310 / 1e-310 is 0.5000000000000248)."""
     detected = q > 0.0
     # a link that never clicks has only the dark-count error
     errors = e0 * y0 - e_det * missed
-    return np.where(detected, errors / np.where(detected, q, 1.0), e0)[()]
+    rate = np.where(detected, errors / np.where(detected, q, 1.0), e0)
+    return np.minimum(np.maximum(rate, min(e0, e_det)), max(e0, e_det))[()]
 
 
 def binary_entropy(x: Floats) -> Floats:
@@ -219,21 +222,14 @@ def _poisson_pmf(n: int, mean: float) -> float:
     return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
 
 
-class TailBounded(NamedTuple):
-    value: Floats
-    tail_bound: float
-
-
-def poisson_tail(mean: float, n_trunc: int) -> float:
-    """P(N > n_trunc) for N ~ Poisson(mean).
+def _poisson_tail(mean: float, n_trunc: int) -> float:
+    """P(N > n_trunc) for N ~ Poisson(mean), of a finite mean >= 0.
 
     Below the cut the tail is summed upward until a term no longer moves it;
     each term shrinks by mean/n, so the remainder is far below rounding.  A
     mean above the cut puts most of the mass in the tail, which is then one
     minus the short sum of the first ``n_trunc + 1`` terms.
     """
-    NON_NEGATIVE.check("mean", mean)
-    _CUT.check("n_trunc", n_trunc)
     if mean > n_trunc:
         return 1.0 - math.fsum(_poisson_pmf(n, mean) for n in range(n_trunc + 1))
     if mean == 0.0:
@@ -253,7 +249,7 @@ def attack_success_probability(
     scenario: QkdScenario,
     attack: Union[AttackParams, Sequence[AttackParams]],
     eta_ab: Floats,
-) -> TailBounded:
+) -> Floats:
     """Probability a pulse both leaves Eve a stored photon and clicks at Bob.
 
     The defining expression sums over magnified-pulse photon numbers n >= 2
@@ -268,17 +264,14 @@ def attack_success_probability(
 
         (1 - exp(-mu_E*p*eta_B)) * (1 - exp(-mu_E*(1-p)))
 
-    The literal double sum is kept in the test suite as the oracle.  A
-    magnified mean m_linear * mu that overflows is refused as ``attack``.
-    The returned tail bound is that mean's Poisson mass above ``_TAIL_CUT``,
-    so the channel transmittance ``eta_ab``, a float or one entry per
-    distance of a grid, leaves it a float.
+    The literal double sum is kept in the test suite as the oracle.  The
+    result has the shape of the channel transmittance ``eta_ab``, a float or
+    one entry per distance of a grid.
 
-    ``attack`` may also be a sequence of n attacks.  Then both fields gain a
+    ``attack`` may also be a sequence of n attacks.  Then the result gains a
     leading axis, row i for ``attack[i]``: the success probabilities of all
     of them come from one broadcast of the magnifications as an (n, 1)
-    column against the grid, and only the tails are summed one attack at a
-    time.
+    column against the grid.
     """
     _UNIT.check("eta_ab", eta_ab)
     single = isinstance(attack, AttackParams)
@@ -286,19 +279,10 @@ def attack_success_probability(
     column = (len(attacks),) + (1,) * np.asarray(eta_ab).ndim
     m_linear = np.array([a.m_linear for a in attacks]).reshape(column)
     p = _resend_probability(eta_ab, m_linear)
-    tails = []
-    for a in attacks:
-        mu_e = a.m_linear * scenario.mu  # a float product: an overflow is inf, with no warning
-        if mu_e == math.inf:
-            raise Refusal("attack", f"attack: m_linear {a.m_linear!r} overflows its magnified "
-                          f"mean m_linear * mu at mu {scenario.mu!r}")
-        tails.append(poisson_tail(mu_e, _TAIL_CUT))
     # both factors are exp(-x) - 1, not 1 - exp(-x): the signs cancel in the product
     minus_mu_e = m_linear * -scenario.mu
     value = np.expm1(minus_mu_e * p * scenario.eta_bob) * np.expm1(minus_mu_e * (1.0 - p))
-    if single:
-        return TailBounded(value[0], tails[0])
-    return TailBounded(value, np.array(tails).reshape(column))
+    return value[0] if single else value
 
 
 def _tagged_fraction_estimated(scenario: QkdScenario, y1_lower: Floats, q_mu: Floats) -> Floats:
@@ -417,12 +401,12 @@ def _evaluate(
     block = np.zeros((len(_ATTACK_FIELDS), len(attacked) + 1, distance.size))
     m_db, p_s, tail, delta, r_actual, r_actual_raw = block
     if attacked:
-        success = attack_success_probability(scenario, attacked, eta_ab)
+        p_s[1:] = attack_success_probability(scenario, attacked, eta_ab)
         m_db[1:] = [[attack.m_db] for attack in attacked]
-        p_s[1:] = success.value
+        tails = [[_poisson_tail(attack.m_linear * scenario.mu, _TAIL_CUT)] for attack in attacked]
         # a diagnostic, not a bound past the cut: a link whose gain is subnormal reads inf
         with np.errstate(over="ignore"):
-            np.divide(success.tail_bound, q_mu, out=tail[1:])
+            np.divide(tails, q_mu, out=tail[1:])
     np.minimum(np.maximum(p_s / q_mu, 0.0), 1.0, out=delta)
     # no attacker: the actual key is the estimate by definition
     delta[0] = delta_est
@@ -524,13 +508,9 @@ def sweep_key_rates(
     n, count = len(m_db_list), len(distances_km)
     check_size(n * count, MAX_GRID_POINTS, f"a sweep of {n} magnifications over {count} "
                f"distances exceeds {MAX_GRID_POINTS} rows")
+    interval(_M_DB).check("m_db_list", m_db_list)
     attacks = [None if m_db == 0.0 else AttackParams.from_db(m_db) for m_db in m_db_list]
-    try:
-        link, block = _evaluate(scenario, attacks, estimator, distances_km)
-    except Refusal as exc:  # the sweep's attacks are its magnifications
-        if exc.name != "attack":
-            raise
-        raise Refusal("m_db_list", f"m_db_list: {exc.reason}") from None
+    link, block = _evaluate(scenario, attacks, estimator, distances_km)
     # a link column is the same under every magnification
     columns = {name: value.tolist() * n for name, value in link.items()}
     columns.update(zip(_ATTACK_FIELDS, block.reshape(len(_ATTACK_FIELDS), -1).tolist()))

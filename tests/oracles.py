@@ -405,6 +405,26 @@ def threshold_bisection(
     return 0.5 * (lo + hi)
 
 
+def least_power_reaching(device, v_app_v: float, m_db: float, lo_w: float, hi_w: float) -> float:
+    """The least CW power whose saturated magnification reaches ``m_db``, by
+    literal bisection of (``lo_w``, ``hi_w``] over ``equilibrated`` to a
+    relative 1e-12; the plateau must rise with power across the range.
+    """
+    base = device.output_mpn(1.0, v_app_v)
+
+    def reaches(power_w):
+        return device.equilibrated(power_w, v_app_v).magnification_db(v_app_v, base) >= m_db
+
+    assert not reaches(lo_w) and reaches(hi_w), "range does not bracket the power"
+    while hi_w - lo_w > 1e-12 * hi_w:
+        mid = 0.5 * (lo_w + hi_w)
+        if reaches(mid):
+            hi_w = mid
+        else:
+            lo_w = mid
+    return hi_w
+
+
 def csv_by_rows(header, columns) -> str:
     """A table through stdlib ``csv.writer``, row by row, each cell rendered
     by its own type: bools as true/false, floats by shortest round-trip

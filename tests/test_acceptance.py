@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten headline guarantees, one verdict line each.
+"""Acceptance gate: the eleven headline guarantees, one verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines;
 each criterion is a separate test so a failure pinpoints the broken promise
@@ -27,9 +27,10 @@ from ipasim.security import (
     attack_success_probability,
     channel_transmittance,
     sweep_key_rates,
+    zero_key_threshold,
 )
 from ipasim.security import _resend_probability as resend_probability
-from oracles import success_monte_carlo, thinned_pmf_bruteforce
+from oracles import least_power_reaching, success_monte_carlo, thinned_pmf_bruteforce
 
 DEV = default_device()
 WP = WORKING_POINT_V
@@ -107,7 +108,7 @@ def test_criterion_03_distribution_oracles():
         sc = QkdScenario()
         eta_ab = channel_transmittance(sc.alpha_db_per_km, dist)
         attack = AttackParams.from_db(m_db)
-        exact = attack_success_probability(sc, attack, eta_ab).value
+        exact = attack_success_probability(sc, attack, eta_ab)
         est, stderr = success_monte_carlo(
             attack.m_linear * sc.mu,
             resend_probability(eta_ab, attack.m_linear),
@@ -264,3 +265,36 @@ def test_criterion_10_determinism(tmp_path, capsys):
         assert csvs
         for name in csvs:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@criterion(11, "2.15 nW reaches the 6.64 dB zero-key point: 86 uW at Eve, 2530 s, no key unseen")
+def test_criterion_11_the_papers_claim_end_to_end():
+    scenario = QkdScenario()
+    m_star = zero_key_threshold(scenario)
+    assert m_star == pytest.approx(6.6395, abs=1e-4)
+    # the least CW power at the attenuator whose plateau reaches m*
+    p_min = least_power_reaching(DEV, WP, m_star, 1e-9, 3e-9)
+    assert 1e-9 < p_min < 3e-9
+    assert p_min == pytest.approx(2.1513e-9, rel=1e-4)
+    # what Eve launches to deliver it through 1 km of fiber and a DWDM filter
+    dwdm = standard_path(1.0, ("dwdm_c33",))
+    assert path_loss(dwdm, 405).db == pytest.approx(46.0, abs=1e-12)
+    assert required_eve_power(dwdm, 405, p_min).watts == pytest.approx(86e-6, rel=0.01)
+    # 3 nW CW, sampled every 10 s, first reaches m* at 2530 s
+    trace = run_program(DEV, IrradiationProgram.cw(3e-9, 4000.0), 1.0, WP, 10.0).trace
+    first = int(np.argmax(trace.m_db >= m_star))
+    assert trace.m_db[first - 1] < m_star <= trace.m_db[first]
+    assert trace.t_s[first] == 2530.0
+    # at its 8.30 dB plateau the actual key is gone at every distance, while the
+    # users, whose gains and error rates are the honest ones, estimate key wherever
+    # the honest link yields it
+    plateau = DEV.equilibrated(3e-9, WP).magnification_db(WP, DEV.output_mpn(1.0, WP))
+    assert plateau == pytest.approx(8.30, abs=1e-9)
+    rows = sweep_key_rates(scenario, [0.0, plateau])
+    honest, attacked = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+    assert len(attacked) == 76
+    assert sum(row.r_actual > 0.0 for row in honest) == 76
+    for clean, row in zip(honest, attacked):
+        assert row.r_actual == 0.0
+        assert (row.r_est > 0.0) == (clean.r_actual > 0.0)
+        assert (row.q_mu, row.e_mu) == (clean.q_mu, clean.e_mu)

@@ -9,7 +9,7 @@ unless ``UNCHECKED`` gives the reason it is taken: a documented meaning of the
 value, or a hot kernel whose callers check what it is handed.  A physics call
 checks each argument once, at entry: the kernels it calls inside check
 nothing.  A value it derives is refused where it overflows, by the caller's
-argument.
+argument, or kept finite by the ranges its arguments declare.
 """
 
 import ast
@@ -52,7 +52,6 @@ from ipasim.security import (
     channel_transmittance,
     evaluate_scenario,
     key_rate,
-    poisson_tail,
     sweep_key_rates,
     zero_key_threshold,
 )
@@ -128,7 +127,6 @@ BASELINE = {
         channel_transmittance, dict(alpha_db_per_km=0.2, distance_km=50.0)
     ),
     "security.binary_entropy": (binary_entropy, dict(x=0.2)),
-    "security.poisson_tail": (poisson_tail, dict(mean=2.0, n_trunc=80)),
     "security.attack_success_probability": (
         attack_success_probability, dict(scenario=SCENARIO, attack=AttackParams(2.0), eta_ab=0.1)
     ),
@@ -308,19 +306,12 @@ DERIVED = {
     "voltage_curve": (lambda: DEV.voltage_curve(-1e308, 1e308, 5), "v_max_v"),
     "find_extinction_voltage": (lambda: DEV.find_extinction_voltage(-1e308, 1e308), "v_max_v"),
     "from_db": (lambda: AttackParams.from_db(4000.0), "m_db"),
-    # the decoy bounds' weight exp(mu), and a magnified mean m_linear * mu
+    # the declared ranges that keep the decoy weight exp(mu) and the magnified
+    # mean m_linear * mu finite floats
     "QkdScenario-mu": (lambda: QkdScenario(mu=1e300), "mu"),
-    "attack_success_probability-mean": (
-        lambda: attack_success_probability(QkdScenario(mu=2.0), AttackParams.from_db(3082.0), 0.5),
-        "attack",
-    ),
-    "evaluate_scenario-mean": (
-        lambda: evaluate_scenario(QkdScenario(mu=2.0), AttackParams.from_db(3082.0),
-                                  distances_km=50.0),
-        "attack",
-    ),
-    "sweep_key_rates-mean": (
-        lambda: sweep_key_rates(QkdScenario(mu=2.0), [0.0, 3082.0], [50.0]), "m_db_list"
+    "AttackParams-m_linear": (lambda: AttackParams(1e301), "m_linear"),
+    "sweep_key_rates-range": (
+        lambda: sweep_key_rates(QkdScenario(mu=2.0), [0.0, 3001.0], [50.0]), "m_db_list"
     ),
     # a dark input is the caller's mu_in, not a dark baseline reading
     "run_program-mu_in": (

@@ -32,11 +32,11 @@ def test_import_loads_no_scipy():
 EXPORTS = {
     "__version__", "AttackParams", "BracketError", "BUILTIN_COMPONENTS",
     "BUILTIN_FIBER_DB_PER_KM", "COUPLING_SCHEMES", "ComponentLoss", "CouplingScheme",
-    "DecayMode", "DecoyBounds", "ExposureResult", "ExposureTrace", "GeometryParams",
+    "DecayMode", "ExposureResult", "ExposureTrace", "GeometryParams",
     "INIT_POWER_W", "InitResult", "InjectionPath", "IrradiationProgram", "KeyRate",
     "LossValue", "MarginReport", "MaterialParams", "MziDevice", "PowerValue",
     "PreTreatResult", "PreTreatmentPlan", "PulseController", "PulseResult", "PulseTrace",
-    "QkdScenario", "SecurityResult", "Segment", "TailBounded", "VoltageCurve",
+    "QkdScenario", "SecurityResult", "Segment", "VoltageCurve",
     "attack_success_probability", "binary_entropy", "calibration_summary",
     "countermeasure_margin", "coupling_plan_loss", "curve_rms_db", "default_device",
     "default_geometry", "default_material", "evaluate_scenario", "evolve_field",

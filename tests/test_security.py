@@ -35,11 +35,12 @@ from ipasim.security import (
     channel_transmittance,
     evaluate_scenario,
     key_rate,
-    poisson_tail,
     sweep_key_rates,
     zero_key_threshold,
 )
+from ipasim.security import _TAIL_CUT
 from ipasim.security import _decoy_bounds as decoy_bounds
+from ipasim.security import _poisson_tail as poisson_tail
 from ipasim.security import _resend_probability as resend_probability
 from ipasim.security import _single_photon_truth as single_photon_truth
 from ipasim.security import _tagged_fraction_estimated as tagged_fraction_estimated
@@ -160,8 +161,9 @@ def test_success_probability_matches_literal_double_sum(m_db, distance_km):
     got = attack_success_probability(sc, attack, eta_ab)
     p = resend_probability(eta_ab, attack.m_linear)
     want = success_double_sum(attack.m_linear * sc.mu, p, sc.eta_bob, PHOTON_CUT)
-    assert got.value == pytest.approx(want, rel=1e-10)
-    assert 0.0 <= got.tail_bound < 1e-12
+    assert got == pytest.approx(want, rel=1e-10)
+    # the double sum stops at the cut: the mass it leaves out is below its tolerance
+    assert 0.0 <= poisson_tail(attack.m_linear * sc.mu, _TAIL_CUT) < 1e-12
 
 
 def test_attack_sequence_on_a_grid_matches_literal_double_sum():
@@ -171,8 +173,8 @@ def test_attack_sequence_on_a_grid_matches_literal_double_sum():
     attacks = [AttackParams.from_db(5.0), AttackParams.from_db(6.5)]
     eta_ab = transmittance(np.array(distances))
     both = attack_success_probability(SCENARIO, attacks, eta_ab)
-    assert both.value.shape == (2, len(distances))
-    for row, attack in zip(both.value, attacks):
+    assert both.shape == (2, len(distances))
+    for row, attack in zip(both, attacks):
         grid = evaluate_scenario(SCENARIO, attack, distances_km=distances)
         assert row.tolist() == grid.p_s.tolist()
         mu_e = attack.m_linear * SCENARIO.mu
@@ -189,7 +191,7 @@ def test_attack_sequence_on_a_grid_matches_literal_double_sum():
 def test_success_probability_within_monte_carlo_error(seed, m_db, distance_km):
     sc, eta_ab = SCENARIO, transmittance(distance_km)
     attack = AttackParams.from_db(m_db)
-    exact = attack_success_probability(sc, attack, eta_ab).value
+    exact = attack_success_probability(sc, attack, eta_ab)
     est, stderr = success_monte_carlo(
         attack.m_linear * sc.mu,
         resend_probability(eta_ab, attack.m_linear),
@@ -209,14 +211,6 @@ def test_poisson_tail_matches_bruteforce_sum(mean, n_trunc):
     assert poisson_tail(mean, n_trunc) == pytest.approx(want, rel=1e-12)
 
 
-def test_poisson_tail_refuses_a_non_finite_mean():
-    # the upward sum never meets its stopping test on NaN
-    with time_bound():
-        for mean in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="mean must be >= 0"):
-                poisson_tail(mean, 80)
-
-
 def test_magnifications_past_the_tail_cut_evaluate():
     # nothing is truncated: at 17 dB the magnified mean is 40.1, with a Poisson
     # tail of 9.1e-09 past the cut of 80, and at the device's 57.84 dB peak it
@@ -225,15 +219,29 @@ def test_magnifications_past_the_tail_cut_evaluate():
     p = resend_probability(eta_ab, attack.m_linear)
     want = success_double_sum(attack.m_linear * SCENARIO.mu, p, SCENARIO.eta_bob, 200)
     got = attack_success_probability(SCENARIO, attack, eta_ab)
-    assert got.value == pytest.approx(want, rel=1e-10)
-    assert got.tail_bound == pytest.approx(9.144e-09, rel=1e-3)
+    assert got == pytest.approx(want, rel=1e-10)
+    assert poisson_tail(attack.m_linear * SCENARIO.mu, _TAIL_CUT) == pytest.approx(9.144e-09,
+                                                                                  rel=1e-3)
     # at the peak Eve keeps a photon of every pulse, so she succeeds whenever the
     # forwarded stream, mean mu * eta_AB, clicks at Bob
-    peak = attack_success_probability(SCENARIO, AttackParams.from_db(PEAK_DB), eta_ab)
+    peak = AttackParams.from_db(PEAK_DB)
     clicks = -math.expm1(-SCENARIO.mu * eta_ab * SCENARIO.eta_bob)
-    assert peak.value == pytest.approx(clicks, rel=1e-12)
-    assert peak.tail_bound == 1.0
+    assert attack_success_probability(SCENARIO, peak, eta_ab) == pytest.approx(clicks, rel=1e-12)
+    assert poisson_tail(peak.m_linear * SCENARIO.mu, _TAIL_CUT) == 1.0
     rows = sweep_key_rates(SCENARIO, m_db_list=[0.0, 17.0, PEAK_DB])
+    for name in (f.name for f in fields(SecurityResult)):
+        assert all(math.isfinite(getattr(row, name)) for row in rows), name
+    assert all(row.r_actual == 0.0 for row in rows if row.m_db > 0.0)
+
+
+def test_a_sweep_at_the_declared_extremes_is_finite():
+    # mu <= 709 keeps exp(mu) a finite float, and m_db <= 3000 (m_linear <= 1e300)
+    # keeps the magnified mean m_linear * mu one: nothing in a sweep overflows
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        rows = sweep_key_rates(QkdScenario(mu=709.0, nu=0.1), [0.0, 3000.0],
+                               DEFAULT.distances_km)
+    assert len(rows) == 2 * len(DEFAULT.distances_km)
     for name in (f.name for f in fields(SecurityResult)):
         assert all(math.isfinite(getattr(row, name)) for row in rows), name
     assert all(row.r_actual == 0.0 for row in rows if row.m_db > 0.0)
@@ -375,9 +383,9 @@ def test_scenario_refuses_non_finite_inputs(field, message, value):
 def test_attack_refuses_a_non_finite_magnification():
     with time_bound():
         for m_linear in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="m_linear must be >= 1"):
+            with pytest.raises(ValueError, match=r"^m_linear must be in \[1, 1e300\]$"):
                 AttackParams(m_linear)
-        with pytest.raises(ValueError, match=r"m_db must be in \[0, 3082\]"):
+        with pytest.raises(ValueError, match=r"^m_db_list must be in \[0, 3000\]$"):
             sweep_key_rates(SCENARIO, [math.inf], [10.0])
 
 
@@ -424,10 +432,21 @@ def test_actual_key_never_exceeds_estimate_on_the_default_grid():
 
 def test_sweep_refuses_a_nan_magnification_without_hanging():
     with time_bound():
-        with pytest.raises(ValueError, match=r"m_db must be in \[0, 3082\]"):
+        with pytest.raises(ValueError, match=r"^m_db_list must be in \[0, 3000\]$"):
             sweep_key_rates(SCENARIO, [float("nan")], [10.0])
-        with pytest.raises(ValueError, match=r"m_db must be in \[0, 3082\]"):
+        with pytest.raises(ValueError, match=r"^m_db_list must be in \[0, 3000\]$"):
             sweep_key_rates(SCENARIO, [4.0, 0.0, float("nan")], [10.0])
+
+
+def test_an_error_rate_never_rounds_past_the_rates_it_weighs():
+    # at 30 dB/km the far link's gain is the dark count alone, 1e-310, where
+    # (0.5 * 1e-310) / 1e-310 rounds to 0.5000000000000248: the error rate, a
+    # mean of e0 and e_det, is held to 0.5 and the key rate takes it
+    sc = QkdScenario(y0=1e-310, alpha_db_per_km=30.0)
+    rows = sweep_key_rates(sc)
+    assert rows[-1].q_mu == 1e-310 and rows[-1].e_mu == 0.5
+    assert all(sc.e_det <= row.e_mu <= sc.e0 and sc.e_det <= row.e_nu <= sc.e0 for row in rows)
+    assert zero_key_threshold(sc) == zero_key_threshold(replace(sc, y0=1e-300))
 
 
 def test_sweep_of_an_empty_grid_is_empty():
@@ -714,5 +733,4 @@ def test_single_photon_estimator_mode():
 def test_success_probability_is_a_probability(m_db, distance_km):
     attack = AttackParams.from_db(m_db)
     res = attack_success_probability(SCENARIO, attack, transmittance(distance_km))
-    assert 0.0 <= res.value <= 1.0
-    assert 0.0 <= res.tail_bound < 1e-12
+    assert 0.0 <= res <= 1.0
