@@ -49,4 +49,4 @@ for k in range(0, len(trace.t_s), len(trace.t_s) // 10):
 print(f"  peak of trace {trace.m_db.max():.3f} dB "
       f"(transient overshoot before the slower arm catches up)")
 
-# CSV + SVG version of the same sweep: ipasim pe-curve --out runs/pe
+# CSV version of the same sweep: ipasim pe-curve --out runs/pe

@@ -29,4 +29,4 @@ print("the null spacing stays one half-wave voltage; only the offset moves,")
 print("so a routine transmittance check at the working point alone cannot")
 print("distinguish a treated device from a miscalibrated one.")
 
-# CSV + SVG version: ipasim voltage-curve --out runs/vc
+# CSV version: ipasim voltage-curve --out runs/vc

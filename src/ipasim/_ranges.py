@@ -2,9 +2,12 @@
 
 A parameter declares its interval once, spelled like ``"[0, 0.93]"``: a
 dataclass field through :func:`ranged`, a config key through :func:`interval`,
-a function argument as an :class:`Interval` it checks at entry (most often
-``FINITE``, ``POSITIVE`` or ``NON_NEGATIVE``), and a runner argument a config
-key sets in ``attack.RUN_ARGUMENTS``.  The test is ``lo <= x <= hi``, each end
+a function argument as an :class:`Interval` it checks at entry (most often one
+of the shared windows below, ``VOLTS``, ``WATTS``, ``SECONDS``...), and a
+runner argument a config key sets in ``attack.RUN_ARGUMENTS``.  Every float a
+config key or a public call takes lies in a physical window with finite ends,
+and together the windows keep every value derived from them a finite float,
+so no call refuses an overflow.  The test is ``lo <= x <= hi``, each end
 open or closed as spelled, so NaN fails it; an infinite end is always open, so
 ``"(0, inf)"`` means positive and finite.  An array or a tuple field holds if
 every entry does; a field may be None if its default is.  A refusal of one
@@ -96,7 +99,18 @@ def interval(spelling: str) -> Interval:
     return Interval(lo, hi, least, most, integer, message)
 
 
-FINITE, POSITIVE, NON_NEGATIVE = map(interval, ("(-inf, inf)", "(0, inf)", "[0, inf)"))
+POSITIVE = interval("(0, inf)")
+
+# The physical windows several modules declare, one spelling each.  A drive
+# voltage: tens of volts drive a LiNbO3 modulator, and 10 kV breaks down any gap.
+VOLTS = "[-1e4, 1e4]"
+# An injected power, dark or lit: the attack lands nW to tens of uW, 1 W burns a
+# waveguide, and a lit one is at least a 405 nm photon per age of the universe.
+WATTS, LIT_WATTS = "[0, 1]", "[1e-36, 1]"
+# A time: 1e15 s (3e7 years) outlasts any exposure and 100 of the slowest dark
+# relaxation times the material windows admit (8.9e12 s).
+SECONDS = "(0, 1e15]"
+PHOTONS = "[0, 1e6]"  # photons per pulse into the device: 1e6 is past any QKD source
 
 
 def ranged(spelling: str, default: object = MISSING):

@@ -45,19 +45,22 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._ranges import (
-    MAX_GRID_POINTS, MAX_STEPS, NON_NEGATIVE, POSITIVE, Refusal, check_arguments, check_ranges,
-    check_size, interval, ranged,
+    LIT_WATTS, MAX_GRID_POINTS, MAX_STEPS, POSITIVE, SECONDS, VOLTS, WATTS, Refusal,
+    check_arguments, check_ranges, check_size, interval, ranged,
 )
 from .device import MziDevice
 from .photorefractive import _LN2, DecayMode, relaxation_step
 
 _PERIOD_COUNT = interval(f"int [1, {MAX_STEPS}]")
+# a lit input's photons per pulse: the magnification is relative, so it scales
+# both readings, and from 1e-6 on the darkest device reads a positive baseline
+_LIT_PHOTONS = interval("[1e-6, 1e6]")
 
 
 @dataclass(frozen=True)
 class Segment:
-    power_w: float = ranged("[0, inf)")
-    duration_s: float = ranged("(0, inf)")
+    power_w: float = ranged(WATTS)
+    duration_s: float = ranged(SECONDS)
 
     __post_init__ = check_ranges
 
@@ -71,7 +74,7 @@ class IrradiationProgram:
     """
 
     segments: tuple[Segment, ...]
-    pulse_width_s: Optional[float] = ranged("(0, inf)", None)
+    pulse_width_s: Optional[float] = ranged(SECONDS, None)
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -92,8 +95,8 @@ class IrradiationProgram:
     ) -> "IrradiationProgram":
         """``count`` periods of a ``pulse_width_s`` pulse, at most ``MAX_STEPS``."""
         _PERIOD_COUNT.check("count", count)
-        NON_NEGATIVE.check("peak_power_w", peak_power_w)
-        POSITIVE.check("period_s", period_s)
+        interval(WATTS).check("peak_power_w", peak_power_w)
+        interval(SECONDS).check("period_s", period_s)
         if not 0.0 < pulse_width_s <= period_s:
             raise Refusal("pulse_width_s", "need 0 < pulse_width_s <= period_s")
         on = Segment(peak_power_w, pulse_width_s)
@@ -190,7 +193,7 @@ def run_program(
     sequential ``left -= dt`` clock to the last bit.  A ``dt_s`` of inf
     means one sample per segment, so it is checked by hand, not declared.
     """
-    POSITIVE.check("mu_in", mu_in)
+    _LIT_PHOTONS.check("mu_in", mu_in)
     if not dt_s > 0.0:
         raise Refusal("dt_s", "dt_s must be positive")
     check_size(program.total_duration_s / dt_s, MAX_STEPS, f"program takes over {MAX_STEPS} steps")
@@ -246,10 +249,11 @@ class PeCurvePlan:
     """
 
     powers_w: tuple[float, ...] = ranged(
-        "(0, inf)", (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5)
+        LIT_WATTS, (3e-9, 3e-8, 3e-7, 1e-6, 3e-6, 6.26e-6, 1.2e-5, 2e-5)
     )
     trace_points: int = ranged(f"int [2, {MAX_GRID_POINTS}]", 200)
-    trace_duration_tau: float = ranged("(0, inf)", 5.0)
+    # past 100 build-up times a trace is flat to exp(-100)
+    trace_duration_tau: float = ranged("(0, 100]", 5.0)
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -264,7 +268,7 @@ class PeCurvePlan:
 
 # the range of each runner argument a config key sets, which config.py reads
 RUN_ARGUMENTS = {
-    "dt_s": "(0, inf)", "power_w": "(0, inf)",
+    "dt_s": SECONDS, "power_w": LIT_WATTS,
     "saturation_epsilon": "(0, 0.1)",  # a settling tolerance, relative to steady state
     "max_steps": f"int [1, {MAX_STEPS}]", "max_periods": f"int [1, {MAX_STEPS}]",
     "hold_periods": "int [0, inf)",
@@ -275,8 +279,8 @@ RUN_ARGUMENTS = {
 class PreTreatmentPlan:
     """Saturating exposure at a fixed drive voltage."""
 
-    v_app_v: float = ranged("(-inf, inf)", 0.0)
-    i_ir_w: float = ranged("[0, inf)", 12e-6)
+    v_app_v: float = ranged(VOLTS, 0.0)
+    i_ir_w: float = ranged(WATTS, 12e-6)
     saturation_epsilon: float = ranged(RUN_ARGUMENTS["saturation_epsilon"], 1e-4)
 
     __post_init__ = check_ranges
@@ -413,14 +417,16 @@ class PulseController:
     ``noise_db`` is set, which adds Gaussian dB noise to each reading.
     """
 
-    target_m_db: float = ranged("(-inf, inf)")
+    # the loop only adds light, so a target is a rise: 300 dB is far past any
+    # saturated magnification (58 dB for the bench VOA), and so is a tolerance
+    target_m_db: float = ranged("[0, 300]")
     duty_min: float = ranged("(0, 1)", 1e-5)
     duty_max: float = ranged("(0, 1]", 1.0)
-    gain_duty_per_db: float = ranged("(0, inf)", 0.1)
-    settle_tol_db: float = ranged("(0, inf)", 0.1)
-    period_s: float = ranged("(0, inf)", 10.0)
-    peak_power_w: float = ranged("(0, inf)", 12e-6)
-    noise_db: float = ranged("[0, inf)", 0.0)
+    gain_duty_per_db: float = ranged("(0, 1]", 0.1)  # 1 per dB spans the duty on a 1 dB error
+    settle_tol_db: float = ranged("(0, 300]", 0.1)
+    period_s: float = ranged(SECONDS, 10.0)
+    peak_power_w: float = ranged(LIT_WATTS, 12e-6)
+    noise_db: float = ranged("[0, 100]", 0.0)  # 100 dB of noise on a reading drowns any target
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -474,14 +480,14 @@ def pulse_inject_to_target(
     scalar ``standard_normal()`` per period, and the generator is left
     exactly one such draw per period on; a noise-free run leaves it untouched.
     """
-    POSITIVE.check("mu_in", mu_in)
+    _LIT_PHOTONS.check("mu_in", mu_in)
     check_arguments(RUN_ARGUMENTS, max_periods=max_periods, hold_periods=hold_periods)
     if ctrl.noise_db > 0.0 and rng is None:
         raise ValueError("noise_db > 0 needs an rng")
     (lit1, lit_tau1), (lit2, lit_tau2) = device.arm_laws(ctrl.peak_power_w, v_app_v)
     baseline = device.output_mpn(mu_in, v_app_v)
     sat_m = device.with_fields(lit1, lit2).magnification_db(v_app_v, baseline, mu_in)
-    if abs(ctrl.target_m_db) > sat_m:
+    if ctrl.target_m_db > sat_m:
         empty = PulseTrace(*(np.empty(0) for _ in range(5)))
         return PulseResult(
             device, False, False, 0, sat_m, math.nan, math.nan, math.nan, math.nan, empty
@@ -500,7 +506,7 @@ def pulse_inject_to_target(
         ctrl.target_m_db, ctrl.settle_tol_db, ctrl.gain_duty_per_db, ctrl.period_s
     )
     duty_min, duty_max, noise_db = ctrl.duty_min, ctrl.duty_max, ctrl.noise_db
-    exp, expm1, cos, log10, ln2, inf = math.exp, math.expm1, math.cos, math.log10, _LN2, math.inf
+    exp, expm1, cos, log10, ln2 = math.exp, math.expm1, math.cos, math.log10, _LN2
     noisy = noise_db > 0.0
     if noisy:
         state = rng.bit_generator.state
@@ -525,7 +531,7 @@ def pulse_inject_to_target(
             e2 = dark2 + (e2 - dark2) * exp(-x) if x > ln2 else e2 + (e2 - dark2) * expm1(-x)
         phase = theta + k_diff * (e1 - e2) + k_common * (e1 + e2)
         ratio = mu_in * (peak * cos(0.5 * phase) ** 2) / base
-        m = 10.0 * log10(ratio) if ratio > 0.0 else -inf
+        m = 10.0 * log10(ratio)  # no declared device reads an exact null
         if noisy:
             m += noise_db * normal()
         error = target - m

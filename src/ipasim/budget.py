@@ -12,8 +12,9 @@ Entries measured only down to an instrument floor, recorded as ">78" style
 strings, are carried through every computation as sticky lower bounds: the
 true loss can only be higher, so an infeasibility verdict derived from a
 bound stays valid while a feasibility one is best-case.  A loss, a floor
-included, a coupling scheme's losses, a fiber length and a launch power must
-be finite and >= 0; a target or attacker power must be finite and > 0.
+included, a coupling scheme's losses and a whole path's, is at most 3000 dB,
+a fiber at most 200 km long, and a target or attacker power in (0, 1] W, so
+every launch power is a finite float.
 """
 
 from __future__ import annotations
@@ -21,17 +22,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from math import inf, log10
+from math import log10
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from ._ranges import POSITIVE, Refusal, check_ranges, ranged
+from ._ranges import LIT_WATTS, Refusal, check_ranges, interval, ranged
+
+_LIT_WATTS = interval(LIT_WATTS)
+# Any loss in dB, of a component or a whole path: 3000 dB passes 1e-300 of the
+# light, so a launch power of at most 1 W times 10 ** (loss / 10) stays finite.
+LOSS_DB = "[0, 3000]"
+# Eve's fibre to the transmitter: 200 km loses 2800 dB at 532 nm, the lossiest
+# wavelength of the built-in fibre, within LOSS_DB.
+FIBER_KM = "[0, 200]"
 
 
 @dataclass(frozen=True)
 class LossValue:
     """A dB loss that may be only a lower bound on the true loss."""
 
-    db: float = ranged("[0, inf)")
+    db: float = ranged(LOSS_DB)
     lower_bound: bool = False
 
     __post_init__ = check_ranges
@@ -42,7 +51,7 @@ class LossValue:
 
 @dataclass(frozen=True)
 class PowerValue:
-    watts: float = ranged("[0, inf)")
+    watts: float = ranged("[0, 1e300]")  # 1 W through LOSS_DB at most
     lower_bound: bool = False
 
     __post_init__ = check_ranges
@@ -84,15 +93,15 @@ class ComponentLoss(NamedTuple):
 @dataclass(frozen=True)
 class CouplingScheme:
     name: str
-    signal_loss_1550_db: float = ranged("[0, inf)")
-    irradiation_loss_405_db: float = ranged("[0, inf)")
+    signal_loss_1550_db: float = ranged(LOSS_DB)
+    irradiation_loss_405_db: float = ranged(LOSS_DB)
 
     __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class InjectionPath:
-    fiber_length_km: float = ranged("[0, inf)", 0.0)
+    fiber_length_km: float = ranged(FIBER_KM, 0.0)
     fiber_loss_db_per_km: Mapping[int, float] = field(default_factory=dict)
     components: tuple[ComponentLoss, ...] = ()
 
@@ -119,15 +128,10 @@ def path_loss(path: InjectionPath, wavelength_nm: int) -> LossValue:
 def required_eve_power(
     path: InjectionPath, wavelength_nm: int, target_power_w: float
 ) -> PowerValue:
-    """Launch power needed so the target power arrives at the device; a launch power
-    that overflows is refused as ``target_power_w``."""
-    POSITIVE.check("target_power_w", target_power_w)
+    """Launch power needed so the target power arrives at the device."""
+    _LIT_WATTS.check("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
-    watts = target_power_w * 10.0 ** (loss.db / 10.0)
-    if watts == inf:
-        raise Refusal("target_power_w", f"target_power_w {target_power_w!r} overflows its launch "
-                      "power target_power_w * 10 ** (loss_db / 10)")
-    return PowerValue(watts, loss.lower_bound)
+    return PowerValue(target_power_w * 10.0 ** (loss.db / 10.0), loss.lower_bound)
 
 
 FEASIBLE = "feasible"
@@ -155,8 +159,8 @@ def countermeasure_margin(
     eve_max_power_w: float,
     target_power_w: float,
 ) -> MarginReport:
-    POSITIVE.check("eve_max_power_w", eve_max_power_w)
-    POSITIVE.check("target_power_w", target_power_w)
+    _LIT_WATTS.check("eve_max_power_w", eve_max_power_w)
+    _LIT_WATTS.check("target_power_w", target_power_w)
     loss = path_loss(path, wavelength_nm)
     headroom_db = 10.0 * log10(eve_max_power_w / target_power_w)
     margin = loss.db - headroom_db

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._ranges import Refusal
 from .device import MziDevice
 from .photorefractive import VACUUM_PERMITTIVITY_F_PER_M, DecayMode, GeometryParams, MaterialParams
 
@@ -155,18 +154,9 @@ def default_geometry() -> GeometryParams:
 
 
 def parking_bias_rad(working_point_v: float, residual_bias_rad: float, v_pi_v: float) -> float:
-    """theta0 that parks a pristine device at pi + ``residual_bias_rad`` at ``working_point_v``.
-
-    A bias that overflows is refused as ``v_pi_v`` if the phase per volt
-    2*pi / v_pi_v overflows, else as ``working_point_v``.
-    """
-    bias = math.pi + residual_bias_rad - 2.0 * math.pi * working_point_v / v_pi_v
-    if math.isinf(bias):
-        tiny = 2.0 * math.pi / v_pi_v == math.inf
-        name, value = ("v_pi_v", v_pi_v) if tiny else ("working_point_v", working_point_v)
-        raise Refusal(name, f"{name} {value!r} overflows its parking bias "
-                      "2*pi * working_point_v / v_pi_v")
-    return bias
+    """theta0 that parks a pristine device at pi + ``residual_bias_rad`` at ``working_point_v``:
+    within ``MziDevice.bias_phase_rad``'s window for every declared voltage and ``v_pi_v``."""
+    return math.pi + residual_bias_rad - 2.0 * math.pi * working_point_v / v_pi_v
 
 
 def default_device(decay_mode: DecayMode = DecayMode.DARK_DECAY) -> MziDevice:

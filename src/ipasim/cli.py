@@ -11,9 +11,10 @@ that table.  Global flags work before or after the verb: ``--config PATH``
 
 Exit codes: 0 success; 2 config, schema or usage errors; 3 runs that cannot
 proceed (unbracketed threshold search, infeasible pulse target, a library
-``ValueError``, an arithmetic error, unusable output path).  A runner runs
-with numpy's overflow, invalid and divide errors raised, so a numpy overflow
-ends as a ``FloatingPointError`` with exit 3, never as a warning.
+``ValueError``, unusable output path).  The windows the config declares
+keep every number a run derives finite; as a backstop a runner runs with
+numpy's overflow, invalid and divide errors raised, so a numpy overflow would
+end as a ``FloatingPointError`` with exit 3, never as a warning.
 
 A run computes all its outputs before it touches the output directory, so a
 run that fails while computing leaves the directory as it was.  It then
@@ -59,7 +60,7 @@ from .config import (
     working_point_v,
 )
 from .device import curve_rms_db
-from .runio import MANIFEST_NAME, RunDirError, RunWriter, line_plot_svg, utc_now
+from .runio import MANIFEST_NAME, RunDirError, RunWriter, utc_now
 from .security import sweep_key_rates, zero_key_threshold
 
 EXIT_OK = 0
@@ -130,24 +131,16 @@ def run_voltage_curve(cfg: ScenarioConfig) -> RunResult:
 
     pristine = device.voltage_curve(*grid_args)
     tables = [_curve_table(pristine, pristine)]
-    series = [("pristine", pristine.v_app_v, pristine.transmittance)]
     shifts, converged = [], []
     for v_treat in grid.pretreat_voltages_v:
         plan = replace(base_plan, v_app_v=v_treat)
         result = pre_treat(device, plan, plan_keys["dt_s"], plan_keys["max_steps"])
         curve = result.device.voltage_curve(*grid_args)
         tables.append(_curve_table(curve, pristine))
-        series.append((f"pre-treated {v_treat:+g} V", curve.v_app_v, curve.transmittance))
         shifts.append(result.bias_shift_rad)
         converged.append(result.converged)
     header = ("v_app_v", "bias_shift_rad", "converged")
     tables.append((header, [grid.pretreat_voltages_v, shifts, converged]))
-    if cfg.get("output", "svg"):
-        tables.append(
-            line_plot_svg(
-                "transmission vs drive voltage", "drive voltage (V)", "transmittance", series
-            )
-        )
     lines = [f"voltage-curve: pristine plus {len(grid.pretreat_voltages_v)} pre-treated curves"]
     if shifts:
         lines.append(
@@ -325,7 +318,6 @@ VERBS: dict[str, Verb] = {
             "voltage_curve_pristine.csv",
             *_numbered("voltage_curve_pretreat", cfg.get("voltage_curve", "pretreat_voltages_v")),
             "bias_shifts.csv",
-            *(["voltage_curves.svg"] if cfg.get("output", "svg") else []),
         ],
         run_voltage_curve,
     ),

@@ -45,7 +45,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 from . import attack
 from . import budget as budget_mod
 from . import calibration
-from ._ranges import Interval, Refusal, interval
+from ._ranges import LIT_WATTS, VOLTS, Interval, Refusal, interval
 from .attack import PeCurvePlan, PreTreatmentPlan, PulseController
 from .budget import ComponentLoss, InjectionPath, LossValue, parse_loss_entry
 from .device import CurvePlan, MziDevice
@@ -146,6 +146,7 @@ def _key(default: object, allowed: Optional[str] = None, options: tuple[str, ...
 _RETIRED = {
     "geometry.effective_length_m": "retired key, nothing read it",
     "geometry.irradiation_wavelength_nm": "retired key, budget.wavelength_nm prices the injection",
+    "output.svg": "retired key, the CSVs hold the curves",
     "qkd.n_trunc": "retired key, nothing is truncated: the photon statistics are closed forms",
     "voltage_curve.pretreat_power_w": "retired key, pre_treat.i_ir_w sets the pre-treatment power",
 }
@@ -190,14 +191,15 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "material": _fields_of(calibration.default_material()),
         "geometry": {
             **_fields_of(geo, "signal_wavelength_m"),
-            "signal_wavelength_nm": _key(geo.signal_wavelength_m * 1e9, "(0, inf)"),
+            # GeometryParams.signal_wavelength_m's window, in nm
+            "signal_wavelength_nm": _key(geo.signal_wavelength_m * 1e9, "[100, 10000]"),
         },
         "device": {
             **_fields_of(
                 calibration.default_device(),
                 "material", "geometry", "bias_phase_rad", "field1_v_per_m", "field2_v_per_m",
             ),
-            "working_point_v": _key(calibration.WORKING_POINT_V, "(-inf, inf)"),
+            "working_point_v": _key(calibration.WORKING_POINT_V, VOLTS),
             "residual_bias_rad": _key(calibration.RESIDUAL_BIAS_RAD, "(0, pi)"),
         },
         "pe_curve": _fields_of(PeCurvePlan()),
@@ -217,16 +219,13 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "qkd": {**_fields_of(QkdScenario()), **_fields_of(SweepPlan())},
         "budget": {
             "wavelength_nm": _key(405, "(0, inf)"),
-            "fiber_length_km": _key(1.0, "[0, inf)"),
+            "fiber_length_km": _key(1.0, budget_mod.FIBER_KM),
             "components": _key(("dwdm_c33",)),
             "coupling_scheme": _key("none", options=("none", *sorted(budget_mod.COUPLING_SCHEMES))),
-            "target_power_w": _key(3e-9, "(0, inf)"),
-            "eve_max_power_w": _key(1.0, "(0, inf)"),
+            "target_power_w": _key(3e-9, LIT_WATTS),
+            "eve_max_power_w": _key(1.0, LIT_WATTS),
         },
-        "output": {
-            "directory": _key("ipasim-out"),
-            "svg": _key(False),
-        },
+        "output": {"directory": _key("ipasim-out")},
     }
 
 
@@ -321,9 +320,9 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     Each key's options and the range this module declares for it come first.
     Then every object a runner builds is built: the dataclasses and the plans
     check the keys they own, the constraints that couple them and the sizes
-    they bound, and the device refuses a voltage-curve end whose drive phase
-    overflows.  Last, the budget path is priced at its wavelength, which
-    names an unknown component or a missing loss entry.
+    they bound.  Last, the budget path is priced at its wavelength, which
+    names an unknown component or a missing loss entry, and refuses a path
+    whose components sum past a loss's window.
     """
     for section, keys in _schema().items():
         for key, spec in keys.items():
@@ -333,20 +332,18 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
             if spec.allowed is not None and not spec.allowed.holds(value):
                 raise ConfigError(f"{section}.{key}: {spec.allowed.message}")
 
-    device = build_device(cfg)
+    build_device(cfg)
     build_controller(cfg)
     build_scenario(cfg)
     build_pretreat_plan(cfg)
     build_sweep_plan(cfg)
-    curve = build_curve_plan(cfg)
-    try:
-        device.check_drive_range(curve.v_min_v, curve.v_max_v)
-    except ValueError as exc:
-        raise _config_error("voltage_curve", cfg.values["voltage_curve"], exc) from None
+    build_curve_plan(cfg)
     build_pe_curve_plan(cfg)
     path = build_path(cfg)
     try:
         budget_mod.path_loss(path, cfg.values["budget"]["wavelength_nm"])
+    except Refusal as exc:  # a fibre in its window is within a loss's: the components are not
+        raise ConfigError(f"budget.components: their path loss {exc.reason}") from None
     except ValueError as exc:
         raise ConfigError(f"budget.wavelength_nm: {exc}") from None
     return cfg
@@ -449,7 +446,7 @@ def build_geometry(cfg: ScenarioConfig) -> GeometryParams:
 def build_device(cfg: ScenarioConfig) -> MziDevice:
     d = cfg.values["device"]
     # built at zero bias first: the working-point bias divides by v_pi_v,
-    # which this build range-checks, and refuses the key it overflows by
+    # which this build range-checks
     device = _build(
         MziDevice,
         "device",
@@ -459,10 +456,7 @@ def build_device(cfg: ScenarioConfig) -> MziDevice:
         bias_phase_rad=0.0,
         decay_mode=DecayMode(d["decay_mode"]),
     )
-    try:
-        bias = calibration.parking_bias_rad(d["working_point_v"], d["residual_bias_rad"], device.v_pi_v)
-    except ValueError as exc:
-        raise _config_error("device", d, exc) from None
+    bias = calibration.parking_bias_rad(d["working_point_v"], d["residual_bias_rad"], device.v_pi_v)
     return replace(device, bias_phase_rad=bias)
 
 

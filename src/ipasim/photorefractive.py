@@ -27,8 +27,9 @@ Unit conventions: ``P`` is the per-arm optical power in watts delivered to the
 waveguide (beam geometry is absorbed into the transport constants, so the
 photovoltaic and photoconductive coefficients are lumped per-watt quantities).
 Fields are V/m, conductivities S/m, times seconds.  Every parameter field,
-and every argument a public function checks at entry, declares its range
-(``ipasim._ranges``), which refuses NaN and +-inf; an elapsed time may be inf.
+and every argument a public function checks at entry, declares a physical
+window (``ipasim._ranges``), which refuses NaN and +-inf and keeps every
+product the device forms from them a finite float; an elapsed time may be inf.
 The public functions are :func:`evolve_field`, which checks each argument
 once, and :func:`relaxation_step`; the laws they step along are private
 kernels that check nothing, their callers having checked what they hand in.
@@ -42,10 +43,13 @@ from enum import Enum
 
 import numpy as np
 
-from ._ranges import FINITE, NON_NEGATIVE, Refusal, check_ranges, ranged
+from ._ranges import WATTS, Refusal, check_ranges, interval, ranged
 
 VACUUM_PERMITTIVITY_F_PER_M = 8.8541878128e-12
 _LN2 = math.log(2.0)
+# a field in an arm, applied or space-charge: 1e4 V across the narrowest gap,
+# 1e-8 m, and far past the breakdown of LiNbO3 (~1e8 V/m)
+_FIELD = interval("[-1e12, 1e12]")
 
 
 class DecayMode(str, Enum):
@@ -63,19 +67,21 @@ class MaterialParams:
     ``response_amplitude``, ``response_saturation``, ``field_response`` and
     ``tau_dark_s``; the individual factors are one physically sensible split
     (see ``ipasim.calibration`` for how the defaults are pinned to measured
-    device behavior).
+    device behavior).  Each window spans decades on both sides of congruent
+    LiNbO3, the defaults, and together they keep every lumped product a
+    finite float.
     """
 
-    refractive_index: float = ranged("(0, inf)")  # guided-mode index at the signal wavelength
-    r33_m_per_v: float = ranged("(0, inf)")       # electro-optic coefficient
-    mode_overlap: float = ranged("(0, inf)")      # optical/static field overlap, dimensionless
-    photovoltaic_const: float = ranged("(0, inf)")  # kappa, V*m per (absorbed W/m), lumped
-    absorption_per_m: float = ranged("(0, inf)")  # alpha at the irradiation wavelength
-    photocond_per_w: float = ranged("(0, inf)")   # a, photoconductivity per absorbed watt
-    dark_conductivity_s_per_m: float = ranged("(0, inf)")
-    rel_permittivity: float = ranged("(0, inf)")
+    refractive_index: float = ranged("[1, 10]")  # guided-mode index at the signal wavelength
+    r33_m_per_v: float = ranged("[1e-15, 1e-8]")  # electro-optic coefficient, 30.8 pm/V
+    mode_overlap: float = ranged("(0, 1]")  # optical/static field overlap, a fraction
+    photovoltaic_const: float = ranged("[1e-2, 1e8]")  # kappa, V*m per (absorbed W/m), lumped
+    absorption_per_m: float = ranged("[1e-9, 1e4]")  # alpha at the irradiation wavelength
+    photocond_per_w: float = ranged("[1e-12, 1e4]")  # a, photoconductivity per absorbed watt
+    dark_conductivity_s_per_m: float = ranged("[1e-20, 1e-3]")  # insulator to semiconductor
+    rel_permittivity: float = ranged("[1, 1e4]")  # under 1e4 for any ferroelectric
     sublinear_exponent: int = ranged("int [1, inf)", 2)  # m in sigma_ph ~ P**(1/m) above crossover
-    crossover_power_w: float = ranged("(0, inf)", 7e-6)
+    crossover_power_w: float = ranged("[1e-15, 1]", 7e-6)  # within the injected powers
 
     __post_init__ = check_ranges
 
@@ -129,10 +135,12 @@ class MaterialParams:
 class GeometryParams:
     """Waveguide and electrode geometry of the interferometer arms."""
 
-    arm_length_m: float = ranged("(0, inf)")
-    electrode_length_m: float = ranged("(0, inf)")
-    electrode_gap_m: float = ranged("(0, inf)")
-    signal_wavelength_m: float = ranged("(0, inf)")
+    # an integrated-optics chip: arms and electrodes from a micron to a metre,
+    # gaps from 10 nm to 1 cm, and a signal from the ultraviolet to the mid-infrared
+    arm_length_m: float = ranged("[1e-6, 1]")
+    electrode_length_m: float = ranged("[1e-6, 1]")
+    electrode_gap_m: float = ranged("[1e-8, 1e-2]")
+    signal_wavelength_m: float = ranged("[1e-7, 1e-5]")
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -250,9 +258,9 @@ def evolve_field(
     holds (``FROZEN``) or relaxes to zero with the dark time constant
     (``DARK_DECAY``).
     """
-    FINITE.check("field_v_per_m", field_v_per_m)
-    NON_NEGATIVE.check("power_w", power_w)
-    FINITE.check("e_app_v_per_m", e_app_v_per_m)
+    _FIELD.check("field_v_per_m", field_v_per_m)
+    interval(WATTS).check("power_w", power_w)
+    _FIELD.check("e_app_v_per_m", e_app_v_per_m)
     if not np.asarray(dt_s).min(initial=0.0) >= 0.0:  # a NaN anywhere makes the min NaN
         raise Refusal("dt_s", "dt_s must be >= 0")
     return _evolve(field_v_per_m, _relaxation_law(mat, power_w, e_app_v_per_m, decay_mode), dt_s)

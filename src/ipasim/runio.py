@@ -1,4 +1,4 @@
-"""Deterministic run outputs: CSV files, simple SVG renderings, one manifest.
+"""Deterministic run outputs: CSV files and one manifest.
 
 CSV is the source of truth.  A table is a header and its columns, written
 column by column: each column holds one type and is formatted once, floats
@@ -25,7 +25,6 @@ a truncated manifest.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -66,123 +65,6 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[object]]) -> st
     """A table's CSV text; a ragged table raises ``ValueError``."""
     cells = [format_column(column) for _, column in zip(header, columns, strict=True)]
     return "\n".join(map(",".join, [format_column(header), *zip(*cells, strict=True)])) + "\n"
-
-
-# -- SVG ---------------------------------------------------------------------
-
-_PALETTE = (
-    "#1f77b4",
-    "#d62728",
-    "#2ca02c",
-    "#9467bd",
-    "#ff7f0e",
-    "#8c564b",
-    "#e377c2",
-    "#7f7f7f",
-)
-
-
-def line_plot_svg(
-    title: str,
-    x_label: str,
-    y_label: str,
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-) -> str:
-    """Minimal deterministic polyline chart.
-
-    A convenience rendering of CSV data, nothing more: non-finite points are
-    simply dropped and the polyline connects across the gap.
-    """
-    width, height = 860.0, 520.0
-    left, right, top, bottom = 70.0, 170.0, 40.0, 50.0
-    plot_w, plot_h = width - left - right, height - top - bottom
-
-    cleaned = []
-    for label, xs, ys in series:
-        pts = [
-            (float(x), float(y))
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        ]
-        cleaned.append((label, pts))
-    all_pts = [p for _, pts in cleaned for p in pts]
-    if all_pts:
-        x_lo = min(p[0] for p in all_pts)
-        x_hi = max(p[0] for p in all_pts)
-        y_lo = min(p[1] for p in all_pts)
-        y_hi = max(p[1] for p in all_pts)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-
-    def sx(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y: float) -> float:
-        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{left:.1f}" y="24" font-family="sans-serif" font-size="15">'
-        f"{title}</text>",
-        f'<rect x="{left:.1f}" y="{top:.1f}" width="{plot_w:.1f}" '
-        f'height="{plot_h:.1f}" fill="none" stroke="#333" stroke-width="1"/>',
-    ]
-    for i in range(6):
-        frac = i / 5.0
-        gx = left + frac * plot_w
-        gy = top + frac * plot_h
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_hi - frac * (y_hi - y_lo)
-        out.append(
-            f'<line x1="{gx:.1f}" y1="{top + plot_h:.1f}" x2="{gx:.1f}" '
-            f'y2="{top + plot_h + 5:.1f}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{gx:.1f}" y="{top + plot_h + 20:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{xv:.6g}</text>'
-        )
-        out.append(
-            f'<line x1="{left - 5:.1f}" y1="{gy:.1f}" x2="{left:.1f}" '
-            f'y2="{gy:.1f}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{left - 8:.1f}" y="{gy + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{yv:.6g}</text>'
-        )
-    out.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 12:.1f}" '
-        f'font-family="sans-serif" font-size="13" text-anchor="middle">{x_label}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{top + plot_h / 2:.1f}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">{y_label}</text>'
-    )
-    for index, (label, pts) in enumerate(cleaned):
-        color = _PALETTE[index % len(_PALETTE)]
-        if pts:
-            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                'stroke-width="1.5"/>'
-            )
-        ly = top + 16 + 18 * index
-        lx = left + plot_w + 12
-        out.append(
-            f'<rect x="{lx:.1f}" y="{ly - 9:.1f}" width="12" height="12" fill="{color}"/>'
-        )
-        out.append(
-            f'<text x="{lx + 18:.1f}" y="{ly + 2:.1f}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
 
 
 # -- run directory and manifest -------------------------------------------------

@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._ranges import (
-    MAX_GRID_POINTS, NON_NEGATIVE, POSITIVE, Refusal, check_ranges, check_size, extremes, interval,
+    MAX_GRID_POINTS, POSITIVE, Refusal, check_ranges, check_size, extremes, interval,
     ranged,
 )
 
@@ -70,6 +70,12 @@ _TAIL_CUT = 80  # the photon number past which ``tail_bound`` sums the Poisson m
 _UNIT, _ERROR_RATE = map(interval, ("[0, 1]", "[0, 0.5]"))
 # a magnification in dB, whose linear value 10 ** (m_db / 10) is at most AttackParams' 1e300
 _M_DB = "[0, 3000]"
+# a link's length: 1e5 km is past any fibre link, and its loss at most 1e7 dB
+_KM = "[0, 1e5]"
+# a fibre's loss, 0.2 dB/km at 1550 nm: 100 dB/km is past any fibre at any wavelength
+_ALPHA = "[0, 100]"
+# a threshold's tolerance, no wider than the magnifications it searches
+_TOL_DB = "(0, 3000]"
 
 
 class BracketError(ValueError):
@@ -88,13 +94,13 @@ class QkdScenario:
 
     # the decoy bounds weigh the signal gain by exp(mu), a finite float up to 709
     mu: float = ranged("(0, 709]", 0.8)
-    nu: float = ranged("(0, inf)", 0.1)
-    alpha_db_per_km: float = ranged("[0, inf)", 0.2)
+    nu: float = ranged("[1e-6, 1]", 0.1)  # a decoy weaker than one photon: 0.05 to 0.2 in use
+    alpha_db_per_km: float = ranged(_ALPHA, 0.2)
     eta_bob: float = ranged("(0, 1]", 0.1)
     y0: float = ranged("[0, 1)", 6e-7)
     e_det: float = ranged("[0, 0.5]", 0.005)
     e0: float = ranged("[0, 1]", DARK_COUNT_ERROR)
-    f_ec: float = ranged("[1, inf)", 1.16)
+    f_ec: float = ranged("[1, 10]", 1.16)  # within 10 times the Shannon limit
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -123,12 +129,16 @@ class AttackParams:
 
 
 def channel_transmittance(alpha_db_per_km: float, distance_km: Floats) -> Floats:
-    """Fiber transmittance at a distance, or at each of a grid.  A distance may be
-    inf (no light) except on a lossless fiber, where its loss 0 * inf would be NaN."""
-    NON_NEGATIVE.check("alpha_db_per_km", alpha_db_per_km)
+    """Fiber transmittance at a distance, or at each of a grid.  A distance is in
+    [0, 1e5] km, or inf (no light) except on a lossless fiber, where its loss
+    0 * inf would be NaN."""
+    interval(_ALPHA).check("alpha_db_per_km", alpha_db_per_km)
     shortest, longest = extremes(distance_km)
-    if not (shortest >= 0.0 and (longest < math.inf or alpha_db_per_km > 0.0)):
-        raise Refusal("distance_km", "distance_km must be >= 0, and finite on a lossless fiber")
+    if longest == math.inf and alpha_db_per_km > 0.0:
+        grid = np.asarray(distance_km, dtype=float)
+        shortest, longest = extremes(np.where(grid == math.inf, 0.0, grid))
+    if not (0.0 <= shortest and longest <= interval(_KM).most):
+        raise Refusal("distance_km", f"distance_km must be in {_KM}, or inf on a lossy fiber")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -433,12 +443,12 @@ class SweepPlan:
     """
 
     m_db_grid: tuple[float, ...] = ranged(_M_DB, (0.0, 4.0, 5.0, 6.0, 6.5))
-    distance_min_km: float = ranged("[0, inf)", 0.0)
-    distance_max_km: float = ranged("[0, inf)", 150.0)
-    distance_step_km: float = ranged("(0, inf)", 2.0)
-    m_search_low_db: float = ranged("[0, inf)", 4.0)
-    m_search_high_db: float = ranged("[0, inf)", 9.0)
-    threshold_tol_db: float = ranged("(0, inf)", 1e-3)
+    distance_min_km: float = ranged(_KM, 0.0)
+    distance_max_km: float = ranged(_KM, 150.0)
+    distance_step_km: float = ranged("[1e-3, 1e5]", 2.0)  # no link is known to within a metre
+    m_search_low_db: float = ranged(_M_DB, 4.0)
+    m_search_high_db: float = ranged(_M_DB, 9.0)
+    threshold_tol_db: float = ranged(_TOL_DB, 1e-3)
     estimator: str = "decoy"
 
     def __post_init__(self) -> None:
@@ -449,7 +459,7 @@ class SweepPlan:
             raise Refusal("m_db_grid", "m_db_grid: needs at least one magnification")
         if not hi >= lo:
             raise Refusal("distance_max_km", "distance_max_km must be >= distance_min_km")
-        count = ((hi - lo) / step + 1e-9) // 1 + 1  # a float: too fine a grid is inf // 1, nan
+        count = ((hi - lo) / step + 1e-9) // 1 + 1  # a float, at most 1e8 + 1
         check_size(count, MAX_GRID_POINTS, "distance_max_km: the distance grid from "
                    f"distance_min_km in distance_step_km steps exceeds {MAX_GRID_POINTS} points",
                    "distance_max_km")
@@ -539,9 +549,8 @@ def zero_key_threshold(
     A ``tol_db`` below the float spacing near m* stops the halving once lo
     and hi are adjacent floats, so the result is within one ulp of m*.
     """
-    # a nan or inf tol_db would return the midpoint as m*, and an inf high every midpoint as inf
-    POSITIVE.check("tol_db", tol_db)
-    NON_NEGATIVE.check("m_search_range_db", m_search_range_db)
+    interval(_TOL_DB).check("tol_db", tol_db)
+    interval(_M_DB).check("m_search_range_db", m_search_range_db)
     lo, hi = m_search_range_db
     if not lo < hi:
         raise Refusal("m_search_range_db", "need 0 <= low < high in m_search_range_db")

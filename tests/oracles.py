@@ -3,7 +3,9 @@
 Everything here is written from the defining expressions with stdlib math
 (plus numpy sampling for the Monte-Carlo check), deliberately avoiding the
 closed forms, vectorized identities and scipy special functions the package
-itself uses.  Slow and dumb on purpose.
+itself uses.  Slow and dumb on purpose.  Beside them, ``refused`` is the one
+way a test expects an argument's refusal: by the name it carries, in
+whatever words the argument's declared window spells.
 """
 
 from __future__ import annotations
@@ -11,8 +13,20 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
+
+from ipasim._ranges import Refusal
+
+
+@contextmanager
+def refused(name: str):
+    """Expect a ``Refusal`` of the argument or field ``name``."""
+    with pytest.raises(Refusal) as caught:
+        yield caught
+    assert caught.value.name == name, str(caught.value)
 
 
 def poisson_pmf(n: int, mean: float) -> float:

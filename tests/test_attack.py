@@ -27,7 +27,7 @@ from ipasim.attack import (
 from ipasim.calibration import WORKING_POINT_V, default_device
 from ipasim.device import curve_rms_db
 from ipasim.photorefractive import DecayMode, relaxation_step
-from oracles import exposure_loop, pulse_loop, saturation_loop, single_period_gain_db
+from oracles import exposure_loop, pulse_loop, refused, saturation_loop, single_period_gain_db
 
 DEV = default_device()
 WP = WORKING_POINT_V
@@ -77,10 +77,12 @@ def test_pulse_train_refuses_a_count_that_is_no_count_of_periods(count, message)
 
 
 @pytest.mark.parametrize(
-    "power, duration", [(math.nan, 1.0), (math.inf, 1.0), (1e-6, math.nan), (1e-6, math.inf)]
+    "power, duration, name",
+    [(math.nan, 1.0, "power_w"), (math.inf, 1.0, "power_w"), (1e-6, math.nan, "duration_s"),
+     (1e-6, math.inf, "duration_s")],
 )
-def test_segment_refuses_non_finite_values(power, duration):
-    with pytest.raises(ValueError, match="power_w must be >= 0|duration_s must be positive"):
+def test_segment_refuses_non_finite_values(power, duration, name):
+    with refused(name):
         Segment(power, duration)
 
 
@@ -108,12 +110,12 @@ def test_run_program_rejects_coarse_sampling_of_pulse_trains():
 def test_a_step_outside_zero_to_inf_is_refused(dt):
     # a zero-power plan takes no step, and its step is refused all the same
     for plan in (PreTreatmentPlan(), PreTreatmentPlan(i_ir_w=0.0)):
-        with pytest.raises(ValueError, match="dt_s must be positive"):
+        with refused("dt_s"):
             pre_treat(DEV, plan, dt_s=dt)
-    with pytest.raises(ValueError, match="dt_s must be positive"):
+    with refused("dt_s"):
         initialize_device(DEV, dt_s=dt)
     if dt != math.inf:  # a program takes an infinite step as one sample per segment
-        with pytest.raises(ValueError, match="dt_s must be positive"):
+        with refused("dt_s"):
             run_program(DEV, IrradiationProgram.cw(1e-6, 100.0), 1.0, WP, dt)
 
 
@@ -234,12 +236,12 @@ def test_a_saturation_epsilon_outside_its_range_is_refused(eps):
 
 
 def test_pretreat_plan_refuses_a_nan_power():
-    with pytest.raises(ValueError, match="i_ir_w must be >= 0"):
+    with refused("i_ir_w"):
         PreTreatmentPlan(i_ir_w=math.nan)
 
 
 def test_saturation_refuses_a_nan_power():
-    with pytest.raises(ValueError, match="power_w must be positive"):
+    with refused("power_w"):
         initialize_device(DEV, power_w=math.nan)
 
 
@@ -282,18 +284,11 @@ def test_controller_validation():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize(
-    "field, message",
-    [
-        ("target_m_db", "target_m_db must be finite"),
-        ("gain_duty_per_db", "gain_duty_per_db must be positive"),
-        ("settle_tol_db", "settle_tol_db must be positive"),
-        ("period_s", "period_s must be positive"),
-        ("peak_power_w", "peak_power_w must be positive"),
-        ("noise_db", "noise_db must be >= 0"),
-    ],
+    "field",
+    ["target_m_db", "gain_duty_per_db", "settle_tol_db", "period_s", "peak_power_w", "noise_db"],
 )
-def test_controller_refuses_non_finite_inputs(field, message, value):
-    with pytest.raises(ValueError, match=message):
+def test_controller_refuses_non_finite_inputs(field, value):
+    with refused(field):
         PulseController(**{"target_m_db": 30.0, field: value})
 
 
@@ -762,11 +757,11 @@ def test_pulse_loop_matches_the_literal_duty_loop(device, ctrl, max_periods, hol
         (DEV, PulseController(target_m_db=30.0), 1.0, WP, 2000),
         (FROZEN_DEV, PulseController(target_m_db=30.0), 0.3, WP, 120),
         (DEV, PulseController(target_m_db=3.0, period_s=1.0), 0.3, 0.0, 2000),
-        # at 1e-320 photons the output underflows to 0 while the phase passes
-        # the null on its way from the start to the lit state: dark readings
-        (FROZEN_DEV, PulseController(target_m_db=3.0, period_s=1.0), 1e-320, 0.0, 2000),
+        # the least input the loop declares, while the phase passes the null on
+        # its way from the start to the lit state: no reading is dark
+        (FROZEN_DEV, PulseController(target_m_db=3.0, period_s=1.0), 1e-6, 0.0, 2000),
     ],
-    ids=["dark", "frozen", "zero-volt", "dark-output"],
+    ids=["dark", "frozen", "zero-volt", "least-input"],
 )
 def test_pulse_readings_are_the_devices_magnification_db(device, ctrl, mu_in, v, max_periods):
     res = pulse_inject_to_target(device, ctrl, mu_in, v, max_periods=max_periods)
@@ -778,32 +773,24 @@ def test_pulse_readings_are_the_devices_magnification_db(device, ctrl, mu_in, v,
         for k in range(1, res.periods + 1)
     ]
     assert res.trace.m_db == pytest.approx(np.array(want), rel=1e-14, abs=1e-12)
-    dark = np.flatnonzero(np.isneginf(res.trace.m_db))
-    if mu_in == 1e-320:
-        # a dark reading is an infinite error, which rails the next duty high
-        assert res.feasible and res.settled and dark.size > 0
-        assert np.all(res.trace.error_db[dark] == math.inf)
-        assert np.all(res.trace.duty[dark + 1] == ctrl.duty_max)
-        assert np.isfinite(res.trace.m_db[-1])
-    else:
-        assert dark.size == 0
+    assert np.all(np.isfinite(res.trace.m_db))
 
 
 def test_pulse_loop_refuses_a_dark_baseline():
     # a dark input is refused by its own name, a NaN device by its baseline reading
     ctrl = PulseController(target_m_db=3.0)
-    with pytest.raises(ValueError, match="mu_in must be positive"):
+    with refused("mu_in"):
         pulse_inject_to_target(DEV, ctrl, 0.0, WP, 10)
-    with pytest.raises(ValueError, match="baseline_mu must be positive"):
+    with refused("baseline_mu"):
         pulse_inject_to_target(DEV.with_fields(math.nan, 0.0), ctrl, 1.0, WP, 10)
 
 
 def test_trace_refuses_a_dark_or_nan_baseline():
     # arm fields are swapped unchecked, so a NaN field reaches the first reading
     cw = IrradiationProgram.cw(3e-6, 100.0)
-    with pytest.raises(ValueError, match="mu_in must be positive"):
+    with refused("mu_in"):
         run_program(DEV, cw, 0.0, WP, 10.0)
-    with pytest.raises(ValueError, match="baseline_mu must be positive"):
+    with refused("baseline_mu"):
         run_program(DEV.with_fields(math.nan, 0.0), cw, 1.0, WP, 10.0)
 
 
@@ -822,14 +809,14 @@ RUNNERS = {
 @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("runner", ["cw", "steps", "pulse"])
 def test_non_finite_drive_voltage_is_refused(runner, v):
-    with pytest.raises(ValueError, match="v_app_v must be finite"):
+    with refused("v_app_v"):
         RUNNERS[runner](v, 1.0)
 
 
 @pytest.mark.parametrize("mu_in", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("runner", ["cw", "steps", "pulse"])
 def test_non_finite_input_mean_photon_number_is_refused(runner, mu_in):
-    with pytest.raises(ValueError, match="mu_in must be positive"):
+    with refused("mu_in"):
         RUNNERS[runner](WP, mu_in)
 
 

@@ -21,6 +21,7 @@ from ipasim.budget import (
     required_eve_power,
     standard_path,
 )
+from oracles import refused
 
 
 def test_parse_loss_entry():
@@ -101,11 +102,11 @@ def test_margin_verdicts():
 @pytest.mark.parametrize("watts", [0.0, -1.0, math.nan, math.inf])
 def test_each_power_must_be_positive_and_finite(watts):
     path = standard_path(1.0, ["dwdm_c33"])
-    with pytest.raises(ValueError, match="target_power_w must be positive"):
+    with refused("target_power_w"):
         required_eve_power(path, 405, watts)
-    with pytest.raises(ValueError, match="eve_max_power_w must be positive"):
+    with refused("eve_max_power_w"):
         countermeasure_margin(path, 405, watts, 3e-9)
-    with pytest.raises(ValueError, match="target_power_w must be positive"):
+    with refused("target_power_w"):
         countermeasure_margin(path, 405, 1.0, watts)
 
 

@@ -111,16 +111,6 @@ def test_voltage_curve_outputs(tmp_path, fast_config):
     assert all(r[2] == "true" for r in shifts[1:])
 
 
-def test_voltage_curve_svg_when_enabled(tmp_path):
-    cfg = tmp_path / "svg.ini"
-    cfg.write_text(FAST_INI + "\n[output]\nsvg = true\n")
-    out = tmp_path / "vcs"
-    assert main(["voltage-curve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    text = (out / "voltage_curves.svg").read_text()
-    assert text.startswith("<svg") and "polyline" in text
-    assert "voltage_curves.svg" in {e["name"] for e in read_manifest(out)["outputs"]}
-
-
 def test_attack_pre_treat(tmp_path, fast_config, capsys):
     out = tmp_path / "pt"
     code = main(["attack", "pre-treat", "--config", fast_config, "--out", str(out)])
@@ -282,7 +272,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 # the config and flags behind each config error the README quotes
 README_ERRORS = {
-    "config error: device.v_pi_v: must be positive": ("[device]\nv_pi_v = -5\n", []),
+    "config error: device.v_pi_v: must be in [1e-3, 1e3]": ("[device]\nv_pi_v = -5\n", []),
+    "config error: budget.fiber_length_km: must be in [0, 200]": (
+        "[budget]\nfiber_length_km = 1e30\n", []
+    ),
+    "config error: material.r33_m_per_v: must be in [1e-15, 1e-8]": (
+        "[material]\nr33_m_per_v = 1e300\n", []
+    ),
     "config error: pulse.seed: must be >= 0": ("", ["--seed", "-1"]),
     "config error: budget.wavelength_nm: component 'coupling:bs_5050' has no loss entry "
     "at 780 nm": ("[budget]\nwavelength_nm = 780\ncoupling_scheme = bs_5050\n", []),
@@ -372,6 +368,16 @@ def test_infeasible_pulse_target_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["-5", "-100"])
+def test_a_pulse_target_below_0_db_exits_2_naming_its_key(tmp_path, capsys, target):
+    # the loop only adds light: -5 dB once ran 2000 periods at duty_min, and
+    # -100 dB was reported as past the saturated magnification
+    cfg = tmp_path / "below.ini"
+    cfg.write_text(f"[pulse]\ntarget_m_db = {target}\n")
+    assert main(["--dry-run", "attack", "pulse", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: pulse.target_m_db: ")
+
+
 def test_library_value_error_exits_3_without_traceback(tmp_path):
     # the zero-key threshold, 6.64 dB, lies below the search range: a BracketError
     cfg = tmp_path / "unbracketed.ini"
@@ -406,27 +412,24 @@ def test_threshold_tolerance_below_the_float_spacing_exits_0(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, ini",
+    "argv, section, key, raw",
     [
-        (["budget"], "[budget]\nfiber_length_km = 1e30\n"),
+        (["budget"], "budget", "fiber_length_km", "1e30"),
+        (["budget"], "budget", "target_power_w", "1e308"),
+        (["attack", "init"], "material", "r33_m_per_v", "1e300"),
     ],
-    ids=["fiber_length_km"],
+    ids=["fiber_length_km", "target_power_w", "r33_m_per_v"],
 )
-def test_arithmetic_overflow_exits_3_before_creating_the_output(tmp_path, capsys, argv, ini):
-    cfg = tmp_path / "overflow.ini"
-    cfg.write_text(ini)
-    out = tmp_path / "overflow-out"
-    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith(f"error: {' '.join(argv)}: OverflowError: ")
-    assert not out.exists()
-
-
-def test_a_launch_power_that_overflows_exits_3_naming_target_power_w(tmp_path, capsys):
-    cfg = tmp_path / "launch.ini"
-    cfg.write_text("[budget]\ntarget_power_w = 1e308\n")
-    out = tmp_path / "launch-out"
-    assert main(["budget", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith("error: target_power_w 1e+308 overflows ")
+def test_a_value_past_its_window_exits_2_before_creating_the_output(
+    tmp_path, capsys, argv, section, key, raw
+):
+    # each once overflowed a derived number (a path loss, a launch power, a
+    # phase) and exited 3; its window now refuses it by its key
+    cfg = tmp_path / "window.ini"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "window-out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: must be in ")
     assert not out.exists()
 
 
@@ -446,13 +449,13 @@ def test_a_saturation_run_past_its_step_budget_exits_0_unconverged(tmp_path, cap
         (
             ["voltage-curve"],
             "[voltage_curve]\nv_min_v = -1e308\nv_max_v = 1e308\n",
-            "voltage_curve.v_max_v",
+            "voltage_curve.v_min_v",
         ),
         (["voltage-curve"], "[voltage_curve]\nv_min_v = -1.5e308\n", "voltage_curve.v_min_v"),
         (["attack", "init"], "[voltage_curve]\nv_min_v = -1.5e308\n", "voltage_curve.v_min_v"),
         (
             ["attack", "init"],
-            "[voltage_curve]\nv_min_v = 1e308\nv_max_v = 1.5e308\n",
+            "[voltage_curve]\nv_min_v = 0\nv_max_v = 1.5e308\n",
             "voltage_curve.v_max_v",
         ),
         (["security", "sweep"], "[qkd]\nmu = 1e300\n", "qkd.mu"),
@@ -462,7 +465,7 @@ def test_a_saturation_run_past_its_step_budget_exits_0_unconverged(tmp_path, cap
 )
 def test_a_config_whose_value_overflows_exits_2_on_a_dry_run(tmp_path, capsys, argv, ini, key):
     # 10 ** (4000 / 10), the width 1e308 - -1e308, the drive phase 1.5e308 * 2*pi / v_pi_v
-    # and exp(1e300) are beyond the largest float
+    # and exp(1e300) are beyond the largest float: each value lies past its key's window
     cfg = tmp_path / "overflow.ini"
     cfg.write_text(ini)
     out = tmp_path / "overflow-out"
@@ -549,12 +552,10 @@ def test_failed_rerun_keeps_the_previous_run(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-@pytest.mark.parametrize(
-    "command, svg", [(command, False) for command in VERBS] + [("voltage-curve", True)]
-)
-def test_dry_run_plan_is_what_a_run_writes(tmp_path, capsys, command, svg):
+@pytest.mark.parametrize("command", VERBS)
+def test_dry_run_plan_is_what_a_run_writes(tmp_path, capsys, command):
     cfg = tmp_path / "plan.ini"
-    cfg.write_text(FAST_INI + f"\n[output]\nsvg = {str(svg).lower()}\n")
+    cfg.write_text(FAST_INI)
     out = tmp_path / "planned"
     argv = [*command.split(), "--config", str(cfg), "--out", str(out)]
     assert main([*argv, "--dry-run"]) == EXIT_OK
@@ -567,7 +568,6 @@ def test_dry_run_plan_is_what_a_run_writes(tmp_path, capsys, command, svg):
     assert main(argv) == EXIT_OK
     assert {p.name for p in out.iterdir()} == planned
     assert {e["name"] for e in read_manifest(out)["outputs"]} | {MANIFEST_NAME} == planned
-    assert ("voltage_curves.svg" in planned) == svg
 
 
 def test_rerun_never_deletes_outside_the_output_directory(tmp_path, capsys):

@@ -3,22 +3,33 @@
 Whatever the config, ``main`` returns 0, 2 or 3 and never raises; a failed
 run leaves no output directory behind, and a successful one leaves exactly
 the files its manifest lists.  Every array-sizing key stays small so each
-example runs in milliseconds.  A table of extreme values whose numpy
-arithmetic overflows holds ``main`` to the same contract, run by run.
+example runs in milliseconds.  A table of extreme values that once overflowed
+numpy arithmetic holds ``main`` to the same contract, run by run, and the
+corner walk sets each float key alone to each end of its declared window, for
+every verb that reads its section: every run exits 0 with finite cells, or
+ends for a listed physical cause.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ipasim.attack import PeCurvePlan, PreTreatmentPlan, PulseController
 from ipasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, VERBS, main
+from ipasim.config import _schema
+from ipasim.device import CurvePlan, MziDevice
+from ipasim.photorefractive import GeometryParams, MaterialParams
 from ipasim.runio import MANIFEST_NAME
+from ipasim.security import QkdScenario, SweepPlan
 
 BASE = {
     "pe_curve": {"powers_w": "3e-9, 6.26e-6", "trace_points": "40"},
@@ -55,7 +66,6 @@ KEYS = {
     ("qkd", "distance_step_km"): st.sampled_from(["0.5", "5", "50", "0", "-1"]),
     ("qkd", "m_search_low_db"): _numbers(0.0, 12.0),
     ("qkd", "m_search_high_db"): _numbers(0.0, 12.0),
-    ("output", "svg"): st.sampled_from(["true", "false", "maybe"]),
     # keys whose default and range check come from a domain dataclass
     ("material", "sublinear_exponent"): st.sampled_from(["-1", "0", "1", "2", "3", "1.5"]),
     ("geometry", "electrode_length_m"): st.sampled_from(["0.02", "0.04", "0.05", "0", "-1e-3"]),
@@ -111,8 +121,9 @@ def test_cli_contract_holds_on_random_configs(command, overrides):
         assert {p.name for p in out.iterdir()} == listed | {MANIFEST_NAME}
 
 
-# one extreme value of a key, and each verb whose numpy arithmetic it overflows
-# or makes invalid (as a multiply, a cos, a divide, an add or a subtract)
+# one extreme value of a key, and each verb whose numpy arithmetic it overflowed
+# or made invalid (as a multiply, a cos, a divide, an add or a subtract) before
+# the key declared a physical window, which now refuses it
 NUMPY_FAILURES = [
     ("material", "r33_m_per_v", "1e308", ("attack init", "attack pre-treat", "voltage-curve")),
     ("material", "r33_m_per_v", "1e300",
@@ -152,15 +163,110 @@ NUMPY_FAILURE_RUNS = [
 )
 def test_a_numpy_overflow_exits_without_a_warning(section, key, raw, command):
     """Under warnings raised as errors, as CI runs the console script: ``main``
-    exits 2 or 3, raises nothing and leaves no output directory."""
+    exits 2 naming the key, raises nothing and leaves no output directory."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config = root / "extreme.ini"
         config.write_text(_ini({(section, key): raw}))
         argv = [*command.split(), "--config", str(config), "--out", str(root / "out")]
+        err = io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
-        assert code in (EXIT_CONFIG, EXIT_RUNTIME)
+        assert code == EXIT_CONFIG
+        assert err.getvalue().startswith(f"config error: {section}.{key}: ")
         assert [p.name for p in root.iterdir()] == [config.name]
+
+
+# -- the corner walk -----------------------------------------------------------------
+
+DEVICE_VERBS = ("pe-curve", "voltage-curve", "attack pre-treat", "attack pulse", "attack init")
+# each section, the dataclasses that declare its keys' windows, and the verbs that read it
+SECTIONS = {
+    "material": ((MaterialParams,), DEVICE_VERBS),
+    "geometry": ((GeometryParams,), DEVICE_VERBS),
+    "device": ((MziDevice,), DEVICE_VERBS),
+    "pe_curve": ((PeCurvePlan,), ("pe-curve",)),
+    "voltage_curve": ((CurvePlan,), ("voltage-curve", "attack init")),
+    "pre_treat": ((PreTreatmentPlan,), ("voltage-curve", "attack pre-treat", "attack init")),
+    "init": ((), ("attack init",)),
+    "pulse": ((PulseController,), ("attack pulse",)),
+    "qkd": ((QkdScenario, SweepPlan), ("security sweep", "security threshold")),
+    "budget": ((), ("budget",)),
+}
+# why a run at a corner may end without its outputs: a target the device
+# cannot reach, a threshold outside its search range (exit 3), or a relation
+# between the key at its corner and another key at its default (exit 2)
+PHYSICAL_EXITS = {
+    EXIT_RUNTIME: ("exceeds the saturated magnification", "does not bracket the zero-key point"),
+    EXIT_CONFIG: (
+        "electrode_length_m: cannot exceed arm_length_m", "v_max_v: must exceed v_min_v",
+        "need 0 < nu < mu", "m_search_high_db: must exceed m_search_low_db",
+        "need duty_min < duty_max", "distance_max_km: must be >= distance_min_km",
+    ),
+}
+
+
+def _float_keys():
+    """(section, key, least, most) of every float key, a float list's included,
+    its window the config's declaration or the field of a dataclass it builds."""
+    for section, keys in _schema().items():
+        for key, spec in keys.items():
+            default = spec.default
+            if not (type(default) is float or type(default) is tuple and type(default[0]) is float):
+                continue
+            allowed = spec.allowed or next(
+                f.metadata["range"] for cls in SECTIONS[section][0] for f in fields(cls)
+                if f.name == key
+            )
+            yield section, key, allowed.least, allowed.most
+
+
+CORNERS = [
+    (section, key, corner)
+    for section, key, least, most in _float_keys()
+    for corner in (least, most)
+]
+
+
+def _non_finite_cells(out: Path) -> list[str]:
+    bad = []
+    for table in sorted(out.glob("*.csv")):
+        header, *rows = csv.reader(table.read_text().splitlines())
+        for row in rows:
+            for name, cell in zip(header, row):
+                try:
+                    if not math.isfinite(float(cell)):
+                        bad.append(f"{table.name}:{name}={cell}")
+                except ValueError:  # a name or a bool
+                    pass
+    return bad
+
+
+def test_every_float_key_declares_a_finite_window():
+    assert len(CORNERS) == 2 * 58
+    assert all(math.isfinite(corner) for _, _, corner in CORNERS)
+
+
+@pytest.mark.parametrize(
+    "section, key, corner", CORNERS, ids=[f"{s}.{k}={c!r}" for s, k, c in CORNERS]
+)
+def test_a_float_key_at_a_corner_of_its_window_runs_or_fails_physically(
+    tmp_path, section, key, corner
+):
+    config = tmp_path / "corner.ini"
+    config.write_text(_ini({(section, key): repr(corner)}))
+    for command in SECTIONS[section][1]:
+        out = tmp_path / command.replace(" ", "-")
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*command.split(), "--config", str(config), "--out", str(out)])
+        if code == EXIT_OK:
+            assert _non_finite_cells(out) == [], command
+        else:
+            causes = PHYSICAL_EXITS.get(code, ())
+            assert any(cause in err.getvalue() for cause in causes), (command, err.getvalue())
+            assert not out.exists()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipasim._ranges import Refusal
 from ipasim.calibration import (
     RESIDUAL_BIAS_RAD,
     V_PI_V,
@@ -17,6 +16,7 @@ from ipasim.calibration import (
 )
 from ipasim.device import MziDevice, curve_rms_db
 from ipasim.photorefractive import DecayMode
+from oracles import refused
 
 DEV = default_device()
 # pristine extinction nearest the range center on [-12, 12] V
@@ -69,7 +69,7 @@ def test_magnification_zero_against_own_baseline():
     assert DEV.magnification_db(WORKING_POINT_V, base) == pytest.approx(0.0, abs=1e-12)
     # a NaN baseline would read out as NaN dB, an infinite one as -inf dB
     for baseline in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="baseline_mu must be positive"):
+        with refused("baseline_mu"):
             DEV.magnification_db(WORKING_POINT_V, baseline)
     with pytest.raises(ValueError):
         DEV.output_mpn(-1.0, 0.0)
@@ -89,7 +89,7 @@ def test_magnification_zero_against_own_baseline():
 )
 @pytest.mark.parametrize("mode", list(DecayMode))
 def test_non_finite_power_is_refused(call, power, mode):
-    with pytest.raises(ValueError, match="power_w must be >= 0"):
+    with refused("power_w"):
         call(replace(DEV, decay_mode=mode), power)
 
 
@@ -106,16 +106,16 @@ def test_non_finite_power_is_refused(call, power, mode):
     ids=["arm_fields", "exposed", "exposed-dark", "arm_laws", "equilibrated"],
 )
 def test_non_finite_drive_voltage_is_refused(call, v):
-    with pytest.raises(ValueError, match="v_app_v must be finite"):
+    with refused("v_app_v"):
         call(DEV, v)
 
 
 @pytest.mark.parametrize("mu_in", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_input_mean_photon_number_is_refused(mu_in):
     base = DEV.output_mpn(1.0, WORKING_POINT_V)
-    with pytest.raises(ValueError, match="mu_in must be >= 0"):
+    with refused("mu_in"):
         DEV.output_mpn(mu_in, WORKING_POINT_V)
-    with pytest.raises(ValueError, match="mu_in must be >= 0"):
+    with refused("mu_in"):
         DEV.magnification_db(WORKING_POINT_V, base, mu_in)
 
 
@@ -126,7 +126,7 @@ def test_non_finite_input_mean_photon_number_is_refused(mu_in):
 @pytest.mark.parametrize("power", [0.0, 3e-6])
 def test_exposed_refuses_a_nan_step(dt, power):
     for mode in DecayMode:
-        with pytest.raises(ValueError, match="dt_s must be >= 0"):
+        with refused("dt_s"):
             replace(DEV, decay_mode=mode).exposed(power, WORKING_POINT_V, dt)
 
 
@@ -159,9 +159,8 @@ def test_split_irradiation_applies_coupling_and_polarization():
     assert (q1 + q2) / delivered == pytest.approx(10.0 ** (-0.093), rel=1e-12)
     with pytest.raises(ValueError):
         DEV.split_irradiation(-1.0)
-    with pytest.raises(Refusal) as refused:
+    with refused("polarization_loss_db"):
         replace(DEV, polarization_loss_db=1.0)
-    assert refused.value.name == "polarization_loss_db"
 
 
 def test_voltage_curve_consistent_with_scalar_methods():
@@ -186,7 +185,7 @@ def test_find_extinction_requires_two_periods():
     [(math.nan, 20.0, "v_min_v"), (0.0, math.inf, "v_max_v"), (-math.inf, 12.0, "v_min_v")],
 )
 def test_find_extinction_refuses_a_non_finite_end(v_min_v, v_max_v, name):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with refused(name):
         DEV.find_extinction_voltage(v_min_v, v_max_v)
 
 
@@ -273,6 +272,5 @@ def test_construction_validation():
         ("signal_split", 0.0), ("irradiation_split", 1.0), ("v_pi_v", 0.0),
         ("irradiation_coupling_db", -0.1),
     ):
-        with pytest.raises(Refusal) as refused:
+        with refused(name):
             replace(DEV, **{name: value})
-        assert refused.value.name == name

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ipasim._ranges import Refusal
 from ipasim.calibration import default_material
 from ipasim.photorefractive import (
     DecayMode,
@@ -18,7 +17,7 @@ from ipasim.photorefractive import (
     evolve_field,
     relaxation_step,
 )
-from oracles import relaxation_closed_form, saturated_index_change
+from oracles import refused, relaxation_closed_form, saturated_index_change
 
 MAT = default_material()
 
@@ -142,7 +141,7 @@ def test_validation():
         evolve_field(MAT, 0.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         evolve_field(MAT, 0.0, 1e-6, 0.0, -1.0)
-    with pytest.raises(ValueError, match="must be positive"):
+    with refused("photovoltaic_const"):
         MaterialParams(
             refractive_index=2.14,
             r33_m_per_v=30.8e-12,
@@ -153,14 +152,13 @@ def test_validation():
             dark_conductivity_s_per_m=1e-16,
             rel_permittivity=28.0,
         )
-    with pytest.raises(Refusal) as refused:
+    with refused("electrode_length_m"):
         GeometryParams(
             arm_length_m=0.01,
             electrode_length_m=0.02,
             electrode_gap_m=10e-6,
             signal_wavelength_m=1550e-9,
         )
-    assert refused.value.name == "electrode_length_m"
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
@@ -174,7 +172,7 @@ def test_validation():
     ids=["steady_state_field", "evolve_field", "evolve_field-dark"],
 )
 def test_non_finite_power_is_refused(call, power):
-    with pytest.raises(ValueError, match="power_w must be >= 0"):
+    with refused("power_w"):
         call(power)
 
 
@@ -184,9 +182,9 @@ def test_non_finite_power_is_refused(call, power):
 )
 @pytest.mark.parametrize("mode", list(DecayMode))
 def test_nan_step_is_refused(dt, mode):
-    with pytest.raises(ValueError, match="dt_s must be >= 0"):
+    with refused("dt_s"):
         evolve_field(MAT, 1e5, 1e-6, 0.0, dt, mode)
-    with pytest.raises(ValueError, match="dt_s must be >= 0"):
+    with refused("dt_s"):
         evolve_field(MAT, 1e5, 0.0, 0.0, dt, mode)  # a frozen arm in the dark too
 
 

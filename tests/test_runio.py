@@ -15,7 +15,6 @@ from ipasim.runio import (
     RunDirError,
     RunWriter,
     format_column,
-    line_plot_svg,
     render_csv,
 )
 
@@ -89,19 +88,6 @@ def _tables(draw):
 def test_render_csv_matches_csv_writer_with_per_cell_rules(table):
     header, columns = table
     assert render_csv(header, columns) == csv_by_rows(header, columns)
-
-
-def test_line_plot_svg_is_deterministic_and_drops_non_finite():
-    series = [("s", [0.0, 1.0, 2.0, 3.0], [1.0, float("inf"), float("nan"), 2.0])]
-    a = line_plot_svg("t", "x", "y", series)
-    b = line_plot_svg("t", "x", "y", series)
-    assert a == b
-    assert a.count("polyline") == 1
-    # only the two finite points survive
-    points = a.split('points="')[1].split('"')[0]
-    assert len(points.split()) == 2
-    empty = line_plot_svg("t", "x", "y", [("nothing", [], [])])
-    assert "<svg" in empty and "polyline" not in empty
 
 
 def test_writer_seals_a_manifest(tmp_path):

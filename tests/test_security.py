@@ -48,6 +48,7 @@ from oracles import (
     PHOTON_CUT,
     binary_entropy_reference,
     poisson_pmf,
+    refused,
     security_row,
     success_double_sum,
     success_monte_carlo,
@@ -328,19 +329,22 @@ def test_channel_transmittance():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lossless_fiber_of_infinite_length_is_refused():
     # 0 dB/km times an infinite distance is a NaN loss, not a transmittance
-    message = "distance_km must be >= 0, and finite on a lossless fiber"
-    with pytest.raises(ValueError, match="alpha_db_per_km must be >= 0"):
+    with refused("alpha_db_per_km"):
         channel_transmittance(math.inf, 0.0)
     for distance in [math.inf, np.array([5.0, math.inf])]:
-        with pytest.raises(ValueError, match=message):
+        with refused("distance_km"):
             channel_transmittance(0.0, distance)
     lossless = QkdScenario(alpha_db_per_km=0.0)
-    with pytest.raises(ValueError, match=message):
+    with refused("distance_km"):
         sweep_key_rates(lossless, [0.0, 5.0], [0.0, math.inf])
-    with pytest.raises(ValueError, match=message):
+    with refused("distance_km"):
         zero_key_threshold(lossless, distances_km=[0.0, math.inf])
-    # any finite length of lossless fiber still transmits everything
-    assert channel_transmittance(0.0, np.array([0.0, 1e300])).tolist() == [1.0, 1.0]
+    # any declared length of lossless fiber still transmits everything
+    assert channel_transmittance(0.0, np.array([0.0, 1e5])).tolist() == [1.0, 1.0]
+    # and on a lossy one an infinite length beside the declared ones transmits nothing
+    assert channel_transmittance(0.2, np.array([1e5, math.inf])).tolist() == [0.0, 0.0]
+    with refused("distance_km"):
+        channel_transmittance(0.2, np.array([1.5e5, math.inf]))
 
 
 def test_key_rate_clamps_at_zero_and_keeps_raw():
@@ -368,15 +372,9 @@ def test_scenario_and_attack_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize(
-    "field, message",
-    [
-        ("alpha_db_per_km", "alpha_db_per_km must be >= 0"),
-        ("f_ec", "f_ec must be >= 1"),
-    ],
-)
-def test_scenario_refuses_non_finite_inputs(field, message, value):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("field", ["alpha_db_per_km", "f_ec"])
+def test_scenario_refuses_non_finite_inputs(field, value):
+    with refused(field):
         QkdScenario(**{field: value})
 
 
@@ -564,17 +562,17 @@ def test_grid_evaluation_returns_arrays_and_checks_every_distance():
     grid = evaluate_scenario(NEAR_DECOY, AttackParams.from_db(5.0), distances_km=[0.0, 50.0, 300.0])
     assert grid.r_actual.shape == grid.m_db.shape == (3,)
     assert grid.bounds_clamped.tolist() == [False, False, True]
-    with pytest.raises(ValueError, match="distance_km must be >= 0"):
+    with refused("distance_km"):
         evaluate_scenario(SCENARIO, distances_km=[10.0, -1.0])
-    with pytest.raises(ValueError, match="distance_km must be >= 0"):
+    with refused("distance_km"):
         sweep_key_rates(SCENARIO, distances_km=[10.0, -1.0])
 
 
 def test_channel_transmittance_refuses_nan_attenuation_and_distance():
-    with pytest.raises(ValueError, match="alpha_db_per_km must be >= 0"):
+    with refused("alpha_db_per_km"):
         channel_transmittance(math.nan, 10.0)
     for distance in [math.nan, np.array([10.0, math.nan])]:
-        with pytest.raises(ValueError, match="distance_km must be >= 0"):
+        with refused("distance_km"):
             channel_transmittance(0.2, distance)
 
 
@@ -650,22 +648,21 @@ def test_zero_key_threshold_returns_below_the_float_spacing():
     zero_key_threshold(SCENARIO, (math.nextafter(got, 0.0), math.nextafter(got, math.inf)))
     # a tolerance the halving reaches still gives the same bits as before
     assert zero_key_threshold(SCENARIO, tol_db=1e-3) == THRESHOLD_DB
-    with pytest.raises(ValueError, match="m_search_range_db must be >= 0"):
+    with refused("m_search_range_db"):
         zero_key_threshold(SCENARIO, m_search_range_db=(4.0, math.inf))
 
 
 @pytest.mark.parametrize("tol_db", [math.nan, math.inf, 0.0, -1.0])
 def test_zero_key_threshold_refuses_a_tolerance_it_cannot_meet(tol_db):
     # nan and inf once stopped the halving at once and returned the midpoint of the range
-    with pytest.raises(ValueError, match="tol_db must be positive"):
+    with refused("tol_db"):
         zero_key_threshold(SCENARIO, tol_db=tol_db)
 
 
 def test_link_refuses_a_nan_distance():
-    message = "distance_km must be >= 0"
-    with pytest.raises(ValueError, match=message):
+    with refused("distance_km"):
         sweep_key_rates(SCENARIO, [0.0, 5.0], [10.0, math.nan])
-    with pytest.raises(ValueError, match=message):
+    with refused("distance_km"):
         zero_key_threshold(SCENARIO, distances_km=[10.0, math.nan])
 
 
@@ -677,11 +674,11 @@ def test_link_refuses_a_dark_signal_under_either_estimator(estimator):
     distances = [0.0, 50000.0, 100000.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="q_mu must be positive"):
+        with refused("q_mu"):
             sweep_key_rates(dark, [0.0, 5.0], distances, estimator)
-        with pytest.raises(ValueError, match="q_mu must be positive"):
+        with refused("q_mu"):
             zero_key_threshold(dark, distances_km=distances, estimator=estimator)
-        with pytest.raises(ValueError, match="q_mu must be positive"):
+        with refused("q_mu"):
             evaluate_scenario(dark, AttackParams.from_db(5.0), estimator, distances)
 
 
