@@ -2,11 +2,12 @@
 1550 nm exposed to 405 nm injected light.
 
 The observable response of the device depends on the transport constants only
-through four lumped quantities: the response amplitude A, the response
-saturation B, the drift/photovoltaic asymmetry per volt (C/D divided by the
-electrode gap), and the dark relaxation time.  The defaults here are fitted so
-the assembled device reproduces four bench anchors at its max-attenuation
-working point (5.8 V, one fringe past the half-wave voltage of 5.0 V):
+through four lumped quantities, the ``[material]`` keys: the response
+amplitude A, the response saturation B, the drift/photovoltaic asymmetry
+a/kappa (the per-volt asymmetry times the electrode gap) and the dark
+relaxation time.  The defaults are fitted so the assembled device reproduces
+four bench anchors at its max-attenuation working point (5.8 V, one fringe
+past the half-wave voltage of 5.0 V):
 
   * +8.3 dB saturated output magnification for 3 nW injected before the
     ~3 dB injection coupling loss;
@@ -17,10 +18,9 @@ working point (5.8 V, one fringe past the half-wave voltage of 5.0 V):
     with the treatment polarity;
   * dark relaxation time of 2.0e3 s.
 
-The split of the lumped products into microscopic factors (photovoltaic
-constant, absorption, photoconductivity per watt) is not unique; the values
-below use textbook congruent-LiNbO3 numbers for the index, r33, overlap and
-permittivity, then solve the transport factors from the fitted products.  Any
+The split into microscopic factors is not unique; :func:`default_material`
+takes textbook congruent-LiNbO3 numbers for the index, r33, overlap and
+permittivity, then solves the transport factors from the lumped set.  Any
 other split reproducing the same products is observationally equivalent.
 
 B is fixed by the location of the magnification peak, which depends on B
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from ._ranges import check_arguments
 from .device import MziDevice
 from .photorefractive import VACUUM_PERMITTIVITY_F_PER_M, DecayMode, GeometryParams, MaterialParams
 
@@ -59,9 +60,7 @@ RESIDUAL_BIAS_RAD = 2.5e-3
 
 # transport behavior
 BIAS_ASYMMETRY_PER_V = 2.5e-3   # chi(V) = this * V, drift vs photovoltaic
-DARK_RELAXATION_S = 2000.0
 REL_PERMITTIVITY = 28.0
-SUBLINEAR_EXPONENT = 2
 CROSSOVER_POWER_W = 7e-6        # per-arm power where photoconductivity bends
 
 # microscopic constants used to split the fitted products
@@ -78,67 +77,75 @@ PEAK_POWER_W = 6.26e-6
 RESPONSE_SATURATION_PER_W = 353179.76099905104
 
 
-def _fhat(power_w: float, b: float) -> float:
-    """Normalized saturated response f / A of a photoconductively linear arm."""
-    return power_w / (1.0 + b * power_w)
-
-
-def _arm_powers(injected_w: float) -> tuple[float, float]:
-    delivered = injected_w * 10.0 ** (-IRRADIATION_COUPLING_DB / 10.0)
-    return delivered * IRRADIATION_SPLIT, delivered * (1.0 - IRRADIATION_SPLIT)
-
-
-def _norm_deviation(injected_w: float, b: float) -> float:
-    """Saturated working-point phase deviation per unit of D*A.
-
-    Closed form of the equilibrated interferometer phase minus its baseline at
-    the working point, valid while both arms stay photoconductively linear:
-    the differential term drives the deviation up, the common-mode term
-    (weighted by the working-point asymmetry chi0) pulls it down at high
-    power, which is what creates the peak.
-    """
-    chi0 = BIAS_ASYMMETRY_PER_V * WORKING_POINT_V
-    p1, p2 = _arm_powers(injected_w)
-    f1, f2 = _fhat(p1, b), _fhat(p2, b)
-    return (1.0 + chi0**2) * (f1 - f2) - 2.0 * chi0 * (f1 + f2)
-
-
-@lru_cache(maxsize=None)
 def fit_response_amplitude() -> float:
     """A in 1/W, fixed exactly by the low-power magnification anchor.
 
     Inverts M(P) = 20*log10(sin((eps0 + delta)/2) / sin(eps0/2)) for the
-    deviation delta at the anchor power, then scales the normalized deviation.
+    deviation delta at the anchor power, then divides it by the deviation per
+    unit of A: the equilibrated phase minus its baseline at the working point,
+    in closed form while both arms stay photoconductively linear.  Its
+    differential term drives the deviation up, and its common-mode term,
+    weighted by the working-point asymmetry chi0, pulls it down at high power,
+    which is what creates the peak.
     """
-    b = RESPONSE_SATURATION_PER_W
+    b, chi0 = RESPONSE_SATURATION_PER_W, BIAS_ASYMMETRY_PER_V * WORKING_POINT_V
+    delivered = ANCHOR_POWER_W * 10.0 ** (-IRRADIATION_COUPLING_DB / 10.0)
+    arms = (delivered * IRRADIATION_SPLIT, delivered * (1.0 - IRRADIATION_SPLIT))
+    f1, f2 = (p / (1.0 + b * p) for p in arms)  # the saturated response per unit of A
+    deviation = (1.0 + chi0**2) * (f1 - f2) - 2.0 * chi0 * (f1 + f2)
     target = math.sin(0.5 * RESIDUAL_BIAS_RAD) * 10.0 ** (ANCHOR_MAGNIFICATION_DB / 20.0)
     delta = 2.0 * math.asin(target) - RESIDUAL_BIAS_RAD
     phase_scale = 2.0 * math.pi * ARM_LENGTH_M / SIGNAL_WAVELENGTH_M
-    return delta / (_norm_deviation(ANCHOR_POWER_W, b) * phase_scale)
+    return delta / (deviation * phase_scale)
+
+
+# The window of each lumped constant default_material splits, checked there and
+# declared by the [material] key of its name; each end, the others at their
+# defaults, splits into a MaterialParams inside that class's windows.
+MATERIAL_ARGUMENTS = {
+    # A: from no visible response to a picowatt moving the index by 1e-2
+    "response_amplitude_per_w": "[1e-9, 1e10]",
+    # B: saturation from 1 W, the most power a run injects, down to 1 pW
+    "response_saturation_per_w": "[1, 1e12]",
+    # a/kappa: drift is 1e-10 of the photovoltaic current at 1e4 V over 1 cm, 1e2 at 1 nV over 10 nm
+    "bias_asymmetry_m_per_v": "[1e-16, 1e3]",
+    # the dark time: from a semiconductor's 10 us to three centuries, past any dark storage
+    "dark_relaxation_s": "[1e-5, 1e10]",
+}
 
 
 @lru_cache(maxsize=None)
-def default_material() -> MaterialParams:
-    """Transport constants solved from the fitted lumped products."""
-    a_resp = fit_response_amplitude()
-    b_resp = RESPONSE_SATURATION_PER_W
-    sigma_d = REL_PERMITTIVITY * VACUUM_PERMITTIVITY_F_PER_M / DARK_RELAXATION_S
+def default_material(
+    response_amplitude_per_w: float = fit_response_amplitude(),
+    response_saturation_per_w: float = RESPONSE_SATURATION_PER_W,
+    bias_asymmetry_m_per_v: float = BIAS_ASYMMETRY_PER_V * ELECTRODE_GAP_M,
+    dark_relaxation_s: float = 2000.0,
+    sublinear_exponent: int = 2,
+    crossover_power_w: float = CROSSOVER_POWER_W,
+) -> MaterialParams:
+    """The material of these lumped constants, the fit's by default, split by the textbook
+    index, r33, overlap and permittivity; one outside its window is refused by name."""
+    check_arguments(
+        MATERIAL_ARGUMENTS, response_amplitude_per_w=response_amplitude_per_w,
+        response_saturation_per_w=response_saturation_per_w,
+        bias_asymmetry_m_per_v=bias_asymmetry_m_per_v, dark_relaxation_s=dark_relaxation_s,
+    )
+    sigma_d = REL_PERMITTIVITY * VACUUM_PERMITTIVITY_F_PER_M / dark_relaxation_s
     n3r = REFRACTIVE_INDEX**3 * R33_M_PER_V * MODE_OVERLAP
-    prod_kappa_a = 2.0 * a_resp * sigma_d / n3r        # kappa * a
-    prod_a_alpha = b_resp * sigma_d                    # a * alpha
-    a_over_kappa = BIAS_ASYMMETRY_PER_V * ELECTRODE_GAP_M
-    photocond = math.sqrt(prod_kappa_a * a_over_kappa)
+    prod_kappa_a = 2.0 * response_amplitude_per_w * sigma_d / n3r   # kappa * a
+    prod_a_alpha = response_saturation_per_w * sigma_d              # a * alpha
+    photocond = math.sqrt(prod_kappa_a * bias_asymmetry_m_per_v)
     return MaterialParams(
         refractive_index=REFRACTIVE_INDEX,
         r33_m_per_v=R33_M_PER_V,
         mode_overlap=MODE_OVERLAP,
-        photovoltaic_const=photocond / a_over_kappa,
+        photovoltaic_const=photocond / bias_asymmetry_m_per_v,
         absorption_per_m=prod_a_alpha / photocond,
         photocond_per_w=photocond,
         dark_conductivity_s_per_m=sigma_d,
         rel_permittivity=REL_PERMITTIVITY,
-        sublinear_exponent=SUBLINEAR_EXPONENT,
-        crossover_power_w=CROSSOVER_POWER_W,
+        sublinear_exponent=sublinear_exponent,
+        crossover_power_w=crossover_power_w,
     )
 
 

@@ -11,10 +11,11 @@ the key's only checks.  The plans sit beside the code that runs them:
 ``device.CurvePlan`` and ``[pe_curve]`` in ``attack.PeCurvePlan``.  A key that
 is an argument of a runner (the ``dt_s`` of ``attack.pre_treat``, say) takes
 its default from the runner's signature and its range from the runner's
-declaration, ``attack.RUN_ARGUMENTS``.  Other keys declare both here, checked by
-the same rule (``ipasim._ranges``).  A config is accepted only if every section
-and key is known, every value parses and passes its checks, and every domain
-object builds from it; each error names the section and the key.
+declaration, ``attack.RUN_ARGUMENTS``, as a ``[material]`` key does from
+``calibration.default_material`` and ``MATERIAL_ARGUMENTS``.  Other keys declare
+both here, checked by the same rule (``ipasim._ranges``).  A config is accepted
+only if every key is known, parses, passes its checks and builds its domain
+object; each error names the section and the key.
 Defaults reproduce the calibrated bench device, so an empty file, or no file
 at all, is already a complete scenario.
 
@@ -146,6 +147,13 @@ def _key(default: object, allowed: Optional[str] = None, options: tuple[str, ...
 _RETIRED = {
     "geometry.effective_length_m": "retired key, nothing read it",
     "geometry.irradiation_wavelength_nm": "retired key, budget.wavelength_nm prices the injection",
+    **{
+        f"material.{key}": "retired key, response_amplitude_per_w, response_saturation_per_w, "
+        "bias_asymmetry_m_per_v and dark_relaxation_s replace it"
+        for key in ("refractive_index", "r33_m_per_v", "mode_overlap", "photovoltaic_const",
+                    "absorption_per_m", "photocond_per_w", "dark_conductivity_s_per_m",
+                    "rel_permittivity")
+    },
     "output.svg": "retired key, the CSVs hold the curves",
     "qkd.n_trunc": "retired key, nothing is truncated: the photon statistics are closed forms",
     "voltage_curve.pretreat_power_w": "retired key, pre_treat.i_ir_w sets the pre-treatment power",
@@ -175,20 +183,21 @@ def _fields_of(instance: object, *elsewhere: str) -> dict[str, _Key]:
     return keys
 
 
-def _arguments_of(function: Callable, *names: str) -> dict[str, _Key]:
-    """One key per named argument of ``function``, in the order named: its default is
-    the argument's, its range the one ``attack.RUN_ARGUMENTS`` declares, which it checks."""
+def _arguments_of(function: Callable, declared: Mapping[str, str], *names: str) -> dict[str, _Key]:
+    """One key per named argument of ``function``, in the order named, or per argument if
+    none is: its default is the argument's, its range the one ``declared`` spells, which
+    ``function`` checks; one ``declared`` leaves out is checked by the dataclass it builds."""
     arguments = inspect.signature(function).parameters
-    return {name: _key(arguments[name].default, attack.RUN_ARGUMENTS[name]) for name in names}
+    return {name: _key(arguments[name].default, declared.get(name)) for name in names or arguments}
 
 
 @lru_cache(maxsize=None)
 def _schema() -> dict[str, dict[str, _Key]]:
     # Material and geometry defaults are the fitted bench calibration; any key
     # can be overridden individually without retriggering the fit.
-    geo = calibration.default_geometry()
+    geo, runners = calibration.default_geometry(), attack.RUN_ARGUMENTS
     return {
-        "material": _fields_of(calibration.default_material()),
+        "material": _arguments_of(calibration.default_material, calibration.MATERIAL_ARGUMENTS),
         "geometry": {
             **_fields_of(geo, "signal_wavelength_m"),
             # GeometryParams.signal_wavelength_m's window, in nm
@@ -206,14 +215,14 @@ def _schema() -> dict[str, dict[str, _Key]]:
         "voltage_curve": _fields_of(CurvePlan()),
         "pre_treat": {
             **_fields_of(PreTreatmentPlan()),
-            **_arguments_of(attack.pre_treat, "dt_s", "max_steps"),
+            **_arguments_of(attack.pre_treat, runners, "dt_s", "max_steps"),
         },
         "init": _arguments_of(
-            attack.initialize_device, "power_w", "saturation_epsilon", "dt_s", "max_steps"
+            attack.initialize_device, runners, "power_w", "saturation_epsilon", "dt_s", "max_steps"
         ),
         "pulse": {
             **_fields_of(PulseController(target_m_db=30.0)),
-            **_arguments_of(attack.pulse_inject_to_target, "max_periods", "hold_periods"),
+            **_arguments_of(attack.pulse_inject_to_target, runners, "max_periods", "hold_periods"),
             "seed": _key(1, "[0, inf)"),
         },
         "qkd": {**_fields_of(QkdScenario()), **_fields_of(SweepPlan())},
@@ -404,43 +413,33 @@ def to_ini_text(cfg: ScenarioConfig) -> str:
 # -- domain object builders --------------------------------------------------------
 
 
-def _config_error(section: str, keys: Mapping[str, object], exc: ValueError) -> ConfigError:
-    """``exc`` under the key it refuses if ``keys`` holds its name, else under ``section``:
-    ``v_pi_v must be positive`` becomes ``device.v_pi_v: must be positive``."""
-    if isinstance(exc, Refusal) and exc.name in keys:
-        return ConfigError(f"{section}.{exc.name}: {exc.reason}")
-    return ConfigError(f"{section}: {exc}")
-
-
-def _build(cls, section: str, cfg: ScenarioConfig, **explicit: object):
-    """``cls`` from the ``section`` values whose keys name its fields.
-
-    ``explicit`` supplies fields the section spells differently or not at all.
-    A :class:`~ipasim._ranges.Refusal` whose ``name`` is one of those keys is
-    reported under that key; any other refusal under the section.
+def _build(make, section: str, cfg: ScenarioConfig, **explicit: object):
+    """``make`` from the ``section`` values whose keys name its fields, a dataclass's,
+    or from all of them, a function's.  ``explicit`` supplies those the section
+    spells differently or not at all.  A :class:`~ipasim._ranges.Refusal` whose
+    ``name`` is one of those keys is reported under that key (``v_pi_v must be
+    positive`` becomes ``device.v_pi_v: must be positive``); any other under the section.
     """
-    names = {f.name for f in fields(cls)}
-    matched = {k: v for k, v in cfg.values[section].items() if k in names}
+    keys = cfg.values[section]
+    names = {f.name for f in fields(make)} if isinstance(make, type) else keys
+    matched = {k: v for k, v in keys.items() if k in names}
     try:
-        return cls(**{**matched, **explicit})
+        return make(**{**matched, **explicit})
     except ValueError as exc:
-        raise _config_error(section, matched, exc) from None
+        if isinstance(exc, Refusal) and exc.name in matched:
+            raise ConfigError(f"{section}.{exc.name}: {exc.reason}") from None
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def build_material(cfg: ScenarioConfig) -> MaterialParams:
-    return _build(MaterialParams, "material", cfg)
+    return _build(calibration.default_material, "material", cfg)
 
 
 def build_geometry(cfg: ScenarioConfig) -> GeometryParams:
-    g = cfg.values["geometry"]
     # divide instead of multiplying by 1e-9 so defaults land on the same
     # float as literals like 1550e-9
-    return _build(
-        GeometryParams,
-        "geometry",
-        cfg,
-        signal_wavelength_m=g["signal_wavelength_nm"] / 1e9,
-    )
+    nm = cfg.values["geometry"]["signal_wavelength_nm"]
+    return _build(GeometryParams, "geometry", cfg, signal_wavelength_m=nm / 1e9)
 
 
 def build_device(cfg: ScenarioConfig) -> MziDevice:
@@ -448,13 +447,8 @@ def build_device(cfg: ScenarioConfig) -> MziDevice:
     # built at zero bias first: the working-point bias divides by v_pi_v,
     # which this build range-checks
     device = _build(
-        MziDevice,
-        "device",
-        cfg,
-        material=build_material(cfg),
-        geometry=build_geometry(cfg),
-        bias_phase_rad=0.0,
-        decay_mode=DecayMode(d["decay_mode"]),
+        MziDevice, "device", cfg, material=build_material(cfg), geometry=build_geometry(cfg),
+        bias_phase_rad=0.0, decay_mode=DecayMode(d["decay_mode"]),
     )
     bias = calibration.parking_bias_rad(d["working_point_v"], d["residual_bias_rad"], device.v_pi_v)
     return replace(device, bias_phase_rad=bias)

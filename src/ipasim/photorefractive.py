@@ -63,13 +63,12 @@ class DecayMode(str, Enum):
 class MaterialParams:
     """Transport and electro-optic constants of one waveguide arm.
 
-    Observable behavior depends only on the lumped products exposed as
-    ``response_amplitude``, ``response_saturation``, ``field_response`` and
-    ``tau_dark_s``; the individual factors are one physically sensible split
-    (see ``ipasim.calibration`` for how the defaults are pinned to measured
-    device behavior).  Each window spans decades on both sides of congruent
-    LiNbO3, the defaults, and together they keep every lumped product a
-    finite float.
+    Observable behavior depends only on the four lumped quantities the
+    ``[material]`` keys set: ``response_amplitude`` A, ``response_saturation``
+    B, the asymmetry a/kappa (``photocond_per_w / photovoltaic_const``) and
+    ``tau_dark_s``; ``field_response`` is A * (a/kappa) / B.  The factors are
+    one split of them, ``ipasim.calibration.default_material``'s.  Each window
+    spans decades about congruent LiNbO3 and keeps every lumped product finite.
     """
 
     refractive_index: float = ranged("[1, 10]")  # guided-mode index at the signal wavelength

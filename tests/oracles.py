@@ -11,14 +11,17 @@ whatever words the argument's declared window spells.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ipasim._ranges import Refusal
+from ipasim.calibration import WORKING_POINT_V, default_device, default_material
 
 
 @contextmanager
@@ -437,6 +440,19 @@ def least_power_reaching(device, v_app_v: float, m_db: float, lo_w: float, hi_w:
         else:
             lo_w = mid
     return hi_w
+
+
+def p_min_elasticity(key: str, m_db: float, step: float = 0.01) -> float:
+    """d ln P_min / d ln x of the least CW power reaching ``m_db`` on the default
+    device, for the ``[material]`` key ``key``: a central difference of ``step``
+    relative about its default, each side's material split by ``default_material``."""
+    x = inspect.signature(default_material).parameters[key].default
+
+    def log_p_min(factor):
+        device = replace(default_device(), material=default_material(**{key: x * factor}))
+        return math.log(least_power_reaching(device, WORKING_POINT_V, m_db, 1e-9, 3e-9))
+
+    return (log_p_min(1.0 + step) - log_p_min(1.0 - step)) / (math.log1p(step) - math.log1p(-step))
 
 
 def csv_by_rows(header, columns) -> str:

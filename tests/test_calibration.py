@@ -5,6 +5,9 @@ import math
 import pytest
 
 from ipasim import calibration as cal
+from ipasim._ranges import interval
+from ipasim.security import QkdScenario, zero_key_threshold
+from oracles import p_min_elasticity, refused
 
 SUMMARY = cal.calibration_summary()
 
@@ -82,3 +85,50 @@ def test_peak_stationarity_closed_form_reproduces_the_stored_saturation():
     assert b == pytest.approx(cal.RESPONSE_SATURATION_PER_W, rel=1e-7)
     # the peak lies inside the photoconductively linear window
     assert cal.PEAK_POWER_W * a1 < cal.CROSSOVER_POWER_W
+
+
+def test_the_default_split_is_the_last_microscopic_defaults_bit_for_bit():
+    # the [material] literals of demos/configs/default.ini before the lumped keys
+    mat = cal.default_material()
+    assert (
+        mat.refractive_index, mat.r33_m_per_v, mat.mode_overlap, mat.photovoltaic_const,
+        mat.absorption_per_m, mat.photocond_per_w, mat.dark_conductivity_s_per_m,
+        mat.rel_permittivity, mat.sublinear_exponent, mat.crossover_power_w,
+    ) == (
+        2.1381, 3.08e-11, 0.32, 4878.357415143211, 0.00035897065649201186,
+        0.00012195893537858028, 1.2395862937920003e-13, 28.0, 2, 7e-06,
+    )
+    # A and the dark time read back from the split give the split again
+    assert cal.default_material(mat.response_amplitude, dark_relaxation_s=mat.tau_dark_s) == mat
+
+
+@pytest.mark.parametrize("key", cal.MATERIAL_ARGUMENTS)
+def test_each_lumped_window_end_splits_inside_the_material_windows(key):
+    window = interval(cal.MATERIAL_ARGUMENTS[key])
+    for end in (window.least, window.most):
+        assert math.isfinite(end)
+        cal.default_material(**{key: end})  # MaterialParams checks each of its windows
+    for past in (math.nextafter(window.least, -math.inf), math.nextafter(window.most, math.inf)):
+        with refused(key):
+            cal.default_material(**{key: past})
+
+
+# P_min's elasticity to each lumped key, d ln P_min / d ln x: how the paper's
+# headline, the least power reaching the zero-key point, depends on the
+# calibration.  The dark time's is exactly 0: P_min is a steady state.
+ELASTICITIES = {
+    "response_amplitude_per_w": -1.0005,
+    "response_saturation_per_w": 0.0005,
+    "bias_asymmetry_m_per_v": 0.408,
+    "dark_relaxation_s": 0.0,
+}
+
+
+def test_every_lumped_key_has_an_elasticity():
+    assert set(ELASTICITIES) == set(cal.MATERIAL_ARGUMENTS)
+
+
+@pytest.mark.parametrize("key", ELASTICITIES)
+def test_p_min_elasticity_to_each_lumped_key(key):
+    elasticity = p_min_elasticity(key, zero_key_threshold(QkdScenario()))
+    assert elasticity == pytest.approx(ELASTICITIES[key], abs=1e-3)

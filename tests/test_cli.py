@@ -276,8 +276,8 @@ README_ERRORS = {
     "config error: budget.fiber_length_km: must be in [0, 200]": (
         "[budget]\nfiber_length_km = 1e30\n", []
     ),
-    "config error: material.r33_m_per_v: must be in [1e-15, 1e-8]": (
-        "[material]\nr33_m_per_v = 1e300\n", []
+    "config error: material.response_amplitude_per_w: must be in [1e-9, 1e10]": (
+        "[material]\nresponse_amplitude_per_w = 1e300\n", []
     ),
     "config error: pulse.seed: must be >= 0": ("", ["--seed", "-1"]),
     "config error: budget.wavelength_nm: component 'coupling:bs_5050' has no loss entry "
@@ -416,15 +416,16 @@ def test_threshold_tolerance_below_the_float_spacing_exits_0(tmp_path):
     [
         (["budget"], "budget", "fiber_length_km", "1e30"),
         (["budget"], "budget", "target_power_w", "1e308"),
-        (["attack", "init"], "material", "r33_m_per_v", "1e300"),
+        (["attack", "init"], "material", "response_amplitude_per_w", "1e300"),
     ],
-    ids=["fiber_length_km", "target_power_w", "r33_m_per_v"],
+    ids=["fiber_length_km", "target_power_w", "response_amplitude_per_w"],
 )
 def test_a_value_past_its_window_exits_2_before_creating_the_output(
     tmp_path, capsys, argv, section, key, raw
 ):
     # each once overflowed a derived number (a path loss, a launch power, a
-    # phase) and exited 3; its window now refuses it by its key
+    # phase, through the retired r33_m_per_v = 1e300) and exited 3; its window
+    # now refuses it by its key
     cfg = tmp_path / "window.ini"
     cfg.write_text(f"[{section}]\n{key} = {raw}\n")
     out = tmp_path / "window-out"

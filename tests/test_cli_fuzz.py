@@ -125,19 +125,21 @@ def test_cli_contract_holds_on_random_configs(command, overrides):
 # or made invalid (as a multiply, a cos, a divide, an add or a subtract) before
 # the key declared a physical window, which now refuses it
 NUMPY_FAILURES = [
-    ("material", "r33_m_per_v", "1e308", ("attack init", "attack pre-treat", "voltage-curve")),
-    ("material", "r33_m_per_v", "1e300",
+    # the [material] rows set the lumped key that replaced the retired constant
+    # they once set: r33_m_per_v, mode_overlap and photovoltaic_const at 1e308
+    # scaled A, r33_m_per_v at 1e300 too, absorption_per_m scaled B,
+    # photocond_per_w a/kappa most, and rel_permittivity the dark time
+    ("material", "response_amplitude_per_w", "1e308",
      ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
-    ("material", "mode_overlap", "1e308",
+    ("material", "response_amplitude_per_w", "1e300",
      ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
-    ("material", "photovoltaic_const", "1e308",
+    ("material", "response_saturation_per_w", "1e308",
      ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
-    ("material", "absorption_per_m", "1e308",
-     ("attack init", "attack pre-treat", "pe-curve", "voltage-curve")),
-    ("material", "absorption_per_m", "5e-324", ("attack init", "attack pre-treat", "voltage-curve")),
-    ("material", "photocond_per_w", "1e308", ("voltage-curve",)),
-    ("material", "photocond_per_w", "1e300", ("voltage-curve",)),
-    ("material", "rel_permittivity", "5e-324", ("attack init", "attack pre-treat", "voltage-curve")),
+    ("material", "response_saturation_per_w", "5e-324",
+     ("attack init", "attack pre-treat", "voltage-curve")),
+    ("material", "bias_asymmetry_m_per_v", "1e308", ("voltage-curve",)),
+    ("material", "bias_asymmetry_m_per_v", "1e300", ("voltage-curve",)),
+    ("material", "dark_relaxation_s", "5e-324", ("attack init", "attack pre-treat", "voltage-curve")),
     ("geometry", "arm_length_m", "1e308", ("attack init", "attack pre-treat", "voltage-curve")),
     ("geometry", "electrode_gap_m", "1e-300", ("attack pulse", "pe-curve", "voltage-curve")),
     ("geometry", "electrode_gap_m", "5e-324", ("voltage-curve",)),
@@ -245,7 +247,7 @@ def _non_finite_cells(out: Path) -> list[str]:
 
 
 def test_every_float_key_declares_a_finite_window():
-    assert len(CORNERS) == 2 * 58
+    assert len(CORNERS) == 2 * 54
     assert all(math.isfinite(corner) for _, _, corner in CORNERS)
 
 

@@ -1,13 +1,14 @@
 """Config parsing: total schema, canonical hashing, object builders."""
 
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
 
 import pytest
 
-from ipasim.calibration import default_device
+from ipasim.calibration import default_device, default_material
 from ipasim.cli import EXIT_CONFIG, main
 from ipasim._ranges import MAX_GRID_POINTS, MAX_STEPS
 from ipasim.config import (
@@ -38,11 +39,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 # one out-of-range value per range-checked key of the dataclass-backed sections
 OUT_OF_RANGE = [
-    *(("material", key, "-1") for key in (
-        "refractive_index", "r33_m_per_v", "mode_overlap", "photovoltaic_const",
-        "absorption_per_m", "photocond_per_w", "dark_conductivity_s_per_m",
-        "rel_permittivity", "crossover_power_w",
-    )),
+    *(("material", key, raw) for key in (
+        "response_amplitude_per_w", "response_saturation_per_w", "bias_asymmetry_m_per_v",
+        "dark_relaxation_s", "crossover_power_w",
+    ) for raw in ("-1", "1e300")),
     ("material", "sublinear_exponent", "0"),
     *(("geometry", key, "-1") for key in (
         "arm_length_m", "electrode_length_m", "electrode_gap_m", "signal_wavelength_nm",
@@ -227,6 +227,16 @@ RETIRED = [
     ("geometry", "effective_length_m", "0.0136", "nothing read it"),
     ("qkd", "n_trunc", "80", "nothing is truncated"),
     ("output", "svg", "false", "the CSVs hold the curves"),
+    # the microscopic material constants, at their last defaults, and the lumped
+    # key that carries the quantity each one scaled
+    ("material", "refractive_index", "2.1381", "response_amplitude_per_w"),
+    ("material", "r33_m_per_v", "3.08e-11", "response_amplitude_per_w"),
+    ("material", "mode_overlap", "0.32", "response_amplitude_per_w"),
+    ("material", "photovoltaic_const", "4878.357415143211", "bias_asymmetry_m_per_v"),
+    ("material", "absorption_per_m", "0.00035897065649201186", "response_saturation_per_w"),
+    ("material", "photocond_per_w", "0.00012195893537858028", "bias_asymmetry_m_per_v"),
+    ("material", "dark_conductivity_s_per_m", "1.2395862937920003e-13", "dark_relaxation_s"),
+    ("material", "rel_permittivity", "28.0", "dark_relaxation_s"),
 ]
 
 
@@ -461,7 +471,7 @@ def test_default_ini_lists_every_key_at_its_default():
     assert significant(shipped) == significant(to_ini_text(default_config()))
 
 
-DEFAULT_SHA256 = "c925d4917f12dee4ff46ab2e9bb22aff33af83d9d8929279143e13380b5c5fc8"
+DEFAULT_SHA256 = "4fc5b89d53ac04a0b6de69d1fa12f4b50076125fd79c8a6e6df637ca72c0fbce"
 
 
 @pytest.mark.parametrize(
@@ -469,11 +479,13 @@ DEFAULT_SHA256 = "c925d4917f12dee4ff46ab2e9bb22aff33af83d9d8929279143e13380b5c5f
     [
         (None, DEFAULT_SHA256),
         ("default.ini", DEFAULT_SHA256),
-        ("pulse_hold_40db.ini", "e791acbb2e0b7513ab52152598e1999eece0afbb80b0e09b8c67713cb1f1e585"),
+        ("pulse_hold_40db.ini", "9dd12965c2afa83870791596482edd23b00c80270a70972466297b3568a108df"),
     ],
 )
 def test_config_hashes_are_pinned(name, digest):
-    """An int default where a float was, or an Enum stored by name, moves these."""
+    """An int default where a float was, an Enum stored by name, or a key renamed or
+    retired (``[material]`` now takes the lumped set in place of eight microscopic
+    constants) moves these."""
     cfg = default_config() if name is None else load_config(CONFIGS / name)
     assert config_sha256(cfg) == digest
 
@@ -498,13 +510,12 @@ def test_builders_translate_failures_to_config_errors():
 @pytest.mark.parametrize(
     "build, section, elsewhere",
     [
-        (build_material, "material", ()),
         (build_geometry, "geometry", ("signal_wavelength_m",)),
         (build_controller, "pulse", ()),
         (build_scenario, "qkd", ()),
         (build_pretreat_plan, "pre_treat", ()),
     ],
-    ids=["material", "geometry", "pulse", "qkd", "pre_treat"],
+    ids=["geometry", "pulse", "qkd", "pre_treat"],
 )
 def test_builders_feed_every_field_from_its_section(build, section, elsewhere):
     """A renamed key must fail here, not fall back to the dataclass default."""
@@ -529,6 +540,24 @@ def test_builders_feed_every_field_from_its_section(build, section, elsewhere):
             pytest.fail(f"{section}.{field.name}: no nudged value is valid")
     geo = build_geometry(base)
     assert geo.signal_wavelength_m == base.get("geometry", "signal_wavelength_nm") / 1e9
+
+
+def test_the_material_builder_feeds_every_argument_of_the_split():
+    """A renamed key must fail here, not fall back to the split's default."""
+    base = default_config()
+    assert list(base.values["material"]) == list(inspect.signature(default_material).parameters)
+    assert build_material(base) == default_material()
+    for key, value in base.values["material"].items():
+        doubled = 2 * value
+        built = build_material(base.with_value("material", key, doubled))
+        assert built == default_material(**{key: doubled}) != default_material(), key
+
+
+def test_the_material_builder_refuses_a_split_argument_by_its_key():
+    with pytest.raises(ConfigError, match=r"^material\.dark_relaxation_s: must be in \["):
+        default_config().with_value("material", "dark_relaxation_s", 1e11)
+    with pytest.raises(ConfigError, match=r"^material\.crossover_power_w: must be in \["):
+        default_config().with_value("material", "crossover_power_w", 2.0)
 
 
 def test_pretreat_plan_builder():

@@ -14,9 +14,9 @@ import ipasim
 from ipasim.attack import IrradiationProgram, run_program
 from ipasim.budget import path_loss, required_eve_power, standard_path
 from ipasim.calibration import WORKING_POINT_V as WP
-from ipasim.calibration import default_device
+from ipasim.calibration import MATERIAL_ARGUMENTS, default_device
 from ipasim.security import QkdScenario, sweep_key_rates, zero_key_threshold
-from oracles import least_power_reaching
+from oracles import least_power_reaching, p_min_elasticity
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 DEV = default_device()
@@ -93,3 +93,8 @@ def test_the_papers_claim_quotes_the_chain_it_states():
     keyless, estimating = quoted(r"key rate of 0 at all (\d+) distances"), quoted(r"at all (\d+)\.")
     assert int(keyless) == sum(row.r_actual == 0.0 for row in attacked) == len(attacked)
     assert int(estimating) == sum(row.r_est > 0.0 for row in attacked)
+    elasticities = re.findall(r"([-+]?[\d.]+) for `(\w+)`", quoted(r"elasticities (.*?) \(P_min"))
+    assert [key for _, key in elasticities] == list(MATERIAL_ARGUMENTS)
+    for stated, key in elasticities:
+        digits = len(stated.partition(".")[2])
+        assert float(stated) == pytest.approx(p_min_elasticity(key, m_star), abs=0.5 * 10**-digits)
